@@ -5,7 +5,7 @@ readout classifies from the final state, and the scalar output is decomposed
 back onto the input pixels through the unfolded recurrence. Submodules:
 
 - reservoir: network configuration, initialization, forward pass
-- readout:   closed-form training, binarization, accuracy reports
+- readout:   closed-form training, sign-test accuracy reports
 - lrp:       backward relevance pass and map exports
 - data:      dataset container, ENSO labeling pipeline, synthetic task
 - baselines: linear regression and the small identity-activation MLP
@@ -15,13 +15,12 @@ back onto the input pixels through the unfolded recurrence. Submodules:
 
 from .errors import ConfigError, DataError, NumericError
 from .lrp import LrpConfig, RelevanceMap, relevance_map
-from .readout import AccuracyReport, ClassLabel, ClassPrediction, ReadoutSolution, accuracy, binarize, fit_readout
+from .readout import AccuracyReport, ClassLabel, ReadoutSolution, accuracy, fit_readout
 from .reservoir import EsnConfig, EsnModel, StateTrajectory, init_reservoir, model_output, run_reservoir
 
 __all__ = [
     "AccuracyReport",
     "ClassLabel",
-    "ClassPrediction",
     "ConfigError",
     "DataError",
     "EsnConfig",
@@ -32,7 +31,6 @@ __all__ = [
     "RelevanceMap",
     "StateTrajectory",
     "accuracy",
-    "binarize",
     "fit_readout",
     "init_reservoir",
     "model_output",

@@ -184,25 +184,33 @@ def filtered(samples: Sequence[data.LabeledSample], class_filter: str) -> List[d
     return [s for s in samples if s.label is want]
 
 
-def train_esn(cfg: ExperimentConfig, sample_set: data.SampleSet, alpha: Optional[float] = None) -> reservoir.EsnModel:
+def encode(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> np.ndarray:
+    """Final reservoir state of each sample, one row per sample.
+
+    Rows are filled in place, so no sample's state trajectory outlives its
+    own forward pass.
+    """
+    states = np.empty((len(samples), model.config.n_res))
+    for i, s in enumerate(samples):
+        states[i] = reservoir.run_reservoir(model, data.preprocess_field(s.field)).final_state
+    return states
+
+
+def fit_esn(
+    cfg: ExperimentConfig, sample_set: data.SampleSet, alpha: Optional[float] = None
+) -> Tuple[reservoir.EsnModel, np.ndarray]:
+    """Build a reservoir, fit its readout on the train split, score every sample.
+
+    The scores hold the train rows, then the val rows (see `split_rows`).
+    """
     train = sample_set.train_samples
     if not train:
         raise DataError("sample set has no training samples")
     model = reservoir.init_reservoir(cfg.esn_config(train[0].field.shape[0], alpha))
-    states = np.stack(
-        [reservoir.run_reservoir(model, data.preprocess_for_esn(s)).final_state for s in train]
-    )
-    targets = np.array([s.index for s in train])
-    solution = readout.fit_readout(states, targets, ridge=cfg.ridge)
-    return model.with_readout(solution.w_out, solution.b_out)
-
-
-def evaluate_esn(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> readout.AccuracyReport:
-    predictions = [
-        readout.binarize(reservoir.model_output(model, reservoir.run_reservoir(model, data.preprocess_for_esn(s)))[0])
-        for s in samples
-    ]
-    return readout.accuracy(predictions, [s.label for s in samples])
+    states = encode(model, train + sample_set.val_samples)
+    solution = readout.fit_readout(states[: len(train)], np.array([s.index for s in train]), ridge=cfg.ridge)
+    model = model.with_readout(solution.w_out, solution.b_out)
+    return model, states @ model.w_out[0] + model.b_out[0]
 
 
 def maps_for(
@@ -210,7 +218,7 @@ def maps_for(
 ) -> List[lrp.RelevanceMap]:
     lcfg = cfg.lrp_config()
     return [
-        lrp.relevance_map(model, reservoir.run_reservoir(model, data.preprocess_for_esn(s)), lcfg)
+        lrp.relevance_map(model, reservoir.run_reservoir(model, data.preprocess_field(s.field)), lcfg)
         for s in samples
     ]
 
@@ -222,6 +230,23 @@ def accuracy_rows(model_name: str, split: str, report: readout.AccuracyReport) -
             rows.append(f"{model_name},{split},accuracy_{cls.value},{report.per_class[cls]:.9g}")
     rows.append(f"{model_name},{split},n_samples,{report.n_samples}")
     return rows
+
+
+def split_rows(model_name: str, sample_set: data.SampleSet, scores: np.ndarray) -> List[str]:
+    """Accuracy rows per split, from scores ordered train rows first, then val rows."""
+    rows: List[str] = []
+    start = 0
+    for split, samples in (("train", sample_set.train_samples), ("val", sample_set.val_samples)):
+        if samples:
+            report = readout.accuracy(scores[start : start + len(samples)], [s.label for s in samples])
+            rows.extend(accuracy_rows(model_name, split, report))
+        start += len(samples)
+    return rows
+
+
+def val_accuracy(sample_set: data.SampleSet, scores: np.ndarray) -> readout.AccuracyReport:
+    val = sample_set.val_samples
+    return readout.accuracy(scores[len(sample_set.train_samples) :], [s.label for s in val])
 
 
 def write_report(path: Path, rows: List[str], header: str = "model,split,metric,value") -> None:
@@ -236,40 +261,31 @@ def baseline_rows(cfg: ExperimentConfig, sample_set: data.SampleSet, anomalies: 
     else:
         mask = np.ones(sample_set.samples[0].field.shape, dtype=bool)
 
-    def vec(samples: Sequence[data.LabeledSample]) -> np.ndarray:
-        return np.stack([data.preprocess_for_baseline(s, mask) for s in samples])
-
-    train, val = sample_set.train_samples, sample_set.val_samples
-    x_train, y_train = vec(train), np.array([s.index for s in train])
-    rows: List[str] = []
+    train = sample_set.train_samples
+    ordered = train + sample_set.val_samples
+    x = np.empty((len(ordered), int(mask.sum())))
+    for i, s in enumerate(ordered):
+        x[i] = data.preprocess_for_baseline(s, mask)
+    x_train, y_train = x[: len(train)], np.array([s.index for s in train])
     if cfg.baseline == "linreg":
         solution = baselines.fit_linreg(x_train, y_train, ridge=cfg.ridge)
         persistence.save_model(out / "baseline_linreg.json", solution)
-        for split, samples, x in (("train", train, x_train), ("val", val, None)):
-            scores = baselines.linreg_predict(solution, x if x is not None else vec(samples))
-            report = readout.accuracy([readout.binarize(s) for s in scores], [s.label for s in samples])
-            rows.extend(accuracy_rows("linreg", split, report))
+        rows = split_rows("linreg", sample_set, baselines.linreg_predict(solution, x))
         rows.append(f"linreg,train,mse,{solution.train_mse:.9g}")
     else:
         model, history = baselines.train_mlp(x_train, y_train, seed=cfg.seed)
         persistence.save_model(out / "baseline_mlp.json", model)
-        for split, samples in (("train", train), ("val", val)):
-            scores = np.atleast_1d(baselines.mlp_predict(model, vec(samples)))
-            report = readout.accuracy([readout.binarize(s) for s in scores], [s.label for s in samples])
-            rows.extend(accuracy_rows("mlp", split, report))
+        rows = split_rows("mlp", sample_set, np.atleast_1d(baselines.mlp_predict(model, x)))
         rows.append(f"mlp,train,final_loss,{history[-1]:.9g}")
     return rows
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     sample_set, anomalies = resolve_samples(cfg)
-    model = train_esn(cfg, sample_set)
+    model, scores = fit_esn(cfg, sample_set)
     persistence.save_model(out / MODEL_FILE, model)
     data.write_sample_index_csv(out / "samples.csv", sample_set)
-    rows = []
-    for split, samples in (("train", sample_set.train_samples), ("val", sample_set.val_samples)):
-        if samples:
-            rows.extend(accuracy_rows("esn", split, evaluate_esn(model, samples)))
+    rows = split_rows("esn", sample_set, scores)
     rows.extend(baseline_rows(cfg, sample_set, anomalies, out))
     write_report(out / "train_report.csv", rows)
 
@@ -287,11 +303,9 @@ def load_trained_model(out: Path) -> reservoir.EsnModel:
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     model = load_trained_model(out)
     sample_set, _ = resolve_samples(cfg)
-    rows = []
-    for split, samples in (("train", sample_set.train_samples), ("val", sample_set.val_samples)):
-        if samples:
-            rows.extend(accuracy_rows("esn", split, evaluate_esn(model, samples)))
-    write_report(out / "eval_report.csv", rows)
+    states = encode(model, sample_set.train_samples + sample_set.val_samples)
+    scores = states @ model.w_out[0] + model.b_out[0]
+    write_report(out / "eval_report.csv", split_rows("esn", sample_set, scores))
 
 
 def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
@@ -323,8 +337,8 @@ def cmd_leak_sweep(cfg: ExperimentConfig, out: Path) -> None:
     sample_set, _ = resolve_samples(cfg)
     rows = ["alpha,tag,accuracy_overall,accuracy_elnino,accuracy_lanina,mean_map_center_of_gravity"]
     for alpha, tag in zip(SWEEP_ALPHAS, SWEEP_TAGS):
-        model = train_esn(cfg, sample_set, alpha=alpha)
-        report = evaluate_esn(model, sample_set.val_samples)
+        model, scores = fit_esn(cfg, sample_set, alpha=alpha)
+        report = val_accuracy(sample_set, scores)
         maps = maps_for(model, filtered(sample_set.train_samples, cfg.class_filter), cfg)
         mean = lrp.mean_relevance(maps)
         lrp.write_matrix_csv(out / f"mean_map_{tag}.csv", mean)
@@ -350,14 +364,14 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_permutation(cfg: ExperimentConfig, out: Path) -> None:
     sample_set, _ = resolve_samples(cfg)
-    base_model = train_esn(cfg, sample_set)
-    base_report = evaluate_esn(base_model, sample_set.val_samples)
+    base_model, base_scores = fit_esn(cfg, sample_set)
+    base_report = val_accuracy(sample_set, base_scores)
     base_maps = maps_for(base_model, filtered(sample_set.train_samples, cfg.class_filter), cfg)
     base_mean = lrp.mean_relevance(base_maps)
 
     permuted_set = data.permute_columns(sample_set, cfg.permute_seed)
-    perm_model = train_esn(cfg, permuted_set)
-    perm_report = evaluate_esn(perm_model, permuted_set.val_samples)
+    perm_model, perm_scores = fit_esn(cfg, permuted_set)
+    perm_report = val_accuracy(permuted_set, perm_scores)
     perm_maps = maps_for(perm_model, filtered(permuted_set.train_samples, cfg.class_filter), cfg)
     perm_mean = lrp.mean_relevance(perm_maps)
     restored = data.inverse_permute(perm_mean, permuted_set)
@@ -385,12 +399,9 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
         cfg.synthetic = DEFAULT_SYNTHETIC
     d, t, _ = cfg.synthetic
     sample_set, _ = resolve_samples(cfg)
-    model = train_esn(cfg, sample_set)
+    model, scores = fit_esn(cfg, sample_set)
     persistence.save_model(out / MODEL_FILE, model)
-    rows = []
-    for split, samples in (("train", sample_set.train_samples), ("val", sample_set.val_samples)):
-        if samples:
-            rows.extend(accuracy_rows("esn", split, evaluate_esn(model, samples)))
+    rows = split_rows("esn", sample_set, scores)
     box = data.synthetic_blob_box(d, t)
     for class_filter in ("elnino", "lanina"):
         samples = filtered(sample_set.train_samples, class_filter)

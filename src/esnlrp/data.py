@@ -30,7 +30,6 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigError, DataError
-from .lrp import RelevanceMap, inverse_permuted
 from .readout import ClassLabel
 
 MAGIC = b"SSTG"
@@ -331,10 +330,6 @@ def preprocess_field(field: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((field.shape[0], 1)), scaled])
 
 
-def preprocess_for_esn(sample: LabeledSample) -> np.ndarray:
-    return preprocess_field(sample.field)
-
-
 def preprocess_for_baseline(sample: LabeledSample, valid_mask: np.ndarray) -> np.ndarray:
     """Clip, scale, and emit the valid cells as one row-major vector."""
     valid_mask = np.asarray(valid_mask, dtype=bool)
@@ -379,20 +374,12 @@ def permute_columns(sample_set: SampleSet, seed: int) -> SampleSet:
     )
 
 
-def inverse_permute(
-    obj: Union[RelevanceMap, np.ndarray], sample_set: SampleSet
-) -> Union[RelevanceMap, np.ndarray]:
-    """Restore original column order of a field or relevance map."""
+def inverse_permute(arr: np.ndarray, sample_set: SampleSet) -> np.ndarray:
+    """Restore the original column order of a field, map, or column vector."""
     if sample_set.permutation is None:
         raise DataError("sample set carries no permutation to invert")
     inverse = sample_set.inverse
-    if isinstance(obj, RelevanceMap):
-        if obj.scores.shape[1] != inverse.size:
-            raise DataError(
-                f"map has {obj.scores.shape[1]} columns but the permutation covers {inverse.size}"
-            )
-        return inverse_permuted(obj, inverse)
-    arr = np.asarray(obj)
+    arr = np.asarray(arr)
     if arr.ndim == 2 and arr.shape[1] == inverse.size:
         return arr[:, inverse]
     if arr.ndim == 1 and arr.shape[0] == inverse.size:

@@ -23,7 +23,6 @@ separate in `dummy_scores` and omitted from the map proper.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Tuple, Union
@@ -36,16 +35,13 @@ from .reservoir import EsnModel, StateTrajectory, model_output
 
 @dataclass(frozen=True)
 class LrpConfig:
-    """Stabilizer and redistribution rule for the backward pass."""
+    """Stabilizer of the z+ denominators in the backward pass."""
 
     epsilon: float = 1e-12
-    rule: str = "z_plus"
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.rule != "z_plus":
-            raise ConfigError(f"unsupported redistribution rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +216,3 @@ def write_heatmap_pgm(path: Union[str, Path], matrix: np.ndarray) -> None:
         pixels = np.rint((m + peak) * (255.0 / (2.0 * peak))).clip(0, 255).astype(np.uint8)
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())
-
-
-def inverse_permuted(rmap: RelevanceMap, inverse: np.ndarray) -> RelevanceMap:
-    """Reorder a map's columns by the stored inverse permutation."""
-    return dataclasses.replace(rmap, scores=rmap.scores[:, inverse])

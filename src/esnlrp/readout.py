@@ -1,4 +1,4 @@
-"""Closed-form readout training and binary classification of scalar outputs."""
+"""Closed-form readout training and sign-test accuracy of scalar outputs."""
 
 from __future__ import annotations
 
@@ -14,18 +14,6 @@ class ClassLabel(enum.Enum):
     EL_NINO = "elnino"
     LA_NINA = "lanina"
     NEUTRAL = "neutral"
-
-
-@dataclass(frozen=True)
-class ClassPrediction:
-    """Binary class decision derived from a raw scalar model output.
-
-    Nonnegative scores map to EL_NINO (ties at exactly zero included),
-    negative scores to LA_NINA.
-    """
-
-    label: ClassLabel
-    score: float
 
 
 @dataclass(frozen=True)
@@ -104,30 +92,25 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
     return ReadoutSolution(w_out=beta[:-1].T.copy(), b_out=beta[-1].copy(), train_mse=mse)
 
 
-def binarize(output: float) -> ClassPrediction:
-    """Map a raw scalar output to a class by sign (0.0 counts as EL_NINO)."""
-    score = float(output)
-    if not np.isfinite(score):
-        raise ConfigError(f"output must be finite, got {score}")
-    label = ClassLabel.EL_NINO if score >= 0.0 else ClassLabel.LA_NINA
-    return ClassPrediction(label=label, score=score)
+def accuracy(scores: np.ndarray, labels: list) -> AccuracyReport:
+    """Sign test of raw scores against true labels, pooled and per true class.
 
-
-def accuracy(predictions: list, labels: list) -> AccuracyReport:
-    """Fraction of matching labels, pooled and broken down per true class."""
-    if len(predictions) != len(labels):
-        raise ConfigError(f"got {len(predictions)} predictions for {len(labels)} labels")
-    if not predictions:
+    A nonnegative score predicts EL_NINO (a tie at exactly zero included), a
+    negative score LA_NINA.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (len(labels),):
+        raise ConfigError(f"got scores of shape {scores.shape} for {len(labels)} labels")
+    if not labels:
         raise ConfigError("cannot compute accuracy of an empty prediction set")
-    predicted = [p.label for p in predictions]
-    hits = [p == t for p, t in zip(predicted, labels)]
-    per_class = {}
-    for cls in (ClassLabel.EL_NINO, ClassLabel.LA_NINA):
-        members = [h for h, t in zip(hits, labels) if t == cls]
-        if members:
-            per_class[cls] = sum(members) / len(members)
-    return AccuracyReport(
-        overall=sum(hits) / len(hits),
-        per_class=per_class,
-        n_samples=len(labels),
-    )
+    if not np.all(np.isfinite(scores)):
+        raise ConfigError("scores must be finite")
+    el_nino = np.array([t is ClassLabel.EL_NINO for t in labels])
+    la_nina = np.array([t is ClassLabel.LA_NINA for t in labels])
+    hits = np.where(scores >= 0.0, el_nino, la_nina)
+    per_class = {
+        cls: float(hits[members].mean())
+        for cls, members in ((ClassLabel.EL_NINO, el_nino), (ClassLabel.LA_NINA, la_nina))
+        if members.any()
+    }
+    return AccuracyReport(overall=float(hits.mean()), per_class=per_class, n_samples=len(labels))

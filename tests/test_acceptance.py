@@ -12,15 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from esnlrp import data
+from esnlrp import cli, data
 from esnlrp.baselines import fit_linreg, init_mlp, linreg_predict, mlp_gradients, mlp_predict, train_mlp
 from esnlrp.baselines import MlpModel
 from esnlrp.lrp import column_center_of_gravity, mean_relevance, relevance_map
-from esnlrp.readout import ClassLabel, accuracy, binarize, fit_readout
+from esnlrp.readout import ClassLabel, accuracy, fit_readout
 from esnlrp.reservoir import (
     EsnConfig,
     init_reservoir,
-    model_output,
     run_reservoir,
     spectral_radius,
 )
@@ -57,25 +56,19 @@ def train_esn(sample_set, alpha, ridge=RIDGE, **esn_kwargs):
     model = init_reservoir(
         EsnConfig(n_in=train[0].field.shape[0], leak_rate=alpha, **kwargs)
     )
-    states = np.stack(
-        [run_reservoir(model, data.preprocess_for_esn(s)).final_state for s in train]
-    )
-    solution = fit_readout(states, np.array([s.index for s in train]), ridge=ridge)
+    solution = fit_readout(cli.encode(model, train), np.array([s.index for s in train]), ridge=ridge)
     return model.with_readout(solution.w_out, solution.b_out)
 
 
 def esn_accuracy(model, samples):
-    predictions = [
-        binarize(model_output(model, run_reservoir(model, data.preprocess_for_esn(s)))[0])
-        for s in samples
-    ]
-    return accuracy(predictions, [s.label for s in samples])
+    scores = cli.encode(model, samples) @ model.w_out[0] + model.b_out[0]
+    return accuracy(scores, [s.label for s in samples])
 
 
 def class_mean_map(model, samples, label):
     chosen = [s for s in samples if s.label is label]
     maps = [
-        relevance_map(model, run_reservoir(model, data.preprocess_for_esn(s)))
+        relevance_map(model, run_reservoir(model, data.preprocess_field(s.field)))
         for s in chosen
     ]
     return mean_relevance(maps)
@@ -302,14 +295,14 @@ def test_criterion_6_baselines():
     linreg = fit_linreg(x_train, y_train, ridge=RIDGE)
     for split, samples, x in (("train", train, x_train), ("val", val, vectors(val))):
         scores = linreg_predict(linreg, x)
-        report = accuracy([binarize(s) for s in scores], [s.label for s in samples])
+        report = accuracy(scores, [s.label for s in samples])
         assert report.overall == 1.0, f"linreg {split} accuracy {report.overall} != 100%"
 
     mlp, _ = train_mlp(x_train, y_train, seed=0)
     assert mlp.param_count == 87_993
     for split, samples in (("train", train), ("val", val)):
         scores = np.atleast_1d(mlp_predict(mlp, vectors(samples)))
-        report = accuracy([binarize(s) for s in scores], [s.label for s in samples])
+        report = accuracy(scores, [s.label for s in samples])
         assert report.overall == 1.0, f"mlp {split} accuracy {report.overall} != 100%"
     print(
         f"criterion 6 PASS: gradient gap {worst:.3e} <= 1e-5; linreg and "

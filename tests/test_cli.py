@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from esnlrp import cli
+from esnlrp import cli, reservoir
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
 
@@ -44,6 +44,25 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         assert run_cli("train", "--out", str(out), "--seed", "5", *SMALL) == 0
     for name in ("esn_model.json", "samples.csv", "train_report.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
+    """Fitting and scoring share one forward pass per sample; maps add one each."""
+    calls = []
+    forward = reservoir.run_reservoir
+
+    def counting(model, sample):
+        calls.append(sample.shape)
+        return forward(model, sample)
+
+    monkeypatch.setattr(reservoir, "run_reservoir", counting)
+    # 12 samples, 9 of them train; synthetic maps the 9 train samples, and
+    # leak-sweep does that at each of its 4 leak rates
+    expected = {"train": 12, "evaluate": 12, "synthetic": 21, "leak-sweep": 84}
+    for command, count in expected.items():
+        calls.clear()
+        assert run_cli(command, "--out", str(tmp_path / "out"), *SMALL) == 0
+        assert len(calls) == count, command
 
 
 def test_config_file_and_flag_override(tmp_path):

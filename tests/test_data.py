@@ -3,7 +3,6 @@ import pytest
 
 from esnlrp import data
 from esnlrp.errors import ConfigError, DataError
-from esnlrp.lrp import RelevanceMap
 from esnlrp.readout import ClassLabel
 
 
@@ -241,11 +240,11 @@ def test_preprocess_field_clips_scales_and_prepends_ones():
     assert out.shape == (1, 5)
 
 
-def test_preprocess_for_esn_width():
+def test_preprocess_field_width():
     sample = data.LabeledSample(
         field=np.zeros((89, 180)), index=1.0, label=ClassLabel.EL_NINO, month_id=0
     )
-    assert data.preprocess_for_esn(sample).shape == (89, 181)
+    assert data.preprocess_field(sample.field).shape == (89, 181)
 
 
 def test_preprocess_for_baseline_ignores_invalid_cells():
@@ -295,11 +294,7 @@ def test_inverse_permute_handles_maps_vectors_and_bad_shapes():
     sample_set = data.synthesize_task(4, 8, 9, seed=1)
     permuted = data.permute_columns(sample_set, seed=5)
     scores = np.arange(2 * 9, dtype=float).reshape(2, 9)
-    rmap = RelevanceMap(
-        scores=scores[:, permuted.permutation], dummy_scores=np.zeros(2), absorbed=0.0, total=1.0
-    )
-    restored = data.inverse_permute(rmap, permuted)
-    np.testing.assert_array_equal(restored.scores, scores)
+    np.testing.assert_array_equal(data.inverse_permute(scores[:, permuted.permutation], permuted), scores)
 
     vector = np.arange(9.0)
     np.testing.assert_array_equal(

@@ -8,7 +8,6 @@ from esnlrp.lrp import (
     LrpConfig,
     RelevanceMap,
     column_center_of_gravity,
-    inverse_permuted,
     mean_relevance,
     relevance_first_column,
     relevance_map,
@@ -38,8 +37,6 @@ def test_lrp_config_rejects_bad_values():
         LrpConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         LrpConfig(epsilon=-1e-9)
-    with pytest.raises(ConfigError):
-        LrpConfig(rule="epsilon")
 
 
 def test_output_layer_equal_positive_contributions():
@@ -278,14 +275,3 @@ def test_heatmap_pgm_pixels(tmp_path):
     assert list(raw[len(b"P5\n3 1\n255\n"):]) == [0, 128, 255]
     write_heatmap_pgm(path, np.zeros((2, 2)))
     assert list(path.read_bytes()[-4:]) == [128, 128, 128, 128]
-
-
-def test_inverse_permuted_restores_column_order():
-    rng = np.random.default_rng(8)
-    scores = rng.normal(size=(3, 6))
-    perm = rng.permutation(6)
-    inverse = np.argsort(perm)
-    shuffled = RelevanceMap(
-        scores=scores[:, perm], dummy_scores=np.zeros(3), absorbed=0.0, total=1.0
-    )
-    np.testing.assert_array_equal(inverse_permuted(shuffled, inverse).scores, scores)

@@ -8,7 +8,6 @@ from esnlrp.readout import (
     AccuracyReport,
     ClassLabel,
     accuracy,
-    binarize,
     fit_readout,
 )
 
@@ -135,27 +134,27 @@ def test_plain_fit_is_scale_equivariant_in_targets(scale, seed):
     np.testing.assert_allclose(scaled.b_out, base.b_out * scale, rtol=1e-7, atol=1e-10 * scale)
 
 
-def test_binarize_signs_and_tie():
-    assert binarize(0.7).label is ClassLabel.EL_NINO
-    assert binarize(-0.2).label is ClassLabel.LA_NINA
-    assert binarize(0.0).label is ClassLabel.EL_NINO
-    assert binarize(-0.2).score == -0.2
-    with pytest.raises(ConfigError):
-        binarize(float("nan"))
+def test_accuracy_sign_test_tie_and_non_finite_scores():
+    el, la = ClassLabel.EL_NINO, ClassLabel.LA_NINA
+    report = accuracy([0.7, -0.2, 0.0, 0.0], [el, la, el, la])
+    assert report.per_class[el] == 1.0  # a score of exactly 0.0 counts as EL_NINO
+    assert report.per_class[la] == 0.5
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError):
+            accuracy([1.0, bad], [el, la])
 
 
 def test_accuracy_pooled_and_per_class():
     el, la = ClassLabel.EL_NINO, ClassLabel.LA_NINA
-    predictions = [binarize(s) for s in (1.0, -1.0, 1.0, 1.0)]
     labels = [el, la, la, el]
-    report = accuracy(predictions, labels)
+    report = accuracy(np.array([1.0, -1.0, 1.0, 1.0]), labels)
     assert isinstance(report, AccuracyReport)
     assert report.overall == 0.75
     assert report.per_class[el] == 1.0
     assert report.per_class[la] == 0.5
     assert report.n_samples == 4
 
-    single_class = accuracy([binarize(1.0)] * 2, [el, el])
+    single_class = accuracy([1.0, 1.0], [el, el])
     assert single_class.overall == 1.0
     assert la not in single_class.per_class
 
@@ -164,4 +163,4 @@ def test_accuracy_rejects_degenerate_inputs():
     with pytest.raises(ConfigError):
         accuracy([], [])
     with pytest.raises(ConfigError):
-        accuracy([binarize(1.0)], [ClassLabel.EL_NINO, ClassLabel.LA_NINA])
+        accuracy([1.0], [ClassLabel.EL_NINO, ClassLabel.LA_NINA])
