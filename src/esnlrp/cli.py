@@ -2,10 +2,11 @@
 
 Subcommands reproduce the studies end to end and emit everything as files:
 JSON models, CSV tables, and grayscale PGM heatmaps with CSV sidecars. Every
-command is a pure function of (configuration, input files, seed); rerunning
-with the same inputs produces byte-identical outputs, so there are no
-timestamps anywhere. Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numeric failure.
+command is a pure function of (configuration, input files, seed, BLAS thread
+count); rerunning with the same inputs at a fixed BLAS thread count produces
+byte-identical outputs, so there are no timestamps anywhere. Another thread
+count may round the readout solve differently. Exit codes: 0 success,
+2 configuration error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +32,10 @@ CLASS_FILTERS = ("elnino", "lanina", "both")
 BASELINES = ("linreg", "mlp", "none")
 
 MODEL_FILE = "esn_model.json"
+
+# Bytes that the state trajectory of one batch of samples may take: samples
+# are fed forward, and mapped, in the largest runs that fit.
+TRAJECTORY_BUDGET_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -184,15 +189,31 @@ def filtered(samples: Sequence[data.LabeledSample], class_filter: str) -> List[d
     return [s for s in samples if s.label is want]
 
 
+def batches(samples: Sequence[data.LabeledSample], n_res: int) -> Iterator[np.ndarray]:
+    """Preprocessed samples stacked (B, n_in, T), in consecutive runs.
+
+    Each run is as long as its forward trajectory (states and activation
+    values, 2 * T * n_res float64 per sample) fits TRAJECTORY_BUDGET_BYTES,
+    and at least one sample.
+    """
+    if not samples:
+        return
+    n_steps = data.preprocess_field(samples[0].field).shape[1]
+    size = max(1, TRAJECTORY_BUDGET_BYTES // (2 * n_steps * n_res * 8))
+    for start in range(0, len(samples), size):
+        yield np.stack([data.preprocess_field(s.field) for s in samples[start : start + size]])
+
+
 def encode(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> np.ndarray:
     """Final reservoir state of each sample, one row per sample.
 
-    Rows are filled in place, so no sample's state trajectory outlives its
-    own forward pass.
+    No batch's trajectory outlives its own forward pass.
     """
     states = np.empty((len(samples), model.config.n_res))
-    for i, s in enumerate(samples):
-        states[i] = reservoir.run_reservoir(model, data.preprocess_field(s.field)).final_state
+    start = 0
+    for batch in batches(samples, model.config.n_res):
+        states[start : start + len(batch)] = reservoir.run_reservoir(model, batch).final_state
+        start += len(batch)
     return states
 
 
@@ -215,12 +236,14 @@ def fit_esn(
 
 def maps_for(
     model: reservoir.EsnModel, samples: Sequence[data.LabeledSample], cfg: ExperimentConfig
-) -> List[lrp.RelevanceMap]:
+) -> Iterator[lrp.RelevanceMap]:
+    """Relevance map of each sample, in order, built one batch at a time.
+
+    A batch's trajectory is dropped as soon as its maps are built.
+    """
     lcfg = cfg.lrp_config()
-    return [
-        lrp.relevance_map(model, reservoir.run_reservoir(model, data.preprocess_field(s.field)), lcfg)
-        for s in samples
-    ]
+    for batch in batches(samples, model.config.n_res):
+        yield from lrp.relevance_map(model, reservoir.run_reservoir(model, batch), lcfg)
 
 
 def accuracy_rows(model_name: str, split: str, report: readout.AccuracyReport) -> List[str]:
@@ -314,21 +337,24 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     samples = filtered(sample_set.train_samples, cfg.class_filter)
     if not samples:
         raise DataError(f"no training samples left after --class {cfg.class_filter}")
-    maps = maps_for(model, samples, cfg)
 
     rel_dir = out / "relevance"
     rel_dir.mkdir(parents=True, exist_ok=True)
     audit = ["sample,month_id,label,output,scores_sum,dummy_sum,absorbed,conservation_error,within_tolerance"]
-    for i, (sample, rmap) in enumerate(zip(samples, maps)):
-        lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
-        audit.append(
-            f"{i},{sample.month_id},{sample.label.value},{rmap.total:.9g},"
-            f"{rmap.scores.sum():.9g},{rmap.dummy_scores.sum():.9g},{rmap.absorbed:.9g},"
-            f"{rmap.conservation_error():.9g},{int(rmap.conserved())}"
-        )
-    (out / "relevance_audit.csv").write_text("\n".join(audit) + "\n", encoding="ascii")
 
-    mean = lrp.mean_relevance(maps)
+    def exported() -> Iterator[lrp.RelevanceMap]:
+        """Write each map's CSV and audit row as it streams past."""
+        for i, (sample, rmap) in enumerate(zip(samples, maps_for(model, samples, cfg))):
+            lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
+            audit.append(
+                f"{i},{sample.month_id},{sample.label.value},{rmap.total:.9g},"
+                f"{rmap.scores.sum():.9g},{rmap.dummy_scores.sum():.9g},{rmap.absorbed:.9g},"
+                f"{rmap.conservation_error():.9g},{int(rmap.conserved())}"
+            )
+            yield rmap
+
+    mean = lrp.mean_relevance(exported())
+    (out / "relevance_audit.csv").write_text("\n".join(audit) + "\n", encoding="ascii")
     lrp.write_matrix_csv(out / "mean_map.csv", mean)
     lrp.write_heatmap_pgm(out / "mean_map.pgm", mean)
 

@@ -3,7 +3,8 @@
 A reservoir is a pool of sparsely connected recurrent units with fixed random
 weights. A 2D sample of shape (n_in, T) is fed column by column, one column
 per time step; only the linear readout on top of the final state is ever
-trained (see `readout`).
+trained (see `readout`). The forward pass runs a stacked batch of samples
+at once, so every step is one matrix product over the whole batch.
 
 State transition for t >= 2, elementwise over units::
 
@@ -112,11 +113,13 @@ class EsnModel:
 
 @dataclass
 class StateTrajectory:
-    """Per-sample forward-pass record needed by the relevance backward pass.
+    """Forward-pass record of a batch, needed by the relevance backward pass.
 
-    states[t-1] holds x(t) and act_branch[t-1] holds the activation value
-    act(W_in u(t) + b_in + W_res x(t-1) + b_res) for t = 1..T (the recurrent
-    terms are absent at t = 1). `inputs` is the originating (n_in, T) sample.
+    states[t-1, b] holds x(t) of sample b and act_branch[t-1, b] holds its
+    activation value act(W_in u(t) + b_in + W_res x(t-1) + b_res) for
+    t = 1..T (the recurrent terms are absent at t = 1); both are laid out
+    (T, B, n_res) so each step is one contiguous block. `inputs` is the
+    originating (B, n_in, T) batch.
     """
 
     states: np.ndarray
@@ -129,6 +132,7 @@ class StateTrajectory:
 
     @property
     def final_state(self) -> np.ndarray:
+        """x(T) of every sample, shape (B, n_res)."""
         return self.states[-1]
 
 
@@ -252,34 +256,47 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
 
 
 def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
-    """Feed a (n_in, T) sample column by column and record the state sequence."""
+    """Feed a (B, n_in, T) batch column by column and record the state sequence.
+
+    The input drive of all steps is one matrix product; each recurrent step
+    is one (B x n_res)(n_res x n_res) product.
+    """
     sample = np.asarray(sample, dtype=float)
-    if sample.ndim != 2 or sample.shape[0] != model.config.n_in:
+    if sample.ndim != 3 or sample.shape[1] != model.config.n_in:
         raise ConfigError(
-            f"sample must have {model.config.n_in} rows (features), got shape {sample.shape}"
+            f"sample batch must have shape (B, {model.config.n_in}, T), got {sample.shape}"
         )
-    if sample.shape[1] < 1:
-        raise ConfigError("sample must contain at least one column")
+    if sample.shape[0] < 1 or sample.shape[2] < 1:
+        raise ConfigError("sample batch must contain at least one sample and one column")
     if not np.all(np.isfinite(sample)):
         raise ConfigError("sample contains non-finite entries")
 
     act = activation_fn(model.config.activation)
     alpha = model.config.leak_rate
-    n_steps = sample.shape[1]
-    states = np.empty((n_steps, model.config.n_res))
+    n_samples, n_in, n_steps = sample.shape
+    states = np.empty((n_steps, n_samples, model.config.n_res))
     act_branch = np.empty_like(states)
 
-    act_branch[0] = act(model.w_in @ sample[:, 0] + model.b_in)
+    # the input drive W_in u(t) + b_in of every step, written where the
+    # activation values will go
+    np.matmul(
+        sample.transpose(2, 0, 1).reshape(n_steps * n_samples, n_in),
+        model.w_in.T,
+        out=act_branch.reshape(n_steps * n_samples, -1),
+    )
+    act_branch += model.b_in
+
+    act_branch[0] = act(act_branch[0])
     states[0] = alpha * act_branch[0]
     for t in range(1, n_steps):
-        pre = model.w_in @ sample[:, t] + model.b_in + model.w_res @ states[t - 1] + model.b_res
+        pre = act_branch[t] + states[t - 1] @ model.w_res.T + model.b_res
         act_branch[t] = act(pre)
         states[t] = (1.0 - alpha) * states[t - 1] + alpha * act_branch[t]
     return StateTrajectory(states=states, act_branch=act_branch, inputs=sample)
 
 
 def model_output(model: EsnModel, traj: StateTrajectory) -> np.ndarray:
-    """Linear readout on the final reservoir state: W_out x(T) + b_out."""
+    """Linear readout on the final reservoir states: one row W_out x(T) + b_out per sample."""
     if not model.is_trained:
         raise ConfigError("readout not trained")
-    return model.w_out @ traj.final_state + model.b_out
+    return traj.final_state @ model.w_out.T + model.b_out

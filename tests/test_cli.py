@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,22 +52,59 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 
 
 def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
-    """Fitting and scoring share one forward pass per sample; maps add one each."""
-    calls = []
+    """Fitting and scoring share one forward pass per sample; maps add one each.
+
+    No batch's trajectory (states and activation values) exceeds the byte
+    budget unless the batch is a single sample. SMALL gives 13 steps of 20
+    units, 4160 bytes per sample, so a 9000-byte budget feeds runs of two
+    and a 4000-byte budget feeds samples one at a time.
+    """
+    batches = []
     forward = reservoir.run_reservoir
 
     def counting(model, sample):
-        calls.append(sample.shape)
+        n_samples, _, n_steps = sample.shape
+        batches.append((n_samples, n_samples * 2 * n_steps * model.config.n_res * 8))
         return forward(model, sample)
 
     monkeypatch.setattr(reservoir, "run_reservoir", counting)
     # 12 samples, 9 of them train; synthetic maps the 9 train samples, and
     # leak-sweep does that at each of its 4 leak rates
     expected = {"train": 12, "evaluate": 12, "synthetic": 21, "leak-sweep": 84}
-    for command, count in expected.items():
-        calls.clear()
-        assert run_cli(command, "--out", str(tmp_path / "out"), *SMALL) == 0
-        assert len(calls) == count, command
+    for budget in (cli.TRAJECTORY_BUDGET_BYTES, 9000, 4000):
+        monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", budget)
+        for command, count in expected.items():
+            batches.clear()
+            assert run_cli(command, "--out", str(tmp_path / "out"), *SMALL) == 0
+            assert sum(n for n, _ in batches) == count, (command, budget)
+            assert all(n == 1 or nbytes <= budget for n, nbytes in batches), (command, budget, batches)
+
+
+def test_relevance_maps_agree_across_blas_thread_counts(tmp_path):
+    """Maps from one saved model agree within 1e-12 of their peak under 1 and 2 BLAS threads.
+
+    At this shape a batch holds 27 samples, so the batched products are
+    large enough for OpenBLAS to split them over two threads.
+    """
+    shape = ["--synthetic", "16,96,60", "--n-res", "100", "--ridge", "1e-8"]
+    model_dir = tmp_path / "model"
+    assert run_cli("train", "--out", str(model_dir), *shape) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    maps = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        shutil.copytree(model_dir, out)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        subprocess.run(
+            [sys.executable, "-m", "esnlrp.cli", "relevance", "--out", str(out), *shape],
+            env=env, check=True, timeout=300,
+        )
+        paths = sorted((out / "relevance").glob("sample_*.csv"))
+        maps[threads] = [np.loadtxt(p, delimiter=",", ndmin=2) for p in paths]
+    assert len(maps["1"]) == len(maps["2"]) == 48
+    for one, two in zip(maps["1"], maps["2"]):
+        assert np.max(np.abs(one - two)) <= 1e-12 * np.max(np.abs(one))
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esnlrp.errors import ConfigError
@@ -23,12 +23,12 @@ from oracle_lrp import oracle_relevance
 
 
 def final_state_trajectory(x_final, n_inputs=1):
-    """Trajectory stub for output-layer tests; only final_state is consulted."""
+    """One-sample trajectory stub for output-layer tests; only final_state is consulted."""
     x_final = np.asarray(x_final, dtype=float)
     return StateTrajectory(
-        states=x_final[None, :],
-        act_branch=x_final[None, :],
-        inputs=np.ones((n_inputs, 1)),
+        states=x_final[None, None, :],
+        act_branch=x_final[None, None, :],
+        inputs=np.ones((1, n_inputs, 1)),
     )
 
 
@@ -45,8 +45,8 @@ def test_output_layer_equal_positive_contributions():
         alpha=0.5, w_out=[1.0, 1.0], b_out=[0.0],
     )
     r_state, absorbed = relevance_output_layer(model, final_state_trajectory([0.3, 0.7]))
-    np.testing.assert_allclose(r_state, [0.3, 0.7], atol=1e-15)
-    assert absorbed == 0.0
+    np.testing.assert_allclose(r_state[0], [0.3, 0.7], atol=1e-15)
+    assert absorbed[0] == 0.0
 
 
 def test_output_layer_negative_contribution_gets_nothing():
@@ -56,8 +56,8 @@ def test_output_layer_negative_contribution_gets_nothing():
     )
     r_state, absorbed = relevance_output_layer(model, final_state_trajectory([0.5, 0.5]))
     # y(T) = 0.5 - 0.5 + 0.25; the single positive contribution takes all of it
-    np.testing.assert_allclose(r_state, [0.25, 0.0], atol=1e-15)
-    assert absorbed == 0.0
+    np.testing.assert_allclose(r_state[0], [0.25, 0.0], atol=1e-15)
+    assert absorbed[0] == 0.0
 
 
 def test_output_layer_zero_state_absorbs_everything():
@@ -66,8 +66,8 @@ def test_output_layer_zero_state_absorbs_everything():
         alpha=0.5, w_out=[1.0, 1.0], b_out=[0.4],
     )
     r_state, absorbed = relevance_output_layer(model, final_state_trajectory([0.0, 0.0]))
-    np.testing.assert_array_equal(r_state, [0.0, 0.0])
-    assert absorbed == 0.4
+    np.testing.assert_array_equal(r_state[0], [0.0, 0.0])
+    assert absorbed[0] == 0.4
 
 
 def test_output_layer_requires_training_and_single_output():
@@ -76,7 +76,7 @@ def test_output_layer_requires_training_and_single_output():
     untrained = assemble_model(
         w_in=model.w_in, b_in=model.b_in, w_res=model.w_res, b_res=model.b_res, alpha=0.5
     )
-    traj = run_reservoir(model, random_sample(rng, 2, 3))
+    traj = run_reservoir(model, random_sample(rng, 2, 3)[None])
     with pytest.raises(ConfigError):
         relevance_output_layer(untrained, traj)
     two_outputs = untrained.with_readout(np.ones((2, 3)), np.zeros(2))
@@ -91,14 +91,14 @@ def test_step_back_two_stage_hand_example():
         alpha=0.5, w_out=[[1.0]], b_out=[0.0],
     )
     traj = StateTrajectory(
-        states=np.array([[0.4], [0.6]]),
-        act_branch=np.array([[0.8], [0.8]]),
-        inputs=np.array([[1.0, 1.0]]),
+        states=np.array([[[0.4]], [[0.6]]]),
+        act_branch=np.array([[[0.8]], [[0.8]]]),
+        inputs=np.array([[[1.0, 1.0]]]),
     )
-    r_input, r_prev, absorbed = relevance_step_back(model, traj, 2, np.array([1.0]))
-    np.testing.assert_allclose(r_input, [0.4 / 0.6], rtol=1e-14)
-    np.testing.assert_allclose(r_prev, [0.2 / 0.6], rtol=1e-14)
-    assert absorbed == 0.0
+    r_input, r_prev, absorbed = relevance_step_back(model, traj, 2, np.array([[1.0]]))
+    np.testing.assert_allclose(r_input[0], [0.4 / 0.6], rtol=1e-14)
+    np.testing.assert_allclose(r_prev[0], [0.2 / 0.6], rtol=1e-14)
+    assert absorbed[0] == 0.0
 
 
 def test_step_back_full_leak_skips_leak_path():
@@ -108,30 +108,30 @@ def test_step_back_full_leak_skips_leak_path():
         w_in=model.w_in, b_in=model.b_in, w_res=np.zeros((4, 4)), b_res=model.b_res,
         alpha=1.0, w_out=model.w_out, b_out=model.b_out,
     )
-    traj = run_reservoir(model, random_sample(rng, 3, 5))
-    r_input, r_prev, absorbed = relevance_step_back(model, traj, 4, np.abs(rng.normal(size=4)))
-    np.testing.assert_array_equal(r_prev, np.zeros(4))
+    traj = run_reservoir(model, random_sample(rng, 3, 5)[None])
+    r_input, r_prev, absorbed = relevance_step_back(model, traj, 4, np.abs(rng.normal(size=4))[None])
+    np.testing.assert_array_equal(r_prev[0], np.zeros(4))
 
 
 def test_step_back_conserves_exactly():
     rng = np.random.default_rng(7)
     for _ in range(20):
         model = random_model(rng, 5, 3, alpha=float(rng.uniform(0.05, 1.0)))
-        traj = run_reservoir(model, random_sample(rng, 3, 6))
+        traj = run_reservoir(model, random_sample(rng, 3, 6)[None])
         r_state = rng.normal(size=5)
         t = int(rng.integers(2, 7))
-        r_input, r_prev, absorbed = relevance_step_back(model, traj, t, r_state)
-        together = r_input.sum() + r_prev.sum() + absorbed
+        r_input, r_prev, absorbed = relevance_step_back(model, traj, t, r_state[None])
+        together = r_input.sum() + r_prev.sum() + absorbed[0]
         assert abs(together - r_state.sum()) <= 1e-12 * max(1.0, abs(r_state.sum()))
 
 
 def test_step_back_rejects_out_of_range_t():
     rng = np.random.default_rng(5)
     model = random_model(rng, 2, 2, alpha=0.5)
-    traj = run_reservoir(model, random_sample(rng, 2, 3))
+    traj = run_reservoir(model, random_sample(rng, 2, 3)[None])
     for t in (0, 1, 4):
         with pytest.raises(ConfigError):
-            relevance_step_back(model, traj, t, np.zeros(2))
+            relevance_step_back(model, traj, t, np.zeros((1, 2)))
 
 
 def test_first_column_redistributes_or_absorbs():
@@ -140,20 +140,20 @@ def test_first_column_redistributes_or_absorbs():
         alpha=0.5, w_out=[[1.0, 1.0]], b_out=[0.0],
     )
     traj = StateTrajectory(
-        states=np.zeros((1, 2)), act_branch=np.zeros((1, 2)), inputs=np.array([[1.0], [1.0]])
+        states=np.zeros((1, 1, 2)), act_branch=np.zeros((1, 1, 2)), inputs=np.array([[[1.0], [1.0]]])
     )
-    dummy, absorbed = relevance_first_column(model, traj, np.array([1.0, 1.0]))
+    dummy, absorbed = relevance_first_column(model, traj, np.array([[1.0, 1.0]]))
     # unit 0: z = (1, 0) -> all to input 0; unit 1: z = (0.5, 0.5) -> half each
-    np.testing.assert_allclose(dummy, [1.5, 0.5], rtol=1e-14)
-    assert absorbed == 0.0
+    np.testing.assert_allclose(dummy[0], [1.5, 0.5], rtol=1e-14)
+    assert absorbed[0] == 0.0
     negated = assemble_model(
         w_in=-model.w_in, b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[[1.0, 1.0]], b_out=[0.0],
     )
-    dummy, absorbed = relevance_first_column(negated, traj, np.array([0.25, 0.5]))
+    dummy, absorbed = relevance_first_column(negated, traj, np.array([[0.25, 0.5]]))
     # unit 0 keeps one positive product (-1*1 < 0, +2*1 > 0); unit 1 is all-negative
-    np.testing.assert_allclose(dummy, [0.0, 0.25], rtol=1e-14)
-    assert absorbed == 0.5
+    np.testing.assert_allclose(dummy[0], [0.0, 0.25], rtol=1e-14)
+    assert absorbed[0] == 0.5
 
 
 def test_map_matches_path_enumeration_oracle():
@@ -165,7 +165,7 @@ def test_map_matches_path_enumeration_oracle():
         alpha = float(rng.choice([0.0, 0.3, 0.5, 1.0, rng.uniform()]))
         model = random_model(rng, n, d, alpha)
         sample = random_sample(rng, d, t)
-        rmap = relevance_map(model, run_reservoir(model, sample))
+        rmap = relevance_map(model, run_reservoir(model, sample[None]))[0]
         scores, dummy, absorbed, total = oracle_relevance(
             model.w_in.tolist(), model.b_in.tolist(), model.w_res.tolist(),
             model.b_res.tolist(), model.w_out[0].tolist(), float(model.b_out[0]),
@@ -188,16 +188,54 @@ def test_map_matches_path_enumeration_oracle():
 def test_map_conserves_total(n, d, t, alpha, seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, n, d, alpha)
-    rmap = relevance_map(model, run_reservoir(model, random_sample(rng, d, t)))
+    rmap = relevance_map(model, run_reservoir(model, random_sample(rng, d, t)[None]))[0]
     assert rmap.conserved(1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    d=st.integers(1, 4),
+    t=st.integers(1, 6),
+    batch=st.integers(1, 6),
+    alpha=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    zero_sample=st.one_of(st.none(), st.integers(0, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, d=2, t=1, batch=3, alpha=0.0, zero_sample=1, seed=0)
+@example(n=3, d=2, t=1, batch=2, alpha=1.0, zero_sample=None, seed=1)
+@example(n=4, d=3, t=5, batch=6, alpha=1.0, zero_sample=5, seed=2)
+@example(n=4, d=3, t=5, batch=4, alpha=0.0, zero_sample=0, seed=3)
+def test_batched_maps_match_single_sample_maps(n, d, t, batch, alpha, zero_sample, seed):
+    """Each map of a batch is that sample's own map, absorbed relevance included.
+
+    An all-zero sample (dummy column too) absorbs its whole first-column
+    share while its neighbours absorb little, so pooled booking would show.
+    """
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, d, alpha)
+    samples = np.stack([random_sample(rng, d, t) for _ in range(batch)])
+    if zero_sample is not None:
+        samples[zero_sample % batch] = 0.0
+    maps = relevance_map(model, run_reservoir(model, samples))
+    assert len(maps) == batch
+    for sample, rmap in zip(samples, maps):
+        single = relevance_map(model, run_reservoir(model, sample[None]))[0]
+        tol = 1e-12 * max(1.0, abs(single.total))
+        assert rmap.scores.shape == single.scores.shape == (d, t - 1)
+        np.testing.assert_allclose(rmap.scores, single.scores, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(rmap.dummy_scores, single.dummy_scores, rtol=0.0, atol=tol)
+        assert abs(rmap.absorbed - single.absorbed) <= tol
+        assert abs(rmap.total - single.total) <= tol
+        assert rmap.conserved(1e-6)
 
 
 def test_map_sign_follows_output():
     rng = np.random.default_rng(42)
     for _ in range(10):
         model = random_model(rng, 4, 3, alpha=0.4)
-        traj = run_reservoir(model, random_sample(rng, 3, 5))
-        rmap = relevance_map(model, traj)
+        traj = run_reservoir(model, random_sample(rng, 3, 5)[None])
+        rmap = relevance_map(model, traj)[0]
         if rmap.total == 0.0:
             continue
         sign = np.sign(rmap.total)
@@ -212,7 +250,7 @@ def test_map_full_leak_no_recurrence_all_on_final_column():
         w_res=np.zeros((5, 5)), b_res=rng.uniform(-1, 1, size=5),
         alpha=1.0, w_out=rng.uniform(0, 1, size=(1, 5)), b_out=[0.1],
     )
-    rmap = relevance_map(model, run_reservoir(model, random_sample(rng, 3, 7)))
+    rmap = relevance_map(model, run_reservoir(model, random_sample(rng, 3, 7)[None]))[0]
     np.testing.assert_array_equal(rmap.scores[:, :-1], np.zeros((3, 5)))
     np.testing.assert_array_equal(rmap.dummy_scores, np.zeros(3))
     assert abs(rmap.scores[:, -1].sum() + rmap.absorbed - rmap.total) <= 1e-12 * max(
@@ -238,12 +276,26 @@ def test_mean_relevance_cancellation_yields_zeros():
 
 
 def test_mean_relevance_rejects_empty_and_mixed_shapes():
-    with pytest.raises(ConfigError):
-        mean_relevance([])
     a = RelevanceMap(scores=np.zeros((2, 2)), dummy_scores=np.zeros(2), absorbed=0.0, total=0.0)
     b = RelevanceMap(scores=np.zeros((2, 3)), dummy_scores=np.zeros(2), absorbed=0.0, total=0.0)
-    with pytest.raises(ConfigError):
-        mean_relevance([a, b])
+    for wrap in (list, iter):
+        with pytest.raises(ConfigError, match="at least one map"):
+            mean_relevance(wrap([]))
+        with pytest.raises(ConfigError, match="mixed shapes"):
+            mean_relevance(wrap([a, b]))
+
+
+def test_mean_relevance_streams_from_a_generator():
+    rng = np.random.default_rng(12)
+    maps = [
+        RelevanceMap(scores=rng.normal(size=(3, 5)), dummy_scores=np.zeros(3), absorbed=0.0, total=1.0)
+        for _ in range(7)
+    ]
+    streamed = mean_relevance(m for m in maps)
+    np.testing.assert_array_equal(streamed, mean_relevance(maps))
+    # the running sum adds in stack order, as the mean over stacked maps does
+    stacked = np.mean([m.scores for m in maps], axis=0)
+    np.testing.assert_array_equal(streamed, stacked / np.max(np.abs(stacked)))
 
 
 def test_center_of_gravity():

@@ -112,10 +112,10 @@ def test_first_step_has_no_recurrent_terms():
     model = assemble_model(
         w_in=[[1.0]], b_in=[0.0], w_res=[[0.7]], b_res=[5.0], alpha=0.5
     )
-    traj = run_reservoir(model, np.array([[1.0]]))
+    traj = run_reservoir(model, np.array([[[1.0]]]))
     # b_res and w_res must not enter x(1); a 5.0 recurrent bias would be obvious
-    np.testing.assert_allclose(traj.states[0], [0.5 * np.tanh(1.0)], rtol=1e-15)
-    np.testing.assert_allclose(traj.act_branch[0], [np.tanh(1.0)], rtol=1e-15)
+    np.testing.assert_allclose(traj.states[0, 0], [0.5 * np.tanh(1.0)], rtol=1e-15)
+    np.testing.assert_allclose(traj.act_branch[0, 0], [np.tanh(1.0)], rtol=1e-15)
 
 
 def test_zero_leak_freezes_states_at_zero():
@@ -124,8 +124,8 @@ def test_zero_leak_freezes_states_at_zero():
         w_in=rng.normal(size=(6, 3)), b_in=rng.normal(size=6),
         w_res=rng.normal(size=(6, 6)) * 0.1, b_res=rng.normal(size=6), alpha=0.0,
     )
-    traj = run_reservoir(model, random_sample(rng, 3, 9))
-    np.testing.assert_array_equal(traj.states, np.zeros((9, 6)))
+    traj = run_reservoir(model, random_sample(rng, 3, 9)[None])
+    np.testing.assert_array_equal(traj.states, np.zeros((9, 1, 6)))
 
 
 def test_full_leak_states_equal_activation_branch():
@@ -134,7 +134,7 @@ def test_full_leak_states_equal_activation_branch():
         w_in=rng.normal(size=(4, 2)), b_in=rng.normal(size=4),
         w_res=rng.normal(size=(4, 4)) * 0.2, b_res=rng.normal(size=4), alpha=1.0,
     )
-    traj = run_reservoir(model, random_sample(rng, 2, 6))
+    traj = run_reservoir(model, random_sample(rng, 2, 6)[None])
     np.testing.assert_array_equal(traj.states, traj.act_branch)
 
 
@@ -146,16 +146,16 @@ def test_transition_algebra_reproduces_recorded_states():
         w_in=rng.normal(size=(5, 3)), b_in=rng.normal(size=5),
         w_res=rng.normal(size=(5, 5)) * 0.15, b_res=rng.normal(size=5), alpha=alpha,
     )
-    traj = run_reservoir(model, random_sample(rng, 3, 8))
+    traj = run_reservoir(model, random_sample(rng, 3, 8)[None])
     np.testing.assert_array_equal(traj.states[0], alpha * traj.act_branch[0])
     for t in range(1, 8):
         rebuilt = (1 - alpha) * traj.states[t - 1] + alpha * traj.act_branch[t]
         np.testing.assert_array_equal(traj.states[t], rebuilt)
         pre = (
-            model.w_in @ traj.inputs[:, t] + model.b_in
-            + model.w_res @ traj.states[t - 1] + model.b_res
+            model.w_in @ traj.inputs[0, :, t] + model.b_in
+            + model.w_res @ traj.states[t - 1, 0] + model.b_res
         )
-        np.testing.assert_allclose(traj.act_branch[t], np.tanh(pre), rtol=1e-12)
+        np.testing.assert_allclose(traj.act_branch[t, 0], np.tanh(pre), rtol=1e-12)
 
 
 def test_states_stay_inside_unit_box():
@@ -164,20 +164,24 @@ def test_states_stay_inside_unit_box():
         w_in=rng.normal(size=(8, 4)) * 3, b_in=rng.normal(size=8) * 3,
         w_res=rng.normal(size=(8, 8)), b_res=rng.normal(size=8), alpha=0.9,
     )
-    traj = run_reservoir(model, rng.uniform(-1, 1, size=(4, 30)))
+    traj = run_reservoir(model, rng.uniform(-1, 1, size=(1, 4, 30)))
     assert np.max(np.abs(traj.states)) <= 1.0
 
 
 def test_run_reservoir_input_validation():
     model = assemble_model(w_in=[[1.0]], b_in=[0.0], w_res=[[0.0]], b_res=[0.0], alpha=0.5)
     with pytest.raises(ConfigError):
-        run_reservoir(model, np.ones((2, 3)))
+        run_reservoir(model, np.ones((1, 2, 3)))
     with pytest.raises(ConfigError):
         run_reservoir(model, np.ones(3))
     with pytest.raises(ConfigError):
-        run_reservoir(model, np.ones((1, 0)))
+        run_reservoir(model, np.ones((1, 3)))  # a single sample without its batch axis
     with pytest.raises(ConfigError):
-        run_reservoir(model, np.array([[1.0, np.inf]]))
+        run_reservoir(model, np.ones((0, 1, 3)))
+    with pytest.raises(ConfigError):
+        run_reservoir(model, np.ones((1, 1, 0)))
+    with pytest.raises(ConfigError):
+        run_reservoir(model, np.array([[[1.0, np.inf]]]))
 
 
 class StateTrajectoryStub:
@@ -191,12 +195,12 @@ def test_model_output_and_parameter_count():
     )
     assert not model.is_trained
     assert model.trainable_parameter_count == 0
-    traj = run_reservoir(model, np.ones((1, 2)))
+    traj = run_reservoir(model, np.ones((1, 1, 2)))
     with pytest.raises(ConfigError):
         model_output(model, traj)
 
     constant = model.with_readout(np.zeros((1, 2)), np.array([2.5]))
-    np.testing.assert_array_equal(model_output(constant, traj), [2.5])
+    np.testing.assert_array_equal(model_output(constant, traj), [[2.5]])
 
     summing = model.with_readout(np.array([[1.0, 1.0]]), np.array([0.0]))
     fixed = StateTrajectoryStub(np.array([0.3, 0.7]))
