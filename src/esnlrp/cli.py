@@ -35,7 +35,7 @@ MODEL_FILE = "esn_model.json"
 
 # Bytes that the state trajectory of one batch of samples may take: samples
 # are fed forward, and mapped, in the largest runs that fit.
-TRAJECTORY_BUDGET_BYTES = 4 * 2**20
+TRAJECTORY_BUDGET_BYTES = 12 * 2**20
 
 
 @dataclass
@@ -64,6 +64,10 @@ class ExperimentConfig:
             raise ConfigError(f"--class must be one of {CLASS_FILTERS}, got {self.class_filter!r}")
         if self.baseline not in BASELINES:
             raise ConfigError(f"--baseline must be one of {BASELINES}, got {self.baseline!r}")
+        for name in ("seed", "permute_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
         if self.synthetic is not None:
             try:
                 ok = len(self.synthetic) == 3 and all(int(v) == v and v >= 1 for v in self.synthetic)

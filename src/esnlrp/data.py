@@ -24,10 +24,9 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigError, DataError
 from .readout import ClassLabel
@@ -387,6 +386,46 @@ def inverse_permute(arr: np.ndarray, sample_set: SampleSet) -> np.ndarray:
     raise DataError(f"cannot invert object of shape {arr.shape} with {inverse.size} columns")
 
 
+def _smoothed_noise(rng: np.random.Generator, shape: Tuple[int, int], sigma: float) -> Iterator[np.ndarray]:
+    """White Gaussian noise fields, each smoothed by a Gaussian of width sigma.
+
+    Each field is bit for bit ``scipy.ndimage.gaussian_filter(z, sigma)`` of
+    the draw ``z = rng.standard_normal(shape)``: a reflect boundary, radius
+    int(4 sigma + 0.5), normalised taps, and the same accumulation order
+    (centre tap, then the symmetric pairs from the outermost inwards),
+    along axis 0 and then axis 1. Every field is written into the same
+    buffers, so it is valid only until the next one is drawn; reusing them
+    keeps a long task from returning heap to the kernel and faulting it
+    back in for every sample.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    weights = weights / weights.sum()
+    noise, smoothed = np.empty(shape), np.empty(shape)
+    # one pass per axis, each smoothing down axis 0 of its (transposed) input
+    passes = []
+    for n, m in (shape, shape[::-1]):
+        rows = np.arange(-radius, n + radius) % (2 * n)
+        reflect = np.where(rows < n, rows, 2 * n - 1 - rows)
+        passes.append((reflect, np.empty((n + 2 * radius, m)), np.empty((n, m)), np.empty((n, m))))
+    while True:
+        rng.standard_normal(out=noise)
+        field = noise
+        for reflect, padded, acc, pair in passes:
+            np.take(field, reflect, axis=0, out=padded)
+            n = acc.shape[0]
+            np.multiply(padded[radius : radius + n], weights[radius], out=acc)
+            for j in range(radius, 0, -1):
+                np.add(padded[radius - j : radius - j + n], padded[radius + j : radius + j + n], out=pair)
+                pair *= weights[radius - j]
+                acc += pair
+            field = acc.T
+        # C order, so that reductions over the field add in the usual order
+        np.copyto(smoothed, field)
+        yield smoothed
+
+
 def synthetic_blob_box(d: int, t: int) -> Tuple[int, int, int, int]:
     """Inclusive (row_lo, row_hi, col_lo, col_hi) bounds of the signal box."""
     r0 = (d - 1) / 2.0
@@ -433,13 +472,14 @@ def synthesize_task(
     sigma_c = BLOB_COL_SIGMA_FRACTION * t
     blob = np.exp(-((rr - r0) ** 2 / (2 * sigma_r**2) + (cc - c0) ** 2 / (2 * sigma_c**2)))
 
+    noises = _smoothed_noise(noise_rng, (d, t), NOISE_SMOOTHING_SIGMA)
     samples = []
     lo, hi = BLOB_AMPLITUDE_RANGE
     for i in range(n_samples):
         amplitude = float(amp_rng.uniform(lo, hi)) * (1.0 if i % 2 == 0 else -1.0)
         field = amplitude * blob
         if noise_scale > 0:
-            noise = gaussian_filter(noise_rng.normal(size=(d, t)), sigma=NOISE_SMOOTHING_SIGMA)
+            noise = next(noises)
             spread = float(noise.std())
             if spread > 0:
                 field = field + noise * (noise_scale / spread)

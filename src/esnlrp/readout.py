@@ -56,8 +56,8 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
         raise ConfigError(f"targets rows {y.shape[0]} != state rows {x.shape[0]}")
     if x.shape[0] < 2:
         raise ConfigError("need at least two samples to fit the readout")
-    if ridge < 0.0:
-        raise ConfigError(f"ridge must be nonnegative, got {ridge}")
+    if not 0.0 <= ridge < np.inf:
+        raise ConfigError(f"ridge must be finite and nonnegative, got {ridge}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ConfigError("final_states/targets contain non-finite entries")
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, NumericError
 
@@ -63,8 +62,8 @@ class EsnConfig:
             raise ConfigError(f"leak_rate must lie in [0, 1], got {self.leak_rate}")
         if not 0.0 < self.sparsity <= 1.0:
             raise ConfigError(f"sparsity must lie in (0, 1], got {self.sparsity}")
-        if not self.spectral_radius > 0.0:
-            raise ConfigError(f"spectral_radius must be positive, got {self.spectral_radius}")
+        if not 0.0 < self.spectral_radius < np.inf:
+            raise ConfigError(f"spectral_radius must be positive and finite, got {self.spectral_radius}")
         if not self.weight_range > 0.0:
             raise ConfigError(f"weight_range must be positive, got {self.weight_range}")
         if self.activation not in ACTIVATIONS:
@@ -140,6 +139,9 @@ def activation_fn(name: str) -> Callable[[np.ndarray], np.ndarray]:
     if name == "tanh":
         return np.tanh
     if name == "sigmoid":
+        # imported here so that no command pays scipy's start-up cost for it
+        from scipy.special import expit
+
         return expit
     raise ConfigError(f"unknown activation {name!r}")
 

@@ -18,6 +18,13 @@ def run_cli(*args):
     return cli.main(list(args))
 
 
+def subprocess_env(**extra):
+    """The environment for a child interpreter that imports esnlrp from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
+
+
 def read_report(path):
     with open(path, newline="", encoding="ascii") as handle:
         return list(csv.DictReader(handle))
@@ -43,12 +50,29 @@ def test_train_writes_model_and_report(tmp_path):
     assert metric(rows, "esn", "val", "n_samples") == "3"
 
 
-def test_repeated_runs_are_byte_identical(tmp_path):
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_repeated_runs_are_byte_identical(tmp_path, command):
+    """Every file a command writes is the same on a rerun (at a fixed BLAS thread count)."""
     first, second = tmp_path / "a", tmp_path / "b"
     for out in (first, second):
-        assert run_cli("train", "--out", str(out), "--seed", "5", *SMALL) == 0
-    for name in ("esn_model.json", "samples.csv", "train_report.csv"):
-        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        if command in ("evaluate", "relevance"):
+            assert run_cli("train", "--out", str(out), "--seed", "5", *SMALL) == 0
+        assert run_cli(command, "--out", str(out), "--seed", "5", *SMALL) == 0
+    files = tree_bytes(first)
+    assert len(files) > 1
+    assert files == tree_bytes(second)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    probe = "import sys, esnlrp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
@@ -83,19 +107,17 @@ def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
 def test_relevance_maps_agree_across_blas_thread_counts(tmp_path):
     """Maps from one saved model agree within 1e-12 of their peak under 1 and 2 BLAS threads.
 
-    At this shape a batch holds 27 samples, so the batched products are
-    large enough for OpenBLAS to split them over two threads.
+    At this shape all 48 training samples form one batch, so the batched
+    products are large enough for OpenBLAS to split them over two threads.
     """
     shape = ["--synthetic", "16,96,60", "--n-res", "100", "--ridge", "1e-8"]
     model_dir = tmp_path / "model"
     assert run_cli("train", "--out", str(model_dir), *shape) == 0
-    src = str(Path(cli.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     maps = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         shutil.copytree(model_dir, out)
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run(
             [sys.executable, "-m", "esnlrp.cli", "relevance", "--out", str(out), *shape],
             env=env, check=True, timeout=300,
@@ -136,9 +158,24 @@ def test_config_file_class_alias_and_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_invalid_alpha_is_a_config_error(tmp_path, capsys):
-    assert run_cli("train", "--out", str(tmp_path / "o"), "--alpha", "1.5", *SMALL) == 2
-    assert "configuration error" in capsys.readouterr().err
+# flag, value, and the setting the error message must name
+INVALID_FLAGS = [
+    ("--alpha", "1.5", "leak_rate"),
+    ("--seed", "-1", "seed"),
+    ("--permute-seed", "-1", "permute_seed"),
+    ("--spectral-radius", "inf", "spectral_radius"),
+    ("--ridge", "inf", "ridge"),
+    ("--ridge", "nan", "ridge"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, setting", [pytest.param(*case, id=f"{case[0][2:]}={case[1]}") for case in INVALID_FLAGS]
+)
+def test_invalid_alpha_is_a_config_error(tmp_path, capsys, flag, value, setting):
+    """Malformed numeric flags exit 2; the bad flag comes last so it overrides SMALL."""
+    assert run_cli("train", "--out", str(tmp_path / "o"), *SMALL, flag, value) == 2
+    assert f"configuration error: {setting} must" in capsys.readouterr().err
 
 
 def test_malformed_synthetic_flag_exits_two(tmp_path):

@@ -334,6 +334,20 @@ def test_synthesize_task_determinism_and_labels():
     assert a.split == ("train",) * 9 + ("val",) * 3
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (8, 200), (16, 96), (89, 180)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_smoothed_noise_matches_scipy_bit_for_bit(shape):
+    """8x8 is the smallest synthetic grid: radius 6 reaches almost across it.
+
+    The second field checks that reusing the buffers leaves nothing behind.
+    """
+    gaussian_filter = pytest.importorskip("scipy.ndimage").gaussian_filter
+    sigma = data.NOISE_SMOOTHING_SIGMA
+    noises = data._smoothed_noise(np.random.default_rng(shape[0] * shape[1]), shape, sigma)
+    draws = np.random.default_rng(shape[0] * shape[1])
+    for _ in range(2):
+        np.testing.assert_array_equal(next(noises), gaussian_filter(draws.standard_normal(shape), sigma=sigma))
+
+
 def test_synthesize_task_zero_noise_is_pure_blob():
     task = data.synthesize_task(4, 12, 20, seed=3, noise_scale=0.0)
     fields = [s.field / s.index for s in task.samples]

@@ -114,8 +114,9 @@ def test_fit_readout_input_validation():
         fit_readout(good, np.ones(4))
     with pytest.raises(ConfigError):
         fit_readout(good[:1], np.ones(1))
-    with pytest.raises(ConfigError):
-        fit_readout(good, np.ones(3), ridge=-1.0)
+    for ridge in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            fit_readout(good, np.ones(3), ridge=ridge)
     bad = good.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ConfigError):

@@ -29,8 +29,9 @@ def test_config_validation():
         EsnConfig(n_in=5, sparsity=0.0)
     with pytest.raises(ConfigError):
         EsnConfig(n_in=5, sparsity=1.2)
-    with pytest.raises(ConfigError):
-        EsnConfig(n_in=5, spectral_radius=0.0)
+    for radius in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            EsnConfig(n_in=5, spectral_radius=radius)
     with pytest.raises(ConfigError):
         EsnConfig(n_in=5, weight_range=0.0)
     with pytest.raises(ConfigError):
@@ -156,6 +157,23 @@ def test_transition_algebra_reproduces_recorded_states():
             + model.w_res @ traj.states[t - 1, 0] + model.b_res
         )
         np.testing.assert_allclose(traj.act_branch[t, 0], np.tanh(pre), rtol=1e-12)
+
+
+def test_sigmoid_activation_matches_hand_written_recurrence():
+    expit = pytest.importorskip("scipy.special").expit
+    rng = np.random.default_rng(8)
+    alpha = 0.4
+    w_in, b_in = rng.normal(size=(5, 3)), rng.normal(size=5)
+    w_res, b_res = rng.normal(size=(5, 5)) * 0.3, rng.normal(size=5)
+    model = assemble_model(w_in, b_in, w_res, b_res, alpha=alpha, activation="sigmoid")
+    batch = np.stack([random_sample(rng, 3, 7) for _ in range(2)])
+    traj = run_reservoir(model, batch)
+    for b, sample in enumerate(batch):
+        x = alpha * expit(w_in @ sample[:, 0] + b_in)
+        np.testing.assert_allclose(traj.states[0, b], x, rtol=1e-12)
+        for t in range(1, 7):
+            x = (1 - alpha) * x + alpha * expit(w_in @ sample[:, t] + b_in + w_res @ x + b_res)
+            np.testing.assert_allclose(traj.states[t, b], x, rtol=1e-12)
 
 
 def test_states_stay_inside_unit_box():
