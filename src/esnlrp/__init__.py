@@ -16,7 +16,15 @@ back onto the input pixels through the unfolded recurrence. Submodules:
 from .errors import ConfigError, DataError, NumericError
 from .lrp import LrpConfig, RelevanceMap, relevance_map
 from .readout import AccuracyReport, ClassLabel, ReadoutSolution, accuracy, fit_readout
-from .reservoir import EsnConfig, EsnModel, StateTrajectory, init_reservoir, model_output, run_reservoir
+from .reservoir import (
+    EsnConfig,
+    EsnModel,
+    StateTrajectory,
+    final_states,
+    init_reservoir,
+    model_output,
+    run_reservoir,
+)
 
 __all__ = [
     "AccuracyReport",
@@ -31,6 +39,7 @@ __all__ = [
     "RelevanceMap",
     "StateTrajectory",
     "accuracy",
+    "final_states",
     "fit_readout",
     "init_reservoir",
     "model_output",

@@ -28,6 +28,10 @@ ADAM_EPS = 1e-8
 
 INIT_HALF_RANGE = 0.05
 
+# Adam updates the flat parameter vector this many elements at a time, so
+# its temporaries stay in cache.
+ADAM_SLICE = 32_768
+
 
 @dataclass(frozen=True)
 class MlpModel:
@@ -62,10 +66,10 @@ class MlpModel:
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators and hyperparameters."""
+    """Moment accumulators over the flat parameter vector, and hyperparameters."""
 
-    m: List[np.ndarray]
-    v: List[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = ADAM_LR
     beta1: float = ADAM_BETA1
@@ -121,13 +125,17 @@ def composed_affine(model: MlpModel) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def mlp_gradients(
-    model: MlpModel, x: np.ndarray, y: np.ndarray
-) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
+    model: MlpModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    out: Optional[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]] = None,
+) -> Tuple[float, Sequence[np.ndarray], Sequence[np.ndarray]]:
     """MSE loss and its gradients for a batch.
 
     Loss is the mean over batch entries and output units of the squared
     residual. With identity activations backprop is a chain of matrix
-    products; gradients are exact.
+    products; gradients are exact. `out` holds (weight, bias) gradient
+    blocks to write into, in the shapes of the model's blocks.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -139,39 +147,69 @@ def mlp_gradients(
     residual = activations[-1] - y
     loss = float(np.mean(residual**2))
     delta = residual * (2.0 / residual.size)
-    grads_w: List[np.ndarray] = [None] * len(model.weights)  # type: ignore[list-item]
-    grads_b: List[np.ndarray] = [None] * len(model.biases)  # type: ignore[list-item]
+    if out is None:
+        out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
+    grads_w, grads_b = out
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = delta.T @ activations[layer]
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[layer], out=grads_w[layer])
+        np.sum(delta, axis=0, out=grads_b[layer])
         if layer > 0:
             delta = delta @ model.weights[layer]
     return loss, grads_w, grads_b
 
 
 def adam_init(model: MlpModel, lr: float = ADAM_LR) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in list(model.weights) + list(model.biases)],
-        v=[np.zeros_like(p) for p in list(model.weights) + list(model.biases)],
-        lr=lr,
-    )
+    return AdamState(m=np.zeros(model.param_count), v=np.zeros(model.param_count), lr=lr)
 
 
-def adam_step(
-    params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
-) -> List[np.ndarray]:
-    """One Adam update over a flat parameter list; mutates state, returns new params."""
-    if len(params) != len(state.m):
-        raise ConfigError(f"{len(params)} parameter blocks but state tracks {len(state.m)}")
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One Adam update of a flat parameter vector, in place; advances the state.
+
+    Each slice goes through the textbook expressions in their usual order,
+    so the result is bit for bit that of the unsliced arithmetic.
+    """
+    if theta.shape != state.m.shape or grad.shape != theta.shape:
+        raise ConfigError(
+            f"parameters {theta.shape} and gradient {grad.shape} do not match the state's {state.m.shape}"
+        )
     state.step += 1
     t = state.step
     scale = state.lr * np.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g**2
-        out.append(p - scale * state.m[i] / (np.sqrt(state.v[i]) + state.eps))
-    return out
+    beta1, beta2 = state.beta1, state.beta2
+    work = np.empty((2, min(ADAM_SLICE, theta.size)))
+    for lo in range(0, theta.size, ADAM_SLICE):
+        p, g = theta[lo : lo + ADAM_SLICE], grad[lo : lo + ADAM_SLICE]
+        m, v = state.m[lo : lo + ADAM_SLICE], state.v[lo : lo + ADAM_SLICE]
+        a, b = work[0, : p.size], work[1, : p.size]
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        # v = beta2 * v + (1 - beta2) * g**2
+        np.multiply(v, beta2, out=v)
+        np.square(g, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        np.add(v, a, out=v)
+        # p = p - scale * m / (sqrt(v) + eps)
+        np.sqrt(v, out=a)
+        np.add(a, state.eps, out=a)
+        np.multiply(m, scale, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(p, b, out=p)
+
+
+def _blocks(layer_dims: Tuple[int, ...], flat: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+    """Weight and bias views into one flat vector: every weight block, then every bias block."""
+    shapes = [(n_out, n_in) for n_in, n_out in zip(layer_dims[:-1], layer_dims[1:])]
+    shapes += [(n_out,) for n_out in layer_dims[1:]]
+    views = []
+    start = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    n_layers = len(layer_dims) - 1
+    return tuple(views[:n_layers]), tuple(views[n_layers:])
 
 
 def train_mlp(
@@ -189,6 +227,9 @@ def train_mlp(
     per-epoch reshuffle, so init and batch order never interact. Returns the
     trained model and the per-epoch mean loss history. A non-finite loss
     aborts immediately with the epoch and batch where it appeared.
+
+    Parameters and gradients each live in one flat vector that the layer
+    blocks view, so every step updates them in place.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -205,34 +246,39 @@ def train_mlp(
         raise ConfigError(f"input dim {layer_dims[0]} does not match vector width {vectors.shape[1]}")
 
     streams = np.random.SeedSequence(seed).spawn(2)
-    model = init_mlp(layer_dims, seed=seed)
+    initial = init_mlp(layer_dims, seed=seed)
+    dims = initial.layer_dims
     shuffle_rng = np.random.default_rng(streams[1])
-    state = adam_init(model, lr=lr)
+    state = adam_init(initial, lr=lr)
 
-    n_w = len(model.weights)
+    theta = np.concatenate([p.ravel() for p in initial.weights + initial.biases])
+    grad = np.empty_like(theta)
+    model = MlpModel(dims, *_blocks(dims, theta))
+    grad_blocks = _blocks(dims, grad)
+    x_rows = np.empty((min(batch, n_samples), vectors.shape[1]))
+    y_rows = np.empty((min(batch, n_samples), targets.shape[1]))
+
     history: List[float] = []
     for epoch in range(epochs):
         order = shuffle_rng.permutation(n_samples)
         epoch_losses = []
         for lo in range(0, n_samples, batch):
             rows = order[lo : lo + batch]
-            loss, grads_w, grads_b = mlp_gradients(model, vectors[rows], targets[rows])
+            # the rows come from a permutation, so clipping never applies; it
+            # lets take() write straight into the buffer
+            x = np.take(vectors, rows, axis=0, out=x_rows[: rows.size], mode="clip")
+            y = np.take(targets, rows, axis=0, out=y_rows[: rows.size], mode="clip")
+            loss, _, _ = mlp_gradients(model, x, y, out=grad_blocks)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"loss became non-finite ({loss}) at epoch {epoch + 1}, batch {lo // batch + 1}; "
                     "lower the learning rate or rescale the inputs"
                 )
-            new_params = adam_step(list(model.weights) + list(model.biases), grads_w + grads_b, state)
-            for p in new_params:
-                p.setflags(write=False)
-            model = MlpModel(
-                layer_dims=model.layer_dims,
-                weights=tuple(new_params[:n_w]),
-                biases=tuple(new_params[n_w:]),
-            )
+            adam_step(theta, grad, state)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
-    return model, history
+    theta.setflags(write=False)
+    return MlpModel(dims, *_blocks(dims, theta)), history
 
 
 def fit_linreg(vectors: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutSolution:

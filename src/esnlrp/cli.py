@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,8 +33,9 @@ BASELINES = ("linreg", "mlp", "none")
 
 MODEL_FILE = "esn_model.json"
 
-# Bytes that the state trajectory of one batch of samples may take: samples
-# are fed forward, and mapped, in the largest runs that fit.
+# Bytes that one batch of samples may cost its caller: encoding holds the
+# stacked inputs, mapping also the state trajectory. Samples are fed forward,
+# and mapped, in the largest runs that fit.
 TRAJECTORY_BUDGET_BYTES = 12 * 2**20
 
 
@@ -89,6 +90,10 @@ class ExperimentConfig:
 
     def lrp_config(self) -> lrp.LrpConfig:
         return lrp.LrpConfig(epsilon=self.epsilon)
+
+
+# Field types, resolved from the annotations, that config-file values must have.
+CONFIG_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def parse_synthetic(text: str) -> Tuple[int, int, int]:
@@ -146,6 +151,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def config_file_value(path: Path, key: str, name: str, value: object) -> object:
+    """A config-file value checked against the type of its ExperimentConfig field.
+
+    Numbers may not be booleans, integer fields take only integers, and
+    `synthetic` takes a list of three numbers (ExperimentConfig checks that
+    they are positive integers).
+    """
+    hint = CONFIG_FIELD_TYPES[name]
+    if get_origin(hint) is Union:
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+
+    def is_number(v: object) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if hint is str:
+        ok, want = isinstance(value, str), "a string"
+    elif hint is int:
+        ok, want = isinstance(value, int) and is_number(value), "an integer"
+    elif hint is float:
+        ok, want = is_number(value), "a number"
+    else:
+        ok = isinstance(value, list) and len(value) == 3 and all(is_number(v) for v in value)
+        want = "a list of three integers"
+        value = tuple(value) if ok else value
+    if not ok:
+        raise ConfigError(f"config file {path}: {key!r} must be {want}, got {value!r}")
+    return value
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Start from defaults, apply the config file, then non-default flags."""
     values: Dict[str, object] = {}
@@ -162,7 +198,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             name = "class_filter" if key == "class" else key
             if name not in known:
                 raise ConfigError(f"config file {path} has unknown key {key!r}")
-            values[name] = tuple(value) if name == "synthetic" and value is not None else value
+            values[name] = config_file_value(path, key, name, value)
     for field in dataclass_fields(ExperimentConfig):
         if field.name in ("command",) or not hasattr(args, field.name):
             continue
@@ -193,17 +229,16 @@ def filtered(samples: Sequence[data.LabeledSample], class_filter: str) -> List[d
     return [s for s in samples if s.label is want]
 
 
-def batches(samples: Sequence[data.LabeledSample], n_res: int) -> Iterator[np.ndarray]:
+def batches(samples: Sequence[data.LabeledSample], step_bytes: int) -> Iterator[np.ndarray]:
     """Preprocessed samples stacked (B, n_in, T), in consecutive runs.
 
-    Each run is as long as its forward trajectory (states and activation
-    values, 2 * T * n_res float64 per sample) fits TRAJECTORY_BUDGET_BYTES,
-    and at least one sample.
+    One sample costs its caller `step_bytes` per time step. Each run is as
+    long as its cost fits TRAJECTORY_BUDGET_BYTES, and at least one sample.
     """
     if not samples:
         return
     n_steps = data.preprocess_field(samples[0].field).shape[1]
-    size = max(1, TRAJECTORY_BUDGET_BYTES // (2 * n_steps * n_res * 8))
+    size = max(1, TRAJECTORY_BUDGET_BYTES // (n_steps * step_bytes))
     for start in range(0, len(samples), size):
         yield np.stack([data.preprocess_field(s.field) for s in samples[start : start + size]])
 
@@ -211,12 +246,12 @@ def batches(samples: Sequence[data.LabeledSample], n_res: int) -> Iterator[np.nd
 def encode(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> np.ndarray:
     """Final reservoir state of each sample, one row per sample.
 
-    No batch's trajectory outlives its own forward pass.
+    No trajectory is recorded, so a batch costs only its stacked input.
     """
     states = np.empty((len(samples), model.config.n_res))
     start = 0
-    for batch in batches(samples, model.config.n_res):
-        states[start : start + len(batch)] = reservoir.run_reservoir(model, batch).final_state
+    for batch in batches(samples, model.config.n_in * 8):
+        states[start : start + len(batch)] = reservoir.final_states(model, batch)
         start += len(batch)
     return states
 
@@ -246,7 +281,8 @@ def maps_for(
     A batch's trajectory is dropped as soon as its maps are built.
     """
     lcfg = cfg.lrp_config()
-    for batch in batches(samples, model.config.n_res):
+    # a trajectory holds states and activation values, two floats per unit and step
+    for batch in batches(samples, 2 * model.config.n_res * 8):
         yield from lrp.relevance_map(model, reservoir.run_reservoir(model, batch), lcfg)
 
 

@@ -43,8 +43,8 @@ class LrpConfig:
     epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

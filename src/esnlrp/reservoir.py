@@ -257,12 +257,8 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
     return EsnModel(config=config, w_in=w_in, b_in=b_in, w_res=w_res, b_res=b_res)
 
 
-def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
-    """Feed a (B, n_in, T) batch column by column and record the state sequence.
-
-    The input drive of all steps is one matrix product; each recurrent step
-    is one (B x n_res)(n_res x n_res) product.
-    """
+def _checked_batch(model: EsnModel, sample: np.ndarray) -> np.ndarray:
+    """The (B, n_in, T) float batch, or a ConfigError naming what is wrong with it."""
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 3 or sample.shape[1] != model.config.n_in:
         raise ConfigError(
@@ -272,12 +268,49 @@ def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
         raise ConfigError("sample batch must contain at least one sample and one column")
     if not np.all(np.isfinite(sample)):
         raise ConfigError("sample contains non-finite entries")
+    return sample
 
-    act = activation_fn(model.config.activation)
+
+def _step(
+    model: EsnModel,
+    act: Callable[..., np.ndarray],
+    drive: np.ndarray,
+    prev: Optional[np.ndarray],
+    pre: np.ndarray,
+    act_out: np.ndarray,
+    state_out: np.ndarray,
+) -> None:
+    """One leaky update of a batch, written into preallocated (B, n_res) buffers.
+
+    `drive` holds W_in u(t) + b_in and `prev` holds x(t-1), None at t = 1.
+    `pre` is scratch. `act_out` may be `drive`, and `state_out` may be `prev`.
+    """
     alpha = model.config.leak_rate
+    if prev is None:
+        act(drive, out=act_out)
+        np.multiply(act_out, alpha, out=state_out)
+        return
+    np.matmul(prev, model.w_res.T, out=pre)
+    np.add(drive, pre, out=pre)
+    pre += model.b_res
+    act(pre, out=act_out)
+    np.multiply(act_out, alpha, out=pre)
+    np.multiply(prev, 1.0 - alpha, out=state_out)
+    state_out += pre
+
+
+def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
+    """Feed a (B, n_in, T) batch column by column and record the state sequence.
+
+    The input drive of all steps is one matrix product; each recurrent step
+    is one (B x n_res)(n_res x n_res) product.
+    """
+    sample = _checked_batch(model, sample)
+    act = activation_fn(model.config.activation)
     n_samples, n_in, n_steps = sample.shape
     states = np.empty((n_steps, n_samples, model.config.n_res))
     act_branch = np.empty_like(states)
+    pre = np.empty_like(states[0])
 
     # the input drive W_in u(t) + b_in of every step, written where the
     # activation values will go
@@ -287,14 +320,31 @@ def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
         out=act_branch.reshape(n_steps * n_samples, -1),
     )
     act_branch += model.b_in
-
-    act_branch[0] = act(act_branch[0])
-    states[0] = alpha * act_branch[0]
-    for t in range(1, n_steps):
-        pre = act_branch[t] + states[t - 1] @ model.w_res.T + model.b_res
-        act_branch[t] = act(pre)
-        states[t] = (1.0 - alpha) * states[t - 1] + alpha * act_branch[t]
+    for t in range(n_steps):
+        _step(model, act, act_branch[t], states[t - 1] if t else None, pre, act_branch[t], states[t])
     return StateTrajectory(states=states, act_branch=act_branch, inputs=sample)
+
+
+def final_states(model: EsnModel, batch: np.ndarray) -> np.ndarray:
+    """x(T) of every sample of a (B, n_in, T) batch, shape (B, n_res).
+
+    The same recurrence as `run_reservoir`, keeping only the running state:
+    the input drive is one (B x n_in)(n_in x n_res) product per step, so
+    memory does not grow with T beyond the batch itself.
+    """
+    batch = _checked_batch(model, batch)
+    act = activation_fn(model.config.activation)
+    n_samples, n_in, n_steps = batch.shape
+    column = np.empty((n_samples, n_in))
+    drive = np.empty((n_samples, model.config.n_res))
+    pre = np.empty_like(drive)
+    state = np.empty_like(drive)
+    for t in range(n_steps):
+        np.copyto(column, batch[:, :, t])
+        np.matmul(column, model.w_in.T, out=drive)
+        drive += model.b_in
+        _step(model, act, drive, state if t else None, pre, drive, state)
+    return state
 
 
 def model_output(model: EsnModel, traj: StateTrajectory) -> np.ndarray:

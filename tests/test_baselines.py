@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from esnlrp.baselines import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ADAM_LR,
+    ADAM_SLICE,
     DEFAULT_LAYER_DIMS,
     MlpModel,
     adam_init,
@@ -23,6 +27,10 @@ TOY_DIMS = (3, 4, 2, 1)
 
 def flat_params(model):
     return list(model.weights) + list(model.biases)
+
+
+def flat_vector(model):
+    return np.concatenate([p.ravel() for p in flat_params(model)])
 
 
 def rebuild(model, params):
@@ -105,19 +113,19 @@ def test_mlp_model_shape_validation():
 def test_adam_zero_gradient_is_a_no_op():
     model = init_mlp(TOY_DIMS, seed=0)
     state = adam_init(model)
-    params = flat_params(model)
-    updated = adam_step(params, [np.zeros_like(p) for p in params], state)
-    for before, after in zip(params, updated):
-        np.testing.assert_array_equal(before, after)
+    before = flat_vector(model)
+    theta = before.copy()
+    adam_step(theta, np.zeros_like(theta), state)
+    np.testing.assert_array_equal(before, theta)
 
 
 def test_adam_first_step_is_signed_learning_rate():
     model = MlpModel(layer_dims=(1, 1), weights=(np.array([[2.0]]),), biases=(np.array([0.5]),))
     state = adam_init(model)
-    grads = [np.array([[3.0]]), np.array([-0.25])]
-    updated = adam_step(flat_params(model), grads, state)
-    assert updated[0][0, 0] == pytest.approx(2.0 - ADAM_LR, rel=1e-5)
-    assert updated[1][0] == pytest.approx(0.5 + ADAM_LR, rel=1e-5)
+    theta = flat_vector(model)
+    adam_step(theta, np.array([3.0, -0.25]), state)
+    assert theta[0] == pytest.approx(2.0 - ADAM_LR, rel=1e-5)
+    assert theta[1] == pytest.approx(0.5 + ADAM_LR, rel=1e-5)
     assert state.step == 1
 
 
@@ -125,7 +133,82 @@ def test_adam_rejects_mismatched_blocks():
     model = init_mlp(TOY_DIMS, seed=0)
     state = adam_init(model)
     with pytest.raises(ConfigError):
-        adam_step(flat_params(model)[:2], [np.zeros(1)] * 2, state)
+        adam_step(flat_vector(model)[:2], np.zeros(2), state)
+
+
+def reference_train_mlp(vectors, targets, epochs=30, batch=10, seed=0, lr=ADAM_LR):
+    """The list-based loop train_mlp replaced: new arrays for every block at every step.
+
+    Backprop and the Adam update are spelled out here as they were, so a
+    change to either in the package shows as a difference.
+    """
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim == 1:
+        targets = targets[:, None]
+    n_samples = vectors.shape[0]
+    streams = np.random.SeedSequence(seed).spawn(2)
+    model = init_mlp((vectors.shape[1], 8, 8, targets.shape[1]), seed=seed)
+    shuffle_rng = np.random.default_rng(streams[1])
+    m = [np.zeros_like(p) for p in flat_params(model)]
+    v = [np.zeros_like(p) for p in flat_params(model)]
+    n_w = len(model.weights)
+    step = 0
+    history = []
+    for _ in range(epochs):
+        order = shuffle_rng.permutation(n_samples)
+        epoch_losses = []
+        for lo in range(0, n_samples, batch):
+            rows = order[lo : lo + batch]
+            activations = mlp_forward(model, vectors[rows])
+            residual = activations[-1] - targets[rows]
+            loss = float(np.mean(residual**2))
+            delta = residual * (2.0 / residual.size)
+            grads_w, grads_b = [None] * n_w, [None] * n_w
+            for layer in range(n_w - 1, -1, -1):
+                grads_w[layer] = delta.T @ activations[layer]
+                grads_b[layer] = delta.sum(axis=0)
+                if layer > 0:
+                    delta = delta @ model.weights[layer]
+            step += 1
+            scale = lr * np.sqrt(1.0 - ADAM_BETA2**step) / (1.0 - ADAM_BETA1**step)
+            params = []
+            for i, (p, g) in enumerate(zip(flat_params(model), grads_w + grads_b)):
+                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g**2
+                params.append(p - scale * m[i] / (np.sqrt(v[i]) + ADAM_EPS))
+            model = rebuild(model, params)
+            epoch_losses.append(loss)
+        history.append(float(np.mean(epoch_losses)))
+    return model, history
+
+
+@pytest.mark.parametrize(
+    "n_samples, width, epochs, batch",
+    [
+        pytest.param(23, TOY_DIMS[0], 4, 5, id="toy"),
+        pytest.param(40, 500, 30, 10, id="40x500"),
+        pytest.param(12, 9000, 3, 5, id="12x9000"),
+    ],
+)
+def test_train_mlp_matches_the_list_based_reference_bit_for_bit(n_samples, width, epochs, batch):
+    """In-place training gives the reference's weights and loss history exactly.
+
+    23 and 12 samples leave a short last batch; at width 9000 the parameter
+    vector spans three Adam slices.
+    """
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(n_samples, width))
+    y = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
+    got, history = train_mlp(x, y, epochs=epochs, batch=batch, seed=3)
+    want, want_history = reference_train_mlp(x, y, epochs=epochs, batch=batch, seed=3)
+    assert got.layer_dims == want.layer_dims == (width, 8, 8, 1)
+    assert history == want_history
+    for a, b in zip(flat_params(got), flat_params(want)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    if width == 9000:
+        assert got.param_count > 2 * ADAM_SLICE
 
 
 def test_train_mlp_fits_a_linear_rule():

@@ -78,20 +78,29 @@ def test_importing_the_cli_loads_no_scipy():
 def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
     """Fitting and scoring share one forward pass per sample; maps add one each.
 
-    No batch's trajectory (states and activation values) exceeds the byte
-    budget unless the batch is a single sample. SMALL gives 13 steps of 20
-    units, 4160 bytes per sample, so a 9000-byte budget feeds runs of two
-    and a 4000-byte budget feeds samples one at a time.
+    Encoding goes through final_states, whose batch costs its stacked input
+    (n_in * T floats per sample); maps go through run_reservoir, whose batch
+    costs its trajectory (states and activation values, 2 * T * n_res
+    floats per sample). No batch exceeds the byte budget unless it is a
+    single sample. SMALL gives 13 steps of 8 inputs and 20 units, 832 and
+    4160 bytes per sample, so a 9000-byte budget feeds runs of ten and two,
+    and a 4000-byte budget runs of four and one.
     """
     batches = []
-    forward = reservoir.run_reservoir
+    forward, final = reservoir.run_reservoir, reservoir.final_states
 
-    def counting(model, sample):
+    def counting_forward(model, sample):
         n_samples, _, n_steps = sample.shape
         batches.append((n_samples, n_samples * 2 * n_steps * model.config.n_res * 8))
         return forward(model, sample)
 
-    monkeypatch.setattr(reservoir, "run_reservoir", counting)
+    def counting_final(model, sample):
+        n_samples, n_in, n_steps = sample.shape
+        batches.append((n_samples, n_samples * n_in * n_steps * 8))
+        return final(model, sample)
+
+    monkeypatch.setattr(reservoir, "run_reservoir", counting_forward)
+    monkeypatch.setattr(reservoir, "final_states", counting_final)
     # 12 samples, 9 of them train; synthetic maps the 9 train samples, and
     # leak-sweep does that at each of its 4 leak rates
     expected = {"train": 12, "evaluate": 12, "synthetic": 21, "leak-sweep": 84}
@@ -156,6 +165,22 @@ def test_config_file_class_alias_and_unknown_key(tmp_path, capsys):
     config.write_text(json.dumps({"sparseness": 0.5}))
     assert run_cli("train", "--config", str(config), "--out", str(out), *SMALL) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "settings, key",
+    [
+        pytest.param({"n_res": 20.5}, "n_res", id="n_res=20.5"),
+        pytest.param({"alpha": "0.1"}, "alpha", id="alpha=str"),
+        pytest.param({"synthetic": 5}, "synthetic", id="synthetic=5"),
+        pytest.param({"ridge": True}, "ridge", id="ridge=true"),
+    ],
+)
+def test_config_file_values_of_the_wrong_type_exit_two(tmp_path, capsys, settings, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synthetic": [8, 12, 12], "ridge": 1e-8, **settings}))
+    assert run_cli("train", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+    assert f"{key!r} must be" in capsys.readouterr().err
 
 
 # flag, value, and the setting the error message must name

@@ -37,6 +37,8 @@ def test_lrp_config_rejects_bad_values():
         LrpConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         LrpConfig(epsilon=-1e-9)
+    with pytest.raises(ConfigError):
+        LrpConfig(epsilon=float("inf"))
 
 
 def test_output_layer_equal_positive_contributions():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esnlrp.errors import ConfigError, NumericError
 from esnlrp.reservoir import (
+    ACTIVATIONS,
     EsnConfig,
     EsnModel,
+    final_states,
     init_reservoir,
     model_output,
     run_reservoir,
@@ -176,6 +180,42 @@ def test_sigmoid_activation_matches_hand_written_recurrence():
             np.testing.assert_allclose(traj.states[t, b], x, rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    d=st.integers(1, 4),
+    t=st.integers(1, 8),
+    batch=st.integers(1, 6),
+    alpha=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    activation=st.sampled_from(ACTIVATIONS),
+    zero_sample=st.one_of(st.none(), st.integers(0, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, d=2, t=1, batch=3, alpha=0.0, activation="tanh", zero_sample=1, seed=0)
+@example(n=3, d=2, t=1, batch=2, alpha=1.0, activation="sigmoid", zero_sample=None, seed=1)
+@example(n=4, d=3, t=5, batch=6, alpha=1.0, activation="tanh", zero_sample=5, seed=2)
+@example(n=4, d=3, t=5, batch=4, alpha=0.0, activation="sigmoid", zero_sample=0, seed=3)
+def test_final_states_match_the_recorded_trajectory(n, d, t, batch, alpha, activation, zero_sample, seed):
+    """final_states is x(T) of run_reservoir, within 1e-12.
+
+    Both share the step update; the input drive is one product per step in
+    final_states and one for all steps in run_reservoir, and BLAS may round
+    a row differently with the number of rows.
+    """
+    rng = np.random.default_rng(seed)
+    model = assemble_model(
+        w_in=rng.uniform(-0.8, 0.8, size=(n, d)), b_in=rng.uniform(-0.8, 0.8, size=n),
+        w_res=rng.uniform(-0.8, 0.8, size=(n, n)), b_res=rng.uniform(-0.8, 0.8, size=n),
+        alpha=alpha, activation=activation,
+    )
+    samples = np.stack([random_sample(rng, d, t) for _ in range(batch)])
+    if zero_sample is not None:
+        samples[zero_sample % batch] = 0.0
+    got = final_states(model, samples)
+    assert got.shape == (batch, n)
+    np.testing.assert_allclose(got, run_reservoir(model, samples).final_state, rtol=0.0, atol=1e-12)
+
+
 def test_states_stay_inside_unit_box():
     rng = np.random.default_rng(6)
     model = assemble_model(
@@ -187,19 +227,21 @@ def test_states_stay_inside_unit_box():
 
 
 def test_run_reservoir_input_validation():
+    """Both forward entry points reject the same malformed batches."""
     model = assemble_model(w_in=[[1.0]], b_in=[0.0], w_res=[[0.0]], b_res=[0.0], alpha=0.5)
-    with pytest.raises(ConfigError):
-        run_reservoir(model, np.ones((1, 2, 3)))
-    with pytest.raises(ConfigError):
-        run_reservoir(model, np.ones(3))
-    with pytest.raises(ConfigError):
-        run_reservoir(model, np.ones((1, 3)))  # a single sample without its batch axis
-    with pytest.raises(ConfigError):
-        run_reservoir(model, np.ones((0, 1, 3)))
-    with pytest.raises(ConfigError):
-        run_reservoir(model, np.ones((1, 1, 0)))
-    with pytest.raises(ConfigError):
-        run_reservoir(model, np.array([[[1.0, np.inf]]]))
+    for forward in (run_reservoir, final_states):
+        with pytest.raises(ConfigError):
+            forward(model, np.ones((1, 2, 3)))
+        with pytest.raises(ConfigError):
+            forward(model, np.ones(3))
+        with pytest.raises(ConfigError):
+            forward(model, np.ones((1, 3)))  # a single sample without its batch axis
+        with pytest.raises(ConfigError):
+            forward(model, np.ones((0, 1, 3)))
+        with pytest.raises(ConfigError):
+            forward(model, np.ones((1, 1, 0)))
+        with pytest.raises(ConfigError):
+            forward(model, np.array([[[1.0, np.inf]]]))
 
 
 class StateTrajectoryStub:
