@@ -321,12 +321,16 @@ def build_sample_set(anomalies: SstDataset, index: np.ndarray) -> SampleSet:
     return SampleSet(samples=tuple(samples), split=split)
 
 
+def _scaled(field: np.ndarray) -> np.ndarray:
+    """Clip to +-5, scale to [-1, 1], and zero the invalid cells."""
+    scaled = np.clip(np.asarray(field, dtype=float), -CLIP_LIMIT, CLIP_LIMIT) / CLIP_LIMIT
+    return np.where(np.isfinite(scaled), scaled, 0.0)
+
+
 def preprocess_field(field: np.ndarray) -> np.ndarray:
     """Clip to +-5, scale to [-1, 1], zero invalid cells, prepend a ones column."""
-    field = np.asarray(field, dtype=float)
-    scaled = np.clip(field, -CLIP_LIMIT, CLIP_LIMIT) / CLIP_LIMIT
-    scaled = np.where(np.isfinite(scaled), scaled, 0.0)
-    return np.hstack([np.ones((field.shape[0], 1)), scaled])
+    scaled = _scaled(field)
+    return np.hstack([np.ones((scaled.shape[0], 1)), scaled])
 
 
 def preprocess_for_baseline(sample: LabeledSample, valid_mask: np.ndarray) -> np.ndarray:
@@ -334,20 +338,7 @@ def preprocess_for_baseline(sample: LabeledSample, valid_mask: np.ndarray) -> np
     valid_mask = np.asarray(valid_mask, dtype=bool)
     if valid_mask.shape != sample.field.shape:
         raise DataError(f"mask shape {valid_mask.shape} does not match field {sample.field.shape}")
-    scaled = np.clip(sample.field, -CLIP_LIMIT, CLIP_LIMIT) / CLIP_LIMIT
-    scaled = np.where(np.isfinite(scaled), scaled, 0.0)
-    return scaled[valid_mask]
-
-
-def insert_masked(vector: np.ndarray, valid_mask: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    """Scatter a baseline vector back onto the grid; invalid cells get `fill`."""
-    valid_mask = np.asarray(valid_mask, dtype=bool)
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (int(valid_mask.sum()),):
-        raise DataError(f"vector length {vector.shape} does not match {int(valid_mask.sum())} valid cells")
-    field = np.full(valid_mask.shape, fill, dtype=float)
-    field[valid_mask] = vector
-    return field
+    return _scaled(sample.field)[valid_mask]
 
 
 def permute_columns(sample_set: SampleSet, seed: int) -> SampleSet:

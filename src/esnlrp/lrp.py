@@ -247,9 +247,126 @@ def column_center_of_gravity(scores: np.ndarray) -> float:
     return float(mass @ np.arange(mass.size) / denom)
 
 
+# Matrix CSV export. Every file holds the bytes np.savetxt(fmt="%.9g",
+# delimiter=",") would write, without a Python format call per value. Each
+# value becomes a 16-byte record of two little-endian words. The digits sit
+# in a frame of fixed slots: the first digit, a slot for the decimal point,
+# the other 8 digits, then "e+XX" in exponent notation. The frame is shifted
+# right behind the sign and any "0.000" lead. NUL fills the unused slots
+# (trailing zeros included) and is deleted from the whole file in one pass.
+# A value whose rounding this arithmetic cannot vouch for is "hard"; a row
+# holding one is formatted by Python with savetxt's own row template.
+
+_EXPONENTS = range(-99, 100)  # wider magnitudes would need a 3-digit exponent
+_MIN_MAGNITUDE, _MAX_MAGNITUDE = 1e-98, 1e98  # the range that stays inside it
+_TIE_MARGIN = 1e-6  # q, after two roundings, is within 2.3e-7 of the exact product
+
+
+def _ascii(text: str) -> int:
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+def _u64(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.uint64)
+
+
+def _digit_table(first: bool) -> np.ndarray:
+    """Each 4-digit group as ASCII in the low 4 bytes. The top byte counts the
+    digits after the first that are kept when trailing zeros are stripped,
+    for this group as mantissa digits 1-4 (first) or 5-8 (not first)."""
+    group = np.arange(10000, dtype=np.uint64)
+    chars = sum((group // 10 ** (3 - i) % 10 + 48) << (8 * i) for i in range(4))
+    zeros = sum((group % 10**i == 0).astype(np.uint64) for i in range(1, 4))
+    kept = np.where(group > 0, 4 - zeros + (0 if first else 4), 0).astype(np.uint64)
+    return chars | (kept << 56)
+
+
+_SCALE = np.array([float("1e%d" % (8 - e)) for e in _EXPONENTS])  # |v| * scale: 9 integer digits
+_FIRST4, _LAST4 = _digit_table(True), _digit_table(False)
+_KEEP = _u64((1 << (8 * min(k + 1, 8))) - 1 for k in range(9))  # d0..dk in the low word
+# Per exponent: integer digits after d0, the point slot and its '.', the suffix.
+_INT_DIGITS = _u64(e if 0 <= e <= 8 else 0 for e in _EXPONENTS)
+_POINT_SLOT = [1 + min(int(k), 7) for k in _INT_DIGITS]
+_POINT = [0 if -4 <= e < 0 else ord(".") for e in _EXPONENTS]
+_BEFORE_POINT = _u64((1 << (8 * s)) - 1 for s in _POINT_SLOT)
+_POINT_LO = _u64(p << (8 * s) if s < 8 else 0 for p, s in zip(_POINT, _POINT_SLOT))
+_POINT_HI = _u64(p if s == 8 else 0 for p, s in zip(_POINT, _POINT_SLOT))
+_SUFFIX = _u64(0 if -4 <= e < 9 else _ascii("e%+03d" % e) << 16 for e in _EXPONENTS)
+# Per exponent and sign (index 2 * exponent + negative): the sign and "0.00" lead.
+_LEADS = [
+    "-" * neg + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "") for e in _EXPONENTS for neg in (0, 1)
+]
+_LEAD = _u64(_ascii(lead) for lead in _LEADS)
+_LEAD_BITS = _u64(8 * len(lead) for lead in _LEADS)
+
+
+def _rounded(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value rounded to 9 significant digits: the digits as an integer in
+    [1e8, 1e9) (0 for zeros), the exponent's index into _EXPONENTS, and the
+    mask of hard values, whose digits are not to be used."""
+    magnitude = np.abs(values)
+    easy = (magnitude >= _MIN_MAGNITUDE) & (magnitude < _MAX_MAGNITUDE)
+    x = np.where(easy, magnitude, 1.0)
+    exponent = np.floor(np.log10(x)).astype(np.intp) - _EXPONENTS.start
+    q = x * _SCALE.take(exponent)
+    rounded = np.rint(q)
+    hard = np.abs(q - rounded) > 0.5 - _TIE_MARGIN
+    hard |= (q < 1e8) | (q >= 1e9)
+    hard |= ~easy & (magnitude != 0)
+    carry = rounded >= 1e9
+    rounded[carry] = 1e8
+    exponent += carry
+    return (rounded * easy).astype(np.uint32), exponent, hard
+
+
+def _csv_records(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """'%.9g' of each float64 as a NUL-padded (n, 16) uint8 record, and the
+    mask of hard values, whose records are not to be used."""
+    mantissa, exponent, hard = _rounded(values)
+    lead_digit = mantissa // 100000000
+    rest = mantissa - lead_digit * 100000000
+    first = _FIRST4.take(rest // 10000)
+    last = _LAST4.take(rest % 10000)
+    int_digits = _INT_DIGITS.take(exponent)
+    kept = np.maximum(np.maximum(first >> 56, last >> 56), int_digits)
+    lo = ((lead_digit + 48) | (first << 8) | (last << 40)) & _KEEP.take(kept)
+    hi = (last >> 24 & 0xFF) * (kept >> 3)  # the ninth digit, if kept
+
+    # Open the point slot after the integer digits; fill it if a fraction follows.
+    before = _BEFORE_POINT.take(exponent)
+    after = lo & ~before
+    fraction = np.minimum(kept - int_digits, 1)
+    lo = (lo & before) | (after << 8) | _POINT_LO.take(exponent) * fraction
+    hi = (hi << 8) | (after >> 56) | _POINT_HI.take(exponent) * fraction | _SUFFIX.take(exponent)
+
+    lead = 2 * exponent + np.signbit(values)
+    bits = _LEAD_BITS.take(lead)
+    records = np.empty((values.size, 2), dtype="<u8")
+    records[:, 0] = (lo << bits) | _LEAD.take(lead)
+    records[:, 1] = (hi << bits) | (lo >> 1 >> (63 - bits))
+    return records.view(np.uint8), hard
+
+
 def write_matrix_csv(path: Union[str, Path], matrix: np.ndarray) -> None:
-    """CSV export, 9 significant digits, one row per input feature."""
-    np.savetxt(path, np.atleast_2d(matrix), fmt="%.9g", delimiter=",")
+    """CSV export, 9 significant digits, one row per input feature: the bytes
+    np.savetxt(path, np.atleast_2d(matrix), fmt="%.9g", delimiter=",") writes."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if m.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D matrix, got {m.ndim}-D")
+    n_rows, n_cols = m.shape
+    records, hard = _csv_records(m.ravel())
+    cells = np.empty((n_rows, n_cols, 17), dtype=np.uint8)
+    cells[..., :16] = records.reshape(n_rows, n_cols, 16)
+    cells[..., 16] = ord(",")
+    cells[:, -1:, 16] = ord("\n")
+    template = ",".join(["%.9g"] * n_cols) + "\n"
+    parts, start = [], 0
+    for row in np.flatnonzero(hard.reshape(n_rows, n_cols).any(axis=1)):
+        parts.append(cells[start:row].tobytes().translate(None, b"\0"))
+        parts.append((template % tuple(m[row].tolist())).encode("ascii"))
+        start = row + 1
+    parts.append(cells[start:].tobytes().translate(None, b"\0"))
+    Path(path).write_bytes(b"\n" * n_rows if n_cols == 0 else b"".join(parts))
 
 
 def write_heatmap_pgm(path: Union[str, Path], matrix: np.ndarray) -> None:

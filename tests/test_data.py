@@ -262,17 +262,6 @@ def test_preprocess_for_baseline_ignores_invalid_cells():
         data.preprocess_for_baseline(sample, np.ones((3, 3), dtype=bool))
 
 
-def test_insert_masked_round_trip():
-    mask = np.zeros((3, 4), dtype=bool)
-    mask[0, 1] = mask[2, 3] = mask[1, 0] = True
-    vector = np.array([9.0, 8.0, 7.0])
-    field = data.insert_masked(vector, mask, fill=-1.0)
-    np.testing.assert_array_equal(field[mask], vector)
-    assert field[0, 0] == -1.0
-    with pytest.raises(DataError):
-        data.insert_masked(np.ones(2), mask)
-
-
 def test_permute_columns_round_trip_and_errors():
     sample_set = data.synthesize_task(6, 8, 10, seed=0)
     permuted = data.permute_columns(sample_set, seed=42)

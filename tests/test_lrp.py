@@ -1,8 +1,12 @@
+import io
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from esnlrp import lrp
 from esnlrp.errors import ConfigError
 from esnlrp.lrp import (
     LrpConfig,
@@ -319,6 +323,73 @@ def test_matrix_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back, matrix, rtol=1e-8)
     text = path.read_text(encoding="ascii")
     assert len(text.strip().splitlines()) == 4
+
+
+def savetxt_bytes(matrix):
+    buffer = io.BytesIO()
+    np.savetxt(buffer, np.atleast_2d(matrix), fmt="%.9g", delimiter=",")
+    return buffer.getvalue()
+
+
+def written_bytes(path, matrix):
+    write_matrix_csv(path, matrix)
+    return path.read_bytes()
+
+
+def from_bits(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def near_tie(digits, exponent, ulps):
+    """A 9-digit decimal with a 5 in the tenth digit, moved by -1, 0 or +1 ulp."""
+    value = float(f"{digits}5e{exponent}")
+    return float(np.nextafter(value, np.sign(ulps) * np.inf)) if ulps else value
+
+
+NEAR_TIES = st.builds(
+    near_tie, st.integers(10**8, 10**9 - 1), st.integers(-80, 80), st.sampled_from([-1, 0, 1])
+)
+CSV_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(from_bits),
+    st.floats(),
+    st.floats(-1e3, 1e3),
+    st.integers(-(10**12), 10**12).map(lambda n: n * 10.0 ** -6),
+    NEAR_TIES,
+)
+CSV_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), st.tuples(st.integers(0, 8))
+)
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan,
+    9.9999999995e-5, 999999999.5, 1e-4, 1e-5, 123456789.0, 1e16,
+]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=arrays(np.float64, CSV_SHAPES, elements=CSV_VALUES))
+@example(matrix=np.array(SPECIAL_VALUES))
+@example(matrix=np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1]]))
+@example(matrix=np.zeros((3, 0)))
+@example(matrix=np.zeros((0, 3)))
+@example(matrix=np.array([[-2.5]]))
+@example(matrix=np.array([99999999.97, 9.99999999996e-5, -0.000123, 7.0, 1e-98, 9.9e97]))
+def test_matrix_csv_bytes_match_savetxt(tmp_path, matrix):
+    assert written_bytes(tmp_path / "m.csv", matrix) == savetxt_bytes(matrix)
+
+
+def test_matrix_csv_special_values(tmp_path):
+    assert written_bytes(tmp_path / "m.csv", np.array(SPECIAL_VALUES)) == (
+        b"0,-0,4.94065646e-324,1e+308,inf,-inf,nan,0.0001,1e+09,0.0001,1e-05,123456789,1e+16\n"
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ties=st.lists(NEAR_TIES, min_size=1, max_size=6), other=st.floats(-1e3, 1e3))
+def test_matrix_csv_near_ties_are_formatted_by_python(tmp_path, ties, other):
+    matrix = np.array([[other] * len(ties), ties, [other] * len(ties)])
+    _, hard = lrp._csv_records(matrix.ravel())
+    assert hard.reshape(matrix.shape)[1].all()
+    assert written_bytes(tmp_path / "m.csv", matrix) == savetxt_bytes(matrix)
 
 
 def test_heatmap_pgm_pixels(tmp_path):
