@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .baselines import MlpModel
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .readout import ReadoutSolution
 from .reservoir import EsnConfig, EsnModel
 
@@ -28,13 +28,17 @@ FORMAT_VERSION = 1
 _PathLike = Union[str, Path]
 _Model = Union[EsnModel, MlpModel, ReadoutSolution]
 
+# Config keys of older version-1 reservoir files, with the one value each ever took.
+_FIXED_ESN_KEYS = {"activation": "tanh", "weight_range": 0.1}
+
 
 def _encode(arr: np.ndarray) -> dict:
     a = np.ascontiguousarray(arr, dtype="<f8")
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode(obj: dict, key: str) -> np.ndarray:
+def _decode(arrays: dict, key: str) -> np.ndarray:
+    obj = arrays[key]
     try:
         raw = base64.b64decode(obj["data"].encode("ascii"), validate=True)
         arr = np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).astype(float)
@@ -86,8 +90,46 @@ def save_model(path: _PathLike, model: _Model) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="ascii")
 
 
+def _esn_config(values: dict) -> EsnConfig:
+    """The EsnConfig of a saved document, which must name every field once."""
+    values = dict(values)
+    for key, fixed in _FIXED_ESN_KEYS.items():
+        if key in values and values.pop(key) != fixed:
+            raise DataError(f"config key {key!r} must be {fixed!r} if present")
+    stray = sorted(set(values) ^ {f.name for f in dataclasses.fields(EsnConfig)})
+    if stray:
+        raise DataError(f"config key {stray[0]!r} is {'unknown' if stray[0] in values else 'missing'}")
+    return EsnConfig(**values)
+
+
+def _build(kind: str, config: dict, arrays: dict) -> _Model:
+    if kind == "esn":
+        blocks = {k: _decode(arrays, k) for k in ("w_in", "b_in", "w_res", "b_res")}
+        model = EsnModel(config=_esn_config(config), **blocks)
+        if "w_out" in arrays:
+            model = model.with_readout(_decode(arrays, "w_out"), _decode(arrays, "b_out"))
+        return model
+    if kind == "mlp":
+        dims = tuple(int(d) for d in config["layer_dims"])
+        n_layers = len(dims) - 1
+        return MlpModel(
+            layer_dims=dims,
+            weights=tuple(_decode(arrays, f"w{i}") for i in range(n_layers)),
+            biases=tuple(_decode(arrays, f"b{i}") for i in range(n_layers)),
+        )
+    mse = _decode(arrays, "train_mse")
+    if mse.size != 1:
+        raise DataError(f"train_mse block must hold one value, got shape {mse.shape}")
+    return ReadoutSolution(
+        w_out=_decode(arrays, "w_out"), b_out=_decode(arrays, "b_out"), train_mse=float(mse.reshape(()))
+    )
+
+
 def load_model(path: _PathLike) -> _Model:
-    """Read a model document back; the kind field picks the constructor."""
+    """Read a model document back; the kind field picks the constructor.
+
+    A malformed document, a missing or unknown key included, is a DataError.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="ascii"))
@@ -98,29 +140,14 @@ def load_model(path: _PathLike) -> _Model:
     if doc.get("version") != FORMAT_VERSION:
         raise DataError(f"{path} has unsupported version {doc.get('version')!r}")
     kind = doc.get("kind")
-    arrays = doc.get("arrays", {})
-    if kind == "esn":
-        config = EsnConfig(**doc["config"])
-        blocks = {k: _decode(arrays[k], k) for k in ("w_in", "b_in", "w_res", "b_res")}
-        model = EsnModel(config=config, **blocks)
-        if "w_out" in arrays:
-            model = model.with_readout(_decode(arrays["w_out"], "w_out"), _decode(arrays["b_out"], "b_out"))
-        return model
-    if kind == "mlp":
-        dims = tuple(int(d) for d in doc["config"]["layer_dims"])
-        n_layers = len(dims) - 1
-        return MlpModel(
-            layer_dims=dims,
-            weights=tuple(_decode(arrays[f"w{i}"], f"w{i}") for i in range(n_layers)),
-            biases=tuple(_decode(arrays[f"b{i}"], f"b{i}") for i in range(n_layers)),
-        )
-    if kind == "linreg":
-        mse = _decode(arrays["train_mse"], "train_mse")
-        if mse.size != 1:
-            raise DataError(f"train_mse block must hold one value, got shape {mse.shape}")
-        return ReadoutSolution(
-            w_out=_decode(arrays["w_out"], "w_out"),
-            b_out=_decode(arrays["b_out"], "b_out"),
-            train_mse=float(mse.reshape(())),
-        )
-    raise DataError(f"{path} has unknown model kind {kind!r}")
+    if kind not in ("esn", "mlp", "linreg"):
+        raise DataError(f"{path} has unknown model kind {kind!r}")
+    config, arrays = doc.get("config"), doc.get("arrays")
+    if not (isinstance(config, dict) and isinstance(arrays, dict)):
+        raise DataError(f"{path} lacks a 'config' or 'arrays' object")
+    try:
+        return _build(kind, config, arrays)
+    except KeyError as exc:
+        raise DataError(f"{path} lacks key {exc}") from exc
+    except (ConfigError, DataError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} is malformed: {exc}") from exc

@@ -37,14 +37,14 @@ class AccuracyReport:
 
 
 def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutSolution:
-    """Least-squares readout on a bias-augmented design matrix.
+    """Least-squares readout w, b minimizing ||X w + b - y||^2 + ridge * ||w||^2.
 
-    Solves min ||[X | 1] beta - y||^2 with an optional Tikhonov term
-    ridge * ||w||^2 on the weights (the bias column is never penalized).
-    With ridge = 0 the plain regression is solved by least squares and a
-    rank-deficient design is rejected; with ridge > 0 the penalized normal
-    equations are solved directly, switching to the equivalent dual
-    (sample-space) form when there are more features than samples.
+    The bias is never penalized, so it is found by centring: one thin SVD
+    X - mean(X) = U diag(s) V^T gives w = V diag(g) U^T (y - mean(y)) and
+    b = mean(y) - mean(X) w, with gain g = s / (s^2 + ridge). At ridge 0
+    the gain is 1 / s, and centred states of rank below n_units (by
+    lstsq's default cut-off on s) are rejected. No Gram matrix is formed,
+    so the conditioning of X is not squared.
     """
     x = np.asarray(final_states, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -62,34 +62,23 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
         raise ConfigError("final_states/targets contain non-finite entries")
 
     n_samples, n_units = x.shape
-    design = np.hstack([x, np.ones((n_samples, 1))])
+    x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
+    u, s, vt = np.linalg.svd(x - x_mean, full_matrices=False)
     if ridge == 0.0:
-        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < design.shape[1]:
+        cutoff = s.max(initial=0.0) * max(n_samples, n_units + 1) * np.finfo(float).eps
+        rank = int(np.count_nonzero(s > cutoff))
+        if rank < n_units:
             raise NumericError(
-                f"normal equations are rank-deficient (rank {rank} < {design.shape[1]}); "
+                f"centred states are rank-deficient (rank {rank} < {n_units}); "
                 "pass a positive ridge to regularize"
             )
-    elif n_units <= n_samples:
-        gram = design.T @ design
-        gram[np.arange(n_units), np.arange(n_units)] += ridge
-        beta = np.linalg.solve(gram, design.T @ y)
+        gain = 1.0 / s
     else:
-        # dual form: with the bias unpenalized, centering reduces the problem
-        # to ridge regression in sample space (n_samples x n_samples system)
-        x_mean = x.mean(axis=0)
-        y_mean = y.mean(axis=0)
-        xc = x - x_mean
-        kernel = xc @ xc.T
-        kernel[np.arange(n_samples), np.arange(n_samples)] += ridge
-        dual = np.linalg.solve(kernel, y - y_mean)
-        weights = xc.T @ dual
-        bias = y_mean - x_mean @ weights
-        beta = np.vstack([weights, bias[None, :]])
-
-    residual = design @ beta - y
-    mse = float(np.mean(residual**2))
-    return ReadoutSolution(w_out=beta[:-1].T.copy(), b_out=beta[-1].copy(), train_mse=mse)
+        gain = s / (s**2 + ridge)
+    w = vt.T @ (gain[:, None] * (u.T @ (y - y_mean)))
+    b = y_mean - x_mean @ w
+    mse = float(np.mean((x @ w + b - y) ** 2))
+    return ReadoutSolution(w_out=w.T.copy(), b_out=b, train_mse=mse)
 
 
 def accuracy(scores: np.ndarray, labels: list) -> AccuracyReport:

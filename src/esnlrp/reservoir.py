@@ -8,11 +8,11 @@ at once, so every step is one matrix product over the whole batch.
 
 State transition for t >= 2, elementwise over units::
 
-    x(t) = (1 - alpha) * x(t-1) + alpha * act(W_in u(t) + b_in + W_res x(t-1) + b_res)
+    x(t) = (1 - alpha) * x(t-1) + alpha * tanh(W_in u(t) + b_in + W_res x(t-1) + b_res)
 
 and for the first step, where no previous state exists::
 
-    x(1) = alpha * act(W_in u(1) + b_in)
+    x(1) = alpha * tanh(W_in u(1) + b_in)
 
 The leak rate alpha acts as the inverse memory time scale: the larger it is,
 the faster the reservoir forgets earlier columns.
@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
-ACTIVATIONS = ("tanh", "sigmoid")
+# Half-width of the uniform draws of w_in, b_in, b_res and (before spectral
+# scaling) w_res.
+WEIGHT_RANGE = 0.1
 
 # Fixed stream for the power-iteration start block; keeps the estimate (and
 # therefore reservoir construction) a pure function of the matrix.
@@ -40,8 +42,7 @@ class EsnConfig:
     """Hyperparameters of a leaky echo state network.
 
     Defaults are the production values used throughout: 300 units, 30%
-    connectivity, spectral radius 0.8, leak rate 0.01, tanh activation,
-    uniform weight init in [-0.1, 0.1].
+    connectivity, spectral radius 0.8 and leak rate 0.01.
     """
 
     n_in: int
@@ -49,8 +50,6 @@ class EsnConfig:
     leak_rate: float = 0.01
     sparsity: float = 0.3
     spectral_radius: float = 0.8
-    weight_range: float = 0.1
-    activation: str = "tanh"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,10 +63,6 @@ class EsnConfig:
             raise ConfigError(f"sparsity must lie in (0, 1], got {self.sparsity}")
         if not 0.0 < self.spectral_radius < np.inf:
             raise ConfigError(f"spectral_radius must be positive and finite, got {self.spectral_radius}")
-        if not self.weight_range > 0.0:
-            raise ConfigError(f"weight_range must be positive, got {self.weight_range}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,7 @@ class StateTrajectory:
     """Forward-pass record of a batch, needed by the relevance backward pass.
 
     states[t-1, b] holds x(t) of sample b and act_branch[t-1, b] holds its
-    activation value act(W_in u(t) + b_in + W_res x(t-1) + b_res) for
+    activation value tanh(W_in u(t) + b_in + W_res x(t-1) + b_res) for
     t = 1..T (the recurrent terms are absent at t = 1); both are laid out
     (T, B, n_res) so each step is one contiguous block. `inputs` is the
     originating (B, n_in, T) batch.
@@ -133,17 +128,6 @@ class StateTrajectory:
     def final_state(self) -> np.ndarray:
         """x(T) of every sample, shape (B, n_res)."""
         return self.states[-1]
-
-
-def activation_fn(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    if name == "tanh":
-        return np.tanh
-    if name == "sigmoid":
-        # imported here so that no command pays scipy's start-up cost for it
-        from scipy.special import expit
-
-        return expit
-    raise ConfigError(f"unknown activation {name!r}")
 
 
 def _radius_power_iteration(m: np.ndarray, tol: float, max_iter: int, seed: int) -> float:
@@ -231,14 +215,14 @@ def scale_to_spectral_radius(
 def init_reservoir(config: EsnConfig) -> EsnModel:
     """Draw the fixed random weights of a reservoir.
 
-    w_in, b_in and b_res are dense uniform in [-weight_range, +weight_range].
+    w_in, b_in and b_res are dense uniform in [-WEIGHT_RANGE, +WEIGHT_RANGE].
     w_res gets exactly round(sparsity * n_res**2) nonzero entries at uniformly
     chosen positions, values from the same interval, then rescaled to the
     configured spectral radius. Five independent substreams (one per weight
     block) are split off the seed, so the same seed reproduces the model
     bit for bit on any platform.
     """
-    n, d, w = config.n_res, config.n_in, config.weight_range
+    n, d, w = config.n_res, config.n_in, WEIGHT_RANGE
     spawned = np.random.SeedSequence(config.seed).spawn(5)
     rng_w_in, rng_b_in, rng_pos, rng_val, rng_b_res = (np.random.default_rng(s) for s in spawned)
 
@@ -273,7 +257,6 @@ def _checked_batch(model: EsnModel, sample: np.ndarray) -> np.ndarray:
 
 def _step(
     model: EsnModel,
-    act: Callable[..., np.ndarray],
     drive: np.ndarray,
     prev: Optional[np.ndarray],
     pre: np.ndarray,
@@ -287,13 +270,13 @@ def _step(
     """
     alpha = model.config.leak_rate
     if prev is None:
-        act(drive, out=act_out)
+        np.tanh(drive, out=act_out)
         np.multiply(act_out, alpha, out=state_out)
         return
     np.matmul(prev, model.w_res.T, out=pre)
     np.add(drive, pre, out=pre)
     pre += model.b_res
-    act(pre, out=act_out)
+    np.tanh(pre, out=act_out)
     np.multiply(act_out, alpha, out=pre)
     np.multiply(prev, 1.0 - alpha, out=state_out)
     state_out += pre
@@ -306,7 +289,6 @@ def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
     is one (B x n_res)(n_res x n_res) product.
     """
     sample = _checked_batch(model, sample)
-    act = activation_fn(model.config.activation)
     n_samples, n_in, n_steps = sample.shape
     states = np.empty((n_steps, n_samples, model.config.n_res))
     act_branch = np.empty_like(states)
@@ -321,7 +303,7 @@ def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
     )
     act_branch += model.b_in
     for t in range(n_steps):
-        _step(model, act, act_branch[t], states[t - 1] if t else None, pre, act_branch[t], states[t])
+        _step(model, act_branch[t], states[t - 1] if t else None, pre, act_branch[t], states[t])
     return StateTrajectory(states=states, act_branch=act_branch, inputs=sample)
 
 
@@ -333,7 +315,6 @@ def final_states(model: EsnModel, batch: np.ndarray) -> np.ndarray:
     memory does not grow with T beyond the batch itself.
     """
     batch = _checked_batch(model, batch)
-    act = activation_fn(model.config.activation)
     n_samples, n_in, n_steps = batch.shape
     column = np.empty((n_samples, n_in))
     drive = np.empty((n_samples, model.config.n_res))
@@ -343,7 +324,7 @@ def final_states(model: EsnModel, batch: np.ndarray) -> np.ndarray:
         np.copyto(column, batch[:, :, t])
         np.matmul(column, model.w_in.T, out=drive)
         drive += model.b_in
-        _step(model, act, drive, state if t else None, pre, drive, state)
+        _step(model, drive, state if t else None, pre, drive, state)
     return state
 
 

@@ -5,11 +5,11 @@ import numpy as np
 from esnlrp.reservoir import EsnConfig, EsnModel
 
 
-def assemble_model(w_in, b_in, w_res, b_res, alpha, w_out=None, b_out=None, activation="tanh"):
+def assemble_model(w_in, b_in, w_res, b_res, alpha, w_out=None, b_out=None):
     """An EsnModel from explicit arrays, bypassing the random construction."""
     w_in = np.atleast_2d(np.asarray(w_in, dtype=float))
     n, d = w_in.shape
-    config = EsnConfig(n_in=d, n_res=n, leak_rate=alpha, activation=activation)
+    config = EsnConfig(n_in=d, n_res=n, leak_rate=alpha)
     model = EsnModel(
         config=config,
         w_in=w_in,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esnlrp import cli, reservoir
+from esnlrp import cli, persistence, reservoir
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
 
@@ -136,6 +136,57 @@ def test_relevance_maps_agree_across_blas_thread_counts(tmp_path):
     assert len(maps["1"]) == len(maps["2"]) == 48
     for one, two in zip(maps["1"], maps["2"]):
         assert np.max(np.abs(one - two)) <= 1e-12 * np.max(np.abs(one))
+
+
+def test_fresh_fits_agree_across_blas_thread_counts(tmp_path):
+    """train and leak-sweep from scratch under 1 and 2 BLAS threads.
+
+    At the sweep shape (240 train samples, 100 units) the encoded states
+    are the same under both settings, so what remains is the readout
+    solve: its weights agree within 1e-12 of their peak, the leak-sweep
+    mean maps within 1e-9 of their peak, and the centres of gravity
+    within 1e-9.
+    """
+    shape = ["--synthetic", "16,96,300", "--n-res", "100", "--ridge", "1e-8"]
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
+        for command in ("train", "leak-sweep"):
+            subprocess.run(
+                [sys.executable, "-m", "esnlrp.cli", command, "--out", str(out), *shape],
+                env=env, check=True, timeout=300,
+            )
+        model = persistence.load_model(out / "esn_model.json")
+        runs[threads] = {
+            "w_out": np.append(model.w_out, model.b_out),
+            "maps": [np.loadtxt(out / f"mean_map_{tag}.csv", delimiter=",") for tag in cli.SWEEP_TAGS],
+            "centres": [float(row["mean_map_center_of_gravity"]) for row in read_report(out / "sweep_report.csv")],
+        }
+    one, two = runs["1"], runs["2"]
+    assert np.max(np.abs(one["w_out"] - two["w_out"])) <= 1e-12 * np.max(np.abs(one["w_out"]))
+    for a, b in zip(one["maps"], two["maps"]):
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+    np.testing.assert_allclose(one["centres"], two["centres"], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        pytest.param(lambda doc: doc["config"].update(bogus=1), "bogus", id="unknown-config-key"),
+        pytest.param(lambda doc: doc["config"].pop("n_res"), "n_res", id="missing-config-key"),
+        pytest.param(lambda doc: doc["config"].update(activation="sigmoid"), "activation", id="sigmoid"),
+        pytest.param(lambda doc: doc["arrays"].pop("w_res"), "w_res", id="missing-array-block"),
+    ],
+)
+def test_malformed_model_files_exit_three(tmp_path, capsys, edit, key):
+    out = tmp_path / "out"
+    assert run_cli("train", "--out", str(out), *SMALL) == 0
+    doc = json.loads((out / "esn_model.json").read_text())
+    edit(doc)
+    (out / "esn_model.json").write_text(json.dumps(doc))
+    assert run_cli("evaluate", "--out", str(out), *SMALL) == 3
+    assert key in capsys.readouterr().err
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,49 @@ def test_load_rejects_malformed_documents(tmp_path):
 
     with pytest.raises(DataError):
         load_model(tmp_path / "absent.json")
+
+    save_model(path, init_reservoir(EsnConfig(n_in=2, n_res=3, seed=1)))
+    saved = json.loads(path.read_text())
+    for section, edit, key in [
+        ("config", lambda c: c.update(bogus=1), "bogus"),
+        ("config", lambda c: c.pop("n_res"), "n_res"),
+        ("config", lambda c: c.pop("n_in"), "n_in"),
+        ("config", lambda c: c.update(n_in="2"), "malformed"),
+        ("config", lambda c: c.update(activation="sigmoid"), "activation"),
+        ("config", lambda c: c.update(weight_range=0.2), "weight_range"),
+        ("arrays", lambda a: a.pop("w_res"), "w_res"),
+        ("arrays", lambda a: a.pop("b_in"), "b_in"),
+        (None, lambda d: d.pop("config"), "config"),
+        (None, lambda d: d.pop("arrays"), "arrays"),
+    ]:
+        doc = json.loads(json.dumps(saved))
+        edit(doc[section] if section else doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=key):
+            load_model(path)
+
+
+VERSION_1_MODEL = Path(__file__).parent / "data" / "esn_model_v1.json"
+
+
+def test_loads_version_1_files_that_name_activation_and_weight_range(tmp_path):
+    """A trained model written when the config still carried activation and weight_range.
+
+    It loads with the values every model had, tanh and 0.1 (any other value
+    is rejected above), and a resave drops those keys and changes nothing else.
+    """
+    doc = json.loads(VERSION_1_MODEL.read_text())
+    assert (doc["config"]["activation"], doc["config"]["weight_range"]) == ("tanh", 0.1)
+    model = load_model(VERSION_1_MODEL)
+    assert model.is_trained
+    redrawn = init_reservoir(model.config)
+    for name in ("w_in", "b_in", "b_res"):
+        np.testing.assert_array_equal(getattr(model, name), getattr(redrawn, name))
+    np.testing.assert_allclose(model.w_res, redrawn.w_res, rtol=1e-12, atol=0.0)
+
+    save_model(tmp_path / "resaved.json", model)
+    del doc["config"]["activation"], doc["config"]["weight_range"]
+    assert json.loads((tmp_path / "resaved.json").read_text()) == doc
 
 
 def test_load_rejects_corrupted_array_block(tmp_path):

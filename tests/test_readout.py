@@ -49,7 +49,7 @@ def test_ridge_matches_penalized_oracle():
 
 
 def test_wide_dual_form_agrees_with_primal_equations():
-    """More units than samples exercises the kernel path; the optimum is shared."""
+    """More units than samples; the optimum is still that of the primal equations."""
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 50))
     y = rng.normal(size=20)
