@@ -34,9 +34,9 @@ BASELINES = ("linreg", "mlp", "none")
 
 MODEL_FILE = "esn_model.json"
 
-# Bytes that one batch of samples may cost its caller: encoding holds the
-# stacked inputs, mapping also the state trajectory. Samples are fed forward,
-# and mapped, in the largest runs that fit.
+# Bytes that one batch of samples may cost its caller: encoding holds the stacked
+# inputs (n_in floats per step), mapping the states (n_res floats per step).
+# Samples are fed forward, and mapped, in the largest runs that fit.
 TRAJECTORY_BUDGET_BYTES = 12 * 2**20
 
 
@@ -235,13 +235,19 @@ def batches(samples: Sequence[data.LabeledSample], step_bytes: int) -> Iterator[
 
     One sample costs its caller `step_bytes` per time step. Each run is as
     long as its cost fits TRAJECTORY_BUDGET_BYTES, and at least one sample.
+    Runs reuse one array (a batch is valid until the next is drawn): a new
+    one per run would take the heap space a freed trajectory left.
     """
     if not samples:
         return
-    n_steps = data.preprocess_field(samples[0].field).shape[1]
-    size = max(1, TRAJECTORY_BUDGET_BYTES // (n_steps * step_bytes))
+    shape = data.preprocess_field(samples[0].field).shape
+    size = max(1, TRAJECTORY_BUDGET_BYTES // (shape[1] * step_bytes))
+    buffer = np.empty((min(size, len(samples)),) + shape)
     for start in range(0, len(samples), size):
-        yield np.stack([data.preprocess_field(s.field) for s in samples[start : start + size]])
+        batch = buffer[: min(size, len(samples) - start)]
+        for row, sample in zip(batch, samples[start : start + size]):
+            row[...] = data.preprocess_field(sample.field)
+        yield batch
 
 
 def encode(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> np.ndarray:
@@ -282,8 +288,8 @@ def maps_for(
     A batch's trajectory is dropped as soon as its maps are built.
     """
     lcfg = cfg.lrp_config()
-    # a trajectory holds states and activation values, two floats per unit and step
-    for batch in batches(samples, 2 * model.config.n_res * 8):
+    # a trajectory holds the states, one float per unit and step
+    for batch in batches(samples, model.config.n_res * 8):
         yield from lrp.relevance_map(model, reservoir.run_reservoir(model, batch), lcfg)
 
 

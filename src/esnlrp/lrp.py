@@ -4,8 +4,9 @@ The scalar model output is taken as the total relevance and traced backwards
 through time. At every step the state relevance splits between two tracks:
 
 * the leak track, carrying (1 - alpha) * x(t-1) into the next older state, and
-* the activation track, carrying alpha * act(...), which is redistributed over
-  the pre-activation contributions w_in[j,d] * u_d(t) and w_res[j,k] * x(t-1)[k].
+* the activation track, carrying the rest, x(t) - (1 - alpha) * x(t-1) =
+  alpha * act(...), which is redistributed over the pre-activation
+  contributions w_in[j,d] * u_d(t) and w_res[j,k] * x(t-1)[k].
 
 Both splits use the z+ rule: shares proportional to positive contributions
 only; biases receive nothing. Relevance passes through the nonlinearity and
@@ -131,10 +132,13 @@ def relevance_step_back(
     """Push the (B, n_res) state relevance at time t (1-based, t >= 2) one step back.
 
     Stage 1 splits each unit's relevance between the leak track and the
-    activation track by the z+ rule on the two transition summands. Stage 2
-    redistributes the activation share over the positive pre-activation
-    contributions of the inputs u(t) and the previous states x(t-1).
-    `split` is `sign_split(model)`, built here when not given.
+    activation track by the z+ rule on the two transition summands,
+    (1 - alpha) x(t-1) and x(t) - (1 - alpha) x(t-1); the latter is
+    alpha act(t), exactly at alpha = 0 and 1 and within one ulp of x(t)
+    otherwise. Stage 2 redistributes the activation share over the
+    positive pre-activation contributions of the inputs u(t) and the
+    previous states x(t-1). `split` is `sign_split(model)`, built here
+    when not given.
 
     Returns (input relevance for column t, relevance on x(t-1), absorbed),
     each with one row per sample.
@@ -148,8 +152,9 @@ def relevance_step_back(
     x_prev = traj.states[t - 2]
     r_state = np.asarray(r_state, dtype=float)
 
-    z_leak = np.maximum((1.0 - alpha) * x_prev, 0.0)
-    z_act = np.maximum(alpha * traj.act_branch[t - 1], 0.0)
+    leak = (1.0 - alpha) * x_prev
+    z_leak = np.maximum(leak, 0.0)
+    z_act = np.maximum(traj.states[t - 1] - leak, 0.0)
     denom_split = z_leak + z_act
     live_split = denom_split >= cfg.epsilon
     absorbed = np.where(live_split, 0.0, r_state).sum(axis=1)

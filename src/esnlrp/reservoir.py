@@ -4,7 +4,8 @@ A reservoir is a pool of sparsely connected recurrent units with fixed random
 weights. A 2D sample of shape (n_in, T) is fed column by column, one column
 per time step; only the linear readout on top of the final state is ever
 trained (see `readout`). The forward pass runs a stacked batch of samples
-at once, so every step is one matrix product over the whole batch.
+at once, so every step's matrix products cover the whole batch, and it
+records only the states x(t).
 
 State transition for t >= 2, elementwise over units::
 
@@ -81,6 +82,13 @@ class EsnModel:
     w_out: Optional[np.ndarray] = None
     b_out: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        n, d = self.config.n_res, self.config.n_in
+        for name, shape in (("w_in", (n, d)), ("b_in", (n,)), ("w_res", (n, n)), ("b_res", (n,))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ConfigError(f"{name} has shape {got}, expected {shape} for n_in={d}, n_res={n}")
+
     @property
     def is_trained(self) -> bool:
         return self.w_out is not None and self.b_out is not None
@@ -109,15 +117,14 @@ class EsnModel:
 class StateTrajectory:
     """Forward-pass record of a batch, needed by the relevance backward pass.
 
-    states[t-1, b] holds x(t) of sample b and act_branch[t-1, b] holds its
-    activation value tanh(W_in u(t) + b_in + W_res x(t-1) + b_res) for
-    t = 1..T (the recurrent terms are absent at t = 1); both are laid out
-    (T, B, n_res) so each step is one contiguous block. `inputs` is the
-    originating (B, n_in, T) batch.
+    states[t-1, b] holds x(t) of sample b for t = 1..T, laid out
+    (T, B, n_res) so each step is one contiguous block. The states alone fix
+    both summands of the leaky update: the leak share (1 - alpha) x(t-1) and
+    the activation share x(t) - (1 - alpha) x(t-1) = alpha act(t). `inputs`
+    is the originating (B, n_in, T) batch.
     """
 
     states: np.ndarray
-    act_branch: np.ndarray
     inputs: np.ndarray
 
     @property
@@ -255,77 +262,56 @@ def _checked_batch(model: EsnModel, sample: np.ndarray) -> np.ndarray:
     return sample
 
 
-def _step(
-    model: EsnModel,
-    drive: np.ndarray,
-    prev: Optional[np.ndarray],
-    pre: np.ndarray,
-    act_out: np.ndarray,
-    state_out: np.ndarray,
-) -> None:
-    """One leaky update of a batch, written into preallocated (B, n_res) buffers.
+def _run(model: EsnModel, batch: np.ndarray, n_kept: int) -> np.ndarray:
+    """x(t) of a checked (B, n_in, T) batch, written at t % n_kept of a (n_kept, B, n_res) buffer.
 
-    `drive` holds W_in u(t) + b_in and `prev` holds x(t-1), None at t = 1.
-    `pre` is scratch. `act_out` may be `drive`, and `state_out` may be `prev`.
+    Each step is one (B x n_in)(n_in x n_res) input product and, after the
+    first, one (B x n_res)(n_res x n_res) recurrent product. With n_kept = 1
+    the state is updated in place.
     """
+    n_samples, n_in, n_steps = batch.shape
     alpha = model.config.leak_rate
-    if prev is None:
-        np.tanh(drive, out=act_out)
-        np.multiply(act_out, alpha, out=state_out)
-        return
-    np.matmul(prev, model.w_res.T, out=pre)
-    np.add(drive, pre, out=pre)
-    pre += model.b_res
-    np.tanh(pre, out=act_out)
-    np.multiply(act_out, alpha, out=pre)
-    np.multiply(prev, 1.0 - alpha, out=state_out)
-    state_out += pre
+    states = np.empty((n_kept, n_samples, model.config.n_res))
+    column = np.empty((n_samples, n_in))
+    act = np.empty_like(states[0])
+    recurrent = np.empty_like(act)
+    for t in range(n_steps):
+        state = states[t % n_kept]
+        np.copyto(column, batch[:, :, t])
+        np.matmul(column, model.w_in.T, out=act)
+        act += model.b_in
+        if t:
+            prev = states[(t - 1) % n_kept]
+            np.matmul(prev, model.w_res.T, out=recurrent)
+            act += recurrent
+            act += model.b_res
+        np.tanh(act, out=act)
+        act *= alpha
+        if t:
+            np.multiply(prev, 1.0 - alpha, out=state)
+            state += act
+        else:
+            np.copyto(state, act)
+    return states
 
 
 def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
     """Feed a (B, n_in, T) batch column by column and record the state sequence.
 
-    The input drive of all steps is one matrix product; each recurrent step
-    is one (B x n_res)(n_res x n_res) product.
+    Only x(t) is kept: the activation share of step t is x(t) - (1 - alpha) x(t-1).
     """
     sample = _checked_batch(model, sample)
-    n_samples, n_in, n_steps = sample.shape
-    states = np.empty((n_steps, n_samples, model.config.n_res))
-    act_branch = np.empty_like(states)
-    pre = np.empty_like(states[0])
-
-    # the input drive W_in u(t) + b_in of every step, written where the
-    # activation values will go
-    np.matmul(
-        sample.transpose(2, 0, 1).reshape(n_steps * n_samples, n_in),
-        model.w_in.T,
-        out=act_branch.reshape(n_steps * n_samples, -1),
-    )
-    act_branch += model.b_in
-    for t in range(n_steps):
-        _step(model, act_branch[t], states[t - 1] if t else None, pre, act_branch[t], states[t])
-    return StateTrajectory(states=states, act_branch=act_branch, inputs=sample)
+    return StateTrajectory(states=_run(model, sample, sample.shape[2]), inputs=sample)
 
 
 def final_states(model: EsnModel, batch: np.ndarray) -> np.ndarray:
     """x(T) of every sample of a (B, n_in, T) batch, shape (B, n_res).
 
-    The same recurrence as `run_reservoir`, keeping only the running state:
-    the input drive is one (B x n_in)(n_in x n_res) product per step, so
-    memory does not grow with T beyond the batch itself.
+    The recurrence of `run_reservoir`, step for step, keeping only the
+    running state, so memory does not grow with T beyond the batch itself
+    and the result equals `run_reservoir(model, batch).final_state` bit for bit.
     """
-    batch = _checked_batch(model, batch)
-    n_samples, n_in, n_steps = batch.shape
-    column = np.empty((n_samples, n_in))
-    drive = np.empty((n_samples, model.config.n_res))
-    pre = np.empty_like(drive)
-    state = np.empty_like(drive)
-    for t in range(n_steps):
-        np.copyto(column, batch[:, :, t])
-        np.matmul(column, model.w_in.T, out=drive)
-        drive += model.b_in
-        _step(model, drive, state if t else None, pre, drive, state)
-    return state
+    return _run(model, _checked_batch(model, batch), 1)[0]
 
 
 def model_output(model: EsnModel, traj: StateTrajectory) -> np.ndarray:

@@ -80,18 +80,18 @@ def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
 
     Encoding goes through final_states, whose batch costs its stacked input
     (n_in * T floats per sample); maps go through run_reservoir, whose batch
-    costs its trajectory (states and activation values, 2 * T * n_res
-    floats per sample). No batch exceeds the byte budget unless it is a
-    single sample. SMALL gives 13 steps of 8 inputs and 20 units, 832 and
-    4160 bytes per sample, so a 9000-byte budget feeds runs of ten and two,
-    and a 4000-byte budget runs of four and one.
+    costs its trajectory (the states, T * n_res floats per sample). No batch
+    exceeds the byte budget unless it is a single sample. SMALL gives 13
+    steps of 8 inputs and 20 units, 832 and 2080 bytes per sample, so a
+    9000-byte budget feeds runs of ten and four, and a 4000-byte budget runs
+    of four and one.
     """
     batches = []
     forward, final = reservoir.run_reservoir, reservoir.final_states
 
     def counting_forward(model, sample):
         n_samples, _, n_steps = sample.shape
-        batches.append((n_samples, n_samples * 2 * n_steps * model.config.n_res * 8))
+        batches.append((n_samples, n_samples * n_steps * model.config.n_res * 8))
         return forward(model, sample)
 
     def counting_final(model, sample):
@@ -177,6 +177,7 @@ def test_fresh_fits_agree_across_blas_thread_counts(tmp_path):
         pytest.param(lambda doc: doc["config"].pop("n_res"), "n_res", id="missing-config-key"),
         pytest.param(lambda doc: doc["config"].update(activation="sigmoid"), "activation", id="sigmoid"),
         pytest.param(lambda doc: doc["arrays"].pop("w_res"), "w_res", id="missing-array-block"),
+        pytest.param(lambda doc: doc["arrays"]["w_in"]["shape"].reverse(), "w_in", id="transposed-w-in"),
     ],
 )
 def test_malformed_model_files_exit_three(tmp_path, capsys, edit, key):

@@ -31,7 +31,6 @@ def final_state_trajectory(x_final, n_inputs=1):
     x_final = np.asarray(x_final, dtype=float)
     return StateTrajectory(
         states=x_final[None, None, :],
-        act_branch=x_final[None, None, :],
         inputs=np.ones((1, n_inputs, 1)),
     )
 
@@ -98,7 +97,6 @@ def test_step_back_two_stage_hand_example():
     )
     traj = StateTrajectory(
         states=np.array([[[0.4]], [[0.6]]]),
-        act_branch=np.array([[[0.8]], [[0.8]]]),
         inputs=np.array([[[1.0, 1.0]]]),
     )
     r_input, r_prev, absorbed = relevance_step_back(model, traj, 2, np.array([[1.0]]))
@@ -146,7 +144,7 @@ def test_first_column_redistributes_or_absorbs():
         alpha=0.5, w_out=[[1.0, 1.0]], b_out=[0.0],
     )
     traj = StateTrajectory(
-        states=np.zeros((1, 1, 2)), act_branch=np.zeros((1, 1, 2)), inputs=np.array([[[1.0], [1.0]]])
+        states=np.zeros((1, 1, 2)), inputs=np.array([[[1.0], [1.0]]])
     )
     dummy, absorbed = relevance_first_column(model, traj, np.array([[1.0, 1.0]]))
     # unit 0: z = (1, 0) -> all to input 0; unit 1: z = (0.5, 0.5) -> half each
@@ -181,6 +179,50 @@ def test_map_matches_path_enumeration_oracle():
         np.testing.assert_allclose(rmap.dummy_scores, dummy, atol=1e-10)
         assert abs(rmap.absorbed - absorbed) <= 1e-10
         assert abs(rmap.total - total) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    d=st.integers(1, 3),
+    t=st.integers(1, 5),
+    batch=st.integers(1, 3),
+    alpha=st.one_of(st.sampled_from([0.0, 0.01, 1.0]), st.floats(0.0, 1.0)),
+    epsilon=st.sampled_from([1e-12, 1e-3, 0.5]),
+    zero_sample=st.one_of(st.none(), st.integers(0, 2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, d=2, t=1, batch=2, alpha=0.01, epsilon=1e-12, zero_sample=0, seed=0)
+@example(n=4, d=3, t=5, batch=3, alpha=0.01, epsilon=0.5, zero_sample=None, seed=1)
+@example(n=4, d=3, t=5, batch=3, alpha=1.0, epsilon=1e-3, zero_sample=2, seed=2)
+@example(n=4, d=3, t=5, batch=2, alpha=0.0, epsilon=1e-12, zero_sample=None, seed=3)
+def test_edge_case_maps_match_the_oracle(n, d, t, batch, alpha, epsilon, zero_sample, seed):
+    """Every map of a batch matches the path oracle within 1e-10 at the edges.
+
+    The leak rate runs over its ends, the production value and a uniform
+    draw; T = 1 leaves only the dummy column; an all-zero sample (dummy
+    column too) absorbs everything that reaches its first column; and at
+    epsilon = 0.5 most relevance is absorbed. The library takes the
+    activation share as x(t) - (1 - alpha) x(t-1), the oracle as
+    alpha * act(t), so this is also where the two must agree.
+    """
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, d, alpha)
+    samples = np.stack([random_sample(rng, d, t) for _ in range(batch)])
+    if zero_sample is not None:
+        samples[zero_sample % batch] = 0.0
+    maps = relevance_map(model, run_reservoir(model, samples), LrpConfig(epsilon))
+    for sample, rmap in zip(samples, maps):
+        scores, dummy, absorbed, total = oracle_relevance(
+            model.w_in.tolist(), model.b_in.tolist(), model.w_res.tolist(),
+            model.b_res.tolist(), model.w_out[0].tolist(), float(model.b_out[0]),
+            alpha, sample.tolist(), epsilon=epsilon,
+        )
+        np.testing.assert_allclose(rmap.scores, np.reshape(scores, (d, t - 1)), rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(rmap.dummy_scores, dummy, rtol=0.0, atol=1e-10)
+        assert abs(rmap.absorbed - absorbed) <= 1e-10
+        assert abs(rmap.total - total) <= 1e-10
+        assert rmap.conserved(1e-6)
 
 
 @settings(max_examples=50, deadline=None)

@@ -108,6 +108,21 @@ def test_init_reservoir_weights_are_frozen():
         assert not block.flags.writeable
 
 
+def tanh_recurrence(model, sample):
+    """x(1..T) of one (n_in, T) sample by the stated update, one unit at a time."""
+    alpha = model.config.leak_rate
+    states = []
+    for t in range(sample.shape[1]):
+        x = []
+        for j in range(model.config.n_res):
+            pre = model.w_in[j] @ sample[:, t] + model.b_in[j]
+            if t:
+                pre += model.w_res[j] @ states[-1] + model.b_res[j]
+            x.append(alpha * np.tanh(pre) + ((1 - alpha) * states[-1][j] if t else 0.0))
+        states.append(np.array(x))
+    return np.array(states)
+
+
 def test_first_step_has_no_recurrent_terms():
     model = assemble_model(
         w_in=[[1.0]], b_in=[0.0], w_res=[[0.7]], b_res=[5.0], alpha=0.5
@@ -115,7 +130,7 @@ def test_first_step_has_no_recurrent_terms():
     traj = run_reservoir(model, np.array([[[1.0]]]))
     # b_res and w_res must not enter x(1); a 5.0 recurrent bias would be obvious
     np.testing.assert_allclose(traj.states[0, 0], [0.5 * np.tanh(1.0)], rtol=1e-15)
-    np.testing.assert_allclose(traj.act_branch[0, 0], [np.tanh(1.0)], rtol=1e-15)
+    np.testing.assert_allclose(traj.states[:, 0], tanh_recurrence(model, traj.inputs[0]), rtol=0.0, atol=1e-12)
 
 
 def test_zero_leak_freezes_states_at_zero():
@@ -135,11 +150,11 @@ def test_full_leak_states_equal_activation_branch():
         w_res=rng.normal(size=(4, 4)) * 0.2, b_res=rng.normal(size=4), alpha=1.0,
     )
     traj = run_reservoir(model, random_sample(rng, 2, 6)[None])
-    np.testing.assert_array_equal(traj.states, traj.act_branch)
+    np.testing.assert_allclose(traj.states[:, 0], tanh_recurrence(model, traj.inputs[0]), rtol=0.0, atol=1e-12)
 
 
 def test_transition_algebra_reproduces_recorded_states():
-    """Recomputing x(t) from the recorded branches must give the stored states."""
+    """Recomputing x(t) from the recorded x(t-1) and the inputs gives the stored states."""
     rng = np.random.default_rng(4)
     alpha = 0.35
     model = assemble_model(
@@ -147,15 +162,14 @@ def test_transition_algebra_reproduces_recorded_states():
         w_res=rng.normal(size=(5, 5)) * 0.15, b_res=rng.normal(size=5), alpha=alpha,
     )
     traj = run_reservoir(model, random_sample(rng, 3, 8)[None])
-    np.testing.assert_array_equal(traj.states[0], alpha * traj.act_branch[0])
+    np.testing.assert_allclose(traj.states[:, 0], tanh_recurrence(model, traj.inputs[0]), rtol=0.0, atol=1e-12)
     for t in range(1, 8):
-        rebuilt = (1 - alpha) * traj.states[t - 1] + alpha * traj.act_branch[t]
-        np.testing.assert_array_equal(traj.states[t], rebuilt)
         pre = (
             model.w_in @ traj.inputs[0, :, t] + model.b_in
             + model.w_res @ traj.states[t - 1, 0] + model.b_res
         )
-        np.testing.assert_allclose(traj.act_branch[t, 0], np.tanh(pre), rtol=1e-12)
+        rebuilt = (1 - alpha) * traj.states[t - 1, 0] + alpha * np.tanh(pre)
+        np.testing.assert_allclose(traj.states[t, 0], rebuilt, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,12 +184,14 @@ def test_transition_algebra_reproduces_recorded_states():
 )
 @example(n=3, d=2, t=1, batch=3, alpha=0.0, zero_sample=1, seed=0)
 @example(n=4, d=3, t=5, batch=6, alpha=1.0, zero_sample=5, seed=2)
+@example(n=2, d=2, t=2, batch=1, alpha=0.01, zero_sample=None, seed=1846896587)
 def test_final_states_match_the_recorded_trajectory(n, d, t, batch, alpha, zero_sample, seed):
-    """final_states is x(T) of run_reservoir, within 1e-12.
+    """final_states is x(T) of run_reservoir, bit for bit.
 
-    Both share the step update; the input drive is one product per step in
-    final_states and one for all steps in run_reservoir, and BLAS may round
-    a row differently with the number of rows.
+    Both run the same loop, with the same products in the same order; only
+    the number of states kept differs. The last example catches an input
+    drive computed for all steps in one product: BLAS may round a row
+    differently with the number of rows, here by 8.7e-19.
     """
     rng = np.random.default_rng(seed)
     model = assemble_model(
@@ -188,7 +204,7 @@ def test_final_states_match_the_recorded_trajectory(n, d, t, batch, alpha, zero_
         samples[zero_sample % batch] = 0.0
     got = final_states(model, samples)
     assert got.shape == (batch, n)
-    np.testing.assert_allclose(got, run_reservoir(model, samples).final_state, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(got, run_reservoir(model, samples).final_state)
 
 
 def test_states_stay_inside_unit_box():
