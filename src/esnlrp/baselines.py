@@ -66,15 +66,12 @@ class MlpModel:
 
 @dataclass
 class AdamState:
-    """Moment accumulators over the flat parameter vector, and hyperparameters."""
+    """Moment accumulators over the flat parameter vector, and the learning rate."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     lr: float = ADAM_LR
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def init_mlp(layer_dims: Sequence[int] = DEFAULT_LAYER_DIMS, seed: int = 0) -> MlpModel:
@@ -174,25 +171,24 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         )
     state.step += 1
     t = state.step
-    scale = state.lr * np.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
-    beta1, beta2 = state.beta1, state.beta2
+    scale = state.lr * np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
     work = np.empty((2, min(ADAM_SLICE, theta.size)))
     for lo in range(0, theta.size, ADAM_SLICE):
         p, g = theta[lo : lo + ADAM_SLICE], grad[lo : lo + ADAM_SLICE]
         m, v = state.m[lo : lo + ADAM_SLICE], state.v[lo : lo + ADAM_SLICE]
         a, b = work[0, : p.size], work[1, : p.size]
         # m = beta1 * m + (1 - beta1) * g
-        np.multiply(m, beta1, out=m)
-        np.multiply(g, 1.0 - beta1, out=a)
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         np.add(m, a, out=m)
         # v = beta2 * v + (1 - beta2) * g**2
-        np.multiply(v, beta2, out=v)
+        np.multiply(v, ADAM_BETA2, out=v)
         np.square(g, out=a)
-        np.multiply(a, 1.0 - beta2, out=a)
+        np.multiply(a, 1.0 - ADAM_BETA2, out=a)
         np.add(v, a, out=v)
         # p = p - scale * m / (sqrt(v) + eps)
         np.sqrt(v, out=a)
-        np.add(a, state.eps, out=a)
+        np.add(a, ADAM_EPS, out=a)
         np.multiply(m, scale, out=b)
         np.divide(b, a, out=b)
         np.subtract(p, b, out=p)

@@ -319,8 +319,8 @@ def val_accuracy(sample_set: data.SampleSet, scores: np.ndarray) -> readout.Accu
     return readout.accuracy(scores[len(sample_set.train_samples) :], [s.label for s in val])
 
 
-def write_report(path: Path, rows: List[str], header: str = "model,split,metric,value") -> None:
-    path.write_text("\n".join([header] + rows) + "\n", encoding="ascii")
+def write_report(path: Path, rows: List[str]) -> None:
+    path.write_text("\n".join(["model,split,metric,value"] + rows) + "\n", encoding="ascii")
 
 
 def baseline_rows(cfg: ExperimentConfig, sample_set: data.SampleSet, anomalies: Optional[data.SstDataset], out: Path) -> List[str]:

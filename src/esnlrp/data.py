@@ -230,8 +230,8 @@ def load_sst(path: Union[str, Path]) -> SstDataset:
     )
 
 
-def _reference_slice(dataset: SstDataset, period: Tuple[int, int]) -> slice:
-    first, last = period
+def _reference_slice(dataset: SstDataset) -> slice:
+    first, last = REFERENCE_PERIOD
     lo = (first - dataset.start_year) * 12
     hi = (last - dataset.start_year) * 12 + 12
     if lo < 0 or hi > dataset.n_months:
@@ -242,13 +242,13 @@ def _reference_slice(dataset: SstDataset, period: Tuple[int, int]) -> slice:
     return slice(lo, hi)
 
 
-def compute_anomalies(dataset: SstDataset, period: Tuple[int, int] = REFERENCE_PERIOD) -> SstDataset:
-    """Subtract the per-cell, per-calendar-month mean over the reference years.
+def compute_anomalies(dataset: SstDataset) -> SstDataset:
+    """Subtract the per-cell, per-calendar-month mean over the REFERENCE_PERIOD years.
 
     Cells with no finite reference values keep NaN everywhere; invalid
     entries stay invalid.
     """
-    ref = _reference_slice(dataset, period)
+    ref = _reference_slice(dataset)
     climatology = np.empty((12,) + dataset.fields.shape[1:])
     for month in range(12):
         vals = dataset.fields[ref][month::12]
@@ -268,7 +268,7 @@ def nino34_region(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def nino34_index(anomalies: SstDataset, period: Tuple[int, int] = REFERENCE_PERIOD) -> np.ndarray:
+def nino34_index(anomalies: SstDataset) -> np.ndarray:
     """Normalized Nino-3.4 series: box mean over valid cells, unit reference std."""
     rows, cols = nino34_region(anomalies.grid)
     box = anomalies.fields[:, rows][:, :, cols].reshape(anomalies.n_months, -1)
@@ -278,7 +278,7 @@ def nino34_index(anomalies: SstDataset, period: Tuple[int, int] = REFERENCE_PERI
         bad = int(np.argmin(counts))
         raise DataError(f"Nino-3.4 box has no valid cells in month index {bad}")
     regional = np.where(finite, box, 0.0).sum(axis=1) / counts
-    ref = _reference_slice(anomalies, period)
+    ref = _reference_slice(anomalies)
     scale = float(regional[ref].std())
     if not scale > 0.0:
         raise DataError(f"Nino-3.4 reference standard deviation is degenerate ({scale})")

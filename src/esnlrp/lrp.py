@@ -1,22 +1,26 @@
 """Relevance decomposition of a trained ESN output through the unfolded recurrence.
 
 The scalar model output is taken as the total relevance and traced backwards
-through time. At every step the state relevance splits between two tracks:
+through time. Every layer it crosses is one z+ redistribution (`_redistribute`):
+shares in proportion to the positive contributions w[j,k] v[k] only; biases
+receive nothing. The layers are the readout W_out on x(T), the recurrent step
+[W_in | W_res] on [u(t) | x(t-1)], and W_in on the first column u(1). The
+contributions are never formed one by one: max(w v, 0) = w+ v+ + w- v- turns
+their sums into two matrix products per layer over a whole batch of samples
+(see `sign_split`).
+
+Before each recurrent step, the state relevance splits between two tracks in
+proportion to the positive parts of the transition summands:
 
 * the leak track, carrying (1 - alpha) * x(t-1) into the next older state, and
 * the activation track, carrying the rest, x(t) - (1 - alpha) * x(t-1) =
-  alpha * act(...), which is redistributed over the pre-activation
-  contributions w_in[j,d] * u_d(t) and w_res[j,k] * x(t-1)[k].
+  alpha * act(...), which crosses the recurrent step.
 
-Both splits use the z+ rule: shares proportional to positive contributions
-only; biases receive nothing. Relevance passes through the nonlinearity and
-the alpha scaling unchanged. The pre-activation contributions are never
-formed one by one: max(w v, 0) = w+ v+ + w- v- turns their sums into two
-matrix products per step over a whole batch of samples (see `sign_split`).
-Whenever a positive-contribution denominator falls below the stabilizer
-epsilon, the affected relevance is booked to the sample's explicit
-`absorbed` ledger instead of being redistributed, so the conservation
-identity
+Relevance passes through the nonlinearity and the alpha scaling unchanged.
+Every z+ denominator meets the stabilizer epsilon in one place, `_zplus`:
+where it falls below epsilon, the affected relevance is booked to the
+sample's explicit `absorbed` ledger instead of being redistributed, so the
+conservation identity
 
     total = sum(scores) + sum(dummy_scores) + absorbed
 
@@ -85,38 +89,38 @@ def relevance_output_layer(
         raise ConfigError(
             f"relevance decomposition expects a single output unit, got {model.w_out.shape[0]}"
         )
-    total = model_output(model, traj)[:, 0]
-    z_pos = np.maximum(model.w_out[0] * traj.final_state, 0.0)
-    denominator = z_pos.sum(axis=1)
-    live = denominator >= cfg.epsilon
-    shares = z_pos / np.where(live, denominator, 1.0)[:, None]
-    r_state = np.where(live[:, None], shares * total[:, None], 0.0)
-    return r_state, np.where(live, 0.0, total)
+    return _redistribute(sign_split(model.w_out), traj.final_state, model_output(model, traj), cfg.epsilon)
 
 
-def sign_split(model: EsnModel) -> np.ndarray:
-    """S = [W+ | W-] for W = [W_in | W_res]: the (n_res, 2 (n_in + n_res)) z+ weights.
+def sign_split(*blocks: np.ndarray) -> np.ndarray:
+    """S = [W+ | W-] for the layer weights W = [blocks...], one row per unit.
 
-    With v = [u(t) | x(t-1)] and P = [v+ | v-], max(w v, 0) = w+ v+ + w- v-
+    With v the layer's input and P = [v+ | v-], max(w v, 0) = w+ v+ + w- v-
     turns the z+ sums into the matrix products P S^T and (G S).
     """
-    w = np.hstack([model.w_in, model.w_res])
+    w = np.hstack(blocks)
     return np.hstack([np.maximum(w, 0.0), np.minimum(w, 0.0)])
+
+
+def _zplus(r: np.ndarray, denominator: np.ndarray, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The (B, n) weights r / denominator where the denominator reaches epsilon
+    (0 elsewhere), and the (B,) relevance of the units where it does not."""
+    live = denominator >= epsilon
+    absorbed = np.where(live, 0.0, r).sum(axis=1)
+    return np.where(live, r, 0.0) / np.where(live, denominator, 1.0), absorbed
 
 
 def _redistribute(
     split: np.ndarray, v: np.ndarray, r_unit: np.ndarray, epsilon: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """z+ redistribution of (B, n_res) unit relevance over the contributions w[j,k] v[k].
+    """z+ redistribution of (B, n) unit relevance over the contributions w[j,k] v[k].
 
-    Returns the (B, m) relevance on v and the (B,) relevance absorbed by
-    units whose positive contributions sum below epsilon.
+    `split` is the layer's `sign_split`. Returns the (B, m) relevance on v
+    and the (B,) relevance absorbed by units whose positive contributions
+    sum below epsilon.
     """
     p = np.hstack([np.maximum(v, 0.0), np.minimum(v, 0.0)])
-    denominator = p @ split.T
-    live = denominator >= epsilon
-    absorbed = np.where(live, 0.0, r_unit).sum(axis=1)
-    unit_weight = np.where(live, r_unit, 0.0) / np.where(live, denominator, 1.0)
+    unit_weight, absorbed = _zplus(r_unit, p @ split.T, epsilon)
     shares = p * (unit_weight @ split)
     return shares[:, : v.shape[1]] + shares[:, v.shape[1] :], absorbed
 
@@ -131,14 +135,14 @@ def relevance_step_back(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Push the (B, n_res) state relevance at time t (1-based, t >= 2) one step back.
 
-    Stage 1 splits each unit's relevance between the leak track and the
-    activation track by the z+ rule on the two transition summands,
-    (1 - alpha) x(t-1) and x(t) - (1 - alpha) x(t-1); the latter is
-    alpha act(t), exactly at alpha = 0 and 1 and within one ulp of x(t)
-    otherwise. Stage 2 redistributes the activation share over the
-    positive pre-activation contributions of the inputs u(t) and the
-    previous states x(t-1). `split` is `sign_split(model)`, built here
-    when not given.
+    The z+ rule first splits each unit's relevance between the leak track
+    and the activation track in proportion to the positive parts of the two
+    transition summands, (1 - alpha) x(t-1) and x(t) - (1 - alpha) x(t-1);
+    the latter is alpha act(t), exactly at alpha = 0 and 1 and within one
+    ulp of x(t) otherwise. The activation share then crosses the recurrent
+    layer [W_in | W_res] onto v = [u(t) | x(t-1)] by one `_redistribute`.
+    `split` is `sign_split(model.w_in, model.w_res)`, built here when not
+    given.
 
     Returns (input relevance for column t, relevance on x(t-1), absorbed),
     each with one row per sample.
@@ -146,49 +150,31 @@ def relevance_step_back(
     if not 2 <= t <= traj.n_steps:
         raise ConfigError(f"t must lie in [2, {traj.n_steps}], got {t}")
     if split is None:
-        split = sign_split(model)
-    alpha = model.config.leak_rate
+        split = sign_split(model.w_in, model.w_res)
     n_in = model.config.n_in
     x_prev = traj.states[t - 2]
-    r_state = np.asarray(r_state, dtype=float)
 
-    leak = (1.0 - alpha) * x_prev
+    leak = (1.0 - model.config.leak_rate) * x_prev
     z_leak = np.maximum(leak, 0.0)
     z_act = np.maximum(traj.states[t - 1] - leak, 0.0)
-    denom_split = z_leak + z_act
-    live_split = denom_split >= cfg.epsilon
-    absorbed = np.where(live_split, 0.0, r_state).sum(axis=1)
-    r_live = np.where(live_split, r_state, 0.0)
-    safe_split = np.where(live_split, denom_split, 1.0)
-    r_leak = r_live * (z_leak / safe_split)
-    r_act = r_live * (z_act / safe_split)
+    weight, absorbed = _zplus(r_state, z_leak + z_act, cfg.epsilon)
 
     v = np.hstack([traj.inputs[:, :, t - 1], x_prev])
-    r_v, delta = _redistribute(split, v, r_act, cfg.epsilon)
-    return r_v[:, :n_in], r_leak + r_v[:, n_in:], absorbed + delta
+    r_v, delta = _redistribute(split, v, z_act * weight, cfg.epsilon)
+    return r_v[:, :n_in], z_leak * weight + r_v[:, n_in:], absorbed + delta
 
 
 def relevance_first_column(
-    model: EsnModel,
-    traj: StateTrajectory,
-    r_state: np.ndarray,
-    cfg: LrpConfig = LrpConfig(),
-    split: Optional[np.ndarray] = None,
+    model: EsnModel, traj: StateTrajectory, r_state: np.ndarray, cfg: LrpConfig = LrpConfig()
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Assign all residual state relevance at t=1 to the first column's inputs.
 
-    The first state has a single branch (alpha * act of the input
-    pre-activation), so relevance passes straight to the z+ redistribution
-    over w_in[j,d] * u_d(1); the input bias receives nothing. No previous
-    state exists, so the recurrent half of v is zero and takes no share.
-    Returns the (B, n_in) first-column relevance and the (B,) absorbed part.
+    x(1) = alpha act(W_in u(1) + b_in) has no previous state, so the
+    relevance crosses W_in alone onto u(1) by one `_redistribute`; the input
+    bias receives nothing. Returns the (B, n_in) first-column relevance and
+    the (B,) absorbed part.
     """
-    if split is None:
-        split = sign_split(model)
-    u_first = traj.inputs[:, :, 0]
-    v = np.hstack([u_first, np.zeros((u_first.shape[0], model.config.n_res))])
-    r_v, absorbed = _redistribute(split, v, np.asarray(r_state, dtype=float), cfg.epsilon)
-    return r_v[:, : model.config.n_in], absorbed
+    return _redistribute(sign_split(model.w_in), traj.inputs[:, :, 0], r_state, cfg.epsilon)
 
 
 def relevance_map(
@@ -196,22 +182,24 @@ def relevance_map(
 ) -> List[RelevanceMap]:
     """Full backward pass of a batch: output layer, every time step, first column.
 
-    Returns one map per sample, in batch order.
+    Returns one map per sample, in batch order; each owns its scores.
     """
-    split = sign_split(model)
+    split = sign_split(model.w_in, model.w_res)
     n_samples, n_inputs, n_steps = traj.inputs.shape
     r_state, absorbed = relevance_output_layer(model, traj, cfg)
     total = model_output(model, traj)[:, 0]
-    scores = np.zeros((n_samples, n_inputs, n_steps - 1))
+    scores = np.empty((n_steps - 1, n_samples, n_inputs))
     for t in range(n_steps, 1, -1):
-        r_input, r_state, delta = relevance_step_back(model, traj, t, r_state, cfg, split)
-        scores[:, :, t - 2] = r_input
+        scores[t - 2], r_state, delta = relevance_step_back(model, traj, t, r_state, cfg, split)
         absorbed += delta
-    dummy_scores, delta = relevance_first_column(model, traj, r_state, cfg, split)
+    dummy_scores, delta = relevance_first_column(model, traj, r_state, cfg)
     absorbed += delta
     return [
         RelevanceMap(
-            scores=scores[b], dummy_scores=dummy_scores[b], absorbed=float(absorbed[b]), total=float(total[b])
+            scores=scores[:, b].T.copy(),
+            dummy_scores=dummy_scores[b],
+            absorbed=float(absorbed[b]),
+            total=float(total[b]),
         )
         for b in range(n_samples)
     ]

@@ -37,6 +37,11 @@ WEIGHT_RANGE = 0.1
 # therefore reservoir construction) a pure function of the matrix.
 _POWER_ITERATION_SEED = 0x9E3779B9
 
+# Power-iteration stop rule: relative agreement of successive estimates, and
+# the iteration budget after which the radius is reported as not converged.
+_RADIUS_TOL = 1e-10
+_RADIUS_MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class EsnConfig:
@@ -137,13 +142,13 @@ class StateTrajectory:
         return self.states[-1]
 
 
-def _radius_power_iteration(m: np.ndarray, tol: float, max_iter: int, seed: int) -> float:
+def _radius_power_iteration(m: np.ndarray, seed: int) -> float:
     """Block power iteration from a seeded random start.
 
     Random real matrices routinely carry several complex-conjugate pairs of
     almost equal magnitude near the spectral edge; a wide block steps past
     such clusters, and convergence is only declared once successive
-    estimates have agreed to `tol` three times in a row. The projected
+    estimates have agreed to `_RADIUS_TOL` three times in a row. The projected
     estimate oscillates while a conjugate pair rotates through the block,
     so a single near-tangent crossing of two estimates must not count.
     """
@@ -152,14 +157,14 @@ def _radius_power_iteration(m: np.ndarray, tol: float, max_iter: int, seed: int)
     q, _ = np.linalg.qr(rng.standard_normal((n, min(8, n))))
     previous = None
     streak = 0
-    for _ in range(max_iter):
+    for _ in range(_RADIUS_MAX_ITER):
         y = m @ q
         if not np.any(y):
             # the iterate was annihilated: all-zero estimate
             return 0.0
         h = q.T @ y
         estimate = float(np.max(np.abs(np.linalg.eigvals(h))))
-        if previous is not None and abs(estimate - previous) <= tol * max(estimate, previous):
+        if previous is not None and abs(estimate - previous) <= _RADIUS_TOL * max(estimate, previous):
             streak += 1
             if streak >= 3:
                 return estimate
@@ -168,29 +173,27 @@ def _radius_power_iteration(m: np.ndarray, tol: float, max_iter: int, seed: int)
         previous = estimate
         q, _ = np.linalg.qr(y)
     raise NumericError(
-        f"spectral radius did not converge within {max_iter} iterations "
+        f"spectral radius did not converge within {_RADIUS_MAX_ITER} iterations "
         f"(last estimate {previous:.12e})"
     )
 
 
-def spectral_radius(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a square matrix, by power iteration.
 
-    Convergence is declared when successive estimates agree to `tol`
-    relatively over three consecutive iterations. A collapsed iterate
-    (nilpotent matrices) reports 0.0.
+    Convergence is declared when successive estimates agree to
+    `_RADIUS_TOL` relatively over three consecutive iterations. A collapsed
+    iterate (nilpotent matrices) reports 0.0.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ConfigError("matrix contains non-finite entries")
-    return _radius_power_iteration(m, tol, max_iter, _POWER_ITERATION_SEED)
+    return _radius_power_iteration(m, _POWER_ITERATION_SEED)
 
 
-def scale_to_spectral_radius(
-    m: np.ndarray, target: float, tol: float = 1e-10, max_iter: int = 10_000
-) -> np.ndarray:
+def scale_to_spectral_radius(m: np.ndarray, target: float) -> np.ndarray:
     """Rescale a square matrix so its spectral radius equals `target`.
 
     Refines the scale with re-measurement until the achieved radius is
@@ -203,7 +206,7 @@ def scale_to_spectral_radius(
     if target <= 0.0:
         raise ConfigError(f"target spectral radius must be positive, got {target}")
     scaled = np.array(m, dtype=float)
-    current = spectral_radius(scaled, tol, max_iter)
+    current = spectral_radius(scaled)
     if current == 0.0:
         raise NumericError(
             "matrix has zero spectral radius and cannot be rescaled; "
@@ -211,9 +214,7 @@ def scale_to_spectral_radius(
         )
     for round_index in range(3):
         scaled *= target / current
-        current = _radius_power_iteration(
-            scaled, tol, max_iter, _POWER_ITERATION_SEED + 1 + round_index
-        )
+        current = _radius_power_iteration(scaled, _POWER_ITERATION_SEED + 1 + round_index)
         if abs(current - target) <= 2.5e-7 * target:
             break
     return scaled

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esnlrp import cli, persistence, reservoir
+from esnlrp import cli, data, persistence, readout, reservoir
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
 
@@ -364,3 +364,62 @@ def test_baseline_training_rows(tmp_path):
     rows = read_report(out2 / "train_report.csv")
     assert np.isfinite(float(metric(rows, "mlp", "train", "final_loss")))
     assert (out2 / "baseline_mlp.json").exists()
+
+
+def write_enso_container(path):
+    """A full 89x180 container: 32 years from 1980 with land and an ENSO box.
+
+    Every cell carries a fixed seasonal cycle plus white noise of sigma 0.3.
+    Rows 0-19, and rows 60-69 by columns 100-149, are land (NaN in every
+    month). The Nino-3.4 box is offset by +2 in even and -2 in odd reference
+    years (1980-2009), by 0.2 in 2010 (neutral) and by +4 in 2011 (warm).
+    """
+    n_years = 32
+    months = np.arange(12 * n_years)
+    rng = np.random.default_rng(0)
+    fields = rng.normal(0.0, 0.3, size=(months.size, data.GRID_N_LAT, data.GRID_N_LON))
+    fields += 26.0 + 2.0 * np.sin(2.0 * np.pi * months / 12.0)[:, None, None]
+    offsets = [2.0 if year % 2 == 0 else -2.0 for year in range(30)] + [0.2, 4.0]
+    rows, cols = data.nino34_region(data.default_grid(np.ones((data.GRID_N_LAT, data.GRID_N_LON), bool)))
+    fields[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] += np.repeat(offsets, 12)[:, None, None]
+    fields[:, :20] = np.nan
+    fields[:, 60:70, 100:150] = np.nan
+    data.write_sst(path, fields, 1980)
+    return (int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
+
+
+def test_the_data_path_runs_end_to_end_on_a_generated_container(tmp_path):
+    """load -> anomalies -> index -> labels -> split -> train -> relevance through the CLI.
+
+    The reference years give 180 El Nino and 180 La Nina months, 2010 is
+    neutral and 2011 adds 12 El Nino months: 372 samples, of which the
+    first 297 (1980 up to September 2004) train, 153 of them El Nino.
+    """
+    container = tmp_path / "sst.sstg"
+    box = write_enso_container(container)
+    out = tmp_path / "out"
+    common = ["--data", str(container), "--ridge", "1e-8", "--n-res", "50", "--out", str(out)]
+    assert run_cli("train", "--baseline", "linreg", *common) == 0
+    assert run_cli("relevance", "--class", "elnino", *common) == 0
+
+    with open(out / "samples.csv", newline="", encoding="ascii") as handle:
+        samples = list(csv.DictReader(handle))
+    assert len(samples) == 372
+    assert sum(row["split"] == "train" for row in samples) == 297
+    assert sum(row["split"] == "val" for row in samples) == 75
+    assert sum(row["label"] == readout.ClassLabel.EL_NINO.value for row in samples) == 192
+    assert persistence.load_model(out / "baseline_linreg.json").w_out.shape[-1] == 11_920
+
+    audit = (out / "relevance_audit.csv").read_text(encoding="ascii").splitlines()[1:]
+    assert len(audit) == 153
+    assert all(line.split(",")[-1] == "1" for line in audit)  # within_tolerance
+    land = np.zeros((data.GRID_N_LAT, data.GRID_N_LON), dtype=bool)
+    land[:20] = True
+    land[60:70, 100:150] = True
+    for path in sorted((out / "relevance").glob("sample_*.csv")):
+        scores = np.loadtxt(path, delimiter=",")
+        assert scores.shape == land.shape
+        assert np.all(scores[land] == 0.0)
+    mean = np.loadtxt(out / "mean_map.csv", delimiter=",")
+    assert np.all(mean[land] == 0.0)
+    assert data.box_mass_ratio(mean, box) > 5.0

@@ -278,6 +278,26 @@ def test_batched_maps_match_single_sample_maps(n, d, t, batch, alpha, zero_sampl
         assert rmap.conserved(1e-6)
 
 
+def test_a_map_keeps_no_other_map_of_its_batch_alive():
+    """A consumer holding one map must not pin its whole batch's scores.
+
+    The buffer behind each map's scores (the root of its `.base` chain)
+    shares no memory with any other map of the batch.
+    """
+    rng = np.random.default_rng(21)
+    model = random_model(rng, 4, 3, alpha=0.5)
+    samples = np.stack([random_sample(rng, 3, 6) for _ in range(3)])
+    maps = relevance_map(model, run_reservoir(model, samples))
+    for a in maps:
+        owner = a.scores
+        while owner.base is not None:
+            owner = owner.base
+        assert a.scores.flags.c_contiguous
+        for b in maps:
+            if b is not a:
+                assert not np.shares_memory(owner, b.scores)
+
+
 def test_map_sign_follows_output():
     rng = np.random.default_rng(42)
     for _ in range(10):
