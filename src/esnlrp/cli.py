@@ -268,13 +268,13 @@ def fit_esn(
 ) -> Tuple[reservoir.EsnModel, np.ndarray]:
     """Build a reservoir, fit its readout on the train split, score every sample.
 
-    The scores hold the train rows, then the val rows (see `split_rows`).
+    The scores are in sample order, so the train rows come first (see `split_rows`).
     """
     train = sample_set.train_samples
     if not train:
         raise DataError("sample set has no training samples")
     model = reservoir.init_reservoir(cfg.esn_config(train[0].field.shape[0], alpha))
-    states = encode(model, train + sample_set.val_samples)
+    states = encode(model, sample_set.samples)
     solution = readout.fit_readout(states[: len(train)], np.array([s.index for s in train]), ridge=cfg.ridge)
     model = model.with_readout(solution.w_out, solution.b_out)
     return model, states @ model.w_out[0] + model.b_out[0]
@@ -303,20 +303,20 @@ def accuracy_rows(model_name: str, split: str, report: readout.AccuracyReport) -
 
 
 def split_rows(model_name: str, sample_set: data.SampleSet, scores: np.ndarray) -> List[str]:
-    """Accuracy rows per split, from scores ordered train rows first, then val rows."""
+    """Accuracy rows per split, from scores in sample order."""
+    n = sample_set.n_train
     rows: List[str] = []
-    start = 0
-    for split, samples in (("train", sample_set.train_samples), ("val", sample_set.val_samples)):
+    for split, samples, part in (
+        ("train", sample_set.train_samples, scores[:n]),
+        ("val", sample_set.val_samples, scores[n:]),
+    ):
         if samples:
-            report = readout.accuracy(scores[start : start + len(samples)], [s.label for s in samples])
-            rows.extend(accuracy_rows(model_name, split, report))
-        start += len(samples)
+            rows.extend(accuracy_rows(model_name, split, readout.accuracy(part, [s.label for s in samples])))
     return rows
 
 
 def val_accuracy(sample_set: data.SampleSet, scores: np.ndarray) -> readout.AccuracyReport:
-    val = sample_set.val_samples
-    return readout.accuracy(scores[len(sample_set.train_samples) :], [s.label for s in val])
+    return readout.accuracy(scores[sample_set.n_train :], [s.label for s in sample_set.val_samples])
 
 
 def write_report(path: Path, rows: List[str]) -> None:
@@ -326,17 +326,12 @@ def write_report(path: Path, rows: List[str]) -> None:
 def baseline_rows(cfg: ExperimentConfig, sample_set: data.SampleSet, anomalies: Optional[data.SstDataset], out: Path) -> List[str]:
     if cfg.baseline == "none":
         return []
-    if anomalies is not None:
-        mask = anomalies.grid.valid_mask
-    else:
-        mask = np.ones(sample_set.samples[0].field.shape, dtype=bool)
-
-    train = sample_set.train_samples
-    ordered = train + sample_set.val_samples
-    x = np.empty((len(ordered), int(mask.sum())))
-    for i, s in enumerate(ordered):
+    # synthetic fields have no invalid cells
+    mask = np.ones(sample_set.samples[0].field.shape, bool) if anomalies is None else anomalies.valid_mask
+    x = np.empty((len(sample_set.samples), int(mask.sum())))
+    for i, s in enumerate(sample_set.samples):
         x[i] = data.preprocess_for_baseline(s, mask)
-    x_train, y_train = x[: len(train)], np.array([s.index for s in train])
+    x_train, y_train = x[: sample_set.n_train], np.array([s.index for s in sample_set.train_samples])
     if cfg.baseline == "linreg":
         solution = baselines.fit_linreg(x_train, y_train, ridge=cfg.ridge)
         persistence.save_model(out / "baseline_linreg.json", solution)
@@ -373,7 +368,7 @@ def load_trained_model(out: Path) -> reservoir.EsnModel:
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     model = load_trained_model(out)
     sample_set, _ = resolve_samples(cfg)
-    states = encode(model, sample_set.train_samples + sample_set.val_samples)
+    states = encode(model, sample_set.samples)
     scores = states @ model.w_out[0] + model.b_out[0]
     write_report(out / "eval_report.csv", split_rows("esn", sample_set, scores))
 

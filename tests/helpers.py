@@ -1,7 +1,8 @@
-"""Shared builders for tests: models from explicit arrays, random draws."""
+"""Shared builders for tests: models from explicit arrays, random draws, a generated SST container."""
 
 import numpy as np
 
+from esnlrp import data
 from esnlrp.reservoir import EsnConfig, EsnModel
 
 
@@ -40,3 +41,26 @@ def random_sample(rng, d, t):
     sample = rng.uniform(-1.0, 1.0, size=(d, t))
     sample[:, 0] = 1.0
     return sample
+
+
+def write_enso_container(path):
+    """A full 89x180 container: 32 years from 1980 with land and an ENSO box.
+
+    Every cell carries a fixed seasonal cycle plus white noise of sigma 0.3.
+    Rows 0-19, and rows 60-69 by columns 100-149, are land (NaN in every
+    month). The Nino-3.4 box is offset by +2 in even and -2 in odd reference
+    years (1980-2009), by 0.2 in 2010 (neutral) and by +4 in 2011 (warm).
+    Returns the box as inclusive (row_lo, row_hi, col_lo, col_hi) bounds.
+    """
+    n_years = 32
+    months = np.arange(12 * n_years)
+    rng = np.random.default_rng(0)
+    fields = rng.normal(0.0, 0.3, size=(months.size, data.GRID_N_LAT, data.GRID_N_LON))
+    fields += 26.0 + 2.0 * np.sin(2.0 * np.pi * months / 12.0)[:, None, None]
+    offsets = [2.0 if year % 2 == 0 else -2.0 for year in range(30)] + [0.2, 4.0]
+    rows, cols = data.nino34_region()
+    fields[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] += np.repeat(offsets, 12)[:, None, None]
+    fields[:, :20] = np.nan
+    fields[:, 60:70, 100:150] = np.nan
+    data.write_sst(path, fields, 1980)
+    return (int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))

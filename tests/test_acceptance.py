@@ -284,7 +284,7 @@ def test_criterion_6_baselines():
         )
 
     sample_set, anomalies = real_dataset()
-    mask = anomalies.grid.valid_mask
+    mask = anomalies.valid_mask
 
     def vectors(samples):
         return np.stack([data.preprocess_for_baseline(s, mask) for s in samples])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from esnlrp import cli, data, persistence, readout, reservoir
+from helpers import write_enso_container
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
 
@@ -366,39 +367,26 @@ def test_baseline_training_rows(tmp_path):
     assert (out2 / "baseline_mlp.json").exists()
 
 
-def write_enso_container(path):
-    """A full 89x180 container: 32 years from 1980 with land and an ENSO box.
-
-    Every cell carries a fixed seasonal cycle plus white noise of sigma 0.3.
-    Rows 0-19, and rows 60-69 by columns 100-149, are land (NaN in every
-    month). The Nino-3.4 box is offset by +2 in even and -2 in odd reference
-    years (1980-2009), by 0.2 in 2010 (neutral) and by +4 in 2011 (warm).
-    """
-    n_years = 32
-    months = np.arange(12 * n_years)
-    rng = np.random.default_rng(0)
-    fields = rng.normal(0.0, 0.3, size=(months.size, data.GRID_N_LAT, data.GRID_N_LON))
-    fields += 26.0 + 2.0 * np.sin(2.0 * np.pi * months / 12.0)[:, None, None]
-    offsets = [2.0 if year % 2 == 0 else -2.0 for year in range(30)] + [0.2, 4.0]
-    rows, cols = data.nino34_region(data.default_grid(np.ones((data.GRID_N_LAT, data.GRID_N_LON), bool)))
-    fields[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] += np.repeat(offsets, 12)[:, None, None]
-    fields[:, :20] = np.nan
-    fields[:, 60:70, 100:150] = np.nan
-    data.write_sst(path, fields, 1980)
-    return (int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
+@pytest.fixture(scope="module")
+def enso_container(tmp_path_factory):
+    """One generated container shared by the data-path tests: (path, Nino-3.4 box)."""
+    path = tmp_path_factory.mktemp("enso") / "sst.sstg"
+    return path, write_enso_container(path)
 
 
-def test_the_data_path_runs_end_to_end_on_a_generated_container(tmp_path):
+DATA_PATH_MODEL = ["--ridge", "1e-8", "--n-res", "50"]
+
+
+def test_the_data_path_runs_end_to_end_on_a_generated_container(tmp_path, enso_container):
     """load -> anomalies -> index -> labels -> split -> train -> relevance through the CLI.
 
     The reference years give 180 El Nino and 180 La Nina months, 2010 is
     neutral and 2011 adds 12 El Nino months: 372 samples, of which the
     first 297 (1980 up to September 2004) train, 153 of them El Nino.
     """
-    container = tmp_path / "sst.sstg"
-    box = write_enso_container(container)
+    container, box = enso_container
     out = tmp_path / "out"
-    common = ["--data", str(container), "--ridge", "1e-8", "--n-res", "50", "--out", str(out)]
+    common = ["--data", str(container), *DATA_PATH_MODEL, "--out", str(out)]
     assert run_cli("train", "--baseline", "linreg", *common) == 0
     assert run_cli("relevance", "--class", "elnino", *common) == 0
 
@@ -423,3 +411,39 @@ def test_the_data_path_runs_end_to_end_on_a_generated_container(tmp_path):
     mean = np.loadtxt(out / "mean_map.csv", delimiter=",")
     assert np.all(mean[land] == 0.0)
     assert data.box_mass_ratio(mean, box) > 5.0
+
+
+def test_the_leak_sweep_shows_fading_memory_on_the_data_path(tmp_path, enso_container):
+    """The paper's fading-memory study on the generated container.
+
+    The reservoir reads each field column by column, and the Nino-3.4 box
+    spans columns 95-120 of 180. A slowly leaking reservoir still holds
+    the box when it reaches the readout; as the leak rate grows it forgets
+    the box, and the El Nino mean map's mass moves toward the last columns.
+    """
+    container, _ = enso_container
+    out = tmp_path / "out"
+    assert run_cli("leak-sweep", "--data", str(container), *DATA_PATH_MODEL, "--class", "elnino", "--out", str(out)) == 0
+    with open(out / "sweep_report.csv", newline="", encoding="ascii") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [float(row["alpha"]) for row in rows] == list(cli.SWEEP_ALPHAS)
+    gravity = [float(row["mean_map_center_of_gravity"]) for row in rows]
+    assert all(a < b for a, b in zip(gravity, gravity[1:])), gravity
+    assert float(rows[0]["accuracy_overall"]) >= 0.9
+
+
+def test_the_permutation_study_restores_the_box_on_the_data_path(tmp_path, enso_container):
+    """Train on column-permuted fields; the restored mean map localises in Nino-3.4.
+
+    Pearson r between the restored and the base map is printed, not
+    asserted: on this input the two maps weight the box's columns
+    differently, and r stays well below the synthetic criterion's 0.8.
+    """
+    container, box = enso_container
+    out = tmp_path / "out"
+    assert run_cli("permutation", "--data", str(container), *DATA_PATH_MODEL, "--class", "elnino", "--out", str(out)) == 0
+    restored = np.loadtxt(out / "mean_map_restored.csv", delimiter=",")
+    ratio = data.box_mass_ratio(restored, box)
+    r = float(metric(read_report(out / "permutation_report.csv"), "comparison", "maps", "pearson_restored_vs_base"))
+    print(f"restored map: Nino-3.4 box-mass ratio {ratio:.2f}, Pearson r against the base map {r:.2f}")
+    assert ratio > 5.0

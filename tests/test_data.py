@@ -24,9 +24,9 @@ def test_sst_container_round_trip(tmp_path):
     assert loaded.start_year == 1980
     assert loaded.n_months == 5
     np.testing.assert_array_equal(loaded.month_ids, 1200 + np.arange(5))
-    assert not loaded.grid.valid_mask[3, 17]
-    assert loaded.grid.valid_mask[0, 0]
-    assert loaded.grid.n_valid == data.GRID_N_LAT * data.GRID_N_LON - 1
+    assert not loaded.valid_mask[3, 17]
+    assert loaded.valid_mask[0, 0]
+    assert loaded.valid_mask.sum() == data.GRID_N_LAT * data.GRID_N_LON - 1
 
 
 def test_write_sst_rejects_wrong_shape(tmp_path):
@@ -98,12 +98,7 @@ def seasonal_dataset(n_years, start_year=1980, signal=None, seed=0):
     fields = cycle[np.arange(n_months) % 12].astype(float)
     if signal is not None:
         fields = fields + np.asarray(signal, dtype=float)[:, None, None]
-    return data.SstDataset(
-        fields=fields,
-        start_year=start_year,
-        month_ids=(start_year - data.EPOCH_YEAR) * 12 + np.arange(n_months),
-        grid=data.default_grid(np.ones((data.GRID_N_LAT, data.GRID_N_LON), dtype=bool)),
-    )
+    return data.SstDataset(fields=fields, start_year=start_year)
 
 
 def test_anomalies_of_pure_seasonal_cycle_are_zero():
@@ -133,13 +128,11 @@ def test_anomalies_preserve_invalid_cells():
     dataset = seasonal_dataset(30)
     fields = dataset.fields.copy()
     fields[:, 7, 9] = np.nan
-    dataset = data.SstDataset(
-        fields=fields, start_year=dataset.start_year,
-        month_ids=dataset.month_ids, grid=dataset.grid,
-    )
+    dataset = data.SstDataset(fields=fields, start_year=dataset.start_year)
     anomalies = data.compute_anomalies(dataset)
     assert np.all(np.isnan(anomalies.fields[:, 7, 9]))
     assert np.all(np.isfinite(anomalies.fields[:, 0, :]))
+    np.testing.assert_array_equal(anomalies.valid_mask, dataset.valid_mask)
 
 
 def test_reference_period_outside_span_is_an_error():
@@ -149,11 +142,10 @@ def test_reference_period_outside_span_is_an_error():
 
 
 def test_nino34_region_bounds():
-    grid = data.default_grid(np.ones((89, 180), dtype=bool))
-    rows, cols = data.nino34_region(grid)
-    np.testing.assert_array_equal(grid.lat_centers[rows], [-4, -2, 0, 2, 4])
-    assert grid.lon_centers[cols][0] == 190.0
-    assert grid.lon_centers[cols][-1] == 240.0
+    rows, cols = data.nino34_region()
+    np.testing.assert_array_equal(data.LAT_CENTERS[rows], [-4, -2, 0, 2, 4])
+    assert data.LON_CENTERS[cols][0] == 190.0
+    assert data.LON_CENTERS[cols][-1] == 240.0
     assert len(cols) == 26
 
 
@@ -164,20 +156,12 @@ def test_nino34_index_unit_reference_std_and_scale_invariance():
     index = data.nino34_index(anomalies)
     ref = slice(0, 30 * 12)
     assert abs(float(index[ref].std()) - 1.0) <= 1e-9
-    tripled = data.SstDataset(
-        fields=anomalies.fields * 3.0, start_year=anomalies.start_year,
-        month_ids=anomalies.month_ids, grid=anomalies.grid,
-    )
+    tripled = data.SstDataset(fields=anomalies.fields * 3.0, start_year=anomalies.start_year)
     np.testing.assert_allclose(data.nino34_index(tripled), index, rtol=1e-9)
 
 
 def test_nino34_index_degenerate_reference():
-    flat = data.SstDataset(
-        fields=np.zeros((30 * 12, data.GRID_N_LAT, data.GRID_N_LON)),
-        start_year=1980,
-        month_ids=1200 + np.arange(30 * 12),
-        grid=data.default_grid(np.ones((data.GRID_N_LAT, data.GRID_N_LON), dtype=bool)),
-    )
+    flat = data.SstDataset(fields=np.zeros((30 * 12, data.GRID_N_LAT, data.GRID_N_LON)), start_year=1980)
     with pytest.raises(DataError, match="degenerate"):
         data.nino34_index(data.compute_anomalies(flat))
 
@@ -185,12 +169,9 @@ def test_nino34_index_degenerate_reference():
 def test_nino34_index_empty_box_month():
     dataset = seasonal_dataset(31, signal=np.arange(31 * 12, dtype=float))
     fields = dataset.fields.copy()
-    rows, cols = data.nino34_region(dataset.grid)
+    rows, cols = data.nino34_region()
     fields[np.ix_([5], rows, cols)] = np.nan
-    broken = data.SstDataset(
-        fields=fields, start_year=dataset.start_year,
-        month_ids=dataset.month_ids, grid=dataset.grid,
-    )
+    broken = data.SstDataset(fields=fields, start_year=dataset.start_year)
     with pytest.raises(DataError, match="no valid cells"):
         data.nino34_index(data.compute_anomalies(broken))
 
@@ -227,6 +208,22 @@ def test_build_sample_set_drops_neutral_and_splits_in_order():
         )
 
 
+def test_samples_derive_their_label_and_sets_their_split():
+    field = np.zeros((3, 4))
+    assert data.LabeledSample(field=field, index=-0.7, month_id=0).label is ClassLabel.LA_NINA
+    for bad_field, index in ((field, float("nan")), (np.zeros(4), 1.0), (np.full((3, 4), 5.5), 1.0)):
+        with pytest.raises(DataError):
+            data.LabeledSample(field=bad_field, index=index, month_id=0)
+    with pytest.raises(DataError, match="neutral"):
+        data.SampleSet(samples=(data.LabeledSample(field=field, index=0.2, month_id=0),))
+
+    samples = tuple(data.LabeledSample(field=field, index=1.0, month_id=i) for i in range(11))
+    sample_set = data.SampleSet(samples=samples)
+    assert sample_set.n_train == 8
+    assert sample_set.train_samples == samples[:8] and sample_set.val_samples == samples[8:]
+    assert sample_set.split == ("train",) * 8 + ("val",) * 3
+
+
 def test_build_sample_set_rejects_bad_index_length():
     anomalies = data.compute_anomalies(seasonal_dataset(31))
     with pytest.raises(DataError):
@@ -241,9 +238,7 @@ def test_preprocess_field_clips_scales_and_prepends_ones():
 
 
 def test_preprocess_field_width():
-    sample = data.LabeledSample(
-        field=np.zeros((89, 180)), index=1.0, label=ClassLabel.EL_NINO, month_id=0
-    )
+    sample = data.LabeledSample(field=np.zeros((89, 180)), index=1.0, month_id=0)
     assert data.preprocess_field(sample.field).shape == (89, 181)
 
 
@@ -251,12 +246,12 @@ def test_preprocess_for_baseline_ignores_invalid_cells():
     mask = np.ones((4, 5), dtype=bool)
     mask[1, 2] = False
     field = np.arange(20, dtype=float).reshape(4, 5) / 10.0
-    sample = data.LabeledSample(field=field, index=1.0, label=ClassLabel.EL_NINO, month_id=0)
+    sample = data.LabeledSample(field=field, index=1.0, month_id=0)
     vector = data.preprocess_for_baseline(sample, mask)
     assert vector.shape == (19,)
     poisoned = field.copy()
     poisoned[1, 2] = 4.9  # valid magnitude, still masked out
-    sample2 = data.LabeledSample(field=poisoned, index=1.0, label=ClassLabel.EL_NINO, month_id=0)
+    sample2 = data.LabeledSample(field=poisoned, index=1.0, month_id=0)
     np.testing.assert_array_equal(data.preprocess_for_baseline(sample2, mask), vector)
     with pytest.raises(DataError):
         data.preprocess_for_baseline(sample, np.ones((3, 3), dtype=bool))
@@ -300,8 +295,6 @@ def test_synthesize_task_validation():
         data.synthesize_task(10, 20, 7, seed=0)
     with pytest.raises(ConfigError):
         data.synthesize_task(1, 8, 8, seed=0)
-    with pytest.raises(ConfigError):
-        data.synthesize_task(10, 8, 8, seed=0, noise_scale=-0.1)
 
 
 def test_synthesize_task_determinism_and_labels():
@@ -337,13 +330,12 @@ def test_smoothed_noise_matches_scipy_bit_for_bit(shape):
         np.testing.assert_array_equal(next(noises), gaussian_filter(draws.standard_normal(shape), sigma=sigma))
 
 
-def test_synthesize_task_zero_noise_is_pure_blob():
-    task = data.synthesize_task(4, 12, 20, seed=3, noise_scale=0.0)
-    fields = [s.field / s.index for s in task.samples]
-    for field in fields[1:]:
-        np.testing.assert_allclose(field, fields[0], rtol=1e-12)
+def test_synthesize_task_averaged_signal_peaks_in_the_blob_box():
+    """Dividing by the index turns every sample into the blob plus noise; averaging cancels the noise."""
+    task = data.synthesize_task(64, 12, 20, seed=3)
+    signal = np.mean([s.field / s.index for s in task.samples], axis=0)
     r0, r1, c0, c1 = data.synthetic_blob_box(12, 20)
-    peak = np.unravel_index(np.argmax(fields[0]), fields[0].shape)
+    peak = np.unravel_index(np.argmax(signal), signal.shape)
     assert r0 <= peak[0] <= r1 and c0 <= peak[1] <= c1
 
 
@@ -421,8 +413,7 @@ def enso_like_fields(n_years=32, start_year=1980):
     box_signal[30 * 12 : 31 * 12] = 0.1 * amplitude  # neutral year
     box_signal[31 * 12 :] = 2.0 * amplitude  # strongly warm year
 
-    grid = data.default_grid(np.ones((data.GRID_N_LAT, data.GRID_N_LON), dtype=bool))
-    rows, cols = data.nino34_region(grid)
+    rows, cols = data.nino34_region()
     fields[np.ix_(np.arange(n_months), rows, cols)] += box_signal[:, None, None]
     return fields, box_signal / amplitude
 
@@ -445,4 +436,4 @@ def test_full_pipeline_on_constructed_container(tmp_path):
     n_train = int(data.TRAIN_FRACTION * len(sample_set.samples))
     assert len(sample_set.train_samples) == n_train
     assert len(sample_set.val_samples) == len(sample_set.samples) - n_train
-    assert anomalies.grid.n_valid == data.GRID_N_LAT * data.GRID_N_LON
+    assert anomalies.valid_mask.all()

@@ -49,7 +49,7 @@ def test_output_layer_equal_positive_contributions():
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[1.0, 1.0], b_out=[0.0],
     )
-    r_state, absorbed = relevance_output_layer(model, final_state_trajectory([0.3, 0.7]))
+    r_state, absorbed, _ = relevance_output_layer(model, final_state_trajectory([0.3, 0.7]))
     np.testing.assert_allclose(r_state[0], [0.3, 0.7], atol=1e-15)
     assert absorbed[0] == 0.0
 
@@ -59,7 +59,7 @@ def test_output_layer_negative_contribution_gets_nothing():
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[1.0, -1.0], b_out=[0.25],
     )
-    r_state, absorbed = relevance_output_layer(model, final_state_trajectory([0.5, 0.5]))
+    r_state, absorbed, _ = relevance_output_layer(model, final_state_trajectory([0.5, 0.5]))
     # y(T) = 0.5 - 0.5 + 0.25; the single positive contribution takes all of it
     np.testing.assert_allclose(r_state[0], [0.25, 0.0], atol=1e-15)
     assert absorbed[0] == 0.0
@@ -70,9 +70,10 @@ def test_output_layer_zero_state_absorbs_everything():
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[1.0, 1.0], b_out=[0.4],
     )
-    r_state, absorbed = relevance_output_layer(model, final_state_trajectory([0.0, 0.0]))
+    r_state, absorbed, total = relevance_output_layer(model, final_state_trajectory([0.0, 0.0]))
     np.testing.assert_array_equal(r_state[0], [0.0, 0.0])
     assert absorbed[0] == 0.4
+    assert total.shape == (1,) and total[0] == 0.4
 
 
 def test_output_layer_requires_training_and_single_output():
