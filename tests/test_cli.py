@@ -171,6 +171,40 @@ def test_fresh_fits_agree_across_blas_thread_counts(tmp_path):
     np.testing.assert_allclose(one["centres"], two["centres"], rtol=0.0, atol=1e-9)
 
 
+def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
+    """train and relevance from scratch at paper shape under 1 and 2 BLAS threads.
+
+    With 89x180 inputs and 300 units the reservoir's eigenvalue solve, the
+    encoding products and the 28-map batch all thread, so only agreement is
+    promised, not bits: the train report is byte-identical, w_res agrees
+    within 1e-12 of its peak, and w_out and every map within 1e-9 of theirs.
+    """
+    shape = ["--synthetic", "89,180,35", "--ridge", "1e-8"]
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
+        for command in ("train", "relevance"):
+            subprocess.run(
+                [sys.executable, "-m", "esnlrp.cli", command, "--out", str(out), *shape],
+                env=env, check=True, timeout=300,
+            )
+        model = persistence.load_model(out / "esn_model.json")
+        runs[threads] = {
+            "report": (out / "train_report.csv").read_bytes(),
+            "w_res": model.w_res,
+            "w_out": np.append(model.w_out, model.b_out),
+            "maps": [np.loadtxt(p, delimiter=",", ndmin=2) for p in sorted((out / "relevance").glob("sample_*.csv"))],
+        }
+    one, two = runs["1"], runs["2"]
+    assert one["report"] == two["report"]
+    assert np.max(np.abs(one["w_res"] - two["w_res"])) <= 1e-12 * np.max(np.abs(one["w_res"]))
+    assert np.max(np.abs(one["w_out"] - two["w_out"])) <= 1e-9 * np.max(np.abs(one["w_out"]))
+    assert len(one["maps"]) == len(two["maps"]) == 28
+    for a, b in zip(one["maps"], two["maps"]):
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+
+
 @pytest.mark.parametrize(
     "edit, key",
     [

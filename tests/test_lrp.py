@@ -20,10 +20,13 @@ from esnlrp.lrp import (
     write_heatmap_pgm,
     write_matrix_csv,
 )
-from esnlrp.reservoir import StateTrajectory, run_reservoir
+from esnlrp import data
+from esnlrp.readout import fit_readout
+from esnlrp.reservoir import EsnConfig, StateTrajectory, final_states, init_reservoir, run_reservoir
 
 from helpers import assemble_model, random_model, random_sample
 from oracle_lrp import oracle_relevance
+from reference_lrp import reference_relevance
 
 
 def final_state_trajectory(x_final, n_inputs=1):
@@ -297,6 +300,45 @@ def test_a_map_keeps_no_other_map_of_its_batch_alive():
         for b in maps:
             if b is not a:
                 assert not np.shares_memory(owner, b.scores)
+
+
+@pytest.fixture(scope="module")
+def paper_shape_batch():
+    """A 300-unit reservoir fitted on 28 synthetic 89x180 samples, and 4 inputs to map.
+
+    The third input has its column 40 zeroed, so that step crosses W_in on
+    nothing but zero contributions.
+    """
+    sample_set = data.synthesize_task(35, 89, 180, seed=1)
+    inputs = np.stack([data.preprocess_field(s.field) for s in sample_set.samples])
+    model = init_reservoir(EsnConfig(n_in=89, seed=1))
+    n_train = len(sample_set.train_samples)
+    targets = np.array([s.index for s in sample_set.train_samples])
+    solution = fit_readout(final_states(model, inputs[:n_train]), targets, ridge=1e-8)
+    batch = inputs[[0, 1, 30, 33]].copy()
+    batch[2, :, 40] = 0.0
+    return model.with_readout(solution.w_out, solution.b_out), batch
+
+
+@pytest.mark.parametrize("epsilon", [1e-12, 0.05])
+def test_maps_match_the_reference_at_paper_shape(paper_shape_batch, epsilon):
+    """Batched maps at 89x180 with 300 units agree with the one-sample z+ reference.
+
+    Scores and dummy scores agree within 1e-12 of their peak, absorbed and
+    total within 1e-12 of the total. Most of each output is absorbed at
+    this shape (69-74% at epsilon 1e-12, 88-91% at 0.05, where nothing
+    reaches the dummy column), so the absorbed ledger carries weight here.
+    """
+    model, batch = paper_shape_batch
+    maps = relevance_map(model, run_reservoir(model, batch), LrpConfig(epsilon))
+    for sample, rmap in zip(batch, maps):
+        scores, dummy, absorbed, total = reference_relevance(model, sample, epsilon)
+        tol = 1e-12 * abs(total)
+        assert np.max(np.abs(rmap.scores - scores)) <= 1e-12 * np.max(np.abs(scores))
+        assert np.max(np.abs(rmap.dummy_scores - dummy)) <= 1e-12 * np.max(np.abs(dummy))
+        assert abs(rmap.absorbed - absorbed) <= tol
+        assert abs(rmap.total - total) <= tol
+        assert rmap.conserved(1e-6)
 
 
 def test_map_sign_follows_output():
