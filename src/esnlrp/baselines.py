@@ -1,7 +1,8 @@
 """Reference models to compare the reservoir against.
 
 Two baselines operate on vectorized fields: closed-form linear regression
-(delegating to the reservoir readout solver) and a small identity-activation
+(fitted by the reservoir readout solver, `readout.fit_readout`, and scored by
+`linreg_predict`) and a small identity-activation
 multilayer perceptron trained with mini-batch Adam on mean squared error.
 The MLP's layers are all affine, so the whole network collapses to a single
 affine map; it is kept in layered form anyway because the layered
@@ -17,9 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .readout import ReadoutSolution, fit_readout
+from .readout import ReadoutSolution
 
-DEFAULT_LAYER_DIMS = (10_988, 8, 8, 1)
+# Widths of the two hidden layers; the input and output widths come from the data.
+HIDDEN_DIMS = (8, 8)
 
 ADAM_LR = 0.0005
 ADAM_BETA1 = 0.9
@@ -74,7 +76,7 @@ class AdamState:
     lr: float = ADAM_LR
 
 
-def init_mlp(layer_dims: Sequence[int] = DEFAULT_LAYER_DIMS, seed: int = 0) -> MlpModel:
+def init_mlp(layer_dims: Sequence[int], seed: int = 0) -> MlpModel:
     """Uniform init in [-0.05, 0.05] from a dedicated substream of the seed."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     dims = tuple(int(d) for d in layer_dims)
@@ -102,13 +104,9 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> List[np.ndarray]:
 
 
 def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass; a single vector gives a scalar, a batch gives a vector."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
+    """One score per row of x, shape (n,); a net with several outputs gives (n, n_out)."""
     out = mlp_forward(model, x)[-1]
-    if out.shape[1] == 1:
-        out = out[:, 0]
-    return float(out[0]) if single and out.ndim == 1 else (out[0] if single else out)
+    return out[:, 0] if out.shape[1] == 1 else out
 
 
 def composed_affine(model: MlpModel) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,10 +212,10 @@ def train_mlp(
     epochs: int = 30,
     batch: int = 10,
     seed: int = 0,
-    layer_dims: Optional[Sequence[int]] = None,
     lr: float = ADAM_LR,
 ) -> Tuple[MlpModel, List[float]]:
-    """Mini-batch Adam on MSE; deterministic given the seed.
+    """Mini-batch Adam on MSE for a net of HIDDEN_DIMS between the data's widths;
+    deterministic given the seed.
 
     The seed spawns two substreams, one for the weight init and one for the
     per-epoch reshuffle, so init and batch order never interact. Returns the
@@ -236,13 +234,9 @@ def train_mlp(
         raise ConfigError(f"{n_samples} vectors but {targets.shape[0]} targets")
     if epochs < 1 or batch < 1:
         raise ConfigError(f"epochs and batch must be positive, got {epochs}, {batch}")
-    if layer_dims is None:
-        layer_dims = (vectors.shape[1], 8, 8, targets.shape[1])
-    if layer_dims[0] != vectors.shape[1]:
-        raise ConfigError(f"input dim {layer_dims[0]} does not match vector width {vectors.shape[1]}")
 
     streams = np.random.SeedSequence(seed).spawn(2)
-    initial = init_mlp(layer_dims, seed=seed)
+    initial = init_mlp((vectors.shape[1], *HIDDEN_DIMS, targets.shape[1]), seed=seed)
     dims = initial.layer_dims
     shuffle_rng = np.random.default_rng(streams[1])
     state = adam_init(initial, lr=lr)
@@ -275,11 +269,6 @@ def train_mlp(
         history.append(float(np.mean(epoch_losses)))
     theta.setflags(write=False)
     return MlpModel(dims, *_blocks(dims, theta)), history
-
-
-def fit_linreg(vectors: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutSolution:
-    """Closed-form linear regression on vectorized fields."""
-    return fit_readout(np.atleast_2d(np.asarray(vectors, dtype=float)), targets, ridge=ridge)
 
 
 def linreg_predict(model: ReadoutSolution, vectors: np.ndarray) -> np.ndarray:

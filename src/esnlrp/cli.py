@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,7 +28,6 @@ SWEEP_ALPHAS = (0.01, 0.05, 0.2, 0.4)
 SWEEP_TAGS = ("A", "B", "C", "D")
 DEFAULT_SYNTHETIC = (16, 96, 300)
 
-COMMANDS = ("train", "evaluate", "relevance", "leak-sweep", "permutation", "synthetic")
 CLASS_FILTERS = ("elnino", "lanina", "both")
 BASELINES = ("linreg", "mlp", "none")
 
@@ -57,9 +56,9 @@ class ExperimentConfig:
     baseline: str = "none"
     permute_seed: int = 1
     synthetic: Optional[Tuple[int, int, int]] = None
-    epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
+        """Check every setting, whether or not the command uses it, before any data is read."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.class_filter not in CLASS_FILTERS:
@@ -78,6 +77,8 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(f"--synthetic needs three positive integers d,t,n, got {self.synthetic!r}")
             self.synthetic = tuple(int(v) for v in self.synthetic)
+        self.esn_config(n_in=1)
+        readout.check_ridge(self.ridge)
 
     def esn_config(self, n_in: int, alpha: Optional[float] = None) -> reservoir.EsnConfig:
         return reservoir.EsnConfig(
@@ -88,9 +89,6 @@ class ExperimentConfig:
             spectral_radius=self.spectral_radius,
             seed=self.seed,
         )
-
-    def lrp_config(self) -> lrp.LrpConfig:
-        return lrp.LrpConfig(epsilon=self.epsilon)
 
 
 # Field types, resolved from the annotations, that config-file values must have.
@@ -114,16 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and explain leaky echo state networks on gridded 2-D patterns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "train": "train a reservoir (and optional baselines), write model and accuracy report",
-        "evaluate": "re-evaluate a previously trained model on a dataset",
-        "relevance": "per-sample relevance maps, conservation audit, and the mean map",
-        "leak-sweep": "train at leak rates 0.01/0.05/0.2/0.4 and compare maps",
-        "permutation": "train on column-permuted data and restore the mean map",
-        "synthetic": "full study on the generated task with known signal location",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=descriptions[name])
+    for name, (_, help_text) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, help="JSON file of settings; flags override it")
         sp.add_argument("--data", default=None, help="dataset container path")
         sp.add_argument("--out", default=None, help="output directory (default: out)")
@@ -184,7 +174,13 @@ def config_file_value(path: Path, key: str, name: str, value: object) -> object:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Start from defaults, apply the config file, then non-default flags."""
+    """Start from defaults, apply the config file, then non-default flags.
+
+    Every setting has a flag; its config-file key is the flag's `dest`, or
+    `class` for `--class`.
+    """
+    names = {"class" if f.name == "class_filter" else f.name: f.name for f in dataclass_fields(ExperimentConfig)}
+    del names["command"]
     values: Dict[str, object] = {}
     if args.config is not None:
         path = Path(args.config)
@@ -194,18 +190,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        known = {f.name for f in dataclass_fields(ExperimentConfig)} - {"command"}
         for key, value in loaded.items():
-            name = "class_filter" if key == "class" else key
-            if name not in known:
+            if key not in names:
                 raise ConfigError(f"config file {path} has unknown key {key!r}")
-            values[name] = config_file_value(path, key, name, value)
-    for field in dataclass_fields(ExperimentConfig):
-        if field.name in ("command",) or not hasattr(args, field.name):
-            continue
-        flag = getattr(args, field.name)
-        if flag is not None:
-            values[field.name] = flag
+            values[names[key]] = config_file_value(path, key, names[key], value)
+    for name in names.values():
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     return ExperimentConfig(command=args.command, **values)
 
 
@@ -277,20 +268,18 @@ def fit_esn(
     states = encode(model, sample_set.samples)
     solution = readout.fit_readout(states[: len(train)], np.array([s.index for s in train]), ridge=cfg.ridge)
     model = model.with_readout(solution.w_out, solution.b_out)
-    return model, states @ model.w_out[0] + model.b_out[0]
+    return model, reservoir.model_output(model, states)[:, 0]
 
 
-def maps_for(
-    model: reservoir.EsnModel, samples: Sequence[data.LabeledSample], cfg: ExperimentConfig
-) -> Iterator[lrp.RelevanceMap]:
-    """Relevance map of each sample, in order, built one batch at a time.
+def maps_for(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> Iterator[lrp.RelevanceMap]:
+    """Relevance map of each sample, in order, built one batch at a time at
+    the default `lrp.LrpConfig` (ε is not a command-line setting).
 
     A batch's trajectory is dropped as soon as its maps are built.
     """
-    lcfg = cfg.lrp_config()
     # a trajectory holds the states, one float per unit and step
     for batch in batches(samples, model.config.n_res * 8):
-        yield from lrp.relevance_map(model, reservoir.run_reservoir(model, batch), lcfg)
+        yield from lrp.relevance_map(model, reservoir.run_reservoir(model, batch))
 
 
 def accuracy_rows(model_name: str, split: str, report: readout.AccuracyReport) -> List[str]:
@@ -333,14 +322,14 @@ def baseline_rows(cfg: ExperimentConfig, sample_set: data.SampleSet, anomalies: 
         x[i] = data.preprocess_for_baseline(s, mask)
     x_train, y_train = x[: sample_set.n_train], np.array([s.index for s in sample_set.train_samples])
     if cfg.baseline == "linreg":
-        solution = baselines.fit_linreg(x_train, y_train, ridge=cfg.ridge)
+        solution = readout.fit_readout(x_train, y_train, ridge=cfg.ridge)
         persistence.save_model(out / "baseline_linreg.json", solution)
         rows = split_rows("linreg", sample_set, baselines.linreg_predict(solution, x))
         rows.append(f"linreg,train,mse,{solution.train_mse:.9g}")
     else:
         model, history = baselines.train_mlp(x_train, y_train, seed=cfg.seed)
         persistence.save_model(out / "baseline_mlp.json", model)
-        rows = split_rows("mlp", sample_set, np.atleast_1d(baselines.mlp_predict(model, x)))
+        rows = split_rows("mlp", sample_set, baselines.mlp_predict(model, x))
         rows.append(f"mlp,train,final_loss,{history[-1]:.9g}")
     return rows
 
@@ -368,8 +357,7 @@ def load_trained_model(out: Path) -> reservoir.EsnModel:
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     model = load_trained_model(out)
     sample_set, _ = resolve_samples(cfg)
-    states = encode(model, sample_set.samples)
-    scores = states @ model.w_out[0] + model.b_out[0]
+    scores = reservoir.model_output(model, encode(model, sample_set.samples))[:, 0]
     write_report(out / "eval_report.csv", split_rows("esn", sample_set, scores))
 
 
@@ -386,7 +374,7 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
 
     def exported() -> Iterator[lrp.RelevanceMap]:
         """Write each map's CSV and audit row as it streams past."""
-        for i, (sample, rmap) in enumerate(zip(samples, maps_for(model, samples, cfg))):
+        for i, (sample, rmap) in enumerate(zip(samples, maps_for(model, samples))):
             lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
             audit.append(
                 f"{i},{sample.month_id},{sample.label.value},{rmap.total:.9g},"
@@ -407,7 +395,7 @@ def cmd_leak_sweep(cfg: ExperimentConfig, out: Path) -> None:
     for alpha, tag in zip(SWEEP_ALPHAS, SWEEP_TAGS):
         model, scores = fit_esn(cfg, sample_set, alpha=alpha)
         report = val_accuracy(sample_set, scores)
-        maps = maps_for(model, filtered(sample_set.train_samples, cfg.class_filter), cfg)
+        maps = maps_for(model, filtered(sample_set.train_samples, cfg.class_filter))
         mean = lrp.mean_relevance(maps)
         lrp.write_matrix_csv(out / f"mean_map_{tag}.csv", mean)
         lrp.write_heatmap_pgm(out / f"mean_map_{tag}.pgm", mean)
@@ -434,13 +422,13 @@ def cmd_permutation(cfg: ExperimentConfig, out: Path) -> None:
     sample_set, _ = resolve_samples(cfg)
     base_model, base_scores = fit_esn(cfg, sample_set)
     base_report = val_accuracy(sample_set, base_scores)
-    base_maps = maps_for(base_model, filtered(sample_set.train_samples, cfg.class_filter), cfg)
+    base_maps = maps_for(base_model, filtered(sample_set.train_samples, cfg.class_filter))
     base_mean = lrp.mean_relevance(base_maps)
 
     permuted_set = data.permute_columns(sample_set, cfg.permute_seed)
     perm_model, perm_scores = fit_esn(cfg, permuted_set)
     perm_report = val_accuracy(permuted_set, perm_scores)
-    perm_maps = maps_for(perm_model, filtered(permuted_set.train_samples, cfg.class_filter), cfg)
+    perm_maps = maps_for(perm_model, filtered(permuted_set.train_samples, cfg.class_filter))
     perm_mean = lrp.mean_relevance(perm_maps)
     restored = data.inverse_permute(perm_mean, permuted_set)
 
@@ -475,7 +463,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
         samples = filtered(sample_set.train_samples, class_filter)
         if not samples:
             continue
-        mean = lrp.mean_relevance(maps_for(model, samples, cfg))
+        mean = lrp.mean_relevance(maps_for(model, samples))
         lrp.write_matrix_csv(out / f"mean_map_{class_filter}.csv", mean)
         lrp.write_heatmap_pgm(out / f"mean_map_{class_filter}.pgm", mean)
         rows.append(f"esn,train,localization_ratio_{class_filter},{data.box_mass_ratio(mean, box):.9g}")
@@ -483,18 +471,21 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     write_report(out / "synthetic_report.csv", rows)
 
 
+# Each command's handler and its help line, in the order `--help` lists them.
+COMMANDS: Dict[str, Tuple[Callable[[ExperimentConfig, Path], None], str]] = {
+    "train": (cmd_train, "train a reservoir (and optional baselines), write model and accuracy report"),
+    "evaluate": (cmd_evaluate, "re-evaluate a previously trained model on a dataset"),
+    "relevance": (cmd_relevance, "per-sample relevance maps, conservation audit, and the mean map"),
+    "leak-sweep": (cmd_leak_sweep, "train at leak rates 0.01/0.05/0.2/0.4 and compare maps"),
+    "permutation": (cmd_permutation, "train on column-permuted data and restore the mean map"),
+    "synthetic": (cmd_synthetic, "full study on the generated task with known signal location"),
+}
+
+
 def run(cfg: ExperimentConfig) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    handlers = {
-        "train": cmd_train,
-        "evaluate": cmd_evaluate,
-        "relevance": cmd_relevance,
-        "leak-sweep": cmd_leak_sweep,
-        "permutation": cmd_permutation,
-        "synthetic": cmd_synthetic,
-    }
-    handlers[cfg.command](cfg, out)
+    COMMANDS[cfg.command][0](cfg, out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -338,15 +338,13 @@ def permute_columns(sample_set: SampleSet, seed: int) -> SampleSet:
 
 
 def inverse_permute(arr: np.ndarray, sample_set: SampleSet) -> np.ndarray:
-    """Restore the original column order of a field, map, or column vector."""
+    """Restore the original column order of a 2-D field or map."""
     if sample_set.permutation is None:
         raise DataError("sample set carries no permutation to invert")
     inverse = np.argsort(sample_set.permutation)
     arr = np.asarray(arr)
     if arr.ndim == 2 and arr.shape[1] == inverse.size:
         return arr[:, inverse]
-    if arr.ndim == 1 and arr.shape[0] == inverse.size:
-        return arr[inverse]
     raise DataError(f"cannot invert object of shape {arr.shape} with {inverse.size} columns")
 
 

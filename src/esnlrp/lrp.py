@@ -84,13 +84,9 @@ def relevance_output_layer(
     epsilon; the output bias never receives a share) and the (B,) outputs
     that were distributed.
     """
-    if not model.is_trained:
-        raise ConfigError("readout not trained")
-    if model.w_out.shape[0] != 1:
-        raise ConfigError(
-            f"relevance decomposition expects a single output unit, got {model.w_out.shape[0]}"
-        )
-    total = model_output(model, traj)
+    total = model_output(model, traj.final_state)
+    if total.shape[1] != 1:
+        raise ConfigError(f"relevance decomposition expects a single output unit, got {total.shape[1]}")
     r_state, absorbed = _redistribute(sign_split(model.w_out), traj.final_state, total, cfg.epsilon)
     return r_state, absorbed, total[:, 0]
 

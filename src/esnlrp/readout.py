@@ -36,6 +36,12 @@ class AccuracyReport:
     n_samples: int
 
 
+def check_ridge(ridge: float) -> None:
+    """A ridge penalty must be finite and nonnegative; anything else is a ConfigError."""
+    if not 0.0 <= ridge < np.inf:
+        raise ConfigError(f"ridge must be finite and nonnegative, got {ridge}")
+
+
 def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutSolution:
     """Least-squares readout w, b minimizing ||X w + b - y||^2 + ridge * ||w||^2.
 
@@ -56,8 +62,7 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
         raise ConfigError(f"targets rows {y.shape[0]} != state rows {x.shape[0]}")
     if x.shape[0] < 2:
         raise ConfigError("need at least two samples to fit the readout")
-    if not 0.0 <= ridge < np.inf:
-        raise ConfigError(f"ridge must be finite and nonnegative, got {ridge}")
+    check_ridge(ridge)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ConfigError("final_states/targets contain non-finite entries")
 

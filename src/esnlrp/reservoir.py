@@ -261,8 +261,9 @@ def final_states(model: EsnModel, batch: np.ndarray) -> np.ndarray:
     return _run(model, _checked_batch(model, batch), 1)[0]
 
 
-def model_output(model: EsnModel, traj: StateTrajectory) -> np.ndarray:
-    """Linear readout on the final reservoir states: one row W_out x(T) + b_out per sample."""
+def model_output(model: EsnModel, final_states: np.ndarray) -> np.ndarray:
+    """The readout on a (B, n_res) matrix of final states: one row W_out x(T) + b_out
+    per sample, shape (B, n_out). An untrained model is a ConfigError."""
     if not model.is_trained:
         raise ConfigError("readout not trained")
-    return traj.final_state @ model.w_out.T + model.b_out
+    return final_states @ model.w_out.T + model.b_out

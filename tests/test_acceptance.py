@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from esnlrp import cli, data
-from esnlrp.baselines import fit_linreg, init_mlp, linreg_predict, mlp_gradients, mlp_predict, train_mlp
+from esnlrp.baselines import init_mlp, linreg_predict, mlp_gradients, mlp_predict, train_mlp
 from esnlrp.baselines import MlpModel
 from esnlrp.lrp import column_center_of_gravity, mean_relevance, relevance_map
 from esnlrp.readout import ClassLabel, accuracy, fit_readout
@@ -292,7 +292,7 @@ def test_criterion_6_baselines():
     train, val = sample_set.train_samples, sample_set.val_samples
     x_train, y_train = vectors(train), np.array([s.index for s in train])
 
-    linreg = fit_linreg(x_train, y_train, ridge=RIDGE)
+    linreg = fit_readout(x_train, y_train, ridge=RIDGE)
     for split, samples, x in (("train", train, x_train), ("val", val, vectors(val))):
         scores = linreg_predict(linreg, x)
         report = accuracy(scores, [s.label for s in samples])
@@ -301,7 +301,7 @@ def test_criterion_6_baselines():
     mlp, _ = train_mlp(x_train, y_train, seed=0)
     assert mlp.param_count == 87_993
     for split, samples in (("train", train), ("val", val)):
-        scores = np.atleast_1d(mlp_predict(mlp, vectors(samples)))
+        scores = mlp_predict(mlp, vectors(samples))
         report = accuracy(scores, [s.label for s in samples])
         assert report.overall == 1.0, f"mlp {split} accuracy {report.overall} != 100%"
     print(

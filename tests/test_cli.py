@@ -249,9 +249,11 @@ def test_config_file_class_alias_and_unknown_key(tmp_path, capsys):
     audit = (out / "relevance_audit.csv").read_text(encoding="ascii").splitlines()
     assert all(line.split(",")[2] == "elnino" for line in audit[1:])
 
-    config.write_text(json.dumps({"sparseness": 0.5}))
-    assert run_cli("train", "--config", str(config), "--out", str(out), *SMALL) == 2
-    assert "unknown key" in capsys.readouterr().err
+    capsys.readouterr()
+    for key in ("sparseness", "class_filter", "epsilon"):
+        config.write_text(json.dumps({key: 0.5}))
+        assert run_cli("train", "--config", str(config), "--out", str(out), *SMALL) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -276,18 +278,30 @@ INVALID_FLAGS = [
     ("--seed", "-1", "seed"),
     ("--permute-seed", "-1", "permute_seed"),
     ("--spectral-radius", "inf", "spectral_radius"),
+    ("--spectral-radius", "-1", "spectral_radius"),
+    ("--n-res", "0", "n_res"),
+    ("--sparsity", "2", "sparsity"),
     ("--ridge", "inf", "ridge"),
     ("--ridge", "nan", "ridge"),
 ]
 
 
 @pytest.mark.parametrize(
-    "flag, value, setting", [pytest.param(*case, id=f"{case[0][2:]}={case[1]}") for case in INVALID_FLAGS]
+    "command, flag, value, setting",
+    [
+        # train's cases keep the bare flag=value id, so their test ids stay stable
+        pytest.param(command, *case, id=f"{case[0][2:]}={case[1]}" + ("" if command == "train" else f"-{command}"))
+        for command in cli.COMMANDS
+        for case in INVALID_FLAGS
+    ],
 )
-def test_invalid_alpha_is_a_config_error(tmp_path, capsys, flag, value, setting):
-    """Malformed numeric flags exit 2; the bad flag comes last so it overrides SMALL."""
-    assert run_cli("train", "--out", str(tmp_path / "o"), *SMALL, flag, value) == 2
+def test_invalid_alpha_is_a_config_error(tmp_path, capsys, command, flag, value, setting):
+    """Every command checks every setting, used or not, before it reads data or
+    creates --out; the bad flag comes last so it overrides SMALL."""
+    out = tmp_path / "o"
+    assert run_cli(command, "--out", str(out), *SMALL, flag, value) == 2
     assert f"configuration error: {setting} must" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_synthetic_flag_exits_two(tmp_path):

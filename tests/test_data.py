@@ -280,10 +280,8 @@ def test_inverse_permute_handles_maps_vectors_and_bad_shapes():
     scores = np.arange(2 * 9, dtype=float).reshape(2, 9)
     np.testing.assert_array_equal(data.inverse_permute(scores[:, permuted.permutation], permuted), scores)
 
-    vector = np.arange(9.0)
-    np.testing.assert_array_equal(
-        data.inverse_permute(vector[permuted.permutation], permuted), vector
-    )
+    with pytest.raises(DataError):
+        data.inverse_permute(np.arange(9.0), permuted)  # only 2-D fields and maps are restored
     with pytest.raises(DataError):
         data.inverse_permute(np.zeros((2, 4)), permuted)
 

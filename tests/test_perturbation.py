@@ -1,0 +1,90 @@
+"""Region perturbation: removing what a map marks must move the output.
+
+Conservation and the oracle check the arithmetic of the maps, not that they
+point at what the model uses. Following Bach et al. (2015, "On pixel-wise
+explanations for non-linear classifier decisions by layer-wise relevance
+propagation") and Samek et al. (2017, "Evaluating the visualization of what
+a deep neural network has learned"), each preprocessed sample has its top-k
+cells, ranked by relevance signed toward the predicted class, set to zero
+and is fed forward again. The signed drop of the output is compared with the
+drop from zeroing k random valid cells.
+"""
+
+import numpy as np
+import pytest
+
+from esnlrp import data
+from esnlrp.lrp import relevance_map
+from esnlrp.readout import fit_readout
+from esnlrp.reservoir import EsnConfig, final_states, init_reservoir, model_output, run_reservoir
+
+from helpers import write_enso_container
+
+SEED = 3
+N_TRAIN = 40
+FRACTIONS = (0.02, 0.05, 0.10)
+# the top-k drop must exceed the random drop this many times over, at every k
+MARGIN = 3.0
+
+
+def synthetic_input(d, t):
+    # 50 samples leave the first 40 for the train split
+    sample_set = data.synthesize_task(50, d, t, seed=SEED)
+    return sample_set.train_samples, np.ones((d, t), dtype=bool)
+
+
+def container_input(tmp_path):
+    path = tmp_path / "sst.sstg"
+    write_enso_container(path)
+    sample_set, anomalies = data.load_enso_samples(path)
+    return sample_set.train_samples[:N_TRAIN], anomalies.valid_mask
+
+
+def perturbation_drops(samples, valid_mask, n_res):
+    """Mean signed output drop, per fraction of valid cells zeroed, for the
+    top-relevance cells and for random valid cells."""
+    batch = np.stack([data.preprocess_field(s.field) for s in samples])
+    model = init_reservoir(EsnConfig(n_in=batch.shape[1], n_res=n_res, seed=SEED))
+    states = final_states(model, batch)
+    solution = fit_readout(states, np.array([s.index for s in samples]), ridge=1e-8)
+    model = model.with_readout(solution.w_out, solution.b_out)
+
+    output = model_output(model, states)[:, 0]
+    sign = np.where(output >= 0.0, 1.0, -1.0)  # the predicted class, as `readout.accuracy` decides it
+    scores = np.stack([m.scores for m in relevance_map(model, run_reservoir(model, batch))])
+    assert np.all(scores[:, ~valid_mask] == 0.0)  # invalid (land) cells are zero inputs
+    # the dummy column is never a candidate, nor is an invalid cell
+    cells = np.flatnonzero(valid_mask)
+    signed = (sign[:, None, None] * scores).reshape(len(samples), -1)[:, cells]
+    rng = np.random.default_rng(SEED)
+
+    def drop(picked):
+        """Mean signed drop of the output when each sample's picked cells are zeroed."""
+        perturbed = batch.copy()
+        rows, cols = np.unravel_index(cells[picked], valid_mask.shape)
+        perturbed[np.arange(len(samples))[:, None], rows, cols + 1] = 0.0
+        return float(np.mean(sign * (output - model_output(model, final_states(model, perturbed))[:, 0])))
+
+    result = []
+    for fraction in FRACTIONS:
+        k = max(1, round(fraction * cells.size))
+        top = np.argsort(-signed, axis=1, kind="stable")[:, :k]
+        random = np.stack([rng.choice(cells.size, size=k, replace=False) for _ in samples])
+        result.append((fraction, drop(top), drop(random)))
+    return result
+
+
+@pytest.mark.parametrize(
+    "build, n_res",
+    [
+        pytest.param(lambda tmp_path: synthetic_input(89, 180), 300, id="synthetic-89x180"),
+        pytest.param(lambda tmp_path: synthetic_input(16, 96), 100, id="synthetic-16x96"),
+        pytest.param(container_input, 300, id="generated-container"),
+    ],
+)
+def test_zeroing_the_most_relevant_cells_moves_the_output_most(tmp_path, build, n_res):
+    samples, valid_mask = build(tmp_path)
+    drops = perturbation_drops(samples, valid_mask, n_res)
+    print(" ".join(f"k={f:.0%}: top {top:.3f} random {rand:.3f}" for f, top, rand in drops))
+    for fraction, top, rand in drops:
+        assert top > MARGIN * abs(rand), f"k={fraction:.0%}: top-k drop {top:.4f}, random drop {rand:.4f}"

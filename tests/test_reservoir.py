@@ -251,11 +251,6 @@ def test_run_reservoir_input_validation():
             forward(model, np.array([[[1.0, np.inf]]]))
 
 
-class StateTrajectoryStub:
-    def __init__(self, final):
-        self.final_state = np.asarray(final, dtype=float)
-
-
 def test_model_output_and_parameter_count():
     model = assemble_model(
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0], alpha=0.5
@@ -264,14 +259,13 @@ def test_model_output_and_parameter_count():
     assert model.trainable_parameter_count == 0
     traj = run_reservoir(model, np.ones((1, 1, 2)))
     with pytest.raises(ConfigError):
-        model_output(model, traj)
+        model_output(model, traj.final_state)
 
     constant = model.with_readout(np.zeros((1, 2)), np.array([2.5]))
-    np.testing.assert_array_equal(model_output(constant, traj), [[2.5]])
+    np.testing.assert_array_equal(model_output(constant, traj.final_state), [[2.5]])
 
     summing = model.with_readout(np.array([[1.0, 1.0]]), np.array([0.0]))
-    fixed = StateTrajectoryStub(np.array([0.3, 0.7]))
-    np.testing.assert_allclose(model_output(summing, fixed), [1.0], rtol=1e-15)
+    np.testing.assert_allclose(model_output(summing, np.array([0.3, 0.7])), [1.0], rtol=1e-15)
 
     big = EsnModel(
         config=EsnConfig(n_in=5, n_res=300),
