@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .readout import ReadoutSolution
 
-# Widths of the two hidden layers; the input and output widths come from the data.
+# Widths of the two hidden layers; the input width comes from the data, the output is 1.
 HIDDEN_DIMS = (8, 8)
 
 ADAM_LR = 0.0005
@@ -37,7 +37,7 @@ ADAM_SLICE = 32_768
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Feed-forward net with identity activations throughout."""
+    """Feed-forward net with identity activations throughout and one output unit."""
 
     layer_dims: Tuple[int, ...]
     weights: Tuple[np.ndarray, ...]
@@ -48,6 +48,8 @@ class MlpModel:
             raise ConfigError(f"need at least input and output dims, got {self.layer_dims}")
         if any(d < 1 for d in self.layer_dims):
             raise ConfigError(f"layer dims must be positive, got {self.layer_dims}")
+        if self.layer_dims[-1] != 1:
+            raise ConfigError(f"layer dims must end in 1, one score per sample, got {self.layer_dims}")
         n_layers = len(self.layer_dims) - 1
         if len(self.weights) != n_layers or len(self.biases) != n_layers:
             raise ConfigError(
@@ -104,9 +106,8 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> List[np.ndarray]:
 
 
 def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """One score per row of x, shape (n,); a net with several outputs gives (n, n_out)."""
-    out = mlp_forward(model, x)[-1]
-    return out[:, 0] if out.shape[1] == 1 else out
+    """One score per row of x, shape (n,)."""
+    return mlp_forward(model, x)[-1][:, 0]
 
 
 def composed_affine(model: MlpModel) -> Tuple[np.ndarray, np.ndarray]:
@@ -125,21 +126,19 @@ def mlp_gradients(
     y: np.ndarray,
     out: Optional[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]] = None,
 ) -> Tuple[float, Sequence[np.ndarray], Sequence[np.ndarray]]:
-    """MSE loss and its gradients for a batch.
+    """MSE loss and its gradients for a batch of inputs and their (n,) targets.
 
-    Loss is the mean over batch entries and output units of the squared
-    residual. With identity activations backprop is a chain of matrix
-    products; gradients are exact. `out` holds (weight, bias) gradient
-    blocks to write into, in the shapes of the model's blocks.
+    Loss is the mean over the batch of the squared residual. With identity
+    activations backprop is a chain of matrix products; gradients are exact.
+    `out` holds (weight, bias) gradient blocks to write into, in the shapes
+    of the model's blocks.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[0] != x.shape[0]:
-        raise ConfigError(f"{x.shape[0]} inputs but {y.shape[0]} targets")
+    if y.shape != (x.shape[0],):
+        raise ConfigError(f"{x.shape[0]} inputs need targets of shape ({x.shape[0]},), got {y.shape}")
     activations = mlp_forward(model, x)
-    residual = activations[-1] - y
+    residual = activations[-1] - y[:, None]
     loss = float(np.mean(residual**2))
     delta = residual * (2.0 / residual.size)
     if out is None:
@@ -214,8 +213,8 @@ def train_mlp(
     seed: int = 0,
     lr: float = ADAM_LR,
 ) -> Tuple[MlpModel, List[float]]:
-    """Mini-batch Adam on MSE for a net of HIDDEN_DIMS between the data's widths;
-    deterministic given the seed.
+    """Mini-batch Adam on MSE for a (n_in, *HIDDEN_DIMS, 1) net on (n, n_in)
+    vectors and their (n,) targets; deterministic given the seed.
 
     The seed spawns two substreams, one for the weight init and one for the
     per-epoch reshuffle, so init and batch order never interact. Returns the
@@ -227,16 +226,14 @@ def train_mlp(
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
     n_samples = vectors.shape[0]
-    if targets.shape[0] != n_samples:
-        raise ConfigError(f"{n_samples} vectors but {targets.shape[0]} targets")
+    if targets.shape != (n_samples,):
+        raise ConfigError(f"{n_samples} vectors need targets of shape ({n_samples},), got {targets.shape}")
     if epochs < 1 or batch < 1:
         raise ConfigError(f"epochs and batch must be positive, got {epochs}, {batch}")
 
     streams = np.random.SeedSequence(seed).spawn(2)
-    initial = init_mlp((vectors.shape[1], *HIDDEN_DIMS, targets.shape[1]), seed=seed)
+    initial = init_mlp((vectors.shape[1], *HIDDEN_DIMS, 1), seed=seed)
     dims = initial.layer_dims
     shuffle_rng = np.random.default_rng(streams[1])
     state = adam_init(initial, lr=lr)
@@ -246,7 +243,7 @@ def train_mlp(
     model = MlpModel(dims, *_blocks(dims, theta))
     grad_blocks = _blocks(dims, grad)
     x_rows = np.empty((min(batch, n_samples), vectors.shape[1]))
-    y_rows = np.empty((min(batch, n_samples), targets.shape[1]))
+    y_rows = np.empty(min(batch, n_samples))
 
     history: List[float] = []
     for epoch in range(epochs):
@@ -272,7 +269,6 @@ def train_mlp(
 
 
 def linreg_predict(model: ReadoutSolution, vectors: np.ndarray) -> np.ndarray:
-    """Scores for a batch of vectors under a fitted linear model."""
+    """One score per row of a batch of vectors under a fitted linear model, shape (n,)."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    out = vectors @ model.w_out.T + model.b_out
-    return out[:, 0] if out.shape[1] == 1 else out
+    return (vectors @ model.w_out.T + model.b_out)[:, 0]

@@ -70,13 +70,8 @@ class ExperimentConfig:
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
         if self.synthetic is not None:
-            try:
-                ok = len(self.synthetic) == 3 and all(int(v) == v and v >= 1 for v in self.synthetic)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ConfigError(f"--synthetic needs three positive integers d,t,n, got {self.synthetic!r}")
-            self.synthetic = tuple(int(v) for v in self.synthetic)
+            d, t, n = self.synthetic
+            data.check_synthetic_shape(n, d, t)
         self.esn_config(n_in=1)
         readout.check_ridge(self.ridge)
 
@@ -146,8 +141,8 @@ def config_file_value(path: Path, key: str, name: str, value: object) -> object:
     """A config-file value checked against the type of its ExperimentConfig field.
 
     Numbers may not be booleans, integer fields take only integers, and
-    `synthetic` takes a list of three numbers (ExperimentConfig checks that
-    they are positive integers).
+    `synthetic` takes a list of three integers (ExperimentConfig checks their
+    range).
     """
     hint = CONFIG_FIELD_TYPES[name]
     if get_origin(hint) is Union:
@@ -165,7 +160,7 @@ def config_file_value(path: Path, key: str, name: str, value: object) -> object:
     elif hint is float:
         ok, want = is_number(value), "a number"
     else:
-        ok = isinstance(value, list) and len(value) == 3 and all(is_number(v) for v in value)
+        ok = isinstance(value, list) and len(value) == 3 and all(isinstance(v, int) and is_number(v) for v in value)
         want = "a list of three integers"
         value = tuple(value) if ok else value
     if not ok:
@@ -268,7 +263,7 @@ def fit_esn(
     states = encode(model, sample_set.samples)
     solution = readout.fit_readout(states[: len(train)], np.array([s.index for s in train]), ridge=cfg.ridge)
     model = model.with_readout(solution.w_out, solution.b_out)
-    return model, reservoir.model_output(model, states)[:, 0]
+    return model, reservoir.model_output(model, states)
 
 
 def maps_for(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> Iterator[lrp.RelevanceMap]:
@@ -357,7 +352,7 @@ def load_trained_model(out: Path) -> reservoir.EsnModel:
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     model = load_trained_model(out)
     sample_set, _ = resolve_samples(cfg)
-    scores = reservoir.model_output(model, encode(model, sample_set.samples))[:, 0]
+    scores = reservoir.model_output(model, encode(model, sample_set.samples))
     write_report(out / "eval_report.csv", split_rows("esn", sample_set, scores))
 
 

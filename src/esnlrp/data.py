@@ -388,18 +388,28 @@ def _smoothed_noise(rng: np.random.Generator, shape: Tuple[int, int], sigma: flo
         yield smoothed
 
 
+def _blob_geometry(d: int, t: int) -> Tuple[float, float, float, float]:
+    """Centre row and column, then row and column sigma, of the signal blob on a d x t grid."""
+    return (d - 1) / 2.0, BLOB_COL_CENTER_FRACTION * (t - 1), BLOB_ROW_SIGMA_FRACTION * d, BLOB_COL_SIGMA_FRACTION * t
+
+
 def synthetic_blob_box(d: int, t: int) -> Tuple[int, int, int, int]:
     """Inclusive (row_lo, row_hi, col_lo, col_hi) bounds of the signal box."""
-    r0 = (d - 1) / 2.0
-    c0 = BLOB_COL_CENTER_FRACTION * (t - 1)
-    half_r = BLOB_BOX_HALF_WIDTH_SIGMAS * BLOB_ROW_SIGMA_FRACTION * d
-    half_c = BLOB_BOX_HALF_WIDTH_SIGMAS * BLOB_COL_SIGMA_FRACTION * t
+    r0, c0, sigma_r, sigma_c = _blob_geometry(d, t)
+    half_r = BLOB_BOX_HALF_WIDTH_SIGMAS * sigma_r
+    half_c = BLOB_BOX_HALF_WIDTH_SIGMAS * sigma_c
     return (
         max(0, int(np.ceil(r0 - half_r))),
         min(d - 1, int(np.floor(r0 + half_r))),
         max(0, int(np.ceil(c0 - half_c))),
         min(t - 1, int(np.floor(c0 + half_c))),
     )
+
+
+def check_synthetic_shape(n_samples: int, d: int, t: int) -> None:
+    """A synthetic task needs d, t >= 8 and at least 2 samples; anything else is a ConfigError."""
+    if d < 8 or t < 8 or n_samples < 2:
+        raise ConfigError(f"synthetic must have d, t >= 8 and n >= 2, got d,t,n = {d},{t},{n_samples}")
 
 
 def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
@@ -414,20 +424,14 @@ def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
     classes appear in any contiguous split. With everything seeded the
     generated set is reproducible bit for bit.
     """
-    if d < 8 or t < 8:
-        raise ConfigError(f"synthetic grids need d, t >= 8, got {d}, {t}")
-    if n_samples < 2:
-        raise ConfigError(f"need at least 2 samples, got {n_samples}")
+    check_synthetic_shape(n_samples, d, t)
     # The spawn_key puts data generation in its own stream domain, so reusing
     # one seed for both the task and a model never aliases their draws.
     amp_rng, noise_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed, spawn_key=(101,)).spawn(2)
     )
     rr, cc = np.meshgrid(np.arange(d), np.arange(t), indexing="ij")
-    r0 = (d - 1) / 2.0
-    c0 = BLOB_COL_CENTER_FRACTION * (t - 1)
-    sigma_r = BLOB_ROW_SIGMA_FRACTION * d
-    sigma_c = BLOB_COL_SIGMA_FRACTION * t
+    r0, c0, sigma_r, sigma_c = _blob_geometry(d, t)
     blob = np.exp(-((rr - r0) ** 2 / (2 * sigma_r**2) + (cc - c0) ** 2 / (2 * sigma_c**2)))
 
     noises = _smoothed_noise(noise_rng, (d, t), NOISE_SMOOTHING_SIGMA)

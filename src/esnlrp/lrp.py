@@ -85,10 +85,8 @@ def relevance_output_layer(
     that were distributed.
     """
     total = model_output(model, traj.final_state)
-    if total.shape[1] != 1:
-        raise ConfigError(f"relevance decomposition expects a single output unit, got {total.shape[1]}")
-    r_state, absorbed = _redistribute(sign_split(model.w_out), traj.final_state, total, cfg.epsilon)
-    return r_state, absorbed, total[:, 0]
+    r_state, absorbed = _redistribute(sign_split(model.w_out), traj.final_state, total[:, None], cfg.epsilon)
+    return r_state, absorbed, total
 
 
 def sign_split(*blocks: np.ndarray) -> np.ndarray:

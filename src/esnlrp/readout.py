@@ -45,6 +45,9 @@ def check_ridge(ridge: float) -> None:
 def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutSolution:
     """Least-squares readout w, b minimizing ||X w + b - y||^2 + ridge * ||w||^2.
 
+    Targets are one score per state row, shape (n,); w_out comes out
+    (1, n_units) and b_out (1,).
+
     The bias is never penalized, so it is found by centring: one thin SVD
     X - mean(X) = U diag(s) V^T gives w = V diag(g) U^T (y - mean(y)) and
     b = mean(y) - mean(X) w, with gain g = s / (s^2 + ridge). At ridge 0
@@ -56,10 +59,8 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2:
         raise ConfigError(f"final_states must be 2D (samples, units), got shape {x.shape}")
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[0] != x.shape[0]:
-        raise ConfigError(f"targets rows {y.shape[0]} != state rows {x.shape[0]}")
+    if y.shape != (x.shape[0],):
+        raise ConfigError(f"targets must have shape ({x.shape[0]},), one per state row, got {y.shape}")
     if x.shape[0] < 2:
         raise ConfigError("need at least two samples to fit the readout")
     check_ridge(ridge)
@@ -67,6 +68,7 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
         raise ConfigError("final_states/targets contain non-finite entries")
 
     n_samples, n_units = x.shape
+    y = y[:, None]  # one column, so w comes out (n_units, 1) and b as (1,)
     x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
     u, s, vt = np.linalg.svd(x - x_mean, full_matrices=False)
     if ridge == 0.0:

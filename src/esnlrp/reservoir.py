@@ -91,19 +91,18 @@ class EsnModel:
 
     @property
     def trainable_parameter_count(self) -> int:
-        """Readout size: n_out * n_res weights plus n_out biases."""
+        """Readout size: n_res weights plus one bias (0 before training)."""
         if not self.is_trained:
             return 0
         return int(self.w_out.size + self.b_out.size)
 
     def with_readout(self, w_out: np.ndarray, b_out: np.ndarray) -> "EsnModel":
-        """Return a trained copy of this model with the given readout attached."""
-        w_out = np.atleast_2d(np.asarray(w_out, dtype=float)).copy()
-        b_out = np.atleast_1d(np.asarray(b_out, dtype=float)).copy()
-        if w_out.shape[1] != self.config.n_res or w_out.shape[0] != b_out.shape[0]:
-            raise ConfigError(
-                f"readout shapes {w_out.shape}/{b_out.shape} do not fit n_res={self.config.n_res}"
-            )
+        """A trained copy with one score per sample: w_out (1, n_res), b_out (1,), else a ConfigError."""
+        w_out = np.array(w_out, dtype=float)
+        b_out = np.array(b_out, dtype=float)
+        n = self.config.n_res
+        if w_out.shape != (1, n) or b_out.shape != (1,):
+            raise ConfigError(f"readout w_out/b_out have shapes {w_out.shape}/{b_out.shape}, expected (1, {n})/(1,)")
         w_out.flags.writeable = False
         b_out.flags.writeable = False
         return dataclasses.replace(self, w_out=w_out, b_out=b_out)
@@ -262,8 +261,8 @@ def final_states(model: EsnModel, batch: np.ndarray) -> np.ndarray:
 
 
 def model_output(model: EsnModel, final_states: np.ndarray) -> np.ndarray:
-    """The readout on a (B, n_res) matrix of final states: one row W_out x(T) + b_out
-    per sample, shape (B, n_out). An untrained model is a ConfigError."""
+    """The readout on a (B, n_res) matrix of final states: one score W_out x(T) + b_out
+    per sample, shape (B,). An untrained model is a ConfigError."""
     if not model.is_trained:
         raise ConfigError("readout not trained")
-    return final_states @ model.w_out.T + model.b_out
+    return (final_states @ model.w_out.T + model.b_out)[:, 0]

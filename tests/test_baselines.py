@@ -63,7 +63,7 @@ def test_gradients_match_central_differences():
     rng = np.random.default_rng(0)
     model = init_mlp(TOY_DIMS, seed=1)
     x = rng.normal(size=(5, 3))
-    y = rng.normal(size=(5, 1))
+    y = rng.normal(size=5)
     _, grads_w, grads_b = mlp_gradients(model, x, y)
     analytic = grads_w + grads_b
     h = 1e-6

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -205,6 +206,14 @@ def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
 
 
+def two_readout_rows(doc):
+    """Stack a second copy of the readout: w_out (2, n_res), b_out (2,)."""
+    for key in ("w_out", "b_out"):
+        block = doc["arrays"][key]
+        block["shape"][0] = 2
+        block["data"] = base64.b64encode(2 * base64.b64decode(block["data"])).decode("ascii")
+
+
 @pytest.mark.parametrize(
     "edit, key",
     [
@@ -213,16 +222,22 @@ def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
         pytest.param(lambda doc: doc["config"].update(activation="sigmoid"), "activation", id="sigmoid"),
         pytest.param(lambda doc: doc["arrays"].pop("w_res"), "w_res", id="missing-array-block"),
         pytest.param(lambda doc: doc["arrays"]["w_in"]["shape"].reverse(), "w_in", id="transposed-w-in"),
+        pytest.param(two_readout_rows, "w_out", id="two-readout-rows"),
+        pytest.param(lambda doc: doc["arrays"]["w_out"]["shape"].pop(0), "w_out", id="one-dimensional-w-out"),
     ],
 )
 def test_malformed_model_files_exit_three(tmp_path, capsys, edit, key):
+    """Both commands that load the model exit 3 naming the bad entry, and write nothing."""
     out = tmp_path / "out"
     assert run_cli("train", "--out", str(out), *SMALL) == 0
     doc = json.loads((out / "esn_model.json").read_text())
     edit(doc)
     (out / "esn_model.json").write_text(json.dumps(doc))
-    assert run_cli("evaluate", "--out", str(out), *SMALL) == 3
-    assert key in capsys.readouterr().err
+    for command in ("evaluate", "relevance"):
+        assert run_cli(command, "--out", str(out), *SMALL) == 3
+        assert key in capsys.readouterr().err
+    assert not (out / "eval_report.csv").exists()
+    assert not (out / "relevance").exists()
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -262,6 +277,7 @@ def test_config_file_class_alias_and_unknown_key(tmp_path, capsys):
         pytest.param({"n_res": 20.5}, "n_res", id="n_res=20.5"),
         pytest.param({"alpha": "0.1"}, "alpha", id="alpha=str"),
         pytest.param({"synthetic": 5}, "synthetic", id="synthetic=5"),
+        pytest.param({"synthetic": [8.0, 12, 12]}, "synthetic", id="synthetic=float"),
         pytest.param({"ridge": True}, "ridge", id="ridge=true"),
     ],
 )
@@ -283,6 +299,8 @@ INVALID_FLAGS = [
     ("--sparsity", "2", "sparsity"),
     ("--ridge", "inf", "ridge"),
     ("--ridge", "nan", "ridge"),
+    ("--synthetic", "5,12,12", "synthetic"),
+    ("--synthetic", "8,12,1", "synthetic"),
 ]
 
 

@@ -88,9 +88,8 @@ def test_output_layer_requires_training_and_single_output():
     traj = run_reservoir(model, random_sample(rng, 2, 3)[None])
     with pytest.raises(ConfigError):
         relevance_output_layer(untrained, traj)
-    two_outputs = untrained.with_readout(np.ones((2, 3)), np.zeros(2))
     with pytest.raises(ConfigError):
-        relevance_output_layer(two_outputs, traj)
+        untrained.with_readout(np.ones((2, 3)), np.zeros(2))
 
 
 def test_step_back_two_stage_hand_example():

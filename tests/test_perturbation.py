@@ -49,7 +49,7 @@ def perturbation_drops(samples, valid_mask, n_res):
     solution = fit_readout(states, np.array([s.index for s in samples]), ridge=1e-8)
     model = model.with_readout(solution.w_out, solution.b_out)
 
-    output = model_output(model, states)[:, 0]
+    output = model_output(model, states)
     sign = np.where(output >= 0.0, 1.0, -1.0)  # the predicted class, as `readout.accuracy` decides it
     scores = np.stack([m.scores for m in relevance_map(model, run_reservoir(model, batch))])
     assert np.all(scores[:, ~valid_mask] == 0.0)  # invalid (land) cells are zero inputs
@@ -63,7 +63,7 @@ def perturbation_drops(samples, valid_mask, n_res):
         perturbed = batch.copy()
         rows, cols = np.unravel_index(cells[picked], valid_mask.shape)
         perturbed[np.arange(len(samples))[:, None], rows, cols + 1] = 0.0
-        return float(np.mean(sign * (output - model_output(model, final_states(model, perturbed))[:, 0])))
+        return float(np.mean(sign * (output - model_output(model, final_states(model, perturbed)))))
 
     result = []
     for fraction in FRACTIONS:

@@ -96,22 +96,14 @@ def test_train_mse_grows_with_ridge():
         assert heavier >= lighter - 1e-12
 
 
-def test_one_and_two_dimensional_targets_agree():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(15, 4))
-    y = rng.normal(size=15)
-    flat = fit_readout(x, y, ridge=1e-4)
-    tall = fit_readout(x, y[:, None], ridge=1e-4)
-    np.testing.assert_array_equal(flat.w_out, tall.w_out)
-    np.testing.assert_array_equal(flat.b_out, tall.b_out)
-
-
 def test_fit_readout_input_validation():
     good = np.ones((3, 2)) + np.arange(6).reshape(3, 2)
     with pytest.raises(ConfigError):
         fit_readout(np.ones(4), np.ones(4))
     with pytest.raises(ConfigError):
         fit_readout(good, np.ones(4))
+    with pytest.raises(ConfigError):
+        fit_readout(good, np.ones((3, 1)))  # one score per sample: targets are 1-D
     with pytest.raises(ConfigError):
         fit_readout(good[:1], np.ones(1))
     for ridge in (-1.0, float("inf"), float("nan")):

@@ -262,10 +262,10 @@ def test_model_output_and_parameter_count():
         model_output(model, traj.final_state)
 
     constant = model.with_readout(np.zeros((1, 2)), np.array([2.5]))
-    np.testing.assert_array_equal(model_output(constant, traj.final_state), [[2.5]])
+    np.testing.assert_array_equal(model_output(constant, traj.final_state), [2.5])
 
     summing = model.with_readout(np.array([[1.0, 1.0]]), np.array([0.0]))
-    np.testing.assert_allclose(model_output(summing, np.array([0.3, 0.7])), [1.0], rtol=1e-15)
+    np.testing.assert_allclose(model_output(summing, np.array([[0.3, 0.7]])), [1.0], rtol=1e-15)
 
     big = EsnModel(
         config=EsnConfig(n_in=5, n_res=300),
@@ -284,3 +284,5 @@ def test_with_readout_validates_shapes():
         model.with_readout(np.ones((1, 2)), np.zeros(1))
     with pytest.raises(ConfigError):
         model.with_readout(np.ones((2, 3)), np.zeros(1))
+    with pytest.raises(ConfigError):
+        model.with_readout(np.ones(3), np.zeros(1))
