@@ -8,6 +8,9 @@ byte-identical outputs, so there are no timestamps anywhere. Across thread
 counts, fresh fits agree within 1e-12 of the readout's peak at the 16x96 sweep
 shape but differ in the last digits at paper shape, where the encoding threads.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
+A data error includes a malformed model file and, for `evaluate` and
+`relevance`, fields whose height differs from the saved model's `n_in`;
+both are found before anything is written.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -196,7 +199,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def resolve_samples(cfg: ExperimentConfig) -> Tuple[data.SampleSet, Optional[data.SstDataset]]:
-    """Either generate the synthetic task or run the full dataset pipeline."""
+    """Either generate the synthetic task or run the full dataset pipeline.
+
+    The anomaly dataset (None for the synthetic task) is needed only for the
+    baselines' valid mask; every other caller takes the sample set alone, so
+    the dataset is freed on return.
+    """
     if cfg.synthetic is not None:
         d, t, n = cfg.synthetic
         return data.synthesize_task(n, d, t, seed=cfg.seed), None
@@ -214,6 +222,19 @@ def filtered(samples: Sequence[data.LabeledSample], class_filter: str) -> List[d
         return list(samples)
     want = readout.ClassLabel.EL_NINO if class_filter == "elnino" else readout.ClassLabel.LA_NINA
     return [s for s in samples if s.label is want]
+
+
+def compacted(samples: Sequence[data.LabeledSample]) -> List[data.LabeledSample]:
+    """The samples with their fields copied into one locked block.
+
+    A command that keeps only some samples of a set lets the set go whole
+    this way. Dropping just the other samples would leave holes between the
+    kept fields, and the relevance pass's temporaries then spread over those
+    holes: at paper shape its maps took about a fifth longer.
+    """
+    block = np.stack([s.field for s in samples])
+    block.flags.writeable = False
+    return [replace(s, field=field) for s, field in zip(samples, block)]
 
 
 def batches(samples: Sequence[data.LabeledSample], step_bytes: int) -> Iterator[np.ndarray]:
@@ -349,19 +370,28 @@ def load_trained_model(out: Path) -> reservoir.EsnModel:
     return model
 
 
+def check_field_height(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample], out: Path) -> None:
+    """Samples must have one field row per model input; a mismatch is a DataError."""
+    height = samples[0].field.shape[0]
+    if height != model.config.n_in:
+        raise DataError(f"fields have {height} rows but the model in {out / MODEL_FILE} takes {model.config.n_in}")
+
+
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     model = load_trained_model(out)
-    sample_set, _ = resolve_samples(cfg)
+    sample_set = resolve_samples(cfg)[0]
+    check_field_height(model, sample_set.samples, out)
     scores = reservoir.model_output(model, encode(model, sample_set.samples))
     write_report(out / "eval_report.csv", split_rows("esn", sample_set, scores))
 
 
 def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     model = load_trained_model(out)
-    sample_set, _ = resolve_samples(cfg)
-    samples = filtered(sample_set.train_samples, cfg.class_filter)
+    samples = filtered(resolve_samples(cfg)[0].train_samples, cfg.class_filter)
     if not samples:
         raise DataError(f"no training samples left after --class {cfg.class_filter}")
+    check_field_height(model, samples, out)
+    samples = compacted(samples)  # only the fields to be mapped stay resident
 
     rel_dir = out / "relevance"
     rel_dir.mkdir(parents=True, exist_ok=True)
@@ -384,14 +414,20 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     lrp.write_heatmap_pgm(out / "mean_map.pgm", mean)
 
 
+def study(
+    cfg: ExperimentConfig, sample_set: data.SampleSet, alpha: Optional[float] = None
+) -> Tuple[readout.AccuracyReport, np.ndarray]:
+    """Fit a fresh reservoir; its val accuracy and the mean map of the --class train samples."""
+    model, scores = fit_esn(cfg, sample_set, alpha)
+    maps = maps_for(model, filtered(sample_set.train_samples, cfg.class_filter))
+    return val_accuracy(sample_set, scores), lrp.mean_relevance(maps)
+
+
 def cmd_leak_sweep(cfg: ExperimentConfig, out: Path) -> None:
-    sample_set, _ = resolve_samples(cfg)
+    sample_set = resolve_samples(cfg)[0]
     rows = ["alpha,tag,accuracy_overall,accuracy_elnino,accuracy_lanina,mean_map_center_of_gravity"]
     for alpha, tag in zip(SWEEP_ALPHAS, SWEEP_TAGS):
-        model, scores = fit_esn(cfg, sample_set, alpha=alpha)
-        report = val_accuracy(sample_set, scores)
-        maps = maps_for(model, filtered(sample_set.train_samples, cfg.class_filter))
-        mean = lrp.mean_relevance(maps)
+        report, mean = study(cfg, sample_set, alpha)
         lrp.write_matrix_csv(out / f"mean_map_{tag}.csv", mean)
         lrp.write_heatmap_pgm(out / f"mean_map_{tag}.pgm", mean)
         per = [
@@ -414,18 +450,11 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_permutation(cfg: ExperimentConfig, out: Path) -> None:
-    sample_set, _ = resolve_samples(cfg)
-    base_model, base_scores = fit_esn(cfg, sample_set)
-    base_report = val_accuracy(sample_set, base_scores)
-    base_maps = maps_for(base_model, filtered(sample_set.train_samples, cfg.class_filter))
-    base_mean = lrp.mean_relevance(base_maps)
-
-    permuted_set = data.permute_columns(sample_set, cfg.permute_seed)
-    perm_model, perm_scores = fit_esn(cfg, permuted_set)
-    perm_report = val_accuracy(permuted_set, perm_scores)
-    perm_maps = maps_for(perm_model, filtered(permuted_set.train_samples, cfg.class_filter))
-    perm_mean = lrp.mean_relevance(perm_maps)
-    restored = data.inverse_permute(perm_mean, permuted_set)
+    sample_set = resolve_samples(cfg)[0]
+    base_report, base_mean = study(cfg, sample_set)
+    sample_set = data.permute_columns(sample_set, cfg.permute_seed)  # the base fields are freed here
+    perm_report, perm_mean = study(cfg, sample_set)
+    restored = data.inverse_permute(perm_mean, sample_set)
 
     for name, matrix in (("base", base_mean), ("permuted", perm_mean), ("restored", restored)):
         lrp.write_matrix_csv(out / f"mean_map_{name}.csv", matrix)
@@ -449,7 +478,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     if cfg.synthetic is None:
         cfg.synthetic = DEFAULT_SYNTHETIC
     d, t, _ = cfg.synthetic
-    sample_set, _ = resolve_samples(cfg)
+    sample_set = resolve_samples(cfg)[0]
     model, scores = fit_esn(cfg, sample_set)
     persistence.save_model(out / MODEL_FILE, model)
     rows = split_rows("esn", sample_set, scores)

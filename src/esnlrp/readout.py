@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -16,11 +17,34 @@ class ClassLabel(enum.Enum):
     NEUTRAL = "neutral"
 
 
+def one_score_readout(w_out: np.ndarray, b_out: np.ndarray, n_units: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Locked float copies of a readout that gives one score per sample.
+
+    w_out must have shape (1, n_units) and b_out (1,); anything else is a
+    ConfigError.
+    """
+    w_out = np.array(w_out, dtype=float)
+    b_out = np.array(b_out, dtype=float)
+    if w_out.shape != (1, n_units) or b_out.shape != (1,):
+        raise ConfigError(f"readout w_out/b_out have shapes {w_out.shape}/{b_out.shape}, expected (1, {n_units})/(1,)")
+    w_out.flags.writeable = False
+    b_out.flags.writeable = False
+    return w_out, b_out
+
+
 @dataclass(frozen=True)
 class ReadoutSolution:
+    """A fitted linear model on flat vectors: one row of weights plus one bias."""
+
     w_out: np.ndarray
     b_out: np.ndarray
     train_mse: float
+
+    def __post_init__(self) -> None:
+        # however many weights there are, they must form the one row
+        w_out, b_out = one_score_readout(self.w_out, self.b_out, np.size(self.w_out))
+        object.__setattr__(self, "w_out", w_out)
+        object.__setattr__(self, "b_out", b_out)
 
 
 @dataclass(frozen=True)
@@ -85,7 +109,7 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
     w = vt.T @ (gain[:, None] * (u.T @ (y - y_mean)))
     b = y_mean - x_mean @ w
     mse = float(np.mean((x @ w + b - y) ** 2))
-    return ReadoutSolution(w_out=w.T.copy(), b_out=b, train_mse=mse)
+    return ReadoutSolution(w_out=w.T, b_out=b, train_mse=mse)
 
 
 def accuracy(scores: np.ndarray, labels: list) -> AccuracyReport:

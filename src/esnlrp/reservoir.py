@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .readout import one_score_readout
 
 # Half-width of the uniform draws of w_in, b_in, b_res and (before spectral
 # scaling) w_res.
@@ -97,14 +98,8 @@ class EsnModel:
         return int(self.w_out.size + self.b_out.size)
 
     def with_readout(self, w_out: np.ndarray, b_out: np.ndarray) -> "EsnModel":
-        """A trained copy with one score per sample: w_out (1, n_res), b_out (1,), else a ConfigError."""
-        w_out = np.array(w_out, dtype=float)
-        b_out = np.array(b_out, dtype=float)
-        n = self.config.n_res
-        if w_out.shape != (1, n) or b_out.shape != (1,):
-            raise ConfigError(f"readout w_out/b_out have shapes {w_out.shape}/{b_out.shape}, expected (1, {n})/(1,)")
-        w_out.flags.writeable = False
-        b_out.flags.writeable = False
+        """A trained copy with one score per sample (see `readout.one_score_readout`)."""
+        w_out, b_out = one_score_readout(w_out, b_out, self.config.n_res)
         return dataclasses.replace(self, w_out=w_out, b_out=b_out)
 
 

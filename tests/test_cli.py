@@ -240,6 +240,17 @@ def test_malformed_model_files_exit_three(tmp_path, capsys, edit, key):
     assert not (out / "relevance").exists()
 
 
+def test_fields_of_another_height_than_the_model_exit_three(tmp_path, capsys):
+    """Fields with more rows than the saved model has inputs are a data error, and nothing is written."""
+    out = tmp_path / "out"
+    assert run_cli("train", "--out", str(out), *SMALL) == 0
+    for command in ("evaluate", "relevance"):
+        assert run_cli(command, "--synthetic", "10,12,12", "--out", str(out)) == 3
+        assert "fields have 10 rows" in capsys.readouterr().err
+    assert not (out / "eval_report.csv").exists()
+    assert not (out / "relevance").exists()
+
+
 def test_config_file_and_flag_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

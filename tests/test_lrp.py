@@ -1,4 +1,6 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -20,11 +22,11 @@ from esnlrp.lrp import (
     write_heatmap_pgm,
     write_matrix_csv,
 )
-from esnlrp import data
+from esnlrp import cli, data
 from esnlrp.readout import fit_readout
 from esnlrp.reservoir import EsnConfig, StateTrajectory, final_states, init_reservoir, run_reservoir
 
-from helpers import assemble_model, random_model, random_sample
+from helpers import assemble_model, random_model, random_sample, write_enso_container
 from oracle_lrp import oracle_relevance
 from reference_lrp import reference_relevance
 
@@ -299,6 +301,88 @@ def test_a_map_keeps_no_other_map_of_its_batch_alive():
         for b in maps:
             if b is not a:
                 assert not np.shares_memory(owner, b.scores)
+
+
+def track_sample_sets(monkeypatch):
+    """Follow every sample set the CLI synthesizes or loads with weak references.
+
+    Returns a list that fills with one reference per sample, then one for
+    the set itself and, on the --data path, one for the anomaly dataset.
+    """
+    refs = []
+
+    def tracked(make):
+        def wrapper(*args, **kwargs):
+            result = make(*args, **kwargs)
+            sample_set, anomalies = result if isinstance(result, tuple) else (result, None)
+            refs.extend(weakref.ref(s) for s in sample_set.samples)
+            refs.append(weakref.ref(sample_set))
+            if anomalies is not None:
+                refs.append(weakref.ref(anomalies))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(data, "synthesize_task", tracked(data.synthesize_task))
+    monkeypatch.setattr(data, "load_enso_samples", tracked(data.load_enso_samples))
+    return refs
+
+
+def alive(refs):
+    gc.collect()
+    return [ref() is not None for ref in refs]
+
+
+@pytest.mark.parametrize("source", ["synthetic", "data"])
+def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, source):
+    """From the first map on, `relevance` holds its mapped samples and nothing else it read.
+
+    The sample set as read, the set itself and, on the --data path, the
+    anomaly dataset are freed before the first batch goes back through time.
+    The samples alive then are exactly those the audit lists.
+    """
+    if source == "synthetic":
+        inputs, shape = ["--synthetic", "8,12,20"], (8, 12)
+    else:
+        inputs, shape = ["--data", str(tmp_path / "sst.sstg")], (data.GRID_N_LAT, data.GRID_N_LON)
+        write_enso_container(tmp_path / "sst.sstg")
+    out = tmp_path / "out"
+    common = [*inputs, "--n-res", "20", "--ridge", "1e-8", "--out", str(out)]
+    assert cli.main(["train", *common]) == 0
+
+    refs = track_sample_sets(monkeypatch)
+    seen = []
+
+    def first_map_checked(model, trajectory):
+        if not seen:
+            tracked = alive(refs)
+            samples = [o for o in gc.get_objects() if isinstance(o, data.LabeledSample) and o.field.shape == shape]
+            seen.append((tracked, sorted(s.month_id for s in samples)))
+        return relevance_map(model, trajectory)
+
+    monkeypatch.setattr(lrp, "relevance_map", first_map_checked)
+    assert cli.main(["relevance", "--class", "elnino", *common]) == 0
+    audit = (out / "relevance_audit.csv").read_text(encoding="ascii").splitlines()[1:]
+    mapped = sorted(int(line.split(",")[1]) for line in audit)
+    assert len(refs) > len(mapped) > 0
+    assert seen == [([False] * len(refs), mapped)]
+
+
+def test_the_permutation_study_lets_the_base_set_go_before_the_permuted_fit(tmp_path, monkeypatch):
+    """The permuted fit runs with none of the base samples, nor their set, left alive."""
+    refs = track_sample_sets(monkeypatch)
+    alive_at_fit = []
+    fit_esn = cli.fit_esn
+
+    def fit_checked(*args):
+        alive_at_fit.append(alive(refs))
+        return fit_esn(*args)
+
+    monkeypatch.setattr(cli, "fit_esn", fit_checked)
+    argv = ["permutation", "--synthetic", "8,12,20", "--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(refs) == 21
+    assert alive_at_fit == [[True] * 21, [False] * 21]
 
 
 @pytest.fixture(scope="module")

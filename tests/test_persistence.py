@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -64,6 +65,22 @@ def test_readout_solution_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.w_out, solution.w_out)
     np.testing.assert_array_equal(loaded.b_out, solution.b_out)
     assert loaded.train_mse == solution.train_mse
+
+
+@pytest.mark.parametrize(
+    "key, shape", [("w_out", [2, 3]), ("b_out", [5])], ids=["two-weight-rows", "five-biases"]
+)
+def test_a_linear_model_with_more_than_one_score_does_not_load(tmp_path, key, shape):
+    """A linreg readout is one row of weights plus one bias, like the reservoir's."""
+    solution = ReadoutSolution(w_out=np.ones((1, 3)), b_out=np.zeros(1), train_mse=0.0)
+    path = tmp_path / "readout.json"
+    save_model(path, solution)
+    doc = json.loads(path.read_text())
+    values = np.arange(np.prod(shape), dtype="<f8")
+    doc["arrays"][key] = {"shape": shape, "data": base64.b64encode(values.tobytes()).decode("ascii")}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="w_out/b_out"):
+        load_model(path)
 
 
 def test_resave_is_byte_identical(tmp_path):
