@@ -8,12 +8,16 @@ The MLP's layers are all affine, so the whole network collapses to a single
 affine map; it is kept in layered form anyway because the layered
 parameterization (and its optimization trajectory) is what we compare
 against, and the collapse makes for a free correctness check.
+
+The MLP reads its inputs through a row source (`RowSource`, such as
+`data.BaselineRows`) a mini-batch at a time, in training and in prediction,
+so no (samples x inputs) matrix is built for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +34,25 @@ ADAM_EPS = 1e-8
 
 INIT_HALF_RANGE = 0.05
 
+# Rows per mini-batch, in training and in prediction.
+BATCH_ROWS = 10
+
 # Adam updates the flat parameter vector this many elements at a time, so
 # its temporaries stay in cache.
 ADAM_SLICE = 32_768
+
+
+class RowSource(Protocol):
+    """`len()` input rows of `width` values each, read a few at a time."""
+
+    @property
+    def width(self) -> int: ...
+
+    def __len__(self) -> int: ...
+
+    def read(self, indices: Sequence[int], out: np.ndarray) -> np.ndarray:
+        """The rows at `indices`, written into the first len(indices) rows of `out`."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -105,9 +125,17 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> List[np.ndarray]:
     return activations
 
 
-def mlp_predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """One score per row of x, shape (n,)."""
-    return mlp_forward(model, x)[-1][:, 0]
+def mlp_predict(model: MlpModel, rows: RowSource) -> np.ndarray:
+    """One score per row of the source, shape (n,), BATCH_ROWS rows at a time through one buffer."""
+    if rows.width != model.layer_dims[0]:
+        raise ConfigError(f"input width {rows.width} does not match model input dim {model.layer_dims[0]}")
+    n = len(rows)
+    scores = np.empty(n)
+    buffer = np.empty((min(BATCH_ROWS, n), rows.width))
+    for lo in range(0, n, BATCH_ROWS):
+        hi = min(lo + BATCH_ROWS, n)
+        scores[lo:hi] = mlp_forward(model, rows.read(range(lo, hi), buffer))[-1][:, 0]
+    return scores
 
 
 def composed_affine(model: MlpModel) -> Tuple[np.ndarray, np.ndarray]:
@@ -206,15 +234,15 @@ def _blocks(layer_dims: Tuple[int, ...], flat: np.ndarray) -> Tuple[Tuple[np.nda
 
 
 def train_mlp(
-    vectors: np.ndarray,
+    rows: RowSource,
     targets: np.ndarray,
     epochs: int = 30,
-    batch: int = 10,
+    batch: int = BATCH_ROWS,
     seed: int = 0,
     lr: float = ADAM_LR,
 ) -> Tuple[MlpModel, List[float]]:
-    """Mini-batch Adam on MSE for a (n_in, *HIDDEN_DIMS, 1) net on (n, n_in)
-    vectors and their (n,) targets; deterministic given the seed.
+    """Mini-batch Adam on MSE for a (rows.width, *HIDDEN_DIMS, 1) net on the
+    source's n rows and their (n,) targets; deterministic given the seed.
 
     The seed spawns two substreams, one for the weight init and one for the
     per-epoch reshuffle, so init and batch order never interact. Returns the
@@ -222,18 +250,18 @@ def train_mlp(
     aborts immediately with the epoch and batch where it appeared.
 
     Parameters and gradients each live in one flat vector that the layer
-    blocks view, so every step updates them in place.
+    blocks view, so every step updates them in place. Each mini-batch is
+    read from the source into one reused (batch, width) buffer.
     """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     targets = np.asarray(targets, dtype=float)
-    n_samples = vectors.shape[0]
+    n_samples = len(rows)
     if targets.shape != (n_samples,):
-        raise ConfigError(f"{n_samples} vectors need targets of shape ({n_samples},), got {targets.shape}")
+        raise ConfigError(f"{n_samples} rows need targets of shape ({n_samples},), got {targets.shape}")
     if epochs < 1 or batch < 1:
         raise ConfigError(f"epochs and batch must be positive, got {epochs}, {batch}")
 
     streams = np.random.SeedSequence(seed).spawn(2)
-    initial = init_mlp((vectors.shape[1], *HIDDEN_DIMS, 1), seed=seed)
+    initial = init_mlp((rows.width, *HIDDEN_DIMS, 1), seed=seed)
     dims = initial.layer_dims
     shuffle_rng = np.random.default_rng(streams[1])
     state = adam_init(initial, lr=lr)
@@ -242,7 +270,7 @@ def train_mlp(
     grad = np.empty_like(theta)
     model = MlpModel(dims, *_blocks(dims, theta))
     grad_blocks = _blocks(dims, grad)
-    x_rows = np.empty((min(batch, n_samples), vectors.shape[1]))
+    x_rows = np.empty((min(batch, n_samples), rows.width))
     y_rows = np.empty(min(batch, n_samples))
 
     history: List[float] = []
@@ -250,11 +278,11 @@ def train_mlp(
         order = shuffle_rng.permutation(n_samples)
         epoch_losses = []
         for lo in range(0, n_samples, batch):
-            rows = order[lo : lo + batch]
+            picked = order[lo : lo + batch]
+            x = rows.read(picked, x_rows)
             # the rows come from a permutation, so clipping never applies; it
             # lets take() write straight into the buffer
-            x = np.take(vectors, rows, axis=0, out=x_rows[: rows.size], mode="clip")
-            y = np.take(targets, rows, axis=0, out=y_rows[: rows.size], mode="clip")
+            y = np.take(targets, picked, axis=0, out=y_rows[: picked.size], mode="clip")
             loss, _, _ = mlp_gradients(model, x, y, out=grad_blocks)
             if not np.isfinite(loss):
                 raise NumericError(

@@ -198,12 +198,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(command=args.command, **values)
 
 
-def resolve_samples(cfg: ExperimentConfig) -> Tuple[data.SampleSet, Optional[data.SstDataset]]:
+def resolve_samples(cfg: ExperimentConfig) -> Tuple[data.SampleSet, Optional[np.ndarray]]:
     """Either generate the synthetic task or run the full dataset pipeline.
 
-    The anomaly dataset (None for the synthetic task) is needed only for the
-    baselines' valid mask; every other caller takes the sample set alone, so
-    the dataset is freed on return.
+    Returns the sample set and the cells valid in every month, which only the
+    baselines read (None for the synthetic task, whose cells are all valid).
+    The anomaly dataset is freed on return.
     """
     if cfg.synthetic is not None:
         d, t, n = cfg.synthetic
@@ -214,7 +214,8 @@ def resolve_samples(cfg: ExperimentConfig) -> Tuple[data.SampleSet, Optional[dat
             "no dataset found: pass --data <path>, set "
             f"{data.ENV_DATASET}, place {data.DEFAULT_DATASET_PATH}, or use --synthetic d,t,n"
         )
-    return data.load_enso_samples(path)
+    sample_set, anomalies = data.load_enso_samples(path)
+    return sample_set, anomalies.valid_mask
 
 
 def filtered(samples: Sequence[data.LabeledSample], class_filter: str) -> List[data.LabeledSample]:
@@ -328,35 +329,43 @@ def write_report(path: Path, rows: List[str]) -> None:
     path.write_text("\n".join(["model,split,metric,value"] + rows) + "\n", encoding="ascii")
 
 
-def baseline_rows(cfg: ExperimentConfig, sample_set: data.SampleSet, anomalies: Optional[data.SstDataset], out: Path) -> List[str]:
+def baseline_rows(
+    cfg: ExperimentConfig, sample_set: data.SampleSet, valid_mask: Optional[np.ndarray], out: Path
+) -> List[str]:
+    """Fit the --baseline model on the train split, save it, and return its report rows.
+
+    Both baselines read each field's valid cells, scaled (`data.BaselineRows`;
+    a `valid_mask` of None means every cell is valid). The MLP reads them a
+    mini-batch at a time, in training and in prediction, so it builds no
+    (samples x cells) matrix. The linear regression's closed-form solve needs
+    that matrix, and builds it.
+    """
     if cfg.baseline == "none":
         return []
-    # synthetic fields have no invalid cells
-    mask = np.ones(sample_set.samples[0].field.shape, bool) if anomalies is None else anomalies.valid_mask
-    x = np.empty((len(sample_set.samples), int(mask.sum())))
-    for i, s in enumerate(sample_set.samples):
-        x[i] = data.preprocess_for_baseline(s, mask)
-    x_train, y_train = x[: sample_set.n_train], np.array([s.index for s in sample_set.train_samples])
+    inputs = data.BaselineRows(sample_set.samples, valid_mask)
+    y_train = np.array([s.index for s in sample_set.train_samples])
     if cfg.baseline == "linreg":
-        solution = readout.fit_readout(x_train, y_train, ridge=cfg.ridge)
+        x = inputs.read(range(len(inputs)), np.empty((len(inputs), inputs.width)))
+        solution = readout.fit_readout(x[: sample_set.n_train], y_train, ridge=cfg.ridge)
         persistence.save_model(out / "baseline_linreg.json", solution)
         rows = split_rows("linreg", sample_set, baselines.linreg_predict(solution, x))
         rows.append(f"linreg,train,mse,{solution.train_mse:.9g}")
     else:
-        model, history = baselines.train_mlp(x_train, y_train, seed=cfg.seed)
+        train_inputs = data.BaselineRows(sample_set.train_samples, valid_mask)
+        model, history = baselines.train_mlp(train_inputs, y_train, seed=cfg.seed)
         persistence.save_model(out / "baseline_mlp.json", model)
-        rows = split_rows("mlp", sample_set, baselines.mlp_predict(model, x))
+        rows = split_rows("mlp", sample_set, baselines.mlp_predict(model, inputs))
         rows.append(f"mlp,train,final_loss,{history[-1]:.9g}")
     return rows
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
-    sample_set, anomalies = resolve_samples(cfg)
+    sample_set, valid_mask = resolve_samples(cfg)
     model, scores = fit_esn(cfg, sample_set)
     persistence.save_model(out / MODEL_FILE, model)
     data.write_sample_index_csv(out / "samples.csv", sample_set)
     rows = split_rows("esn", sample_set, scores)
-    rows.extend(baseline_rows(cfg, sample_set, anomalies, out))
+    rows.extend(baseline_rows(cfg, sample_set, valid_mask, out))
     write_report(out / "train_report.csv", rows)
 
 

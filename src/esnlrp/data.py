@@ -29,7 +29,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -232,17 +232,19 @@ def compute_anomalies(dataset: SstDataset) -> SstDataset:
     """Subtract the per-cell, per-calendar-month mean over the REFERENCE_PERIOD years.
 
     Cells with no finite reference values keep NaN everywhere; invalid
-    entries stay invalid.
+    entries stay invalid. Each calendar month is subtracted straight into
+    the output, so the input and the result are the only cube-sized arrays.
     """
     ref = _reference_slice(dataset)
-    climatology = np.empty((12,) + dataset.fields.shape[1:])
+    anomalies = np.empty(dataset.fields.shape)
     for month in range(12):
         vals = dataset.fields[ref][month::12]
         finite = np.isfinite(vals)
         counts = finite.sum(axis=0)
         sums = np.where(finite, vals, 0.0).sum(axis=0)
-        climatology[month] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    anomalies = dataset.fields - climatology[np.arange(dataset.n_months) % 12]
+        climatology = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        # into this calendar month's rows of the one output cube
+        np.subtract(dataset.fields[month::12], climatology, out=anomalies[month::12])
     anomalies.setflags(write=False)
     return dataclasses.replace(dataset, fields=anomalies)
 
@@ -318,6 +320,39 @@ def preprocess_for_baseline(sample: LabeledSample, valid_mask: np.ndarray) -> np
     if valid_mask.shape != sample.field.shape:
         raise DataError(f"mask shape {valid_mask.shape} does not match field {sample.field.shape}")
     return _scaled(sample.field)[valid_mask]
+
+
+@dataclass(frozen=True)
+class BaselineRows:
+    """The baselines' input vectors of some samples, one row per sample, read on demand.
+
+    Row i holds sample i's valid cells in row-major order, divided by
+    CLIP_LIMIT; a `valid_mask` of None means every cell is valid. That is
+    `preprocess_for_baseline` bit for bit, because a sample field holds no
+    finite value outside +-CLIP_LIMIT and a valid cell is finite in every
+    month. No (samples x cells) matrix is built: `read` writes the rows it
+    is asked for into the caller's buffer.
+    """
+
+    samples: Sequence[LabeledSample]
+    valid_mask: Optional[np.ndarray] = None
+
+    @property
+    def width(self) -> int:
+        mask = self.valid_mask
+        return int(self.samples[0].field.size if mask is None else np.count_nonzero(mask))
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def read(self, indices: Sequence[int], out: np.ndarray) -> np.ndarray:
+        """The rows at `indices`, written into the first len(indices) rows of `out`."""
+        out = out[: len(indices)]
+        for row, i in zip(out, indices):
+            field = self.samples[i].field
+            cells = field.reshape(-1) if self.valid_mask is None else field[self.valid_mask]
+            np.divide(cells, CLIP_LIMIT, out=row)
+        return out
 
 
 def permute_columns(sample_set: SampleSet, seed: int) -> SampleSet:

@@ -1,4 +1,5 @@
-"""Shared builders for tests: models from explicit arrays, random draws, a generated SST container."""
+"""Shared builders for tests: models from explicit arrays, random draws, a generated SST container,
+and a row source over an explicit matrix."""
 
 import numpy as np
 
@@ -64,3 +65,19 @@ def write_enso_container(path):
     fields[:, 60:70, 100:150] = np.nan
     data.write_sst(path, fields, 1980)
     return (int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
+
+
+class MatrixRows:
+    """A `baselines.RowSource` over the rows of an explicit (n, width) matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+        self.width = self.matrix.shape[1]
+
+    def __len__(self):
+        return self.matrix.shape[0]
+
+    def read(self, indices, out):
+        out = out[: len(indices)]
+        out[...] = self.matrix[np.asarray(indices)]
+        return out

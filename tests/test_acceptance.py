@@ -298,10 +298,10 @@ def test_criterion_6_baselines():
         report = accuracy(scores, [s.label for s in samples])
         assert report.overall == 1.0, f"linreg {split} accuracy {report.overall} != 100%"
 
-    mlp, _ = train_mlp(x_train, y_train, seed=0)
+    mlp, _ = train_mlp(data.BaselineRows(train, mask), y_train, seed=0)
     assert mlp.param_count == 87_993
     for split, samples in (("train", train), ("val", val)):
-        scores = mlp_predict(mlp, vectors(samples))
+        scores = mlp_predict(mlp, data.BaselineRows(samples, mask))
         report = accuracy(scores, [s.label for s in samples])
         assert report.overall == 1.0, f"mlp {split} accuracy {report.overall} != 100%"
     print(

@@ -21,6 +21,7 @@ from esnlrp.baselines import (
 )
 from esnlrp.errors import ConfigError, NumericError
 from esnlrp.readout import fit_readout
+from helpers import MatrixRows
 
 TOY_DIMS = (3, 4, 2, 1)
 
@@ -97,7 +98,7 @@ def test_predict_shapes_and_constant_model():
         weights=(np.zeros((1, 2)),),
         biases=(np.array([4.5]),),
     )
-    np.testing.assert_array_equal(mlp_predict(constant, np.ones((3, 2))), [4.5] * 3)
+    np.testing.assert_array_equal(mlp_predict(constant, MatrixRows(np.ones((3, 2)))), [4.5] * 3)
     with pytest.raises(ConfigError):
         mlp_forward(constant, np.ones((2, 3)))
 
@@ -199,7 +200,7 @@ def test_train_mlp_matches_the_list_based_reference_bit_for_bit(n_samples, width
     rng = np.random.default_rng(12)
     x = rng.normal(size=(n_samples, width))
     y = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
-    got, history = train_mlp(x, y, epochs=epochs, batch=batch, seed=3)
+    got, history = train_mlp(MatrixRows(x), y, epochs=epochs, batch=batch, seed=3)
     want, want_history = reference_train_mlp(x, y, epochs=epochs, batch=batch, seed=3)
     assert got.layer_dims == want.layer_dims == (width, 8, 8, 1)
     assert history == want_history
@@ -214,22 +215,22 @@ def test_train_mlp_fits_a_linear_rule():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(60, 4))
     y = x @ np.array([0.5, -0.25, 0.1, 0.7]) + 0.3
-    model, history = train_mlp(x, y, epochs=200, batch=10, seed=0, lr=0.01)
+    model, history = train_mlp(MatrixRows(x), y, epochs=200, batch=10, seed=0, lr=0.01)
     assert history[-1] < history[0]
     assert history[-1] < 1e-3
-    np.testing.assert_allclose(mlp_predict(model, x), y, atol=0.15)
+    np.testing.assert_allclose(mlp_predict(model, MatrixRows(x)), y, atol=0.15)
 
 
 def test_train_mlp_is_seed_deterministic():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
-    a, history_a = train_mlp(x, y, epochs=3, batch=4, seed=7)
-    b, history_b = train_mlp(x, y, epochs=3, batch=4, seed=7)
+    a, history_a = train_mlp(MatrixRows(x), y, epochs=3, batch=4, seed=7)
+    b, history_b = train_mlp(MatrixRows(x), y, epochs=3, batch=4, seed=7)
     assert history_a == history_b
     for pa, pb in zip(flat_params(a), flat_params(b)):
         np.testing.assert_array_equal(pa, pb)
-    c, _ = train_mlp(x, y, epochs=3, batch=4, seed=8)
+    c, _ = train_mlp(MatrixRows(x), y, epochs=3, batch=4, seed=8)
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
@@ -237,11 +238,11 @@ def test_train_mlp_aborts_on_overflow():
     x = np.full((10, 2), 1e200)
     y = np.ones(10)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
-        train_mlp(x, y, epochs=1, batch=10, seed=0)
+        train_mlp(MatrixRows(x), y, epochs=1, batch=10, seed=0)
 
 
 def test_train_mlp_input_validation():
-    x = np.ones((10, 2))
+    x = MatrixRows(np.ones((10, 2)))
     with pytest.raises(ConfigError):
         train_mlp(x, np.ones(9))
     with pytest.raises(ConfigError):

@@ -5,13 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from esnlrp import cli, data, persistence, readout, reservoir
-from helpers import write_enso_container
+from esnlrp import baselines, cli, data, persistence, readout, reservoir
+from helpers import MatrixRows, write_enso_container
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
 
@@ -444,6 +445,25 @@ def test_baseline_training_rows(tmp_path):
     assert (out2 / "baseline_mlp.json").exists()
 
 
+def test_the_mlp_baseline_builds_no_input_matrix(tmp_path):
+    """At the sweep shape the MLP branch allocates under a quarter of the fields' bytes.
+
+    A (samples x cells) input matrix would be as large as the fields
+    themselves; the MLP reads its mini-batches straight from them instead.
+    """
+    cfg = cli.ExperimentConfig(command="train", synthetic=(16, 96, 300), baseline="mlp")
+    sample_set = data.synthesize_task(300, 16, 96, seed=0)
+    fields_bytes = sum(s.field.nbytes for s in sample_set.samples)
+    tracemalloc.start()
+    try:
+        rows = cli.baseline_rows(cfg, sample_set, None, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {row.split(",")[0] for row in rows} == {"mlp"}
+    assert peak < 0.25 * fields_bytes, f"peak {peak / fields_bytes:.2f} of the fields' bytes"
+
+
 @pytest.fixture(scope="module")
 def enso_container(tmp_path_factory):
     """One generated container shared by the data-path tests: (path, Nino-3.4 box)."""
@@ -488,6 +508,31 @@ def test_the_data_path_runs_end_to_end_on_a_generated_container(tmp_path, enso_c
     mean = np.loadtxt(out / "mean_map.csv", delimiter=",")
     assert np.all(mean[land] == 0.0)
     assert data.box_mass_ratio(mean, box) > 5.0
+
+
+def test_the_masked_mlp_baseline_trains_as_on_the_explicit_matrix(tmp_path, enso_container):
+    """`train --data --baseline mlp` reads the 11,920 valid cells of each field.
+
+    It gives bit for bit the model, final loss and accuracy rows of
+    `train_mlp` and `mlp_predict` over the explicit `preprocess_for_baseline`
+    matrix.
+    """
+    container, _ = enso_container
+    out = tmp_path / "out"
+    assert run_cli("train", "--data", str(container), "--baseline", "mlp", *DATA_PATH_MODEL, "--out", str(out)) == 0
+    got = persistence.load_model(out / "baseline_mlp.json")
+
+    sample_set, anomalies = data.load_enso_samples(container)
+    x = np.stack([data.preprocess_for_baseline(s, anomalies.valid_mask) for s in sample_set.samples])
+    assert x.shape == (372, 11_920)
+    n = sample_set.n_train
+    want, history = baselines.train_mlp(MatrixRows(x[:n]), [s.index for s in sample_set.train_samples], seed=0)
+    assert got.layer_dims == want.layer_dims == (11_920, 8, 8, 1)
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.tobytes() == b.tobytes()
+    report = (out / "train_report.csv").read_text(encoding="ascii").splitlines()
+    expected = cli.split_rows("mlp", sample_set, baselines.mlp_predict(want, MatrixRows(x)))
+    assert [row for row in report if row.startswith("mlp,")] == expected + [f"mlp,train,final_loss,{history[-1]:.9g}"]
 
 
 def test_the_leak_sweep_shows_fading_memory_on_the_data_path(tmp_path, enso_container):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,22 @@ def test_anomalies_preserve_invalid_cells():
     np.testing.assert_array_equal(anomalies.valid_mask, dataset.valid_mask)
 
 
+def test_anomalies_are_computed_into_one_output_cube():
+    """Besides its result, the anomaly computation allocates at most a fifth of a cube.
+
+    Gathering the climatology month by month into a full cube before
+    subtracting it would allocate a second cube.
+    """
+    dataset = seasonal_dataset(32)
+    tracemalloc.start()
+    try:
+        data.compute_anomalies(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * dataset.fields.nbytes, f"peak {peak / dataset.fields.nbytes:.2f} cubes"
+
+
 def test_reference_period_outside_span_is_an_error():
     dataset = seasonal_dataset(10, start_year=1990)
     with pytest.raises(DataError, match="reference period"):
@@ -255,6 +273,23 @@ def test_preprocess_for_baseline_ignores_invalid_cells():
     np.testing.assert_array_equal(data.preprocess_for_baseline(sample2, mask), vector)
     with pytest.raises(DataError):
         data.preprocess_for_baseline(sample, np.ones((3, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_baseline_rows_are_preprocess_for_baseline_bit_for_bit(masked):
+    rng = np.random.default_rng(4)
+    fields = np.clip(rng.normal(0.0, 3.0, size=(7, 6, 9)), -data.CLIP_LIMIT, data.CLIP_LIMIT)
+    mask = rng.random((6, 9)) < 0.7 if masked else None
+    if masked:
+        fields[:, ~mask] = np.nan
+    samples = [data.LabeledSample(field=f, index=1.0, month_id=i) for i, f in enumerate(fields)]
+    rows = data.BaselineRows(samples, mask)
+    want = np.stack([data.preprocess_for_baseline(s, np.ones((6, 9), bool) if mask is None else mask) for s in samples])
+    assert len(rows) == 7 and rows.width == want.shape[1]
+    buffer = np.full((4, rows.width), np.nan)
+    got = rows.read([5, 0, 3], buffer)
+    assert got.shape == (3, rows.width) and np.shares_memory(got, buffer)
+    assert got.tobytes() == want[[5, 0, 3]].tobytes()
 
 
 def test_permute_columns_round_trip_and_errors():
