@@ -16,11 +16,12 @@ both are found before anything is written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -218,11 +219,12 @@ def resolve_samples(cfg: ExperimentConfig) -> Tuple[data.SampleSet, Optional[np.
     return sample_set, anomalies.valid_mask
 
 
-def filtered(samples: Sequence[data.LabeledSample], class_filter: str) -> List[data.LabeledSample]:
+def filtered(samples: Iterable[data.LabeledSample], class_filter: str) -> Iterator[data.LabeledSample]:
+    """The samples of --class, in order, each drawn from `samples` only when asked for."""
     if class_filter == "both":
-        return list(samples)
+        return iter(samples)
     want = readout.ClassLabel.EL_NINO if class_filter == "elnino" else readout.ClassLabel.LA_NINA
-    return [s for s in samples if s.label is want]
+    return (s for s in samples if s.label is want)
 
 
 def compacted(samples: Sequence[data.LabeledSample]) -> List[data.LabeledSample]:
@@ -238,24 +240,36 @@ def compacted(samples: Sequence[data.LabeledSample]) -> List[data.LabeledSample]
     return [replace(s, field=field) for s, field in zip(samples, block)]
 
 
-def batches(samples: Sequence[data.LabeledSample], step_bytes: int) -> Iterator[np.ndarray]:
-    """Preprocessed samples stacked (B, n_in, T), in consecutive runs.
+SampleKey = Tuple[int, readout.ClassLabel]  # a sample's month id and label
 
+
+def batches(samples: Iterable[data.LabeledSample], step_bytes: int) -> Iterator[Tuple[List[SampleKey], np.ndarray]]:
+    """Consecutive runs of the samples: each run's keys, and its preprocessed fields stacked (B, n_in, T).
+
+    `samples` may be any iterable, a generator included. A run is drawn from
+    it only when the one before is done, and its samples are let go once
+    their fields are in the batch, so no run's samples outlive its drawing.
     One sample costs its caller `step_bytes` per time step. Each run is as
     long as its cost fits TRAJECTORY_BUDGET_BYTES, and at least one sample.
     Runs reuse one array (a batch is valid until the next is drawn): a new
     one per run would take the heap space a freed trajectory left.
     """
-    if not samples:
+    samples = iter(samples)
+    run = list(itertools.islice(samples, 1))
+    if not run:
         return
-    shape = data.preprocess_field(samples[0].field).shape
+    shape = data.preprocess_field(run[0].field).shape
     size = max(1, TRAJECTORY_BUDGET_BYTES // (shape[1] * step_bytes))
-    buffer = np.empty((min(size, len(samples)),) + shape)
-    for start in range(0, len(samples), size):
-        batch = buffer[: min(size, len(samples) - start)]
-        for row, sample in zip(batch, samples[start : start + size]):
-            row[...] = data.preprocess_field(sample.field)
-        yield batch
+    run.extend(itertools.islice(samples, size - 1))
+    buffer = np.empty((len(run),) + shape)
+    while run:
+        batch = buffer[: len(run)]
+        for i in range(len(run)):
+            batch[i] = data.preprocess_field(run[i].field)
+        keys = [(s.month_id, s.label) for s in run]
+        run.clear()
+        yield keys, batch
+        run.extend(itertools.islice(samples, size))
 
 
 def encode(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> np.ndarray:
@@ -265,7 +279,7 @@ def encode(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> 
     """
     states = np.empty((len(samples), model.config.n_res))
     start = 0
-    for batch in batches(samples, model.config.n_in * 8):
+    for _, batch in batches(samples, model.config.n_in * 8):
         states[start : start + len(batch)] = reservoir.final_states(model, batch)
         start += len(batch)
     return states
@@ -288,15 +302,18 @@ def fit_esn(
     return model, reservoir.model_output(model, states)
 
 
-def maps_for(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> Iterator[lrp.RelevanceMap]:
-    """Relevance map of each sample, in order, built one batch at a time at
-    the default `lrp.LrpConfig` (ε is not a command-line setting).
+def maps_for(
+    model: reservoir.EsnModel, samples: Iterable[data.LabeledSample]
+) -> Iterator[Tuple[SampleKey, lrp.RelevanceMap]]:
+    """Each sample's key (month id, label) with its relevance map, in order,
+    built one batch at a time at the default `lrp.LrpConfig` (ε is not a
+    command-line setting).
 
     A batch's trajectory is dropped as soon as its maps are built.
     """
     # a trajectory holds the states, one float per unit and step
-    for batch in batches(samples, model.config.n_res * 8):
-        yield from lrp.relevance_map(model, reservoir.run_reservoir(model, batch))
+    for keys, batch in batches(samples, model.config.n_res * 8):
+        yield from zip(keys, lrp.relevance_map(model, reservoir.run_reservoir(model, batch)))
 
 
 def accuracy_rows(model_name: str, split: str, report: readout.AccuracyReport) -> List[str]:
@@ -394,24 +411,53 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     write_report(out / "eval_report.csv", split_rows("esn", sample_set, scores))
 
 
+def relevance_samples(cfg: ExperimentConfig) -> Iterator[data.LabeledSample]:
+    """The --class train samples that `relevance` maps, in order.
+
+    On --synthetic they are drawn from `data.synthetic_samples` as the map
+    batches ask for them, and the stream stops at the train split
+    (`data.train_count`). On --data the set is loaded whole; the kept fields
+    are copied into one block (`compacted`), so the rest of the set is freed
+    on return.
+    """
+    if cfg.synthetic is not None:
+        d, t, n = cfg.synthetic
+        train = itertools.islice(data.synthetic_samples(n, d, t, seed=cfg.seed), data.train_count(n))
+        return filtered(train, cfg.class_filter)
+    kept = list(filtered(resolve_samples(cfg)[0].train_samples, cfg.class_filter))
+    return iter(compacted(kept) if kept else kept)
+
+
 def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
+    """Map the `relevance_samples`, writing each map and its audit row, then the mean map.
+
+    On --synthetic the samples stream through `maps_for`: a run of them is
+    drawn, preprocessed into its batch and let go before the batch is
+    mapped, so one run's fields are the most ever held, however many
+    samples the task has. The checks (a sample is left, its field height is
+    the model's) run on the first sample before anything is written; then
+    the maps an earlier run left in `relevance/` are removed, so the
+    directory holds this run's only.
+    """
     model = load_trained_model(out)
-    samples = filtered(resolve_samples(cfg)[0].train_samples, cfg.class_filter)
-    if not samples:
+    samples = relevance_samples(cfg)
+    first = next(samples, None)
+    if first is None:
         raise DataError(f"no training samples left after --class {cfg.class_filter}")
-    check_field_height(model, samples, out)
-    samples = compacted(samples)  # only the fields to be mapped stay resident
+    check_field_height(model, [first], out)
 
     rel_dir = out / "relevance"
     rel_dir.mkdir(parents=True, exist_ok=True)
+    for stale in rel_dir.glob("sample_*.csv"):
+        stale.unlink()
     audit = ["sample,month_id,label,output,scores_sum,dummy_sum,absorbed,conservation_error,within_tolerance"]
 
     def exported() -> Iterator[lrp.RelevanceMap]:
         """Write each map's CSV and audit row as it streams past."""
-        for i, (sample, rmap) in enumerate(zip(samples, maps_for(model, samples))):
+        for i, ((month_id, label), rmap) in enumerate(maps_for(model, itertools.chain([first], samples))):
             lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
             audit.append(
-                f"{i},{sample.month_id},{sample.label.value},{rmap.total:.9g},"
+                f"{i},{month_id},{label.value},{rmap.total:.9g},"
                 f"{rmap.scores.sum():.9g},{rmap.dummy_scores.sum():.9g},{rmap.absorbed:.9g},"
                 f"{rmap.conservation_error():.9g},{int(rmap.conserved())}"
             )
@@ -429,7 +475,7 @@ def study(
     """Fit a fresh reservoir; its val accuracy and the mean map of the --class train samples."""
     model, scores = fit_esn(cfg, sample_set, alpha)
     maps = maps_for(model, filtered(sample_set.train_samples, cfg.class_filter))
-    return val_accuracy(sample_set, scores), lrp.mean_relevance(maps)
+    return val_accuracy(sample_set, scores), lrp.mean_relevance(rmap for _, rmap in maps)
 
 
 def cmd_leak_sweep(cfg: ExperimentConfig, out: Path) -> None:
@@ -493,10 +539,10 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     rows = split_rows("esn", sample_set, scores)
     box = data.synthetic_blob_box(d, t)
     for class_filter in ("elnino", "lanina"):
-        samples = filtered(sample_set.train_samples, class_filter)
+        samples = list(filtered(sample_set.train_samples, class_filter))
         if not samples:
             continue
-        mean = lrp.mean_relevance(maps_for(model, samples))
+        mean = lrp.mean_relevance(rmap for _, rmap in maps_for(model, samples))
         lrp.write_matrix_csv(out / f"mean_map_{class_filter}.csv", mean)
         lrp.write_heatmap_pgm(out / f"mean_map_{class_filter}.pgm", mean)
         rows.append(f"esn,train,localization_ratio_{class_filter},{data.box_mass_ratio(mean, box):.9g}")

@@ -19,7 +19,7 @@ signal box.
 Each fact is stored once and the rest derived from it: a dataset's month ids
 follow from its start year and its validity mask from its fields, a sample's
 class from its index, and a sample set's split from its length (the first
-TRAIN_FRACTION of the samples train).
+`train_count` of the samples train).
 """
 
 from __future__ import annotations
@@ -124,11 +124,20 @@ class LabeledSample:
         return label_for_index(self.index)
 
 
+def train_count(n_samples: int) -> int:
+    """How many of n_samples time-ordered samples train: the first TRAIN_FRACTION, rounded down.
+
+    The one home of the split rule, so that a caller streaming samples can
+    stop at the split without building the set.
+    """
+    return int(TRAIN_FRACTION * n_samples)
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Non-neutral samples in time order; the first `n_train` of them train.
 
-    The split is derived, never stored: the first TRAIN_FRACTION of the
+    The split is derived, never stored: the first `train_count` of the
     samples train and the rest validate, so scores computed in sample order
     hold the train rows first. When the set has been column-permuted,
     `permutation` records the bijection so maps and fields can be restored
@@ -144,7 +153,7 @@ class SampleSet:
 
     @property
     def n_train(self) -> int:
-        return int(TRAIN_FRACTION * len(self.samples))
+        return train_count(len(self.samples))
 
     @property
     def train_samples(self) -> Tuple[LabeledSample, ...]:
@@ -447,8 +456,8 @@ def check_synthetic_shape(n_samples: int, d: int, t: int) -> None:
         raise ConfigError(f"synthetic must have d, t >= 8 and n >= 2, got d,t,n = {d},{t},{n_samples}")
 
 
-def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
-    """Generate a two-class task with a known localized signal.
+def synthetic_samples(n_samples: int, d: int, t: int, seed: int) -> Iterator[LabeledSample]:
+    """The samples of a two-class task with a known localized signal, drawn one at a time.
 
     Each sample is amplitude * blob + smoothed noise: the blob is a fixed
     Gaussian bump (see the module constants for its geometry), amplitudes
@@ -457,7 +466,12 @@ def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
     to standard deviation NOISE_SCALE. The continuous target equals the
     amplitude, so labels follow the +-0.5 index rule exactly and both
     classes appear in any contiguous split. With everything seeded the
-    generated set is reproducible bit for bit.
+    samples are reproducible bit for bit.
+
+    Sample i is drawn only when asked for, and the generator keeps none it
+    has yielded, so a caller that needs only some of them (the first
+    `train_count(n_samples)`, say) holds no others. The shape is checked
+    at the first draw.
     """
     check_synthetic_shape(n_samples, d, t)
     # The spawn_key puts data generation in its own stream domain, so reusing
@@ -470,7 +484,6 @@ def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
     blob = np.exp(-((rr - r0) ** 2 / (2 * sigma_r**2) + (cc - c0) ** 2 / (2 * sigma_c**2)))
 
     noises = _smoothed_noise(noise_rng, (d, t), NOISE_SMOOTHING_SIGMA)
-    samples = []
     lo, hi = BLOB_AMPLITUDE_RANGE
     for i in range(n_samples):
         amplitude = float(amp_rng.uniform(lo, hi)) * (1.0 if i % 2 == 0 else -1.0)
@@ -478,12 +491,12 @@ def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
         field = amplitude * blob
         noise = next(noises)
         field = field + noise * (NOISE_SCALE / float(noise.std()))
-        samples.append(
-            LabeledSample(
-                field=_locked(np.clip(field, -CLIP_LIMIT, CLIP_LIMIT)), index=amplitude, month_id=i
-            )
-        )
-    return SampleSet(samples=tuple(samples))
+        yield LabeledSample(field=_locked(np.clip(field, -CLIP_LIMIT, CLIP_LIMIT)), index=amplitude, month_id=i)
+
+
+def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
+    """All the samples of `synthetic_samples(n_samples, d, t, seed)`, as one set."""
+    return SampleSet(samples=tuple(synthetic_samples(n_samples, d, t, seed)))
 
 
 def box_mass_ratio(scores: np.ndarray, box: Tuple[int, int, int, int]) -> float:

@@ -388,6 +388,69 @@ def test_relevance_outputs_conserve_and_normalize(tmp_path):
     assert header.startswith(b"P5\n12 8\n255\n")
 
 
+@pytest.mark.parametrize("n", [20, 24], ids=["split-at-16", "split-at-19"])
+@pytest.mark.parametrize("class_filter", cli.CLASS_FILTERS)
+def test_relevance_streams_the_class_train_samples_of_the_synthetic_task(n, class_filter):
+    """The samples `relevance` maps on --synthetic are those of the built set, bit for bit.
+
+    They are the --class samples of `synthesize_task(...).train_samples`, in
+    order: the same fields, indices and month ids. At n = 24 the first
+    validation sample has the odd index 19, a La Nina one.
+    """
+    cfg = cli.ExperimentConfig(command="relevance", synthetic=(8, 12, n), seed=3, class_filter=class_filter)
+    streamed = list(cli.relevance_samples(cfg))
+    expected = list(cli.filtered(data.synthesize_task(n, 8, 12, seed=3).train_samples, class_filter))
+    assert len(streamed) == len(expected) > 0
+    for got, want in zip(streamed, expected):
+        assert (got.index, got.month_id) == (want.index, want.month_id)
+        assert got.field.tobytes() == want.field.tobytes()
+    assert max(s.month_id for s in streamed) < data.train_count(n)
+
+
+def test_relevance_with_no_sample_of_the_class_exits_three_and_writes_nothing(tmp_path, capsys):
+    """Two samples leave one to train, an El Nino one: --class lanina has nothing to map."""
+    out = tmp_path / "out"
+    assert run_cli("train", "--out", str(out), *SMALL) == 0
+    assert run_cli("relevance", "--out", str(out), "--class", "lanina", "--synthetic", "8,12,2", *SMALL[2:]) == 3
+    assert "no training samples left after --class lanina" in capsys.readouterr().err
+    assert not (out / "relevance").exists()
+    assert not (out / "relevance_audit.csv").exists()
+
+
+def test_a_relevance_rerun_leaves_no_stale_maps(tmp_path):
+    """A rerun with fewer maps removes the sample files of the earlier run that it does not write."""
+    out = tmp_path / "out"
+    assert run_cli("train", "--out", str(out), *SMALL) == 0
+    assert run_cli("relevance", "--out", str(out), "--class", "both", *SMALL) == 0
+    assert len(list((out / "relevance").glob("sample_*.csv"))) == 9
+    assert run_cli("relevance", "--out", str(out), "--class", "elnino", *SMALL) == 0
+    audit = (out / "relevance_audit.csv").read_text(encoding="ascii").splitlines()[1:]
+    assert len(audit) == 5
+    written = sorted(p.name for p in (out / "relevance").iterdir())
+    assert written == [f"sample_{i:04d}.csv" for i in range(5)]
+
+
+def test_relevance_memory_does_not_grow_with_the_synthetic_sample_count(tmp_path, monkeypatch):
+    """`relevance --synthetic 16,96,N` allocates as much at N = 800 as at N = 200.
+
+    The samples stream from the generator a batch at a time, 16 here (a
+    trajectory of 97 steps of 20 units costs 15,520 bytes per sample), so
+    neither the 160 nor the 640 train fields are ever held together.
+    """
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 16 * 15_520)
+    model = ["--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
+    assert run_cli("train", "--synthetic", "16,96,40", *model) == 0
+    peaks = {}
+    for n in (200, 800):
+        tracemalloc.start()
+        try:
+            assert run_cli("relevance", "--synthetic", f"16,96,{n}", "--class", "elnino", *model) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[800] < 1.25 * peaks[200], f"peaks {peaks}"
+
+
 def test_leak_sweep_report_and_maps(tmp_path):
     out = tmp_path / "out"
     assert run_cli("leak-sweep", "--out", str(out), *SMALL) == 0

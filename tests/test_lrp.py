@@ -328,6 +328,20 @@ def track_sample_sets(monkeypatch):
     return refs
 
 
+def track_generated_samples(monkeypatch):
+    """Follow every sample `data.synthetic_samples` yields with a weak reference, in draw order."""
+    refs = []
+    generate = data.synthetic_samples
+
+    def remember(sample):
+        refs.append(weakref.ref(sample))
+        return sample
+
+    # map, unlike a generator's loop variable, keeps no reference to the last sample drawn
+    monkeypatch.setattr(data, "synthetic_samples", lambda *args, **kwargs: map(remember, generate(*args, **kwargs)))
+    return refs
+
+
 def alive(refs):
     gc.collect()
     return [ref() is not None for ref in refs]
@@ -335,11 +349,13 @@ def alive(refs):
 
 @pytest.mark.parametrize("source", ["synthetic", "data"])
 def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, source):
-    """From the first map on, `relevance` holds its mapped samples and nothing else it read.
+    """From the first map on, `relevance` holds at most one batch of samples, all of them mapped.
 
-    The sample set as read, the set itself and, on the --data path, the
-    anomaly dataset are freed before the first batch goes back through time.
-    The samples alive then are exactly those the audit lists.
+    On --synthetic the samples stream from the generator, three to a batch
+    here, and the generator stops at the train split. On --data the sample
+    set as read, the set itself and the anomaly dataset are freed before
+    the first batch goes back through time, and the one batch holds every
+    sample the audit lists.
     """
     if source == "synthetic":
         inputs, shape = ["--synthetic", "8,12,20"], (8, 12)
@@ -350,22 +366,35 @@ def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, s
     common = [*inputs, "--n-res", "20", "--ridge", "1e-8", "--out", str(out)]
     assert cli.main(["train", *common]) == 0
 
-    refs = track_sample_sets(monkeypatch)
+    if source == "synthetic":
+        refs = track_generated_samples(monkeypatch)
+        # a trajectory of 13 steps of 20 units costs 2080 bytes per sample
+        monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 2080)
+    else:
+        refs = track_sample_sets(monkeypatch)
     seen = []
 
     def first_map_checked(model, trajectory):
         if not seen:
-            tracked = alive(refs)
+            tracked = [i for i, live in enumerate(alive(refs)) if live]
             samples = [o for o in gc.get_objects() if isinstance(o, data.LabeledSample) and o.field.shape == shape]
-            seen.append((tracked, sorted(s.month_id for s in samples)))
+            seen.append((tracked, sorted(s.month_id for s in samples), len(trajectory.inputs)))
         return relevance_map(model, trajectory)
 
     monkeypatch.setattr(lrp, "relevance_map", first_map_checked)
     assert cli.main(["relevance", "--class", "elnino", *common]) == 0
     audit = (out / "relevance_audit.csv").read_text(encoding="ascii").splitlines()[1:]
-    mapped = sorted(int(line.split(",")[1]) for line in audit)
-    assert len(refs) > len(mapped) > 0
-    assert seen == [([False] * len(refs), mapped)]
+    mapped = [int(line.split(",")[1]) for line in audit]
+    [(tracked, held, batch)] = seen
+    if source == "synthetic":
+        # 16 of the 20 samples train, and the even ones are El Nino; each generated sample's month id is its draw index
+        assert len(refs) == data.train_count(20) == 16
+        assert mapped == list(range(0, 16, 2)) and batch == 3
+        assert held == tracked
+    else:
+        assert len(refs) > len(mapped) > 0
+        assert tracked == [] and batch == len(mapped)
+    assert set(held) <= set(mapped[:batch])
 
 
 def test_the_permutation_study_lets_the_base_set_go_before_the_permuted_fit(tmp_path, monkeypatch):
