@@ -11,6 +11,15 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 A data error includes a malformed model file and, for `evaluate` and
 `relevance`, fields whose height differs from the saved model's `n_in`;
 both are found before anything is written.
+
+Every encoding goes through one `forward_pass` over the samples in order,
+which feeds them to the reservoir a batch at a time and, in `train`, scores
+them with the --baseline model in the same pass. A sample is let go once
+both models are done with it. On --synthetic, `train` and `evaluate` draw
+the samples from the generator as the pass asks for them: `train` draws the
+train split first and fits the baseline on it before any validation sample
+exists, and without a baseline, like `evaluate`, holds one batch of samples
+at most.
 """
 
 from __future__ import annotations
@@ -219,6 +228,40 @@ def resolve_samples(cfg: ExperimentConfig) -> Tuple[data.SampleSet, Optional[np.
     return sample_set, anomalies.valid_mask
 
 
+def drained(held: List[data.LabeledSample]) -> Iterator[data.LabeledSample]:
+    """The samples of a list, in order, each removed from the list as it is drawn."""
+    held.reverse()
+    while held:
+        yield held.pop()
+
+
+def sample_stream(cfg: ExperimentConfig) -> Tuple[Iterator[data.LabeledSample], int, Optional[np.ndarray]]:
+    """All the samples in time order, drawn as asked for; their count; the valid cells (see `resolve_samples`).
+
+    On --synthetic they come from `data.synthetic_samples`, one at a time.
+    On --data the set is loaded whole, and each sample is let go once drawn.
+    """
+    if cfg.synthetic is not None:
+        d, t, n = cfg.synthetic
+        return data.synthetic_samples(n, d, t, seed=cfg.seed), n, None
+    sample_set, valid_mask = resolve_samples(cfg)
+    samples = list(sample_set.samples)
+    return drained(samples), len(samples), valid_mask
+
+
+def with_height(samples: Iterable[data.LabeledSample]) -> Tuple[Optional[int], Iterator[data.LabeledSample]]:
+    """The first sample's field height (None if there is no sample), and all the samples, in order.
+
+    The first sample is drawn to read its height and put back at the head
+    of the stream, so the caller holds no sample of its own.
+    """
+    samples = iter(samples)
+    first = next(samples, None)
+    if first is None:
+        return None, samples
+    return first.field.shape[0], itertools.chain([first], samples)
+
+
 def filtered(samples: Iterable[data.LabeledSample], class_filter: str) -> Iterator[data.LabeledSample]:
     """The samples of --class, in order, each drawn from `samples` only when asked for."""
     if class_filter == "both":
@@ -240,72 +283,125 @@ def compacted(samples: Sequence[data.LabeledSample]) -> List[data.LabeledSample]
     return [replace(s, field=field) for s, field in zip(samples, block)]
 
 
-SampleKey = Tuple[int, readout.ClassLabel]  # a sample's month id and label
-
-
-def batches(samples: Iterable[data.LabeledSample], step_bytes: int) -> Iterator[Tuple[List[SampleKey], np.ndarray]]:
+def batches(
+    samples: Iterable[data.LabeledSample], step_bytes: int
+) -> Iterator[Tuple[List[data.SampleKey], np.ndarray]]:
     """Consecutive runs of the samples: each run's keys, and its preprocessed fields stacked (B, n_in, T).
 
-    `samples` may be any iterable, a generator included. A run is drawn from
-    it only when the one before is done, and its samples are let go once
-    their fields are in the batch, so no run's samples outlive its drawing.
-    One sample costs its caller `step_bytes` per time step. Each run is as
-    long as its cost fits TRAJECTORY_BUDGET_BYTES, and at least one sample.
-    Runs reuse one array (a batch is valid until the next is drawn): a new
-    one per run would take the heap space a freed trajectory left.
+    `samples` may be any iterable, a generator included. Each sample is
+    drawn when its run is filled, written into the batch and let go at
+    once, so no sample outlives its drawing. One sample costs its caller
+    `step_bytes` per time step. Each run is as long as its cost fits
+    TRAJECTORY_BUDGET_BYTES, and at least one sample. Runs reuse one array
+    (a batch is valid until the next is drawn): a new one per run would
+    take the heap space a freed trajectory left.
     """
     samples = iter(samples)
-    run = list(itertools.islice(samples, 1))
-    if not run:
+    first = next(samples, None)
+    if first is None:
         return
-    shape = data.preprocess_field(run[0].field).shape
+    shape = data.preprocess_field(first.field).shape
     size = max(1, TRAJECTORY_BUDGET_BYTES // (shape[1] * step_bytes))
-    run.extend(itertools.islice(samples, size - 1))
-    buffer = np.empty((len(run),) + shape)
-    while run:
-        batch = buffer[: len(run)]
-        for i in range(len(run)):
-            batch[i] = data.preprocess_field(run[i].field)
-        keys = [(s.month_id, s.label) for s in run]
-        run.clear()
-        yield keys, batch
-        run.extend(itertools.islice(samples, size))
+    buffer = np.empty((size,) + shape)
+    samples = itertools.chain([first], samples)
+    del first  # the chained stream hands it to its run like any other sample
+
+    def written(row: np.ndarray, sample: data.LabeledSample) -> data.SampleKey:
+        row[...] = data.preprocess_field(sample.field)
+        return sample.key
+
+    while True:
+        keys = [written(row, sample) for row, sample in zip(buffer, itertools.islice(samples, size))]
+        if not keys:
+            return
+        yield keys, buffer[: len(keys)]
 
 
-def encode(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample]) -> np.ndarray:
-    """Final reservoir state of each sample, one row per sample.
+@dataclass(frozen=True)
+class Baseline:
+    """A --baseline model fitted on the train split, the cells it reads, and the report row of its fit."""
 
-    No trajectory is recorded, so a batch costs only its stacked input.
+    name: str
+    model: Union[baselines.MlpModel, readout.ReadoutSolution]
+    valid_mask: Optional[np.ndarray]
+    fit_row: str
+
+    def score(self, samples: Sequence[data.LabeledSample]) -> np.ndarray:
+        """One score per sample, from its valid cells (`data.BaselineRows`), shape (n,)."""
+        rows = data.BaselineRows(samples, self.valid_mask)
+        if isinstance(self.model, baselines.MlpModel):
+            return baselines.mlp_predict(self.model, rows)
+        return baselines.linreg_predict(self.model, rows.read(range(len(rows)), np.empty((len(rows), rows.width))))
+
+
+def forward_pass(
+    model: reservoir.EsnModel,
+    samples: Iterable[data.LabeledSample],
+    baseline: Optional[Baseline] = None,
+) -> Tuple[data.SampleSet, np.ndarray, Optional[np.ndarray]]:
+    """One pass over the samples, in order: their keys, their final reservoir states, one row
+    per sample, and their scores under `baseline` (None without one).
+
+    The reservoir encodes the samples in the runs of `batches` and records
+    no trajectory, so a run costs only its stacked input. The baseline
+    scores them `baselines.BATCH_ROWS` at a time, the chunks
+    `baselines.mlp_predict` reads a whole set in.
+    A sample is let go once both are done with it: a stream's samples are
+    held no longer than one run, or one baseline chunk.
     """
-    states = np.empty((len(samples), model.config.n_res))
-    start = 0
-    for _, batch in batches(samples, model.config.n_in * 8):
-        states[start : start + len(batch)] = reservoir.final_states(model, batch)
-        start += len(batch)
-    return states
+    baseline_scores: List[np.ndarray] = []
+
+    def scored(samples: Iterable[data.LabeledSample]) -> Iterator[data.LabeledSample]:
+        samples = iter(samples)
+        while chunk := list(itertools.islice(samples, baselines.BATCH_ROWS)):
+            yield from chunk
+            baseline_scores.append(baseline.score(chunk))
+            del chunk  # before the next chunk is drawn
+
+    keys: List[data.SampleKey] = []
+    states = [np.empty((0, model.config.n_res))]  # so that no sample gives (0, n_res)
+    for run, batch in batches(samples if baseline is None else scored(samples), model.config.n_in * 8):
+        keys.extend(run)
+        states.append(reservoir.final_states(model, batch))
+    scores = None if baseline is None else np.concatenate(baseline_scores)
+    return data.SampleSet(tuple(keys)), np.concatenate(states), scores
+
+
+def encode(model: reservoir.EsnModel, samples: Iterable[data.LabeledSample]) -> np.ndarray:
+    """Final reservoir state of each sample, one row per sample (see `forward_pass`)."""
+    return forward_pass(model, samples)[1]
 
 
 def fit_esn(
-    cfg: ExperimentConfig, sample_set: data.SampleSet, alpha: Optional[float] = None
-) -> Tuple[reservoir.EsnModel, np.ndarray]:
-    """Build a reservoir, fit its readout on the train split, score every sample.
+    cfg: ExperimentConfig,
+    samples: Iterable[data.LabeledSample],
+    alpha: Optional[float] = None,
+    baseline: Optional[Baseline] = None,
+) -> Tuple[reservoir.EsnModel, data.SampleSet, np.ndarray, Optional[np.ndarray]]:
+    """Build a reservoir, run the samples through it in one `forward_pass`, fit its
+    readout on the train split and score every sample.
 
-    The scores are in sample order, so the train rows come first (see `split_rows`).
+    Returns the trained model, the samples' keys, the ESN scores and the
+    `baseline` scores (None without one), all in sample order, so the
+    train rows come first (see `split_rows`).
     """
-    train = sample_set.train_samples
+    n_in, samples = with_height(samples)
+    if n_in is None:
+        raise DataError("sample set has no training samples")
+    model = reservoir.init_reservoir(cfg.esn_config(n_in, alpha))
+    keys, states, baseline_scores = forward_pass(model, samples, baseline)
+    train = keys.train_samples
     if not train:
         raise DataError("sample set has no training samples")
-    model = reservoir.init_reservoir(cfg.esn_config(train[0].field.shape[0], alpha))
-    states = encode(model, sample_set.samples)
-    solution = readout.fit_readout(states[: len(train)], np.array([s.index for s in train]), ridge=cfg.ridge)
+    solution = readout.fit_readout(states[: len(train)], np.array([k.index for k in train]), ridge=cfg.ridge)
     model = model.with_readout(solution.w_out, solution.b_out)
-    return model, reservoir.model_output(model, states)
+    return model, keys, reservoir.model_output(model, states), baseline_scores
 
 
 def maps_for(
     model: reservoir.EsnModel, samples: Iterable[data.LabeledSample]
-) -> Iterator[Tuple[SampleKey, lrp.RelevanceMap]]:
-    """Each sample's key (month id, label) with its relevance map, in order,
+) -> Iterator[Tuple[data.SampleKey, lrp.RelevanceMap]]:
+    """Each sample's key with its relevance map, in order,
     built one batch at a time at the default `lrp.LrpConfig` (ε is not a
     command-line setting).
 
@@ -346,43 +442,49 @@ def write_report(path: Path, rows: List[str]) -> None:
     path.write_text("\n".join(["model,split,metric,value"] + rows) + "\n", encoding="ascii")
 
 
-def baseline_rows(
-    cfg: ExperimentConfig, sample_set: data.SampleSet, valid_mask: Optional[np.ndarray], out: Path
-) -> List[str]:
-    """Fit the --baseline model on the train split, save it, and return its report rows.
+def fit_baseline(
+    cfg: ExperimentConfig, train: Sequence[data.LabeledSample], valid_mask: Optional[np.ndarray]
+) -> Baseline:
+    """Fit the --baseline model (not "none") on the train samples.
 
     Both baselines read each field's valid cells, scaled (`data.BaselineRows`;
     a `valid_mask` of None means every cell is valid). The MLP reads them a
-    mini-batch at a time, in training and in prediction, so it builds no
-    (samples x cells) matrix. The linear regression's closed-form solve needs
-    that matrix, and builds it.
+    mini-batch at a time, so it builds no (samples x cells) matrix. The
+    linear regression's closed-form solve needs that matrix, and builds it
+    for the train samples only.
     """
-    if cfg.baseline == "none":
-        return []
-    inputs = data.BaselineRows(sample_set.samples, valid_mask)
-    y_train = np.array([s.index for s in sample_set.train_samples])
+    inputs = data.BaselineRows(train, valid_mask)
+    y_train = np.array([s.index for s in train])
     if cfg.baseline == "linreg":
         x = inputs.read(range(len(inputs)), np.empty((len(inputs), inputs.width)))
-        solution = readout.fit_readout(x[: sample_set.n_train], y_train, ridge=cfg.ridge)
-        persistence.save_model(out / "baseline_linreg.json", solution)
-        rows = split_rows("linreg", sample_set, baselines.linreg_predict(solution, x))
-        rows.append(f"linreg,train,mse,{solution.train_mse:.9g}")
-    else:
-        train_inputs = data.BaselineRows(sample_set.train_samples, valid_mask)
-        model, history = baselines.train_mlp(train_inputs, y_train, seed=cfg.seed)
-        persistence.save_model(out / "baseline_mlp.json", model)
-        rows = split_rows("mlp", sample_set, baselines.mlp_predict(model, inputs))
-        rows.append(f"mlp,train,final_loss,{history[-1]:.9g}")
-    return rows
+        solution = readout.fit_readout(x, y_train, ridge=cfg.ridge)
+        return Baseline("linreg", solution, valid_mask, f"linreg,train,mse,{solution.train_mse:.9g}")
+    model, history = baselines.train_mlp(inputs, y_train, seed=cfg.seed)
+    return Baseline("mlp", model, valid_mask, f"mlp,train,final_loss,{history[-1]:.9g}")
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
-    sample_set, valid_mask = resolve_samples(cfg)
-    model, scores = fit_esn(cfg, sample_set)
+    """Fit the --baseline on the train split, then the ESN and both models' scores in one pass.
+
+    The train samples are drawn first and held while the baseline is fit on
+    them, before any validation sample is drawn. One `forward_pass` over
+    every sample in order then encodes them for the ESN and scores them
+    with the baseline, letting each go once both are done with it. Without
+    a baseline nothing is held ahead of the pass.
+    """
+    samples, n, valid_mask = sample_stream(cfg)
+    baseline = None
+    if cfg.baseline != "none":
+        train = list(itertools.islice(samples, data.train_count(n)))
+        baseline = fit_baseline(cfg, train, valid_mask)
+        samples = itertools.chain(drained(train), samples)
+    model, keys, scores, baseline_scores = fit_esn(cfg, samples, baseline=baseline)
     persistence.save_model(out / MODEL_FILE, model)
-    data.write_sample_index_csv(out / "samples.csv", sample_set)
-    rows = split_rows("esn", sample_set, scores)
-    rows.extend(baseline_rows(cfg, sample_set, valid_mask, out))
+    data.write_sample_index_csv(out / "samples.csv", keys)
+    rows = split_rows("esn", keys, scores)
+    if baseline is not None:
+        persistence.save_model(out / f"baseline_{baseline.name}.json", baseline.model)
+        rows += split_rows(baseline.name, keys, baseline_scores) + [baseline.fit_row]
     write_report(out / "train_report.csv", rows)
 
 
@@ -396,19 +498,19 @@ def load_trained_model(out: Path) -> reservoir.EsnModel:
     return model
 
 
-def check_field_height(model: reservoir.EsnModel, samples: Sequence[data.LabeledSample], out: Path) -> None:
-    """Samples must have one field row per model input; a mismatch is a DataError."""
-    height = samples[0].field.shape[0]
+def check_field_height(model: reservoir.EsnModel, height: int, out: Path) -> None:
+    """Fields must have one row per model input; a mismatch is a DataError."""
     if height != model.config.n_in:
         raise DataError(f"fields have {height} rows but the model in {out / MODEL_FILE} takes {model.config.n_in}")
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
+    """Score every sample with the saved model in one `forward_pass`; on --synthetic, streamed."""
     model = load_trained_model(out)
-    sample_set = resolve_samples(cfg)[0]
-    check_field_height(model, sample_set.samples, out)
-    scores = reservoir.model_output(model, encode(model, sample_set.samples))
-    write_report(out / "eval_report.csv", split_rows("esn", sample_set, scores))
+    height, samples = with_height(sample_stream(cfg)[0])
+    check_field_height(model, height, out)
+    keys, states, _ = forward_pass(model, samples)
+    write_report(out / "eval_report.csv", split_rows("esn", keys, reservoir.model_output(model, states)))
 
 
 def relevance_samples(cfg: ExperimentConfig) -> Iterator[data.LabeledSample]:
@@ -431,20 +533,19 @@ def relevance_samples(cfg: ExperimentConfig) -> Iterator[data.LabeledSample]:
 def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     """Map the `relevance_samples`, writing each map and its audit row, then the mean map.
 
-    On --synthetic the samples stream through `maps_for`: a run of them is
-    drawn, preprocessed into its batch and let go before the batch is
-    mapped, so one run's fields are the most ever held, however many
-    samples the task has. The checks (a sample is left, its field height is
-    the model's) run on the first sample before anything is written; then
+    On --synthetic the samples stream through `maps_for`: each is drawn,
+    preprocessed into its batch and let go before the batch is mapped, so
+    one batch is the most ever held, however many samples the task has.
+    The checks (a sample is left, its field height is the model's) run on
+    the first sample before anything is written; then
     the maps an earlier run left in `relevance/` are removed, so the
     directory holds this run's only.
     """
     model = load_trained_model(out)
-    samples = relevance_samples(cfg)
-    first = next(samples, None)
-    if first is None:
+    height, samples = with_height(relevance_samples(cfg))
+    if height is None:
         raise DataError(f"no training samples left after --class {cfg.class_filter}")
-    check_field_height(model, [first], out)
+    check_field_height(model, height, out)
 
     rel_dir = out / "relevance"
     rel_dir.mkdir(parents=True, exist_ok=True)
@@ -454,10 +555,10 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
 
     def exported() -> Iterator[lrp.RelevanceMap]:
         """Write each map's CSV and audit row as it streams past."""
-        for i, ((month_id, label), rmap) in enumerate(maps_for(model, itertools.chain([first], samples))):
+        for i, (key, rmap) in enumerate(maps_for(model, samples)):
             lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
             audit.append(
-                f"{i},{month_id},{label.value},{rmap.total:.9g},"
+                f"{i},{key.month_id},{key.label.value},{rmap.total:.9g},"
                 f"{rmap.scores.sum():.9g},{rmap.dummy_scores.sum():.9g},{rmap.absorbed:.9g},"
                 f"{rmap.conservation_error():.9g},{int(rmap.conserved())}"
             )
@@ -473,9 +574,9 @@ def study(
     cfg: ExperimentConfig, sample_set: data.SampleSet, alpha: Optional[float] = None
 ) -> Tuple[readout.AccuracyReport, np.ndarray]:
     """Fit a fresh reservoir; its val accuracy and the mean map of the --class train samples."""
-    model, scores = fit_esn(cfg, sample_set, alpha)
+    model, keys, scores, _ = fit_esn(cfg, sample_set.samples, alpha)
     maps = maps_for(model, filtered(sample_set.train_samples, cfg.class_filter))
-    return val_accuracy(sample_set, scores), lrp.mean_relevance(rmap for _, rmap in maps)
+    return val_accuracy(keys, scores), lrp.mean_relevance(rmap for _, rmap in maps)
 
 
 def cmd_leak_sweep(cfg: ExperimentConfig, out: Path) -> None:
@@ -534,9 +635,9 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
         cfg.synthetic = DEFAULT_SYNTHETIC
     d, t, _ = cfg.synthetic
     sample_set = resolve_samples(cfg)[0]
-    model, scores = fit_esn(cfg, sample_set)
+    model, keys, scores, _ = fit_esn(cfg, sample_set.samples)
     persistence.save_model(out / MODEL_FILE, model)
-    rows = split_rows("esn", sample_set, scores)
+    rows = split_rows("esn", keys, scores)
     box = data.synthetic_blob_box(d, t)
     for class_filter in ("elnino", "lanina"):
         samples = list(filtered(sample_set.train_samples, class_filter))

@@ -104,24 +104,56 @@ class SstDataset:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One month's anomaly field with its normalized index; the index fixes the class."""
+class SampleKey:
+    """What a sample is without its field: its normalized index and its month id.
 
-    field: np.ndarray
+    The index fixes the class. A command that has let a sample's field go
+    keeps its key for the reports.
+    """
+
     index: float
     month_id: int
 
     def __post_init__(self) -> None:
         label_for_index(self.index)  # rejects a non-finite index
-        if self.field.ndim != 2:
-            raise DataError(f"sample field must be 2-D, got shape {self.field.shape}")
-        finite = self.field[np.isfinite(self.field)]
-        if finite.size and np.abs(finite).max() > CLIP_LIMIT:
-            raise DataError(f"sample field exceeds the +-{CLIP_LIMIT} clip range")
 
     @property
     def label(self) -> ClassLabel:
         return label_for_index(self.index)
+
+
+@dataclass(frozen=True)
+class LabeledSample(SampleKey):
+    """One month's anomaly field with its key (normalized index and month id)."""
+
+    field: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.field.ndim != 2:
+            raise DataError(f"sample field must be 2-D, got shape {self.field.shape}")
+        if _finite_peak(self.field) > CLIP_LIMIT:
+            raise DataError(f"sample field exceeds the +-{CLIP_LIMIT} clip range")
+
+    @property
+    def key(self) -> SampleKey:
+        return SampleKey(index=self.index, month_id=self.month_id)
+
+
+def _finite_peak(field: np.ndarray) -> float:
+    """The largest magnitude among the finite cells of a field, 0 when it has none.
+
+    fmax and fmin skip NaN cells, so their bounds answer without a copy of
+    the field unless a bound is not finite (an infinite cell, or no finite
+    cell at all); then the finite cells are picked out.
+    """
+    if not field.size:
+        return 0.0
+    hi, lo = np.fmax.reduce(field, axis=None), np.fmin.reduce(field, axis=None)
+    if np.isfinite(hi) and np.isfinite(lo):
+        return max(abs(float(hi)), abs(float(lo)))
+    finite = field[np.isfinite(field)]
+    return float(np.abs(finite).max()) if finite.size else 0.0
 
 
 def train_count(n_samples: int) -> int:
@@ -135,16 +167,17 @@ def train_count(n_samples: int) -> int:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Non-neutral samples in time order; the first `n_train` of them train.
+    """Non-neutral samples, or only their keys, in time order; the first `n_train` of them train.
 
     The split is derived, never stored: the first `train_count` of the
     samples train and the rest validate, so scores computed in sample order
-    hold the train rows first. When the set has been column-permuted,
-    `permutation` records the bijection so maps and fields can be restored
-    (see `inverse_permute`).
+    hold the train rows first. A set of keys is what a command keeps for
+    its reports once the fields are gone. When the set has been
+    column-permuted, `permutation` records the bijection so maps and fields
+    can be restored (see `inverse_permute`).
     """
 
-    samples: Tuple[LabeledSample, ...]
+    samples: Tuple[SampleKey, ...]
     permutation: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -156,11 +189,11 @@ class SampleSet:
         return train_count(len(self.samples))
 
     @property
-    def train_samples(self) -> Tuple[LabeledSample, ...]:
+    def train_samples(self) -> Tuple[SampleKey, ...]:
         return self.samples[: self.n_train]
 
     @property
-    def val_samples(self) -> Tuple[LabeledSample, ...]:
+    def val_samples(self) -> Tuple[SampleKey, ...]:
         return self.samples[self.n_train :]
 
     @property

@@ -198,7 +198,8 @@ def _checked_batch(model: EsnModel, sample: np.ndarray) -> np.ndarray:
         )
     if sample.shape[0] < 1 or sample.shape[2] < 1:
         raise ConfigError("sample batch must contain at least one sample and one column")
-    if not np.all(np.isfinite(sample)):
+    # min and max propagate NaN, so two reductions find any non-finite entry without a mask
+    if not (np.isfinite(sample.min()) and np.isfinite(sample.max())):
         raise ConfigError("sample contains non-finite entries")
     return sample
 

@@ -1,5 +1,8 @@
 """Shared builders for tests: models from explicit arrays, random draws, a generated SST container,
-and a row source over an explicit matrix."""
+a row source over an explicit matrix, and weak references to the generated samples."""
+
+import gc
+import weakref
 
 import numpy as np
 
@@ -81,3 +84,22 @@ class MatrixRows:
         out = out[: len(indices)]
         out[...] = self.matrix[np.asarray(indices)]
         return out
+
+
+def track_generated_samples(monkeypatch):
+    """Follow every sample `data.synthetic_samples` yields with a weak reference, in draw order."""
+    refs = []
+    generate = data.synthetic_samples
+
+    def remember(sample):
+        refs.append(weakref.ref(sample))
+        return sample
+
+    # map, unlike a generator's loop variable, keeps no reference to the last sample drawn
+    monkeypatch.setattr(data, "synthetic_samples", lambda *args, **kwargs: map(remember, generate(*args, **kwargs)))
+    return refs
+
+
+def alive(refs):
+    gc.collect()
+    return [ref() is not None for ref in refs]

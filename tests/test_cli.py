@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from esnlrp import baselines, cli, data, persistence, readout, reservoir
-from helpers import MatrixRows, write_enso_container
+from helpers import MatrixRows, alive, track_generated_samples, write_enso_container
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
 
@@ -451,6 +451,144 @@ def test_relevance_memory_does_not_grow_with_the_synthetic_sample_count(tmp_path
     assert peaks[800] < 1.25 * peaks[200], f"peaks {peaks}"
 
 
+@pytest.mark.parametrize("baseline", cli.BASELINES)
+def test_train_fits_the_baseline_before_the_validation_split_is_drawn(tmp_path, monkeypatch, baseline):
+    """The baseline is fit on the train split alone, and every sample is let go before the readout fit.
+
+    When the baseline's fit starts (`train_mlp`, or the first of the two
+    `fit_readout` calls for linreg) the generator has drawn exactly the
+    `train_count(n)` train samples; when the ESN readout is fit (the last
+    `fit_readout` call) none of the 20 samples is alive.
+    """
+    refs = track_generated_samples(monkeypatch)
+    drawn_at_baseline_fit, alive_at_readout_fit = [], []
+    train_mlp, fit_readout = baselines.train_mlp, readout.fit_readout
+
+    def train_mlp_checked(*args, **kwargs):
+        drawn_at_baseline_fit.append(len(refs))
+        return train_mlp(*args, **kwargs)
+
+    def fit_readout_checked(*args, **kwargs):
+        if baseline == "linreg" and not alive_at_readout_fit:
+            drawn_at_baseline_fit.append(len(refs))
+        alive_at_readout_fit.append(alive(refs))
+        return fit_readout(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "train_mlp", train_mlp_checked)
+    monkeypatch.setattr(readout, "fit_readout", fit_readout_checked)
+    argv = ["train", "--synthetic", "8,12,20", "--n-res", "20", "--ridge", "1e-8", "--baseline", baseline]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert len(refs) == 20
+    assert drawn_at_baseline_fit == ([] if baseline == "none" else [data.train_count(20)])
+    assert alive_at_readout_fit[-1] == [False] * 20
+
+
+# Encoding a 16x96 sample costs 97 steps of 16 inputs, 12,416 bytes.
+ENCODE_BYTES_16X96 = 97 * 16 * 8
+
+
+def streamed_peaks(tmp_path, monkeypatch, command, *flags):
+    """Traced peak bytes of `command --synthetic 16,96,N` at N = 200 and 800, in 64-sample batches."""
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 64 * ENCODE_BYTES_16X96)
+    model = ["--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
+    if command == "evaluate":
+        assert run_cli("train", "--synthetic", "16,96,40", *model) == 0
+    peaks = {}
+    for n in (200, 800):
+        tracemalloc.start()
+        try:
+            assert run_cli(command, "--synthetic", f"16,96,{n}", *flags, *model) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_train_and_evaluate_memory_does_not_grow_with_the_synthetic_sample_count(tmp_path, monkeypatch, command):
+    """`train` without a baseline, and `evaluate`, allocate as much at N = 800 as at N = 200.
+
+    The samples stream from the generator through one forward pass, 64 to a
+    batch, so neither the 200 nor the 800 fields (2.5 and 9.8 MB) are ever
+    held together. What does grow with N is each sample's key (its index
+    and month id), its final state of 20 units and its score, about 300
+    bytes a sample.
+    """
+    peaks = streamed_peaks(tmp_path, monkeypatch, command)
+    assert peaks[800] < 1.25 * peaks[200], f"peaks {peaks}"
+
+
+def test_train_with_the_mlp_baseline_holds_no_more_than_the_train_split(tmp_path, monkeypatch):
+    """With `--baseline mlp` the peak grows with N by no more than the train split's fields.
+
+    The MLP trains on the train fields, which are held until the pass
+    encodes them; the validation fields are drawn after the MLP is fit,
+    and let go as the pass goes. The 5% on top of the 480 more train fields
+    covers their sample objects, targets and shuffle order (about 2%);
+    holding the 120 more validation fields as well would add 25%.
+    """
+    peaks = streamed_peaks(tmp_path, monkeypatch, "train", "--baseline", "mlp")
+    train_growth = (data.train_count(800) - data.train_count(200)) * 16 * 96 * 8
+    growth = peaks[800] - peaks[200]
+    assert growth < 1.05 * train_growth, f"peaks {peaks}: {growth / train_growth:.3f} of the train fields' growth"
+
+
+@pytest.mark.parametrize("baseline", cli.BASELINES)
+def test_train_streams_to_the_outputs_of_the_whole_set(tmp_path, monkeypatch, baseline):
+    """`train --synthetic 16,96,300` writes the samples and report bytes of the whole-set computation.
+
+    That computation builds the set (`synthesize_task`), encodes it with
+    `encode`, scores it with `mlp_predict` or `linreg_predict` over every
+    row, and fits each model as `train` does. The streamed pass's ESN
+    states and MLP scores equal its own bit for bit.
+    """
+    streamed_states, streamed_scores = [], []
+    final_states, score = reservoir.final_states, cli.Baseline.score
+
+    def final_states_recorded(model, batch):
+        streamed_states.append(final_states(model, batch).copy())
+        return streamed_states[-1]
+
+    def score_recorded(self, samples):
+        streamed_scores.append(score(self, samples))
+        return streamed_scores[-1]
+
+    monkeypatch.setattr(reservoir, "final_states", final_states_recorded)
+    monkeypatch.setattr(cli.Baseline, "score", score_recorded)
+    out = tmp_path / "out"
+    argv = ["--synthetic", "16,96,300", "--n-res", "100", "--ridge", "1e-8", "--seed", "4", "--baseline", baseline]
+    assert run_cli("train", *argv, "--out", str(out)) == 0
+    monkeypatch.undo()
+
+    cfg = cli.build_config(cli.build_parser().parse_args(["train", *argv]))
+    task = data.synthesize_task(300, 16, 96, seed=4)
+    n_train, y_train = task.n_train, np.array([s.index for s in task.train_samples])
+    unfitted = reservoir.init_reservoir(cfg.esn_config(16))
+    states = cli.encode(unfitted, task.samples)
+    assert np.concatenate(streamed_states).tobytes() == states.tobytes()
+    solution = readout.fit_readout(states[:n_train], y_train, ridge=cfg.ridge)
+    model = unfitted.with_readout(solution.w_out, solution.b_out)
+    rows = cli.split_rows("esn", task, reservoir.model_output(model, states))
+    if baseline == "mlp":
+        mlp, history = baselines.train_mlp(data.BaselineRows(task.train_samples), y_train, seed=4)
+        scores = baselines.mlp_predict(mlp, data.BaselineRows(task.samples))
+        assert np.concatenate(streamed_scores).tobytes() == scores.tobytes()
+        rows += cli.split_rows("mlp", task, scores) + [f"mlp,train,final_loss,{history[-1]:.9g}"]
+    elif baseline == "linreg":
+        inputs = data.BaselineRows(task.samples)
+        x = inputs.read(range(len(inputs)), np.empty((len(inputs), inputs.width)))
+        linreg = readout.fit_readout(x[:n_train], y_train, ridge=cfg.ridge)
+        rows += cli.split_rows("linreg", task, baselines.linreg_predict(linreg, x))
+        rows.append(f"linreg,train,mse,{linreg.train_mse:.9g}")
+    else:
+        assert streamed_scores == []
+
+    cli.write_report(tmp_path / "report.csv", rows)
+    data.write_sample_index_csv(tmp_path / "samples.csv", task)
+    for name, written in (("report.csv", "train_report.csv"), ("samples.csv", "samples.csv")):
+        assert (out / written).read_bytes() == (tmp_path / name).read_bytes()
+
+
 def test_leak_sweep_report_and_maps(tmp_path):
     out = tmp_path / "out"
     assert run_cli("leak-sweep", "--out", str(out), *SMALL) == 0
@@ -508,8 +646,8 @@ def test_baseline_training_rows(tmp_path):
     assert (out2 / "baseline_mlp.json").exists()
 
 
-def test_the_mlp_baseline_builds_no_input_matrix(tmp_path):
-    """At the sweep shape the MLP branch allocates under a quarter of the fields' bytes.
+def test_the_mlp_baseline_builds_no_input_matrix():
+    """At the sweep shape fitting the MLP allocates under a quarter of the fields' bytes.
 
     A (samples x cells) input matrix would be as large as the fields
     themselves; the MLP reads its mini-batches straight from them instead.
@@ -519,11 +657,11 @@ def test_the_mlp_baseline_builds_no_input_matrix(tmp_path):
     fields_bytes = sum(s.field.nbytes for s in sample_set.samples)
     tracemalloc.start()
     try:
-        rows = cli.baseline_rows(cfg, sample_set, None, tmp_path)
+        baseline = cli.fit_baseline(cfg, sample_set.train_samples, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert {row.split(",")[0] for row in rows} == {"mlp"}
+    assert baseline.name == "mlp" and baseline.fit_row.startswith("mlp,train,final_loss,")
     assert peak < 0.25 * fields_bytes, f"peak {peak / fields_bytes:.2f} of the fields' bytes"
 
 

@@ -242,6 +242,44 @@ def test_samples_derive_their_label_and_sets_their_split():
     assert sample_set.split == ("train",) * 8 + ("val",) * 3
 
 
+def clip_range_field(*cells):
+    """A 3x4 field of zeros with the given values in its first cells."""
+    field = np.zeros((3, 4))
+    field.flat[: len(cells)] = cells
+    return field
+
+
+ACCEPTED_FIELDS = {
+    "zeros": clip_range_field(),
+    "at-the-limits": clip_range_field(5.0, -5.0),
+    "nan-cells": clip_range_field(np.nan, 4.9, -4.9),
+    "inf-cells": clip_range_field(np.inf, -np.inf, 5.0),
+    "inf-and-nan": clip_range_field(np.inf, np.nan),
+    "all-nan": np.full((3, 4), np.nan),
+    "all-inf": np.full((3, 4), -np.inf),
+    "no-cells": np.zeros((3, 0)),
+}
+REJECTED_FIELDS = {
+    "above": clip_range_field(5.0 + 1e-12),
+    "below": clip_range_field(-5.5),
+    "beside-nan": clip_range_field(np.nan, 6.0),
+    "beside-inf": clip_range_field(np.inf, -6.0),
+    "beside-both": clip_range_field(np.inf, np.nan, -np.inf, 7.0),
+}
+
+
+@pytest.mark.parametrize("field", ACCEPTED_FIELDS.values(), ids=ACCEPTED_FIELDS.keys())
+def test_a_sample_skips_non_finite_cells_in_its_clip_range_check(field):
+    """The +-5 check looks at the finite cells only; a field with none passes."""
+    assert data.LabeledSample(field=field, index=1.0, month_id=0).field is field
+
+
+@pytest.mark.parametrize("field", REJECTED_FIELDS.values(), ids=REJECTED_FIELDS.keys())
+def test_a_sample_with_a_finite_cell_outside_the_clip_range_is_a_data_error(field):
+    with pytest.raises(DataError, match="clip range"):
+        data.LabeledSample(field=field, index=1.0, month_id=0)
+
+
 def test_build_sample_set_rejects_bad_index_length():
     anomalies = data.compute_anomalies(seasonal_dataset(31))
     with pytest.raises(DataError):

@@ -26,7 +26,7 @@ from esnlrp import cli, data
 from esnlrp.readout import fit_readout
 from esnlrp.reservoir import EsnConfig, StateTrajectory, final_states, init_reservoir, run_reservoir
 
-from helpers import assemble_model, random_model, random_sample, write_enso_container
+from helpers import alive, assemble_model, random_model, random_sample, track_generated_samples, write_enso_container
 from oracle_lrp import oracle_relevance
 from reference_lrp import reference_relevance
 
@@ -326,25 +326,6 @@ def track_sample_sets(monkeypatch):
     monkeypatch.setattr(data, "synthesize_task", tracked(data.synthesize_task))
     monkeypatch.setattr(data, "load_enso_samples", tracked(data.load_enso_samples))
     return refs
-
-
-def track_generated_samples(monkeypatch):
-    """Follow every sample `data.synthetic_samples` yields with a weak reference, in draw order."""
-    refs = []
-    generate = data.synthetic_samples
-
-    def remember(sample):
-        refs.append(weakref.ref(sample))
-        return sample
-
-    # map, unlike a generator's loop variable, keeps no reference to the last sample drawn
-    monkeypatch.setattr(data, "synthetic_samples", lambda *args, **kwargs: map(remember, generate(*args, **kwargs)))
-    return refs
-
-
-def alive(refs):
-    gc.collect()
-    return [ref() is not None for ref in refs]
 
 
 @pytest.mark.parametrize("source", ["synthetic", "data"])

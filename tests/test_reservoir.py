@@ -251,6 +251,22 @@ def test_run_reservoir_input_validation():
             forward(model, np.array([[[1.0, np.inf]]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("forward", [run_reservoir, final_states])
+def test_a_non_finite_cell_anywhere_in_a_batch_is_a_config_error(forward, bad):
+    """One NaN or infinite cell, in any sample and column, is rejected without a RuntimeWarning.
+
+    The suite turns any RuntimeWarning into a failure, so this also checks
+    that the finiteness test warns about nothing.
+    """
+    model = assemble_model(w_in=np.ones((2, 3)), b_in=[0.0, 0.0], w_res=np.zeros((2, 2)), b_res=[0.0, 0.0], alpha=0.5)
+    for position in [(0, 0, 0), (2, 1, 3), (3, 2, 4)]:
+        batch = np.zeros((4, 3, 5))
+        batch[position] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            forward(model, batch)
+
+
 def test_model_output_and_parameter_count():
     model = assemble_model(
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0], alpha=0.5
