@@ -11,7 +11,11 @@ against, and the collapse makes for a free correctness check.
 
 The MLP reads its inputs through a row source (`RowSource`, such as
 `data.BaselineRows`) a mini-batch at a time, in training and in prediction,
-so no (samples x inputs) matrix is built for it.
+so no (samples x inputs) matrix is built for it. No product of a
+training step is split over BLAS threads (the weight gradients are written
+in column blocks for that, see `mlp_gradients`), so training runs on one
+core whatever the BLAS thread count, and its weights are bit for bit the
+same under 1 and 2 threads.
 """
 
 from __future__ import annotations
@@ -160,6 +164,18 @@ def mlp_gradients(
     activations backprop is a chain of matrix products; gradients are exact.
     `out` holds (weight, bias) gradient blocks to write into, in the shapes
     of the model's blocks.
+
+    Each weight gradient `delta.T @ activations` is written in column
+    blocks of equal width and at most about ADAM_SLICE elements: four of
+    4005 columns at the paper's 16,020 inputs and 8 units, one for the
+    small layers. At a batch of 10 a block (320k multiply-adds) is below
+    OpenBLAS's threading cutoff (about 1M; the whole product is 1.28M), so
+    it runs on the calling thread and no BLAS worker spins through the
+    single-threaded Adam update that follows. Each element is still one
+    dot product over the batch rows, so the result is bit for bit that of
+    the whole product. The widths are equal so that no block is a single
+    column: numpy sends that to BLAS's matrix-vector routine, which rounds
+    differently.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -173,7 +189,11 @@ def mlp_gradients(
         out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
     grads_w, grads_b = out
     for layer in range(len(model.weights) - 1, -1, -1):
-        np.matmul(delta.T, activations[layer], out=grads_w[layer])
+        grad_w = grads_w[layer]
+        n_blocks = -(-grad_w.size // ADAM_SLICE)
+        cols = -(-grad_w.shape[1] // n_blocks)
+        for lo in range(0, grad_w.shape[1], cols):
+            np.matmul(delta.T, activations[layer][:, lo : lo + cols], out=grad_w[:, lo : lo + cols])
         np.sum(delta, axis=0, out=grads_b[layer])
         if layer > 0:
             delta = delta @ model.weights[layer]

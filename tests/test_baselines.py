@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from esnlrp import baselines
 from esnlrp.baselines import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -82,6 +89,34 @@ def test_gradients_match_central_differences():
         np.testing.assert_array_less(
             np.abs(numeric - analytic[block_index]) / scale, 1e-5
         )
+
+
+@pytest.mark.parametrize("batch", [10, 3])
+@pytest.mark.parametrize("width", [1, 4095, 4096, 4097, 16_020])
+def test_blocked_weight_gradients_match_the_whole_products_bit_for_bit(width, batch):
+    """Every weight gradient has the bytes of the one product delta.T @ activations.
+
+    At 8 hidden units a block holds at most 4096 columns of the first
+    layer's gradient: 4095 and 4096 fit one block, 4097 takes two of 2049
+    and 2048 (4096 and a one-column remainder would round that column
+    differently), and 16,020 takes four of 4005; a batch of 3 is a short
+    last batch.
+    """
+    rng = np.random.default_rng(width + batch)
+    model = init_mlp((width, *HIDDEN_DIMS, 1), seed=1)
+    x = rng.uniform(-1.0, 1.0, size=(batch, width))
+    y = np.where(rng.random(batch) < 0.5, -1.0, 1.0)
+    _, grads_w, _ = mlp_gradients(model, x, y)
+    assert ADAM_SLICE == 4096 * HIDDEN_DIMS[0]
+
+    activations = mlp_forward(model, x)
+    residual = activations[-1] - y[:, None]
+    delta = residual * (2.0 / residual.size)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        want = delta.T @ activations[layer]
+        assert grads_w[layer].tobytes() == want.tobytes()
+        if layer > 0:
+            delta = delta @ model.weights[layer]
 
 
 def test_forward_and_composed_affine_agree():
@@ -189,13 +224,15 @@ def reference_train_mlp(vectors, targets, epochs=30, batch=10, seed=0, lr=ADAM_L
         pytest.param(23, TOY_DIMS[0], 4, 5, id="toy"),
         pytest.param(40, 500, 30, 10, id="40x500"),
         pytest.param(12, 9000, 3, 5, id="12x9000"),
+        pytest.param(23, 16_020, 2, 10, id="paper-width"),
     ],
 )
 def test_train_mlp_matches_the_list_based_reference_bit_for_bit(n_samples, width, epochs, batch):
     """In-place training gives the reference's weights and loss history exactly.
 
     23 and 12 samples leave a short last batch; at width 9000 the parameter
-    vector spans three Adam slices.
+    vector spans three Adam slices, and at the paper's 16,020 the first
+    layer's weight gradient is written in four column blocks.
     """
     rng = np.random.default_rng(12)
     x = rng.normal(size=(n_samples, width))
@@ -232,6 +269,60 @@ def test_train_mlp_is_seed_deterministic():
         np.testing.assert_array_equal(pa, pb)
     c, _ = train_mlp(MatrixRows(x), y, epochs=3, batch=4, seed=8)
     assert not np.array_equal(a.weights[0], c.weights[0])
+
+
+# Trains the baseline at paper width in a fresh interpreter and prints the CPU
+# seconds that the process and the calling thread spent in train_mlp, the loss
+# history and a digest of the trained weights.
+PAPER_WIDTH_TRAINING = """
+import hashlib, json, resource, time
+import numpy as np
+from esnlrp.baselines import train_mlp
+from helpers import MatrixRows
+
+rng = np.random.default_rng(0)
+x = rng.uniform(-1.0, 1.0, size=(200, 16_020))
+y = np.where(rng.random(200) < 0.5, -1.0, 1.0)
+before, start = resource.getrusage(resource.RUSAGE_SELF), time.thread_time()
+model, history = train_mlp(MatrixRows(x), y, epochs=10)
+thread, after = time.thread_time() - start, resource.getrusage(resource.RUSAGE_SELF)
+cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+digest = hashlib.sha256(b"".join(p.tobytes() for p in model.weights + model.biases))
+print(json.dumps({"cpu_s": cpu, "thread_cpu_s": thread, "weights": digest.hexdigest(), "history": history}))
+"""
+
+
+def train_at_paper_width(blas_threads):
+    """PAPER_WIDTH_TRAINING's result under OPENBLAS_NUM_THREADS=blas_threads."""
+    paths = [str(Path(baselines.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    pythonpath = os.pathsep.join(p for p in (*paths, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    result = subprocess.run(
+        [sys.executable, "-c", PAPER_WIDTH_TRAINING], env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(result.stdout)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 cores for a second BLAS thread to run on")
+def test_mlp_training_runs_on_one_core_under_two_blas_threads():
+    """No product of train_mlp is split over BLAS threads, so no worker spins.
+
+    200 x 16,020 rows for 10 epochs: with the first layer's weight gradient
+    as one product, the process used 1.93-2.00 CPU seconds per CPU second
+    of the calling thread; blocked, 1.00. The base is the calling thread's
+    CPU time, not the wall time: when other processes share the cores, a
+    spinning worker stretches the wall time too (1.6 s of CPU in 1.6 s of
+    wall, 0.8 s of it the calling thread's), and a bound on the wall
+    time would then pass.
+    """
+    run = train_at_paper_width(2)
+    assert run["cpu_s"] <= 1.3 * run["thread_cpu_s"], run
+
+
+def test_mlp_weights_are_the_same_under_one_and_two_blas_threads():
+    one, two = train_at_paper_width(1), train_at_paper_width(2)
+    assert one["weights"] == two["weights"]
+    assert one["history"] == two["history"]
 
 
 def test_train_mlp_aborts_on_overflow():

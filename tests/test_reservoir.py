@@ -15,7 +15,7 @@ from esnlrp.reservoir import (
     spectral_radius,
 )
 
-from helpers import assemble_model, random_sample
+from helpers import assemble_model, random_model, random_sample
 
 
 def test_config_validation():
@@ -221,6 +221,33 @@ def test_final_states_match_the_recorded_trajectory(n, d, t, batch, alpha, zero_
     got = final_states(model, samples)
     assert got.shape == (batch, n)
     np.testing.assert_array_equal(got, run_reservoir(model, samples).final_state)
+
+
+@pytest.mark.parametrize("flipped", [[3], list(range(1, 12, 2))], ids=["unit-3", "every-odd-unit"])
+def test_a_sign_flip_of_units_negates_their_states_and_keeps_the_outputs(flipped):
+    """tanh is odd, so negating a unit's incoming and outgoing weights negates its states.
+
+    The flip negates row j of w_in, b_in and b_res, row and column j of
+    w_res (so w_res[j, j] keeps its sign) and w_out[j]. Every product that
+    meets unit j meets it with both factors negated or exactly one, so the
+    states of the flipped units come out negated, the others unchanged, and
+    every output is the same, bit for bit.
+    """
+    rng = np.random.default_rng(11)
+    model = random_model(rng, 12, 5, alpha=0.3)
+    sign = np.ones(12)
+    sign[flipped] = -1.0
+    flip = assemble_model(
+        w_in=sign[:, None] * model.w_in, b_in=sign * model.b_in,
+        w_res=sign[:, None] * model.w_res * sign[None, :], b_res=sign * model.b_res,
+        alpha=0.3, w_out=model.w_out * sign, b_out=model.b_out,
+    )
+    batch = np.stack([random_sample(rng, 5, 15) for _ in range(4)])
+    states = run_reservoir(model, batch).states
+    np.testing.assert_array_equal(run_reservoir(flip, batch).states, states * sign)
+    np.testing.assert_array_equal(
+        model_output(flip, final_states(flip, batch)), model_output(model, final_states(model, batch))
+    )
 
 
 def test_states_stay_inside_unit_box():
