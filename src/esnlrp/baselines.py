@@ -142,16 +142,6 @@ def mlp_predict(model: MlpModel, rows: RowSource) -> np.ndarray:
     return scores
 
 
-def composed_affine(model: MlpModel) -> Tuple[np.ndarray, np.ndarray]:
-    """Collapse the identity-activation stack into one (matrix, bias) pair."""
-    w = model.weights[0]
-    b = model.biases[0].copy()
-    for w_next, b_next in zip(model.weights[1:], model.biases[1:]):
-        w = w_next @ w
-        b = w_next @ b + b_next
-    return w, b
-
-
 def mlp_gradients(
     model: MlpModel,
     x: np.ndarray,

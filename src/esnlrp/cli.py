@@ -13,18 +13,23 @@ A data error includes a malformed model file and, for `evaluate` and
 both are found before anything is written.
 
 Every encoding goes through one `forward_pass` over the samples in order,
-which feeds them to the reservoir a batch at a time and, in `train`, scores
-them with the --baseline model in the same pass. A sample is let go once
-both models are done with it. On --synthetic, `train` and `evaluate` draw
-the samples from the generator as the pass asks for them: `train` draws the
-train split first and fits the baseline on it before any validation sample
-exists, and without a baseline, like `evaluate`, holds one batch of samples
-at most.
+which feeds each batch to every reservoir of the command (the four leak
+rates of `leak-sweep`, the base and the column-permuted model of
+`permutation`, the one model of the others) and, in `train`, scores them
+with the --baseline model in the same pass. A sample is let go once all
+the models are done with it. The studies then map the train samples of
+--class in one more draw, each batch under every model in turn
+(`maps_for`). On --synthetic every pass draws the samples from the
+generator as it asks for them, so no command holds a set of fields:
+`train` draws the train split first and fits the baseline on it before
+any validation sample exists, and without a baseline, like every other
+command, holds one batch of samples at most.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -249,17 +254,27 @@ def sample_stream(cfg: ExperimentConfig) -> Tuple[Iterator[data.LabeledSample], 
     return drained(samples), len(samples), valid_mask
 
 
-def with_height(samples: Iterable[data.LabeledSample]) -> Tuple[Optional[int], Iterator[data.LabeledSample]]:
-    """The first sample's field height (None if there is no sample), and all the samples, in order.
+def with_shape(
+    samples: Iterable[data.LabeledSample],
+) -> Tuple[Optional[Tuple[int, int]], Iterator[data.LabeledSample]]:
+    """The first sample's field shape (None if there is no sample), and all the samples, in order.
 
-    The first sample is drawn to read its height and put back at the head
+    The first sample is drawn to read its shape and put back at the head
     of the stream, so the caller holds no sample of its own.
     """
     samples = iter(samples)
     first = next(samples, None)
     if first is None:
         return None, samples
-    return first.field.shape[0], itertools.chain([first], samples)
+    return first.field.shape, itertools.chain([first], samples)
+
+
+def shaped(samples: Iterable[data.LabeledSample]) -> Tuple[Tuple[int, int], Iterator[data.LabeledSample]]:
+    """`with_shape` for a fit, where a stream with no sample is a DataError."""
+    shape, samples = with_shape(samples)
+    if shape is None:
+        raise DataError("sample set has no training samples")
+    return shape, samples
 
 
 def filtered(samples: Iterable[data.LabeledSample], class_filter: str) -> Iterator[data.LabeledSample]:
@@ -283,18 +298,34 @@ def compacted(samples: Sequence[data.LabeledSample]) -> List[data.LabeledSample]
     return [replace(s, field=field) for s, field in zip(samples, block)]
 
 
+@dataclass(frozen=True)
+class Encoder:
+    """A reservoir and the order it reads the columns of each preprocessed field in.
+
+    `columns` of None reads them as `data.preprocess_field` gives them;
+    otherwise it indexes them (`data.permuted_inputs`), so that the base
+    and the column-permuted model of `permutation` share one draw of the
+    samples.
+    """
+
+    model: reservoir.EsnModel
+    columns: Optional[np.ndarray] = None
+
+
 def batches(
-    samples: Iterable[data.LabeledSample], step_bytes: int
-) -> Iterator[Tuple[List[data.SampleKey], np.ndarray]]:
-    """Consecutive runs of the samples: each run's keys, and its preprocessed fields stacked (B, n_in, T).
+    samples: Iterable[data.LabeledSample], step_bytes: int, orders: Sequence[Optional[np.ndarray]]
+) -> Iterator[Tuple[List[data.SampleKey], List[np.ndarray]]]:
+    """Consecutive runs of the samples: each run's keys, and its preprocessed fields stacked
+    (B, n_in, T), once per column order of `orders` (see `Encoder.columns`).
 
     `samples` may be any iterable, a generator included. Each sample is
-    drawn when its run is filled, written into the batch and let go at
-    once, so no sample outlives its drawing. One sample costs its caller
-    `step_bytes` per time step. Each run is as long as its cost fits
-    TRAJECTORY_BUDGET_BYTES, and at least one sample. Runs reuse one array
-    (a batch is valid until the next is drawn): a new one per run would
-    take the heap space a freed trajectory left.
+    drawn when its run is filled, written into the batch of every order
+    and let go at once, so no sample outlives its drawing. Orders that are
+    the same object share one batch. One sample costs its caller
+    `step_bytes` per time step in each batch. Each run is as long as its
+    cost fits TRAJECTORY_BUDGET_BYTES, and at least one sample. Runs reuse
+    one array per order (a batch is valid until the next is drawn): a new
+    one per run would take the heap space a freed trajectory left.
     """
     samples = iter(samples)
     first = next(samples, None)
@@ -302,19 +333,21 @@ def batches(
         return
     shape = data.preprocess_field(first.field).shape
     size = max(1, TRAJECTORY_BUDGET_BYTES // (shape[1] * step_bytes))
-    buffer = np.empty((size,) + shape)
+    buffers = {id(order): (order, np.empty((size,) + shape)) for order in orders}
     samples = itertools.chain([first], samples)
     del first  # the chained stream hands it to its run like any other sample
 
-    def written(row: np.ndarray, sample: data.LabeledSample) -> data.SampleKey:
-        row[...] = data.preprocess_field(sample.field)
+    def written(i: int, sample: data.LabeledSample) -> data.SampleKey:
+        field = data.preprocess_field(sample.field)
+        for order, buffer in buffers.values():
+            buffer[i] = field if order is None else field[:, order]
         return sample.key
 
     while True:
-        keys = [written(row, sample) for row, sample in zip(buffer, itertools.islice(samples, size))]
+        keys = [written(i, sample) for i, sample in enumerate(itertools.islice(samples, size))]
         if not keys:
             return
-        yield keys, buffer[: len(keys)]
+        yield keys, [buffers[id(order)][1][: len(keys)] for order in orders]
 
 
 @dataclass(frozen=True)
@@ -335,19 +368,21 @@ class Baseline:
 
 
 def forward_pass(
-    model: reservoir.EsnModel,
+    encoders: Sequence[Encoder],
     samples: Iterable[data.LabeledSample],
     baseline: Optional[Baseline] = None,
-) -> Tuple[data.SampleSet, np.ndarray, Optional[np.ndarray]]:
-    """One pass over the samples, in order: their keys, their final reservoir states, one row
-    per sample, and their scores under `baseline` (None without one).
+) -> Tuple[data.SampleSet, List[np.ndarray], Optional[np.ndarray]]:
+    """One pass over the samples, in order: their keys; under each encoder, their final
+    reservoir states, one row per sample; and their scores under `baseline` (None without one).
 
-    The reservoir encodes the samples in the runs of `batches` and records
-    no trajectory, so a run costs only its stacked input. The baseline
-    scores them `baselines.BATCH_ROWS` at a time, the chunks
-    `baselines.mlp_predict` reads a whole set in.
-    A sample is let go once both are done with it: a stream's samples are
-    held no longer than one run, or one baseline chunk.
+    Each run of `batches` goes through every encoder's reservoir in turn,
+    in that encoder's column order, and no trajectory is recorded, so a run
+    costs only its stacked inputs. The encoders' reservoirs all read the
+    same number of inputs. The baseline scores the samples
+    `baselines.BATCH_ROWS` at a time, the chunks `baselines.mlp_predict`
+    reads a whole set in. A sample is let go once all the models are done
+    with it: a stream's samples are held no longer than one run, or one
+    baseline chunk.
     """
     baseline_scores: List[np.ndarray] = []
 
@@ -359,57 +394,70 @@ def forward_pass(
             del chunk  # before the next chunk is drawn
 
     keys: List[data.SampleKey] = []
-    states = [np.empty((0, model.config.n_res))]  # so that no sample gives (0, n_res)
-    for run, batch in batches(samples if baseline is None else scored(samples), model.config.n_in * 8):
+    # a first empty block each, so that no sample gives (0, n_res)
+    states = [[np.empty((0, encoder.model.config.n_res))] for encoder in encoders]
+    n_in = encoders[0].model.config.n_in
+    runs = batches(samples if baseline is None else scored(samples), n_in * 8, [e.columns for e in encoders])
+    for run, inputs in runs:
         keys.extend(run)
-        states.append(reservoir.final_states(model, batch))
+        for encoder, batch, encoded in zip(encoders, inputs, states):
+            encoded.append(reservoir.final_states(encoder.model, batch))
     scores = None if baseline is None else np.concatenate(baseline_scores)
-    return data.SampleSet(tuple(keys)), np.concatenate(states), scores
-
-
-def encode(model: reservoir.EsnModel, samples: Iterable[data.LabeledSample]) -> np.ndarray:
-    """Final reservoir state of each sample, one row per sample (see `forward_pass`)."""
-    return forward_pass(model, samples)[1]
+    return data.SampleSet(tuple(keys)), [np.concatenate(encoded) for encoded in states], scores
 
 
 def fit_esn(
     cfg: ExperimentConfig,
+    encoders: Sequence[Encoder],
     samples: Iterable[data.LabeledSample],
-    alpha: Optional[float] = None,
     baseline: Optional[Baseline] = None,
-) -> Tuple[reservoir.EsnModel, data.SampleSet, np.ndarray, Optional[np.ndarray]]:
-    """Build a reservoir, run the samples through it in one `forward_pass`, fit its
-    readout on the train split and score every sample.
+) -> Tuple[List[Encoder], data.SampleSet, List[np.ndarray], Optional[np.ndarray]]:
+    """Run the samples through every encoder's reservoir in one `forward_pass`, fit
+    each readout on the train split and score every sample.
 
-    Returns the trained model, the samples' keys, the ESN scores and the
-    `baseline` scores (None without one), all in sample order, so the
-    train rows come first (see `split_rows`).
+    Returns the encoders with their trained models, the samples' keys, each
+    model's ESN scores and the `baseline` scores (None without one), all in
+    sample order, so the train rows come first (see `split_rows`).
     """
-    n_in, samples = with_height(samples)
-    if n_in is None:
-        raise DataError("sample set has no training samples")
-    model = reservoir.init_reservoir(cfg.esn_config(n_in, alpha))
-    keys, states, baseline_scores = forward_pass(model, samples, baseline)
+    keys, states, baseline_scores = forward_pass(encoders, samples, baseline)
     train = keys.train_samples
     if not train:
         raise DataError("sample set has no training samples")
-    solution = readout.fit_readout(states[: len(train)], np.array([k.index for k in train]), ridge=cfg.ridge)
-    model = model.with_readout(solution.w_out, solution.b_out)
-    return model, keys, reservoir.model_output(model, states), baseline_scores
+    targets = np.array([k.index for k in train])
+    fitted, scores = [], []
+    for encoder, encoded in zip(encoders, states):
+        solution = readout.fit_readout(encoded[: len(train)], targets, ridge=cfg.ridge)
+        model = encoder.model.with_readout(solution.w_out, solution.b_out)
+        fitted.append(replace(encoder, model=model))
+        scores.append(reservoir.model_output(model, encoded))
+    return fitted, keys, scores, baseline_scores
 
 
 def maps_for(
-    model: reservoir.EsnModel, samples: Iterable[data.LabeledSample]
-) -> Iterator[Tuple[data.SampleKey, lrp.RelevanceMap]]:
-    """Each sample's key with its relevance map, in order,
-    built one batch at a time at the default `lrp.LrpConfig` (ε is not a
-    command-line setting).
+    encoders: Sequence[Encoder], samples: Iterable[data.LabeledSample]
+) -> Iterator[Tuple[int, data.SampleKey, lrp.RelevanceMap]]:
+    """The relevance maps of the samples under every encoder's model, from one draw of them:
+    batch by batch, each encoder's index with each sample's key and map.
 
-    A batch's trajectory is dropped as soon as its maps are built.
+    Each batch is mapped under each model in turn, in its encoder's column
+    order, at the default `lrp.LrpConfig` (ε is not a command-line
+    setting). A batch's trajectory is dropped as soon as its maps are
+    built, and its maps as soon as they are drawn.
     """
-    # a trajectory holds the states, one float per unit and step
-    for keys, batch in batches(samples, model.config.n_res * 8):
-        yield from zip(keys, lrp.relevance_map(model, reservoir.run_reservoir(model, batch)))
+    n_res = encoders[0].model.config.n_res  # a trajectory holds the states, one float per unit and step
+    for keys, inputs in batches(samples, n_res * 8, [e.columns for e in encoders]):
+        for i, (encoder, batch) in enumerate(zip(encoders, inputs)):
+            maps = lrp.relevance_map(encoder.model, reservoir.run_reservoir(encoder.model, batch))
+            yield from zip(itertools.repeat(i), keys, maps)
+            del maps  # before the next model maps the batch
+
+
+def mean_maps(encoders: Sequence[Encoder], samples: Iterable[data.LabeledSample]) -> List[np.ndarray]:
+    """Each encoder's mean map over the samples (see `lrp.mean_relevance`), from one draw of them."""
+    means = [lrp.RunningMean() for _ in encoders]
+    for i, _, rmap in maps_for(encoders, samples):
+        means[i].add(rmap)
+    return [mean.normalized() for mean in means]
 
 
 def accuracy_rows(model_name: str, split: str, report: readout.AccuracyReport) -> List[str]:
@@ -451,11 +499,13 @@ def fit_baseline(
     a `valid_mask` of None means every cell is valid). The MLP reads them a
     mini-batch at a time, so it builds no (samples x cells) matrix. The
     linear regression's closed-form solve needs that matrix, and builds it
-    for the train samples only.
+    for the train samples only, unless at ridge 0 they are too few for a
+    full-rank fit (`readout.check_rank_attainable`).
     """
     inputs = data.BaselineRows(train, valid_mask)
     y_train = np.array([s.index for s in train])
     if cfg.baseline == "linreg":
+        readout.check_rank_attainable(len(inputs), inputs.width, cfg.ridge)
         x = inputs.read(range(len(inputs)), np.empty((len(inputs), inputs.width)))
         solution = readout.fit_readout(x, y_train, ridge=cfg.ridge)
         return Baseline("linreg", solution, valid_mask, f"linreg,train,mse,{solution.train_mse:.9g}")
@@ -478,8 +528,10 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
         train = list(itertools.islice(samples, data.train_count(n)))
         baseline = fit_baseline(cfg, train, valid_mask)
         samples = itertools.chain(drained(train), samples)
-    model, keys, scores, baseline_scores = fit_esn(cfg, samples, baseline=baseline)
-    persistence.save_model(out / MODEL_FILE, model)
+    shape, samples = shaped(samples)
+    encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(shape[0])))
+    [encoder], keys, [scores], baseline_scores = fit_esn(cfg, [encoder], samples, baseline)
+    persistence.save_model(out / MODEL_FILE, encoder.model)
     data.write_sample_index_csv(out / "samples.csv", keys)
     rows = split_rows("esn", keys, scores)
     if baseline is not None:
@@ -507,10 +559,18 @@ def check_field_height(model: reservoir.EsnModel, height: int, out: Path) -> Non
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     """Score every sample with the saved model in one `forward_pass`; on --synthetic, streamed."""
     model = load_trained_model(out)
-    height, samples = with_height(sample_stream(cfg)[0])
-    check_field_height(model, height, out)
-    keys, states, _ = forward_pass(model, samples)
+    shape, samples = with_shape(sample_stream(cfg)[0])
+    check_field_height(model, shape[0], out)
+    keys, [states], _ = forward_pass([Encoder(model)], samples)
     write_report(out / "eval_report.csv", split_rows("esn", keys, reservoir.model_output(model, states)))
+
+
+def synthetic_train(cfg: ExperimentConfig, class_filter: str) -> Iterator[data.LabeledSample]:
+    """The --synthetic train samples of a class, in order, drawn afresh from
+    `data.synthetic_samples` as asked for; the draw stops at the train split."""
+    d, t, n = cfg.synthetic
+    train = itertools.islice(data.synthetic_samples(n, d, t, seed=cfg.seed), data.train_count(n))
+    return filtered(train, class_filter)
 
 
 def relevance_samples(cfg: ExperimentConfig) -> Iterator[data.LabeledSample]:
@@ -523,9 +583,7 @@ def relevance_samples(cfg: ExperimentConfig) -> Iterator[data.LabeledSample]:
     on return.
     """
     if cfg.synthetic is not None:
-        d, t, n = cfg.synthetic
-        train = itertools.islice(data.synthetic_samples(n, d, t, seed=cfg.seed), data.train_count(n))
-        return filtered(train, cfg.class_filter)
+        return synthetic_train(cfg, cfg.class_filter)
     kept = list(filtered(resolve_samples(cfg)[0].train_samples, cfg.class_filter))
     return iter(compacted(kept) if kept else kept)
 
@@ -542,10 +600,10 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     directory holds this run's only.
     """
     model = load_trained_model(out)
-    height, samples = with_height(relevance_samples(cfg))
-    if height is None:
+    shape, samples = with_shape(relevance_samples(cfg))
+    if shape is None:
         raise DataError(f"no training samples left after --class {cfg.class_filter}")
-    check_field_height(model, height, out)
+    check_field_height(model, shape[0], out)
 
     rel_dir = out / "relevance"
     rel_dir.mkdir(parents=True, exist_ok=True)
@@ -555,7 +613,7 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
 
     def exported() -> Iterator[lrp.RelevanceMap]:
         """Write each map's CSV and audit row as it streams past."""
-        for i, (key, rmap) in enumerate(maps_for(model, samples)):
+        for i, (_, key, rmap) in enumerate(maps_for([Encoder(model)], samples)):
             lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
             audit.append(
                 f"{i},{key.month_id},{key.label.value},{rmap.total:.9g},"
@@ -570,20 +628,48 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     lrp.write_heatmap_pgm(out / "mean_map.pgm", mean)
 
 
+def study_samples(
+    cfg: ExperimentConfig,
+) -> Tuple[Tuple[int, int], Iterator[data.LabeledSample], Callable[[str], Iterator[data.LabeledSample]]]:
+    """A study's samples: the first field's shape; all of them, in order, for the fit pass;
+    and a function that gives the train samples of a class for a map pass.
+
+    On --synthetic each pass draws the generator afresh, so no pass holds
+    more than a batch of samples. On --data the set is loaded once and
+    held for every pass.
+    """
+    if cfg.synthetic is not None:
+        samples, train = sample_stream(cfg)[0], functools.partial(synthetic_train, cfg)
+    else:
+        sample_set = resolve_samples(cfg)[0]
+        samples = iter(sample_set.samples)
+
+        def train(class_filter: str) -> Iterator[data.LabeledSample]:
+            return filtered(sample_set.train_samples, class_filter)
+
+    shape, samples = shaped(samples)
+    return shape, samples, train
+
+
 def study(
-    cfg: ExperimentConfig, sample_set: data.SampleSet, alpha: Optional[float] = None
-) -> Tuple[readout.AccuracyReport, np.ndarray]:
-    """Fit a fresh reservoir; its val accuracy and the mean map of the --class train samples."""
-    model, keys, scores, _ = fit_esn(cfg, sample_set.samples, alpha)
-    maps = maps_for(model, filtered(sample_set.train_samples, cfg.class_filter))
-    return val_accuracy(keys, scores), lrp.mean_relevance(rmap for _, rmap in maps)
+    cfg: ExperimentConfig,
+    encoders: Sequence[Encoder],
+    samples: Iterator[data.LabeledSample],
+    train: Callable[[str], Iterator[data.LabeledSample]],
+) -> Tuple[List[readout.AccuracyReport], List[np.ndarray]]:
+    """Each model's val accuracy and mean map: the encoders' fresh reservoirs are fitted on one
+    draw of the `study_samples`, and the --class train samples mapped under them in one more."""
+    fitted, keys, scores, _ = fit_esn(cfg, encoders, samples)
+    return [val_accuracy(keys, s) for s in scores], mean_maps(fitted, train(cfg.class_filter))
 
 
 def cmd_leak_sweep(cfg: ExperimentConfig, out: Path) -> None:
-    sample_set = resolve_samples(cfg)[0]
+    """A fresh reservoir at each leak rate of SWEEP_ALPHAS, all four fitted and mapped in one `study`."""
+    shape, samples, train = study_samples(cfg)
+    encoders = [Encoder(reservoir.init_reservoir(cfg.esn_config(shape[0], alpha))) for alpha in SWEEP_ALPHAS]
+    reports, means = study(cfg, encoders, samples, train)
     rows = ["alpha,tag,accuracy_overall,accuracy_elnino,accuracy_lanina,mean_map_center_of_gravity"]
-    for alpha, tag in zip(SWEEP_ALPHAS, SWEEP_TAGS):
-        report, mean = study(cfg, sample_set, alpha)
+    for alpha, tag, report, mean in zip(SWEEP_ALPHAS, SWEEP_TAGS, reports, means):
         lrp.write_matrix_csv(out / f"mean_map_{tag}.csv", mean)
         lrp.write_heatmap_pgm(out / f"mean_map_{tag}.pgm", mean)
         per = [
@@ -606,11 +692,19 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_permutation(cfg: ExperimentConfig, out: Path) -> None:
-    sample_set = resolve_samples(cfg)[0]
-    base_report, base_mean = study(cfg, sample_set)
-    sample_set = data.permute_columns(sample_set, cfg.permute_seed)  # the base fields are freed here
-    perm_report, perm_mean = study(cfg, sample_set)
-    restored = data.inverse_permute(perm_mean, sample_set)
+    """One reservoir, fitted and mapped in one `study` on the fields as they are and with
+    their columns permuted (--permute-seed); the permuted mean map is then restored.
+
+    The permuted model reads each preprocessed sample's columns in the
+    permuted order as its batch is filled (`data.permuted_inputs`), so no
+    permuted field is built.
+    """
+    shape, samples, train = study_samples(cfg)
+    permutation = data.column_permutation(shape[1], cfg.permute_seed)
+    model = reservoir.init_reservoir(cfg.esn_config(shape[0]))
+    encoders = [Encoder(model), Encoder(model, data.permuted_inputs(permutation))]
+    (base_report, perm_report), (base_mean, perm_mean) = study(cfg, encoders, samples, train)
+    restored = data.inverse_permute(perm_mean, permutation)
 
     for name, matrix in (("base", base_mean), ("permuted", perm_mean), ("restored", restored)):
         lrp.write_matrix_csv(out / f"mean_map_{name}.csv", matrix)
@@ -629,21 +723,23 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
 
     Relevance maps are averaged per class: map signs follow the sign of the
     model output, so pooling the positive- and negative-target classes would
-    cancel the very signal being located.
+    cancel the very signal being located. The fit and each class's maps
+    draw the samples afresh (`study_samples`).
     """
     if cfg.synthetic is None:
         cfg.synthetic = DEFAULT_SYNTHETIC
     d, t, _ = cfg.synthetic
-    sample_set = resolve_samples(cfg)[0]
-    model, keys, scores, _ = fit_esn(cfg, sample_set.samples)
-    persistence.save_model(out / MODEL_FILE, model)
+    shape, samples, train = study_samples(cfg)
+    encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(shape[0])))
+    [encoder], keys, [scores], _ = fit_esn(cfg, [encoder], samples)
+    persistence.save_model(out / MODEL_FILE, encoder.model)
     rows = split_rows("esn", keys, scores)
     box = data.synthetic_blob_box(d, t)
     for class_filter in ("elnino", "lanina"):
-        samples = list(filtered(sample_set.train_samples, class_filter))
-        if not samples:
+        found, samples = with_shape(train(class_filter))
+        if found is None:
             continue
-        mean = lrp.mean_relevance(rmap for _, rmap in maps_for(model, samples))
+        [mean] = mean_maps([encoder], samples)
         lrp.write_matrix_csv(out / f"mean_map_{class_filter}.csv", mean)
         lrp.write_heatmap_pgm(out / f"mean_map_{class_filter}.pgm", mean)
         rows.append(f"esn,train,localization_ratio_{class_filter},{data.box_mass_ratio(mean, box):.9g}")

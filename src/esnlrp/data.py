@@ -172,13 +172,10 @@ class SampleSet:
     The split is derived, never stored: the first `train_count` of the
     samples train and the rest validate, so scores computed in sample order
     hold the train rows first. A set of keys is what a command keeps for
-    its reports once the fields are gone. When the set has been
-    column-permuted, `permutation` records the bijection so maps and fields
-    can be restored (see `inverse_permute`).
+    its reports once the fields are gone.
     """
 
     samples: Tuple[SampleKey, ...]
-    permutation: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if any(s.label is ClassLabel.NEUTRAL for s in self.samples):
@@ -344,24 +341,11 @@ def build_sample_set(anomalies: SstDataset, index: np.ndarray) -> SampleSet:
     return SampleSet(samples=samples)
 
 
-def _scaled(field: np.ndarray) -> np.ndarray:
-    """Clip to +-5, scale to [-1, 1], and zero the invalid cells."""
-    scaled = np.clip(np.asarray(field, dtype=float), -CLIP_LIMIT, CLIP_LIMIT) / CLIP_LIMIT
-    return np.where(np.isfinite(scaled), scaled, 0.0)
-
-
 def preprocess_field(field: np.ndarray) -> np.ndarray:
     """Clip to +-5, scale to [-1, 1], zero invalid cells, prepend a ones column."""
-    scaled = _scaled(field)
+    scaled = np.clip(np.asarray(field, dtype=float), -CLIP_LIMIT, CLIP_LIMIT) / CLIP_LIMIT
+    scaled = np.where(np.isfinite(scaled), scaled, 0.0)
     return np.hstack([np.ones((scaled.shape[0], 1)), scaled])
-
-
-def preprocess_for_baseline(sample: LabeledSample, valid_mask: np.ndarray) -> np.ndarray:
-    """Clip, scale, and emit the valid cells as one row-major vector."""
-    valid_mask = np.asarray(valid_mask, dtype=bool)
-    if valid_mask.shape != sample.field.shape:
-        raise DataError(f"mask shape {valid_mask.shape} does not match field {sample.field.shape}")
-    return _scaled(sample.field)[valid_mask]
 
 
 @dataclass(frozen=True)
@@ -370,10 +354,10 @@ class BaselineRows:
 
     Row i holds sample i's valid cells in row-major order, divided by
     CLIP_LIMIT; a `valid_mask` of None means every cell is valid. That is
-    `preprocess_for_baseline` bit for bit, because a sample field holds no
-    finite value outside +-CLIP_LIMIT and a valid cell is finite in every
-    month. No (samples x cells) matrix is built: `read` writes the rows it
-    is asked for into the caller's buffer.
+    the valid cells of `preprocess_field` bit for bit, because a sample
+    field holds no finite value outside +-CLIP_LIMIT and a valid cell is
+    finite in every month. No (samples x cells) matrix is built: `read`
+    writes the rows it is asked for into the caller's buffer.
     """
 
     samples: Sequence[LabeledSample]
@@ -397,28 +381,24 @@ class BaselineRows:
         return out
 
 
-def permute_columns(sample_set: SampleSet, seed: int) -> SampleSet:
-    """Apply one seeded column permutation to every sample's field.
+def column_permutation(n_cols: int, seed: int) -> np.ndarray:
+    """One seeded permutation of a field's n_cols columns: column j of a permuted field is column perm[j]."""
+    return _locked(np.random.default_rng(np.random.SeedSequence(seed)).permutation(n_cols))
 
-    The dummy ones column is prepended only during preprocessing, so it is
-    never part of the permutation. The bijection is stored on the returned
-    set.
+
+def permuted_inputs(permutation: np.ndarray) -> np.ndarray:
+    """The columns of `preprocess_field(field)`, in the order that gives `preprocess_field(field[:, permutation])`.
+
+    The ones column stays first and every other column is preprocessed on
+    its own, so the two agree bit for bit: a command can permute each
+    preprocessed sample as it is drawn instead of building permuted fields.
     """
-    if sample_set.permutation is not None:
-        raise DataError("sample set is already permuted; restore it before permuting again")
-    n_cols = sample_set.samples[0].field.shape[1]
-    perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n_cols)
-    permuted = tuple(
-        dataclasses.replace(s, field=_locked(s.field[:, perm])) for s in sample_set.samples
-    )
-    return SampleSet(samples=permuted, permutation=_locked(perm))
+    return _locked(np.concatenate([[0], 1 + np.asarray(permutation)]))
 
 
-def inverse_permute(arr: np.ndarray, sample_set: SampleSet) -> np.ndarray:
-    """Restore the original column order of a 2-D field or map."""
-    if sample_set.permutation is None:
-        raise DataError("sample set carries no permutation to invert")
-    inverse = np.argsort(sample_set.permutation)
+def inverse_permute(arr: np.ndarray, permutation: np.ndarray) -> np.ndarray:
+    """Restore the original column order of a 2-D field or map whose columns were permuted by `permutation`."""
+    inverse = np.argsort(permutation)
     arr = np.asarray(arr)
     if arr.ndim == 2 and arr.shape[1] == inverse.size:
         return arr[:, inverse]

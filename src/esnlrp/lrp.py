@@ -201,30 +201,48 @@ def relevance_map(
     ]
 
 
+class RunningMean:
+    """The running sum of map scores behind `mean_relevance`, fed the maps as they come.
+
+    A command that maps each batch under several models keeps one per
+    model, so no map outlives its batch.
+    """
+
+    def __init__(self) -> None:
+        self.total: Optional[np.ndarray] = None
+        self.count = 0
+
+    def add(self, rmap: RelevanceMap) -> None:
+        if self.total is None:
+            self.total = np.zeros_like(rmap.scores, dtype=float)
+        elif rmap.scores.shape != self.total.shape:
+            raise ConfigError(f"maps have mixed shapes: {self.total.shape} and {rmap.scores.shape}")
+        self.total += rmap.scores
+        self.count += 1
+
+    def normalized(self) -> np.ndarray:
+        """The mean of the maps added so far, normalized to [-1, 1] by its peak (see `mean_relevance`)."""
+        if self.total is None:
+            raise ConfigError("mean_relevance needs at least one map")
+        mean = self.total / self.count
+        peak = float(np.max(np.abs(mean))) if mean.size else 0.0
+        if peak < 1e-15:
+            return np.zeros_like(mean)
+        return mean / peak
+
+
 def mean_relevance(maps: Iterable[RelevanceMap]) -> np.ndarray:
     """Elementwise mean of map scores, normalized to [-1, 1] by its peak.
 
     `maps` may be any iterable, a generator included: it is consumed once
-    into a running sum, so no map need outlive its turn. When the mean
-    cancels to (numerically) nothing, normalization is skipped and zeros
-    are returned.
+    into a running sum (`RunningMean`), so no map need outlive its turn.
+    When the mean cancels to (numerically) nothing, normalization is
+    skipped and zeros are returned.
     """
-    running: Optional[np.ndarray] = None
-    count = 0
-    for m in maps:
-        if running is None:
-            running = np.zeros_like(m.scores, dtype=float)
-        elif m.scores.shape != running.shape:
-            raise ConfigError(f"maps have mixed shapes: {running.shape} and {m.scores.shape}")
-        running += m.scores
-        count += 1
-    if running is None:
-        raise ConfigError("mean_relevance needs at least one map")
-    mean = running / count
-    peak = float(np.max(np.abs(mean))) if mean.size else 0.0
-    if peak < 1e-15:
-        return np.zeros_like(mean)
-    return mean / peak
+    running = RunningMean()
+    for rmap in maps:
+        running.add(rmap)
+    return running.normalized()
 
 
 def column_center_of_gravity(scores: np.ndarray) -> float:

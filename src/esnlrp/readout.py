@@ -66,6 +66,19 @@ def check_ridge(ridge: float) -> None:
         raise ConfigError(f"ridge must be finite and nonnegative, got {ridge}")
 
 
+def check_rank_attainable(n_samples: int, n_units: int, ridge: float) -> None:
+    """At ridge 0, fewer samples than n_units + 1 are a NumericError, before anything is solved.
+
+    Centring takes one dimension away, so n centred rows have rank at most
+    n - 1, and the unpenalized solve needs rank n_units.
+    """
+    if ridge == 0.0 and n_samples <= n_units:
+        raise NumericError(
+            f"centred states are rank-deficient (rank at most {n_samples - 1} < {n_units}); "
+            "pass a positive ridge to regularize"
+        )
+
+
 def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutSolution:
     """Least-squares readout w, b minimizing ||X w + b - y||^2 + ridge * ||w||^2.
 
@@ -76,8 +89,9 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
     X - mean(X) = U diag(s) V^T gives w = V diag(g) U^T (y - mean(y)) and
     b = mean(y) - mean(X) w, with gain g = s / (s^2 + ridge). At ridge 0
     the gain is 1 / s, and centred states of rank below n_units (by
-    lstsq's default cut-off on s) are rejected. No Gram matrix is formed,
-    so the conditioning of X is not squared.
+    lstsq's default cut-off on s) are rejected, with no SVD run when there
+    are too few samples for full rank (`check_rank_attainable`). No Gram
+    matrix is formed, so the conditioning of X is not squared.
     """
     x = np.asarray(final_states, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -92,6 +106,7 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
         raise ConfigError("final_states/targets contain non-finite entries")
 
     n_samples, n_units = x.shape
+    check_rank_attainable(n_samples, n_units, ridge)
     y = y[:, None]  # one column, so w comes out (n_units, 1) and b as (1,)
     x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
     u, s, vt = np.linalg.svd(x - x_mean, full_matrices=False)

@@ -1,5 +1,6 @@
 """Shared builders for tests: models from explicit arrays, random draws, a generated SST container,
-a row source over an explicit matrix, and weak references to the generated samples."""
+a row source over an explicit matrix, weak references to the generated samples, and the
+whole-set references that the streamed code is checked against."""
 
 import gc
 import weakref
@@ -7,7 +8,7 @@ import weakref
 import numpy as np
 
 from esnlrp import data
-from esnlrp.reservoir import EsnConfig, EsnModel
+from esnlrp.reservoir import EsnConfig, EsnModel, final_states
 
 
 def assemble_model(w_in, b_in, w_res, b_res, alpha, w_out=None, b_out=None):
@@ -103,3 +104,23 @@ def track_generated_samples(monkeypatch):
 def alive(refs):
     gc.collect()
     return [ref() is not None for ref in refs]
+
+
+def encode(model, samples):
+    """Final reservoir state of each sample, one row per sample, from one batch of all of them."""
+    return final_states(model, np.stack([data.preprocess_field(s.field) for s in samples]))
+
+
+def preprocess_for_baseline(sample, valid_mask):
+    """A baseline's input vector: the sample's valid cells, clipped, scaled and in row-major order."""
+    return data.preprocess_field(sample.field)[:, 1:][np.asarray(valid_mask, dtype=bool)]
+
+
+def composed_affine(model):
+    """Collapse an identity-activation MLP into one (matrix, bias) pair."""
+    w = model.weights[0]
+    b = model.biases[0].copy()
+    for w_next, b_next in zip(model.weights[1:], model.biases[1:]):
+        w = w_next @ w
+        b = w_next @ b + b_next
+    return w, b

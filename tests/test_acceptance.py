@@ -6,13 +6,14 @@ container is not available, and the fading-memory study then runs on the
 generated task instead, as specified.
 """
 
+import dataclasses
 import functools
 import time
 
 import numpy as np
 import pytest
 
-from esnlrp import cli, data
+from esnlrp import data
 from esnlrp.baselines import init_mlp, linreg_predict, mlp_gradients, mlp_predict, train_mlp
 from esnlrp.baselines import MlpModel
 from esnlrp.lrp import column_center_of_gravity, mean_relevance, relevance_map
@@ -24,7 +25,7 @@ from esnlrp.reservoir import (
     spectral_radius,
 )
 
-from helpers import assemble_model, random_model, random_sample
+from helpers import assemble_model, encode, preprocess_for_baseline, random_model, random_sample
 from oracle_lrp import oracle_relevance
 
 SYNTHETIC_SCALE = dict(n_samples=300, d=16, t=96, seed=0)
@@ -56,12 +57,12 @@ def train_esn(sample_set, alpha, ridge=RIDGE, **esn_kwargs):
     model = init_reservoir(
         EsnConfig(n_in=train[0].field.shape[0], leak_rate=alpha, **kwargs)
     )
-    solution = fit_readout(cli.encode(model, train), np.array([s.index for s in train]), ridge=ridge)
+    solution = fit_readout(encode(model, train), np.array([s.index for s in train]), ridge=ridge)
     return model.with_readout(solution.w_out, solution.b_out)
 
 
 def esn_accuracy(model, samples):
-    scores = cli.encode(model, samples) @ model.w_out[0] + model.b_out[0]
+    scores = encode(model, samples) @ model.w_out[0] + model.b_out[0]
     return accuracy(scores, [s.label for s in samples])
 
 
@@ -215,15 +216,17 @@ def test_criterion_5_permutation_robustness():
     base_accuracy = esn_accuracy(base_model, sample_set.val_samples).overall
     base_mean = class_mean_map(base_model, sample_set.train_samples, ClassLabel.EL_NINO)
 
-    permuted_set = data.permute_columns(sample_set, seed=1)
+    permutation = data.column_permutation(SYNTHETIC_SCALE["t"], seed=1)
+    permuted = (dataclasses.replace(s, field=s.field[:, permutation]) for s in sample_set.samples)
+    permuted_set = data.SampleSet(tuple(permuted))
     for original, shuffled in zip(sample_set.samples, permuted_set.samples):
-        round_trip = data.inverse_permute(shuffled.field, permuted_set)
+        round_trip = data.inverse_permute(shuffled.field, permutation)
         np.testing.assert_array_equal(round_trip, original.field)
 
     perm_model = train_esn(permuted_set, alpha=alpha)
     perm_accuracy = esn_accuracy(perm_model, permuted_set.val_samples).overall
     perm_mean = class_mean_map(perm_model, permuted_set.train_samples, ClassLabel.EL_NINO)
-    restored = data.inverse_permute(perm_mean, permuted_set)
+    restored = data.inverse_permute(perm_mean, permutation)
 
     gap = abs(base_accuracy - perm_accuracy)
     assert gap <= 0.01, f"accuracy gap {gap:.4f} exceeds one point"
@@ -287,7 +290,7 @@ def test_criterion_6_baselines():
     mask = anomalies.valid_mask
 
     def vectors(samples):
-        return np.stack([data.preprocess_for_baseline(s, mask) for s in samples])
+        return np.stack([preprocess_for_baseline(s, mask) for s in samples])
 
     train, val = sample_set.train_samples, sample_set.val_samples
     x_train, y_train = vectors(train), np.array([s.index for s in train])

@@ -18,7 +18,6 @@ from esnlrp.baselines import (
     MlpModel,
     adam_init,
     adam_step,
-    composed_affine,
     init_mlp,
     linreg_predict,
     mlp_forward,
@@ -28,7 +27,7 @@ from esnlrp.baselines import (
 )
 from esnlrp.errors import ConfigError, NumericError
 from esnlrp.readout import fit_readout
-from helpers import MatrixRows
+from helpers import MatrixRows, composed_affine
 
 TOY_DIMS = (3, 4, 2, 1)
 

@@ -6,13 +6,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from esnlrp import baselines, cli, data, persistence, readout, reservoir
-from helpers import MatrixRows, alive, track_generated_samples, write_enso_container
+from esnlrp import baselines, cli, data, lrp, persistence, readout, reservoir
+from helpers import MatrixRows, alive, encode, preprocess_for_baseline, track_generated_samples, write_enso_container
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
 
@@ -105,8 +106,9 @@ def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
     monkeypatch.setattr(reservoir, "run_reservoir", counting_forward)
     monkeypatch.setattr(reservoir, "final_states", counting_final)
     # 12 samples, 9 of them train; synthetic maps the 9 train samples, and
-    # leak-sweep does that at each of its 4 leak rates
-    expected = {"train": 12, "evaluate": 12, "synthetic": 21, "leak-sweep": 84}
+    # leak-sweep does that at each of its 4 leak rates, permutation under
+    # its base and its permuted model
+    expected = {"train": 12, "evaluate": 12, "synthetic": 21, "leak-sweep": 84, "permutation": 42}
     for budget in (cli.TRAJECTORY_BUDGET_BYTES, 9000, 4000):
         monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", budget)
         for command, count in expected.items():
@@ -533,14 +535,111 @@ def test_train_with_the_mlp_baseline_holds_no_more_than_the_train_split(tmp_path
     assert growth < 1.05 * train_growth, f"peaks {peaks}: {growth / train_growth:.3f} of the train fields' growth"
 
 
+@pytest.mark.parametrize("command", ["leak-sweep", "permutation", "synthetic"])
+def test_the_studies_memory_does_not_grow_with_the_synthetic_sample_count(tmp_path, monkeypatch, command):
+    """`leak-sweep`, `permutation` and `synthetic` allocate as much at N = 800 as at N = 200.
+
+    The fit pass draws the samples from the generator into batches of 64,
+    and each map pass draws the train samples again, so no set of fields
+    (2.5 and 9.8 MB) is held. What grows with N is each sample's key,
+    final states (20 units under each of up to four models) and scores.
+    """
+    peaks = streamed_peaks(tmp_path, monkeypatch, command)
+    assert peaks[800] < 1.25 * peaks[200], f"peaks {peaks}"
+
+
+@pytest.mark.parametrize("command", ["permutation", "leak-sweep"])
+def test_the_studies_hold_at_most_one_batch_of_samples_at_every_fit_and_map(tmp_path, monkeypatch, command):
+    """Every readout fit and every map of a study runs with at most one batch of generated samples alive.
+
+    The fit pass draws all 20 samples from the generator, and the map pass
+    draws the 16 train samples again; no set of fields is built. A fit
+    batch holds 7 samples here (13 steps of 8 inputs cost 832 bytes per
+    sample) and a map batch 3 (13 steps of 20 units cost 2080): none is
+    alive at a fit, which follows the whole pass, and at a map only those
+    of the batch being mapped.
+    """
+    refs = track_generated_samples(monkeypatch)
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 2080)
+    alive_at_fit, alive_at_map = [], []
+    fit, relevance = readout.fit_readout, lrp.relevance_map
+
+    def fit_checked(*args, **kwargs):
+        alive_at_fit.append(sum(alive(refs)))
+        return fit(*args, **kwargs)
+
+    def map_checked(model, trajectory):
+        alive_at_map.append((sum(alive(refs)), len(trajectory.inputs)))
+        return relevance(model, trajectory)
+
+    monkeypatch.setattr(readout, "fit_readout", fit_checked)
+    monkeypatch.setattr(lrp, "relevance_map", map_checked)
+    argv = [command, "--synthetic", "8,12,20", "--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
+    assert run_cli(*argv) == 0
+    n_models = 2 if command == "permutation" else len(cli.SWEEP_ALPHAS)
+    assert len(refs) == 20 + data.train_count(20)
+    assert alive_at_fit == [0] * n_models
+    # 16 train samples in batches of 3, 3, 3, 3, 3 and 1, each mapped under every model
+    assert len(alive_at_map) == 6 * n_models
+    assert all(n_alive <= batch <= 3 for n_alive, batch in alive_at_map), alive_at_map
+
+
+def test_linreg_at_ridge_zero_with_too_few_samples_exits_four_before_reading_a_row(tmp_path, monkeypatch, capsys):
+    """16 train samples cannot fit 96 linear-regression weights unpenalized; no row is read to find that out."""
+    read = []
+    monkeypatch.setattr(data.BaselineRows, "read", lambda self, indices, out: read.append(indices))
+    out = tmp_path / "out"
+    argv = ["train", "--synthetic", "8,12,20", "--n-res", "20", "--baseline", "linreg", "--out", str(out)]
+    assert run_cli(*argv) == 4
+    assert "rank" in capsys.readouterr().err
+    assert read == []
+    assert not (out / "esn_model.json").exists()
+
+
+def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
+    """`forward_pass` and `maps_for` over several encoders give, bit for bit, what each gives alone.
+
+    Three models read the same draw: two leak rates as preprocessed, and
+    one with its columns permuted. The small budget splits the 20 samples
+    into several batches in both passes.
+    """
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 2080)
+    cfg = cli.ExperimentConfig(command="leak-sweep", n_res=20)
+    base, fast = (reservoir.init_reservoir(cfg.esn_config(8, alpha)) for alpha in (0.01, 0.4))
+    permuted = data.permuted_inputs(data.column_permutation(12, seed=3))
+    encoders = [cli.Encoder(base), cli.Encoder(fast), cli.Encoder(base, permuted)]
+
+    def samples():
+        return data.synthetic_samples(20, 8, 12, seed=2)
+
+    keys, states, _ = cli.forward_pass(encoders, samples())
+    fitted = []
+    for encoder, together in zip(encoders, states):
+        alone_keys, [alone], _ = cli.forward_pass([encoder], samples())
+        assert alone_keys == keys and together.tobytes() == alone.tobytes()
+        fitted.append(replace(encoder, model=encoder.model.with_readout(np.ones((1, 20)), np.zeros(1))))
+
+    maps = [[] for _ in fitted]
+    for i, key, rmap in cli.maps_for(fitted, samples()):
+        maps[i].append((key, rmap))
+    for encoder, together in zip(fitted, maps):
+        alone = [(key, rmap) for _, key, rmap in cli.maps_for([encoder], samples())]
+        assert [key for key, _ in together] == [key for key, _ in alone] == list(keys.samples)
+        for (_, a), (_, b) in zip(together, alone):
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert a.dummy_scores.tobytes() == b.dummy_scores.tobytes()
+            assert (a.absorbed, a.total) == (b.absorbed, b.total)
+
+
 @pytest.mark.parametrize("baseline", cli.BASELINES)
 def test_train_streams_to_the_outputs_of_the_whole_set(tmp_path, monkeypatch, baseline):
     """`train --synthetic 16,96,300` writes the samples and report bytes of the whole-set computation.
 
-    That computation builds the set (`synthesize_task`), encodes it with
-    `encode`, scores it with `mlp_predict` or `linreg_predict` over every
-    row, and fits each model as `train` does. The streamed pass's ESN
-    states and MLP scores equal its own bit for bit.
+    That computation builds the set (`synthesize_task`), encodes it in one
+    batch (`helpers.encode`), scores it with `mlp_predict` or
+    `linreg_predict` over every row, and fits each model as `train` does.
+    The streamed pass's ESN states and MLP scores equal its own bit for
+    bit.
     """
     streamed_states, streamed_scores = [], []
     final_states, score = reservoir.final_states, cli.Baseline.score
@@ -564,7 +663,7 @@ def test_train_streams_to_the_outputs_of_the_whole_set(tmp_path, monkeypatch, ba
     task = data.synthesize_task(300, 16, 96, seed=4)
     n_train, y_train = task.n_train, np.array([s.index for s in task.train_samples])
     unfitted = reservoir.init_reservoir(cfg.esn_config(16))
-    states = cli.encode(unfitted, task.samples)
+    states = encode(unfitted, task.samples)
     assert np.concatenate(streamed_states).tobytes() == states.tobytes()
     solution = readout.fit_readout(states[:n_train], y_train, ridge=cfg.ridge)
     model = unfitted.with_readout(solution.w_out, solution.b_out)
@@ -724,7 +823,7 @@ def test_the_masked_mlp_baseline_trains_as_on_the_explicit_matrix(tmp_path, enso
     got = persistence.load_model(out / "baseline_mlp.json")
 
     sample_set, anomalies = data.load_enso_samples(container)
-    x = np.stack([data.preprocess_for_baseline(s, anomalies.valid_mask) for s in sample_set.samples])
+    x = np.stack([preprocess_for_baseline(s, anomalies.valid_mask) for s in sample_set.samples])
     assert x.shape == (372, 11_920)
     n = sample_set.n_train
     want, history = baselines.train_mlp(MatrixRows(x[:n]), [s.index for s in sample_set.train_samples], seed=0)

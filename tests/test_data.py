@@ -6,6 +6,7 @@ import pytest
 from esnlrp import data
 from esnlrp.errors import ConfigError, DataError
 from esnlrp.readout import ClassLabel
+from helpers import preprocess_for_baseline
 
 
 def small_fields(n_months, seed=0, fill_nan_at=None):
@@ -303,14 +304,15 @@ def test_preprocess_for_baseline_ignores_invalid_cells():
     mask[1, 2] = False
     field = np.arange(20, dtype=float).reshape(4, 5) / 10.0
     sample = data.LabeledSample(field=field, index=1.0, month_id=0)
-    vector = data.preprocess_for_baseline(sample, mask)
+    vector = preprocess_for_baseline(sample, mask)
     assert vector.shape == (19,)
+    np.testing.assert_array_equal(vector, np.delete(field.ravel(), 7) / data.CLIP_LIMIT)
     poisoned = field.copy()
     poisoned[1, 2] = 4.9  # valid magnitude, still masked out
     sample2 = data.LabeledSample(field=poisoned, index=1.0, month_id=0)
-    np.testing.assert_array_equal(data.preprocess_for_baseline(sample2, mask), vector)
-    with pytest.raises(DataError):
-        data.preprocess_for_baseline(sample, np.ones((3, 3), dtype=bool))
+    np.testing.assert_array_equal(preprocess_for_baseline(sample2, mask), vector)
+    with pytest.raises(IndexError):
+        preprocess_for_baseline(sample, np.ones((3, 3), dtype=bool))
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -322,7 +324,7 @@ def test_baseline_rows_are_preprocess_for_baseline_bit_for_bit(masked):
         fields[:, ~mask] = np.nan
     samples = [data.LabeledSample(field=f, index=1.0, month_id=i) for i, f in enumerate(fields)]
     rows = data.BaselineRows(samples, mask)
-    want = np.stack([data.preprocess_for_baseline(s, np.ones((6, 9), bool) if mask is None else mask) for s in samples])
+    want = np.stack([preprocess_for_baseline(s, np.ones((6, 9), bool) if mask is None else mask) for s in samples])
     assert len(rows) == 7 and rows.width == want.shape[1]
     buffer = np.full((4, rows.width), np.nan)
     got = rows.read([5, 0, 3], buffer)
@@ -331,32 +333,38 @@ def test_baseline_rows_are_preprocess_for_baseline_bit_for_bit(masked):
 
 
 def test_permute_columns_round_trip_and_errors():
+    """A seeded column permutation is reproducible, and `inverse_permute` undoes it on every field.
+
+    The preprocessed permuted field is the preprocessed field read in the
+    order of `permuted_inputs`, bit for bit, NaN cells included.
+    """
     sample_set = data.synthesize_task(6, 8, 10, seed=0)
-    permuted = data.permute_columns(sample_set, seed=42)
-    again = data.permute_columns(sample_set, seed=42)
-    np.testing.assert_array_equal(permuted.permutation, again.permutation)
-    np.testing.assert_array_equal(np.sort(permuted.permutation), np.arange(10))
+    permutation = data.column_permutation(10, seed=42)
+    np.testing.assert_array_equal(permutation, data.column_permutation(10, seed=42))
+    np.testing.assert_array_equal(np.sort(permutation), np.arange(10))
+    assert not permutation.flags.writeable
 
-    for original, shuffled in zip(sample_set.samples, permuted.samples):
-        restored = data.inverse_permute(shuffled.field, permuted)
-        np.testing.assert_array_equal(restored, original.field)
-
-    with pytest.raises(DataError, match="already permuted"):
-        data.permute_columns(permuted, seed=1)
-    with pytest.raises(DataError, match="no permutation"):
-        data.inverse_permute(sample_set.samples[0].field, sample_set)
+    inputs = data.permuted_inputs(permutation)
+    for sample in sample_set.samples:
+        field = sample.field.copy()
+        field[2, 3] = np.nan
+        shuffled = field[:, permutation]
+        np.testing.assert_array_equal(data.inverse_permute(shuffled, permutation), field)
+        preprocessed = data.preprocess_field(shuffled)
+        assert preprocessed.tobytes() == data.preprocess_field(field)[:, inputs].tobytes()
+    with pytest.raises(DataError):
+        data.inverse_permute(sample_set.samples[0].field, permutation[:-1])
 
 
 def test_inverse_permute_handles_maps_vectors_and_bad_shapes():
-    sample_set = data.synthesize_task(4, 8, 9, seed=1)
-    permuted = data.permute_columns(sample_set, seed=5)
+    permutation = data.column_permutation(9, seed=5)
     scores = np.arange(2 * 9, dtype=float).reshape(2, 9)
-    np.testing.assert_array_equal(data.inverse_permute(scores[:, permuted.permutation], permuted), scores)
+    np.testing.assert_array_equal(data.inverse_permute(scores[:, permutation], permutation), scores)
 
     with pytest.raises(DataError):
-        data.inverse_permute(np.arange(9.0), permuted)  # only 2-D fields and maps are restored
+        data.inverse_permute(np.arange(9.0), permutation)  # only 2-D fields and maps are restored
     with pytest.raises(DataError):
-        data.inverse_permute(np.zeros((2, 4)), permuted)
+        data.inverse_permute(np.zeros((2, 4)), permutation)
 
 
 def test_synthesize_task_validation():

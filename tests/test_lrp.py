@@ -304,27 +304,21 @@ def test_a_map_keeps_no_other_map_of_its_batch_alive():
 
 
 def track_sample_sets(monkeypatch):
-    """Follow every sample set the CLI synthesizes or loads with weak references.
+    """Follow every sample set the CLI loads with weak references.
 
     Returns a list that fills with one reference per sample, then one for
-    the set itself and, on the --data path, one for the anomaly dataset.
+    the set itself and one for the anomaly dataset.
     """
     refs = []
+    load = data.load_enso_samples
 
-    def tracked(make):
-        def wrapper(*args, **kwargs):
-            result = make(*args, **kwargs)
-            sample_set, anomalies = result if isinstance(result, tuple) else (result, None)
-            refs.extend(weakref.ref(s) for s in sample_set.samples)
-            refs.append(weakref.ref(sample_set))
-            if anomalies is not None:
-                refs.append(weakref.ref(anomalies))
-            return result
+    def tracked(*args, **kwargs):
+        sample_set, anomalies = load(*args, **kwargs)
+        refs.extend(weakref.ref(s) for s in sample_set.samples)
+        refs.extend([weakref.ref(sample_set), weakref.ref(anomalies)])
+        return sample_set, anomalies
 
-        return wrapper
-
-    monkeypatch.setattr(data, "synthesize_task", tracked(data.synthesize_task))
-    monkeypatch.setattr(data, "load_enso_samples", tracked(data.load_enso_samples))
+    monkeypatch.setattr(data, "load_enso_samples", tracked)
     return refs
 
 
@@ -376,23 +370,6 @@ def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, s
         assert len(refs) > len(mapped) > 0
         assert tracked == [] and batch == len(mapped)
     assert set(held) <= set(mapped[:batch])
-
-
-def test_the_permutation_study_lets_the_base_set_go_before_the_permuted_fit(tmp_path, monkeypatch):
-    """The permuted fit runs with none of the base samples, nor their set, left alive."""
-    refs = track_sample_sets(monkeypatch)
-    alive_at_fit = []
-    fit_esn = cli.fit_esn
-
-    def fit_checked(*args):
-        alive_at_fit.append(alive(refs))
-        return fit_esn(*args)
-
-    monkeypatch.setattr(cli, "fit_esn", fit_checked)
-    argv = ["permutation", "--synthetic", "8,12,20", "--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
-    assert cli.main(argv) == 0
-    assert len(refs) == 21
-    assert alive_at_fit == [[True] * 21, [False] * 21]
 
 
 @pytest.fixture(scope="module")
