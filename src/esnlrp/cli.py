@@ -19,11 +19,12 @@ rates of `leak-sweep`, the base and the column-permuted model of
 with the --baseline model in the same pass. A sample is let go once all
 the models are done with it. The studies then map the train samples of
 --class in one more draw, each batch under every model in turn
-(`maps_for`). On --synthetic every pass draws the samples from the
-generator as it asks for them, so no command holds a set of fields:
-`train` draws the train split first and fits the baseline on it before
-any validation sample exists, and without a baseline, like every other
-command, holds one batch of samples at most.
+(`maps_for`). Every pass draws the samples afresh as it asks for them,
+from the generator on --synthetic and from the container, a month at a
+time, on --data, so no command holds a set of fields: `train` draws the
+train split first and fits the baseline on it before any validation
+sample exists, and without a baseline, like every other command, holds
+one batch of samples at most.
 """
 
 from __future__ import annotations
@@ -213,45 +214,28 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(command=args.command, **values)
 
 
-def resolve_samples(cfg: ExperimentConfig) -> Tuple[data.SampleSet, Optional[np.ndarray]]:
-    """Either generate the synthetic task or run the full dataset pipeline.
+def sample_source(
+    cfg: ExperimentConfig,
+) -> Tuple[Callable[[], Iterator[data.LabeledSample]], int, Optional[np.ndarray]]:
+    """A function that draws all the samples afresh, in time order, as they are asked for;
+    their count; and the cells valid in every month, which only the baselines read (None on
+    --synthetic, whose cells are all valid).
 
-    Returns the sample set and the cells valid in every month, which only the
-    baselines read (None for the synthetic task, whose cells are all valid).
-    The anomaly dataset is freed on return.
+    On --synthetic a draw runs `data.synthetic_samples`. On --data the
+    container is checked and its index computed here (`data.enso_source`),
+    so a data error comes before anything is written, and a draw reads the
+    labelled months from the file.
     """
     if cfg.synthetic is not None:
         d, t, n = cfg.synthetic
-        return data.synthesize_task(n, d, t, seed=cfg.seed), None
+        return functools.partial(data.synthetic_samples, n, d, t, seed=cfg.seed), n, None
     path = data.locate_dataset(cfg.data)
     if path is None:
         raise DataError(
             "no dataset found: pass --data <path>, set "
             f"{data.ENV_DATASET}, place {data.DEFAULT_DATASET_PATH}, or use --synthetic d,t,n"
         )
-    sample_set, anomalies = data.load_enso_samples(path)
-    return sample_set, anomalies.valid_mask
-
-
-def drained(held: List[data.LabeledSample]) -> Iterator[data.LabeledSample]:
-    """The samples of a list, in order, each removed from the list as it is drawn."""
-    held.reverse()
-    while held:
-        yield held.pop()
-
-
-def sample_stream(cfg: ExperimentConfig) -> Tuple[Iterator[data.LabeledSample], int, Optional[np.ndarray]]:
-    """All the samples in time order, drawn as asked for; their count; the valid cells (see `resolve_samples`).
-
-    On --synthetic they come from `data.synthetic_samples`, one at a time.
-    On --data the set is loaded whole, and each sample is let go once drawn.
-    """
-    if cfg.synthetic is not None:
-        d, t, n = cfg.synthetic
-        return data.synthetic_samples(n, d, t, seed=cfg.seed), n, None
-    sample_set, valid_mask = resolve_samples(cfg)
-    samples = list(sample_set.samples)
-    return drained(samples), len(samples), valid_mask
+    return data.enso_source(path)
 
 
 def with_shape(
@@ -283,19 +267,6 @@ def filtered(samples: Iterable[data.LabeledSample], class_filter: str) -> Iterat
         return iter(samples)
     want = readout.ClassLabel.EL_NINO if class_filter == "elnino" else readout.ClassLabel.LA_NINA
     return (s for s in samples if s.label is want)
-
-
-def compacted(samples: Sequence[data.LabeledSample]) -> List[data.LabeledSample]:
-    """The samples with their fields copied into one locked block.
-
-    A command that keeps only some samples of a set lets the set go whole
-    this way. Dropping just the other samples would leave holes between the
-    kept fields, and the relevance pass's temporaries then spread over those
-    holes: at paper shape its maps took about a fifth longer.
-    """
-    block = np.stack([s.field for s in samples])
-    block.flags.writeable = False
-    return [replace(s, field=field) for s, field in zip(samples, block)]
 
 
 @dataclass(frozen=True)
@@ -522,12 +493,14 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     with the baseline, letting each go once both are done with it. Without
     a baseline nothing is held ahead of the pass.
     """
-    samples, n, valid_mask = sample_stream(cfg)
+    draw, n, valid_mask = sample_source(cfg)
+    samples = draw()
     baseline = None
     if cfg.baseline != "none":
         train = list(itertools.islice(samples, data.train_count(n)))
         baseline = fit_baseline(cfg, train, valid_mask)
-        samples = itertools.chain(drained(train), samples)
+        train.reverse()  # popped from the end, each train sample is let go as the pass draws it
+        samples = itertools.chain((train.pop() for _ in range(len(train))), samples)
     shape, samples = shaped(samples)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(shape[0])))
     [encoder], keys, [scores], baseline_scores = fit_esn(cfg, [encoder], samples, baseline)
@@ -557,43 +530,34 @@ def check_field_height(model: reservoir.EsnModel, height: int, out: Path) -> Non
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
-    """Score every sample with the saved model in one `forward_pass`; on --synthetic, streamed."""
+    """Score every sample with the saved model in one streamed `forward_pass`."""
     model = load_trained_model(out)
-    shape, samples = with_shape(sample_stream(cfg)[0])
+    shape, samples = with_shape(sample_source(cfg)[0]())
     check_field_height(model, shape[0], out)
     keys, [states], _ = forward_pass([Encoder(model)], samples)
     write_report(out / "eval_report.csv", split_rows("esn", keys, reservoir.model_output(model, states)))
 
 
-def synthetic_train(cfg: ExperimentConfig, class_filter: str) -> Iterator[data.LabeledSample]:
-    """The --synthetic train samples of a class, in order, drawn afresh from
-    `data.synthetic_samples` as asked for; the draw stops at the train split."""
-    d, t, n = cfg.synthetic
-    train = itertools.islice(data.synthetic_samples(n, d, t, seed=cfg.seed), data.train_count(n))
-    return filtered(train, class_filter)
+def train_samples(
+    draw: Callable[[], Iterator[data.LabeledSample]], n: int, class_filter: str
+) -> Iterator[data.LabeledSample]:
+    """The train samples of a class, in order, from a fresh `draw` of the n samples, drawn as
+    asked for; the draw stops at the train split (`data.train_count`)."""
+    return filtered(itertools.islice(draw(), data.train_count(n)), class_filter)
 
 
 def relevance_samples(cfg: ExperimentConfig) -> Iterator[data.LabeledSample]:
-    """The --class train samples that `relevance` maps, in order.
-
-    On --synthetic they are drawn from `data.synthetic_samples` as the map
-    batches ask for them, and the stream stops at the train split
-    (`data.train_count`). On --data the set is loaded whole; the kept fields
-    are copied into one block (`compacted`), so the rest of the set is freed
-    on return.
-    """
-    if cfg.synthetic is not None:
-        return synthetic_train(cfg, cfg.class_filter)
-    kept = list(filtered(resolve_samples(cfg)[0].train_samples, cfg.class_filter))
-    return iter(compacted(kept) if kept else kept)
+    """The --class train samples that `relevance` maps, in order, drawn as the map batches ask for them."""
+    draw, n, _ = sample_source(cfg)
+    return train_samples(draw, n, cfg.class_filter)
 
 
 def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     """Map the `relevance_samples`, writing each map and its audit row, then the mean map.
 
-    On --synthetic the samples stream through `maps_for`: each is drawn,
-    preprocessed into its batch and let go before the batch is mapped, so
-    one batch is the most ever held, however many samples the task has.
+    The samples stream through `maps_for`: each is drawn, preprocessed
+    into its batch and let go before the batch is mapped, so one batch is
+    the most ever held, however many samples there are.
     The checks (a sample is left, its field height is the model's) run on
     the first sample before anything is written; then
     the maps an earlier run left in `relevance/` are removed, so the
@@ -634,21 +598,12 @@ def study_samples(
     """A study's samples: the first field's shape; all of them, in order, for the fit pass;
     and a function that gives the train samples of a class for a map pass.
 
-    On --synthetic each pass draws the generator afresh, so no pass holds
-    more than a batch of samples. On --data the set is loaded once and
-    held for every pass.
+    Each pass draws the samples afresh (`sample_source`), so no pass holds
+    more than a batch of samples.
     """
-    if cfg.synthetic is not None:
-        samples, train = sample_stream(cfg)[0], functools.partial(synthetic_train, cfg)
-    else:
-        sample_set = resolve_samples(cfg)[0]
-        samples = iter(sample_set.samples)
-
-        def train(class_filter: str) -> Iterator[data.LabeledSample]:
-            return filtered(sample_set.train_samples, class_filter)
-
-    shape, samples = shaped(samples)
-    return shape, samples, train
+    draw, n, _ = sample_source(cfg)
+    shape, samples = shaped(draw())
+    return shape, samples, functools.partial(train_samples, draw, n)
 
 
 def study(

@@ -16,20 +16,26 @@ non-neutral months. It also provides the per-model preprocessing, reversible
 column permutation, and a synthetic stand-in task with a known ground-truth
 signal box.
 
-Each fact is stored once and the rest derived from it: a dataset's month ids
-follow from its start year and its validity mask from its fields, a sample's
-class from its index, and a sample set's split from its length (the first
-`train_count` of the samples train).
+A container is checked once from its header and length, then read a month
+at a time: one pass over the reference years gives the climatology, one
+over every month the validity mask and the index, and each draw of the
+samples reads the labelled months again, so no array of all the months is
+built.
+
+Each fact is stored once and the rest derived from it: a month's id follows
+from the container's start year, a sample's class from its index, and a
+sample set's split from its length (the first `train_count` of the samples
+train).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,32 +81,6 @@ def _locked(arr: np.ndarray) -> np.ndarray:
 # Cell centers of the 2-degree grid, in degrees.
 LAT_CENTERS = _locked(-88.0 + 2.0 * np.arange(GRID_N_LAT))
 LON_CENTERS = _locked(2.0 * np.arange(GRID_N_LON))
-
-
-@dataclass(frozen=True)
-class SstDataset:
-    """Monthly fields (raw or anomaly), NaN where invalid; the first is January of start_year.
-
-    Month ids (months since January EPOCH_YEAR) follow from start_year, and
-    the validity mask from the fields: a cell is valid when it is finite in
-    every month. Anomalies keep the mask of their raw fields, since a cell
-    finite in every month has a finite climatology and a NaN month stays NaN.
-    """
-
-    fields: np.ndarray
-    start_year: int
-
-    @property
-    def n_months(self) -> int:
-        return self.fields.shape[0]
-
-    @property
-    def month_ids(self) -> np.ndarray:
-        return (self.start_year - EPOCH_YEAR) * 12 + np.arange(self.n_months)
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return np.isfinite(self.fields).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -210,20 +190,43 @@ def write_sst(path: Union[str, Path], fields: np.ndarray, start_year: int) -> No
     Path(path).write_bytes(header + np.ascontiguousarray(fields, dtype="<f4").tobytes())
 
 
-def load_sst(path: Union[str, Path]) -> SstDataset:
-    """Load a container file; malformed input errors cite exact byte offsets."""
-    path = Path(path)
+@dataclass(frozen=True)
+class SstContainer:
+    """A container file whose header and length `open_sst` has checked; its months are read on demand."""
+
+    path: Path
+    n_months: int
+    start_year: int
+
+    def read(self, months: Sequence[int]) -> Iterator[np.ndarray]:
+        """The float32 grids of `months`, in that order, each read at its byte offset as it is asked for."""
+        grid_bytes = GRID_N_LAT * GRID_N_LON * 4
+        with _opened(self.path) as handle:
+            for month in months:
+                handle.seek(HEADER_SIZE + month * grid_bytes)
+                yield np.frombuffer(handle.read(grid_bytes), dtype="<f4").reshape(GRID_N_LAT, GRID_N_LON)
+
+
+def _opened(path: Path):
     try:
-        raw = path.read_bytes()
+        return path.open("rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
+
+
+def open_sst(path: Union[str, Path]) -> SstContainer:
+    """Check a container file from its header and length; malformed input errors cite exact byte offsets."""
+    path = Path(path)
+    with _opened(path) as handle:
+        raw = handle.read(HEADER_SIZE)
+        size = os.fstat(handle.fileno()).st_size
+    if raw[: len(MAGIC)] != MAGIC:
         raise DataError(
             f"{path}: bad magic at byte 0: found {raw[:len(MAGIC)]!r}, expected {MAGIC!r}"
         )
-    if len(raw) < HEADER_SIZE:
+    if size < HEADER_SIZE:
         raise DataError(
-            f"{path}: truncated header, file ends at byte {len(raw)} but the header "
+            f"{path}: truncated header, file ends at byte {size} but the header "
             f"spans bytes 0..{HEADER_SIZE - 1}"
         )
     n_lat, n_lon, n_months, start_year = struct.unpack_from("<4I", raw, len(MAGIC))
@@ -234,58 +237,62 @@ def load_sst(path: Union[str, Path]) -> SstDataset:
         )
     grid_bytes = n_lat * n_lon * 4
     expected = HEADER_SIZE + n_months * grid_bytes
-    if len(raw) < expected:
-        complete = (len(raw) - HEADER_SIZE) // grid_bytes
+    if size < expected:
+        complete = (size - HEADER_SIZE) // grid_bytes
         raise DataError(
-            f"{path}: truncated payload, file ends at byte {len(raw)} of {expected}; "
+            f"{path}: truncated payload, file ends at byte {size} of {expected}; "
             f"grid {complete} of {n_months} starting at byte {HEADER_SIZE + complete * grid_bytes} "
             "is incomplete"
         )
-    if len(raw) > expected:
+    if size > expected:
         raise DataError(
-            f"{path}: {len(raw) - expected} trailing bytes after the declared payload, "
+            f"{path}: {size - expected} trailing bytes after the declared payload, "
             f"which ends at byte {expected}"
         )
-    fields = (
-        np.frombuffer(raw, dtype="<f4", count=n_months * n_lat * n_lon, offset=HEADER_SIZE)
-        .reshape(n_months, n_lat, n_lon)
-        .astype(float)
-    )
-    fields.setflags(write=False)
-    return SstDataset(fields=fields, start_year=start_year)
+    return SstContainer(path=path, n_months=n_months, start_year=start_year)
 
 
-def _reference_slice(dataset: SstDataset) -> slice:
+def _reference_slice(container: SstContainer) -> slice:
     first, last = REFERENCE_PERIOD
-    lo = (first - dataset.start_year) * 12
-    hi = (last - dataset.start_year) * 12 + 12
-    if lo < 0 or hi > dataset.n_months:
+    lo = (first - container.start_year) * 12
+    hi = (last - container.start_year) * 12 + 12
+    if lo < 0 or hi > container.n_months:
         raise DataError(
             f"reference period {first}..{last} falls outside the data span "
-            f"{dataset.start_year}..{dataset.start_year + dataset.n_months // 12 - 1}"
+            f"{container.start_year}..{container.start_year + container.n_months // 12 - 1}"
         )
     return slice(lo, hi)
 
 
-def compute_anomalies(dataset: SstDataset) -> SstDataset:
-    """Subtract the per-cell, per-calendar-month mean over the REFERENCE_PERIOD years.
+def reference_climatology(container: SstContainer) -> np.ndarray:
+    """Each calendar month's per-cell mean over the REFERENCE_PERIOD years, shape (12, n_lat, n_lon).
 
-    Cells with no finite reference values keep NaN everywhere; invalid
-    entries stay invalid. Each calendar month is subtracted straight into
-    the output, so the input and the result are the only cube-sized arrays.
+    Cells with no finite reference value get NaN. One pass reads the
+    reference years a calendar month at a time into one (years, n_lat,
+    n_lon) float64 slab.
     """
-    ref = _reference_slice(dataset)
-    anomalies = np.empty(dataset.fields.shape)
+    ref = _reference_slice(container)
+    slab = np.empty(((ref.stop - ref.start) // 12, GRID_N_LAT, GRID_N_LON))
+    climatology = np.empty((12, GRID_N_LAT, GRID_N_LON))
     for month in range(12):
-        vals = dataset.fields[ref][month::12]
-        finite = np.isfinite(vals)
+        for year, grid in zip(slab, container.read(range(ref.start + month, ref.stop, 12))):
+            year[...] = grid
+        finite = np.isfinite(slab)
         counts = finite.sum(axis=0)
-        sums = np.where(finite, vals, 0.0).sum(axis=0)
-        climatology = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        # into this calendar month's rows of the one output cube
-        np.subtract(dataset.fields[month::12], climatology, out=anomalies[month::12])
-    anomalies.setflags(write=False)
-    return dataclasses.replace(dataset, fields=anomalies)
+        sums = np.where(finite, slab, 0.0).sum(axis=0)
+        climatology[month] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    return _locked(climatology)
+
+
+def anomalies(container: SstContainer, climatology: np.ndarray, months: Sequence[int]) -> Iterator[np.ndarray]:
+    """Each month of `months`, in order, as float64 minus its calendar month's climatology, read as asked for.
+
+    A cell that is NaN in a month, or has no finite reference value, is NaN.
+    """
+    for month, grid in zip(months, container.read(months)):
+        field = grid.astype(float)
+        field -= climatology[month % 12]
+        yield field
 
 
 def nino34_region() -> Tuple[np.ndarray, np.ndarray]:
@@ -295,21 +302,29 @@ def nino34_region() -> Tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def nino34_index(anomalies: SstDataset) -> np.ndarray:
-    """Normalized Nino-3.4 series: box mean over valid cells, unit reference std."""
+def nino34_scan(container: SstContainer, climatology: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One pass over every month's anomalies: the cells finite in every month, and the normalized
+    Nino-3.4 series (box mean over valid cells, unit reference std).
+
+    A cell finite in every month has a finite climatology, so the valid
+    cells of the anomalies are those of the raw fields.
+    """
     rows, cols = nino34_region()
-    box = anomalies.fields[:, rows][:, :, cols].reshape(anomalies.n_months, -1)
+    valid = np.ones((GRID_N_LAT, GRID_N_LON), dtype=bool)
+    box = np.empty((container.n_months, rows.size * cols.size))
+    for month, field in enumerate(anomalies(container, climatology, range(container.n_months))):
+        valid &= np.isfinite(field)
+        box[month] = field[rows][:, cols].reshape(-1)
     finite = np.isfinite(box)
     counts = finite.sum(axis=1)
     if np.any(counts == 0):
         bad = int(np.argmin(counts))
         raise DataError(f"Nino-3.4 box has no valid cells in month index {bad}")
     regional = np.where(finite, box, 0.0).sum(axis=1) / counts
-    ref = _reference_slice(anomalies)
-    scale = float(regional[ref].std())
+    scale = float(regional[_reference_slice(container)].std())
     if not scale > 0.0:
         raise DataError(f"Nino-3.4 reference standard deviation is degenerate ({scale})")
-    return regional / scale
+    return _locked(valid), regional / scale
 
 
 def label_for_index(index: float) -> ClassLabel:
@@ -322,23 +337,37 @@ def label_for_index(index: float) -> ClassLabel:
     return ClassLabel.NEUTRAL
 
 
-def build_sample_set(anomalies: SstDataset, index: np.ndarray) -> SampleSet:
-    """Keep the non-neutral months in time order (the first 80% train)."""
-    index = np.asarray(index, dtype=float)
-    if index.shape != (anomalies.n_months,):
-        raise DataError(f"index length {index.shape} does not match {anomalies.n_months} months")
-    samples = tuple(
-        LabeledSample(
-            field=_locked(np.clip(anomalies.fields[i], -CLIP_LIMIT, CLIP_LIMIT)),
-            index=float(index[i]),
-            month_id=int(month_id),
-        )
-        for i, month_id in enumerate(anomalies.month_ids)
-        if label_for_index(index[i]) is not ClassLabel.NEUTRAL
-    )
-    if len(samples) < 2:
-        raise DataError(f"only {len(samples)} labeled samples; cannot split")
-    return SampleSet(samples=samples)
+def _labelled(index: np.ndarray) -> List[int]:
+    return [month for month, value in enumerate(index) if label_for_index(value) is not ClassLabel.NEUTRAL]
+
+
+def enso_samples(container: SstContainer, climatology: np.ndarray, index: np.ndarray) -> Iterator[LabeledSample]:
+    """The non-neutral months of a container in time order, each read and clipped to +-CLIP_LIMIT as it is drawn.
+
+    The generator keeps none it has yielded, like `synthetic_samples`.
+    """
+    months = _labelled(index)
+    first_id = (container.start_year - EPOCH_YEAR) * 12
+    for month, field in zip(months, anomalies(container, climatology, months)):
+        np.clip(field, -CLIP_LIMIT, CLIP_LIMIT, out=field)
+        yield LabeledSample(field=_locked(field), index=float(index[month]), month_id=first_id + month)
+
+
+def enso_source(path: Union[str, Path]) -> Tuple[Callable[[], Iterator[LabeledSample]], int, np.ndarray]:
+    """A container's samples: a function that draws them afresh (`enso_samples`), their count,
+    and the cells valid in every month.
+
+    The container is checked, and its climatology and Nino-3.4 index
+    computed, before this returns, so every data error it holds is raised
+    here; a draw then re-reads the container a month at a time.
+    """
+    container = open_sst(path)
+    climatology = reference_climatology(container)
+    valid_mask, index = nino34_scan(container, climatology)
+    n = len(_labelled(index))
+    if n < 2:
+        raise DataError(f"only {n} labeled samples; cannot split")
+    return functools.partial(enso_samples, container, climatology, index), n, valid_mask
 
 
 def preprocess_field(field: np.ndarray) -> np.ndarray:
@@ -554,14 +583,3 @@ def locate_dataset(explicit: Optional[Union[str, Path]] = None) -> Optional[Path
             raise DataError(f"{ENV_DATASET} points at {path}, which does not exist")
         return path
     return DEFAULT_DATASET_PATH if DEFAULT_DATASET_PATH.exists() else None
-
-
-def load_enso_samples(path: Union[str, Path]) -> Tuple[SampleSet, SstDataset]:
-    """Full pipeline: load, anomalies, index, labels, split.
-
-    Returns the sample set together with the anomaly dataset (whose
-    `valid_mask` the baselines need).
-    """
-    anomalies = compute_anomalies(load_sst(path))
-    index = nino34_index(anomalies)
-    return build_sample_set(anomalies, index), anomalies

@@ -48,21 +48,22 @@ def random_sample(rng, d, t):
     return sample
 
 
-def write_enso_container(path):
-    """A full 89x180 container: 32 years from 1980 with land and an ENSO box.
+def write_enso_container(path, n_years=32):
+    """A full 89x180 container: n_years (at least 32) from 1980 with land and an ENSO box.
 
     Every cell carries a fixed seasonal cycle plus white noise of sigma 0.3.
     Rows 0-19, and rows 60-69 by columns 100-149, are land (NaN in every
-    month). The Nino-3.4 box is offset by +2 in even and -2 in odd reference
-    years (1980-2009), by 0.2 in 2010 (neutral) and by +4 in 2011 (warm).
-    Returns the box as inclusive (row_lo, row_hi, col_lo, col_hi) bounds.
+    month). The Nino-3.4 box is offset by +2 in even and -2 in odd years,
+    except by 0.2 in 2010 (neutral) and by +4 in 2011 (warm). The first 32
+    years do not depend on n_years. Returns the box as inclusive (row_lo,
+    row_hi, col_lo, col_hi) bounds.
     """
-    n_years = 32
     months = np.arange(12 * n_years)
     rng = np.random.default_rng(0)
     fields = rng.normal(0.0, 0.3, size=(months.size, data.GRID_N_LAT, data.GRID_N_LON))
     fields += 26.0 + 2.0 * np.sin(2.0 * np.pi * months / 12.0)[:, None, None]
-    offsets = [2.0 if year % 2 == 0 else -2.0 for year in range(30)] + [0.2, 4.0]
+    offsets = [2.0 if year % 2 == 0 else -2.0 for year in range(n_years)]
+    offsets[30:32] = [0.2, 4.0]
     rows, cols = data.nino34_region()
     fields[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] += np.repeat(offsets, 12)[:, None, None]
     fields[:, :20] = np.nan
@@ -87,17 +88,23 @@ class MatrixRows:
         return out
 
 
-def track_generated_samples(monkeypatch):
-    """Follow every sample `data.synthetic_samples` yields with a weak reference, in draw order."""
+def enso_sample_set(path):
+    """All the samples of a container, from one draw of `data.enso_source`, as a set; and its valid cells."""
+    draw, _, valid_mask = data.enso_source(path)
+    return data.SampleSet(tuple(draw())), valid_mask
+
+
+def track_generated_samples(monkeypatch, generator="synthetic_samples"):
+    """Follow every sample that `data.<generator>` yields with a weak reference, in draw order."""
     refs = []
-    generate = data.synthetic_samples
+    generate = getattr(data, generator)
 
     def remember(sample):
         refs.append(weakref.ref(sample))
         return sample
 
     # map, unlike a generator's loop variable, keeps no reference to the last sample drawn
-    monkeypatch.setattr(data, "synthetic_samples", lambda *args, **kwargs: map(remember, generate(*args, **kwargs)))
+    monkeypatch.setattr(data, generator, lambda *args, **kwargs: map(remember, generate(*args, **kwargs)))
     return refs
 
 

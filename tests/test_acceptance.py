@@ -25,7 +25,7 @@ from esnlrp.reservoir import (
     spectral_radius,
 )
 
-from helpers import assemble_model, encode, preprocess_for_baseline, random_model, random_sample
+from helpers import assemble_model, encode, enso_sample_set, preprocess_for_baseline, random_model, random_sample
 from oracle_lrp import oracle_relevance
 
 SYNTHETIC_SCALE = dict(n_samples=300, d=16, t=96, seed=0)
@@ -38,7 +38,7 @@ def real_dataset():
     path = data.locate_dataset()
     if path is None:
         return None
-    return data.load_enso_samples(path)
+    return enso_sample_set(path)
 
 
 def require_dataset():
@@ -286,8 +286,7 @@ def test_criterion_6_baselines():
             "SST container (pass ESNLRP_SST or place data/sst.sstg)"
         )
 
-    sample_set, anomalies = real_dataset()
-    mask = anomalies.valid_mask
+    sample_set, mask = real_dataset()
 
     def vectors(samples):
         return np.stack([preprocess_for_baseline(s, mask) for s in samples])
@@ -314,8 +313,8 @@ def test_criterion_6_baselines():
 
 
 def test_criterion_7_data_pipeline_counts():
-    sample_set, anomalies = require_dataset()
-    n_months = anomalies.n_months
+    sample_set, _ = require_dataset()
+    n_months = data.open_sst(data.locate_dataset()).n_months
     n_labeled = len(sample_set.samples)
     n_train = len(sample_set.train_samples)
     n_val = len(sample_set.val_samples)

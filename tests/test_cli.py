@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from esnlrp import baselines, cli, data, lrp, persistence, readout, reservoir
-from helpers import MatrixRows, alive, encode, preprocess_for_baseline, track_generated_samples, write_enso_container
+from helpers import (
+    MatrixRows, alive, encode, enso_sample_set, preprocess_for_baseline, track_generated_samples, write_enso_container,
+)
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
 
@@ -810,6 +812,83 @@ def test_the_data_path_runs_end_to_end_on_a_generated_container(tmp_path, enso_c
     assert data.box_mass_ratio(mean, box) > 5.0
 
 
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("nan-box-in-last-month", "Nino-3.4 box has no valid cells in month index 383"),
+        ("reference-outside-span", "reference period 1980..2009 falls outside the data span 1990..1999"),
+    ],
+    ids=["nan-box-in-last-month", "reference-outside-span"],
+)
+def test_data_errors_after_the_header_check_exit_three_and_write_nothing(
+    tmp_path, capsys, enso_container, defect, message
+):
+    """A container with a sound header whose months cannot be labelled makes `train` and `relevance` exit 3.
+
+    Neither writes to --out: the container is read through before the first output.
+    """
+    container, (r0, r1, c0, c1) = enso_container
+    out = tmp_path / "out"
+    assert run_cli("train", "--data", str(container), *DATA_PATH_MODEL, "--out", str(out)) == 0
+    written = tree_bytes(out)
+    bad = tmp_path / "bad.sstg"
+    if defect == "nan-box-in-last-month":
+        fields = np.fromfile(container, dtype="<f4", offset=data.HEADER_SIZE).reshape(-1, 89, 180)
+        fields[-1, r0 : r1 + 1, c0 : c1 + 1] = np.nan
+        data.write_sst(bad, fields, 1980)
+    else:
+        data.write_sst(bad, np.zeros((120, data.GRID_N_LAT, data.GRID_N_LON)), 1990)
+    capsys.readouterr()
+    for command in ("train", "relevance"):
+        assert run_cli(command, "--data", str(bad), *DATA_PATH_MODEL, "--out", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert tree_bytes(out) == written
+
+
+@pytest.fixture(scope="module")
+def containers_by_years(tmp_path_factory):
+    """Generated containers of 32 and 64 years, by year count."""
+    root = tmp_path_factory.mktemp("years")
+    paths = {n_years: root / f"sst{n_years}.sstg" for n_years in (32, 64)}
+    for n_years, path in paths.items():
+        write_enso_container(path, n_years)
+    return paths
+
+
+# Encoding an 89x180 field costs 181 steps of 89 inputs, 128,872 bytes.
+ENCODE_BYTES_89X180 = 181 * 89 * 8
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("train", []), ("evaluate", []), ("relevance", ["--class", "elnino"])],
+    ids=["train", "evaluate", "relevance"],
+)
+def test_data_memory_does_not_grow_with_the_month_count(tmp_path, monkeypatch, containers_by_years, command, flags):
+    """`train`, `evaluate` and `relevance --class elnino` on --data allocate within 16 month grids
+    (2 MB) as much on a 64-year container as on a 32-year one.
+
+    Every pass reads the container a month at a time: the 384 more months
+    would take 49 MB as one float64 cube. What grows is each sample's key,
+    final state of 20 units and score, one index value and 130 Nino-3.4
+    box values a month, and the audit rows of `relevance`. The batches, 16
+    samples to encode and 71 to map, are full on both containers.
+    """
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 16 * ENCODE_BYTES_89X180)
+    model = ["--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
+    if command != "train":
+        assert run_cli("train", "--data", str(containers_by_years[32]), *model) == 0
+    peaks = {}
+    for n_years, path in containers_by_years.items():
+        tracemalloc.start()
+        try:
+            assert run_cli(command, "--data", str(path), *flags, *model) == 0
+            peaks[n_years] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[64] - peaks[32]) < 16 * data.GRID_N_LAT * data.GRID_N_LON * 8, f"peaks {peaks}"
+
+
 def test_the_masked_mlp_baseline_trains_as_on_the_explicit_matrix(tmp_path, enso_container):
     """`train --data --baseline mlp` reads the 11,920 valid cells of each field.
 
@@ -822,8 +901,8 @@ def test_the_masked_mlp_baseline_trains_as_on_the_explicit_matrix(tmp_path, enso
     assert run_cli("train", "--data", str(container), "--baseline", "mlp", *DATA_PATH_MODEL, "--out", str(out)) == 0
     got = persistence.load_model(out / "baseline_mlp.json")
 
-    sample_set, anomalies = data.load_enso_samples(container)
-    x = np.stack([preprocess_for_baseline(s, anomalies.valid_mask) for s in sample_set.samples])
+    sample_set, valid_mask = enso_sample_set(container)
+    x = np.stack([preprocess_for_baseline(s, valid_mask) for s in sample_set.samples])
     assert x.shape == (372, 11_920)
     n = sample_set.n_train
     want, history = baselines.train_mlp(MatrixRows(x[:n]), [s.index for s in sample_set.train_samples], seed=0)

@@ -1,12 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from esnlrp import data
 from esnlrp.errors import ConfigError, DataError
 from esnlrp.readout import ClassLabel
-from helpers import preprocess_for_baseline
+from helpers import enso_sample_set, preprocess_for_baseline
 
 
 def small_fields(n_months, seed=0, fill_nan_at=None):
@@ -19,17 +17,16 @@ def small_fields(n_months, seed=0, fill_nan_at=None):
 
 
 def test_sst_container_round_trip(tmp_path):
+    """Months are read back as written, as float32, in any order asked for, NaN cells included."""
     fields = small_fields(5, fill_nan_at=(3, 17))
     path = tmp_path / "x.sstg"
     data.write_sst(path, fields, start_year=1980)
-    loaded = data.load_sst(path)
-    np.testing.assert_array_equal(loaded.fields, fields)
-    assert loaded.start_year == 1980
-    assert loaded.n_months == 5
-    np.testing.assert_array_equal(loaded.month_ids, 1200 + np.arange(5))
-    assert not loaded.valid_mask[3, 17]
-    assert loaded.valid_mask[0, 0]
-    assert loaded.valid_mask.sum() == data.GRID_N_LAT * data.GRID_N_LON - 1
+    container = data.open_sst(path)
+    assert (container.start_year, container.n_months) == (1980, 5)
+    np.testing.assert_array_equal(np.stack(list(container.read(range(5)))), fields)
+    grids = list(container.read([4, 0, 4]))
+    assert all(grid.dtype == np.float32 for grid in grids)
+    np.testing.assert_array_equal(np.stack(grids), fields[[4, 0, 4]])
 
 
 def test_write_sst_rejects_wrong_shape(tmp_path):
@@ -41,14 +38,14 @@ def test_load_sst_bad_magic(tmp_path):
     path = tmp_path / "x.sstg"
     path.write_bytes(b"JUNKxxxxxxxxxxxxxxxxxxx")
     with pytest.raises(DataError, match="byte 0"):
-        data.load_sst(path)
+        data.open_sst(path)
 
 
 def test_load_sst_truncated_header(tmp_path):
     path = tmp_path / "x.sstg"
     path.write_bytes(b"SSTG\x01\x02")
     with pytest.raises(DataError, match="truncated header"):
-        data.load_sst(path)
+        data.open_sst(path)
 
 
 def test_load_sst_wrong_grid(tmp_path):
@@ -57,7 +54,7 @@ def test_load_sst_wrong_grid(tmp_path):
     path = tmp_path / "x.sstg"
     path.write_bytes(b"SSTG" + struct.pack("<4I", 10, 10, 1, 1980) + b"\x00" * 400)
     with pytest.raises(DataError, match=r"header bytes 4\.\.11"):
-        data.load_sst(path)
+        data.open_sst(path)
 
 
 def test_load_sst_truncated_payload_reports_offsets(tmp_path):
@@ -69,7 +66,7 @@ def test_load_sst_truncated_payload_reports_offsets(tmp_path):
     cut = data.HEADER_SIZE + grid_bytes + grid_bytes // 2  # mid-second-grid
     path.write_bytes(raw[:cut])
     with pytest.raises(DataError) as err:
-        data.load_sst(path)
+        data.open_sst(path)
     message = str(err.value)
     assert f"file ends at byte {cut} of {data.HEADER_SIZE + 3 * grid_bytes}" in message
     assert f"grid 1 of 3 starting at byte {data.HEADER_SIZE + grid_bytes}" in message
@@ -81,83 +78,87 @@ def test_load_sst_trailing_bytes(tmp_path):
     data.write_sst(path, fields, start_year=1980)
     path.write_bytes(path.read_bytes() + b"\x00" * 7)
     with pytest.raises(DataError, match="7 trailing bytes"):
-        data.load_sst(path)
+        data.open_sst(path)
 
 
 def test_load_sst_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
-        data.load_sst(tmp_path / "nope.sstg")
+        data.open_sst(tmp_path / "nope.sstg")
 
 
-def seasonal_dataset(n_years, start_year=1980, signal=None, seed=0):
+def seasonal_fields(n_years, signal=None, seed=0):
     """Fields = per-cell seasonal cycle + optional per-month additive signal.
 
     The seasonal part repeats exactly every 12 months, so anomalies reduce
-    to signal minus its per-calendar-month reference mean.
+    to signal minus its per-calendar-month reference mean. Cycle and signal
+    are rounded to multiples of 2**-10, so their sum, and three times it,
+    are exact in the container's float32.
     """
     rng = np.random.default_rng(seed)
-    cycle = rng.normal(size=(12, data.GRID_N_LAT, data.GRID_N_LON)).astype(np.float32)
-    n_months = 12 * n_years
-    fields = cycle[np.arange(n_months) % 12].astype(float)
+    cycle = np.round(rng.normal(size=(12, data.GRID_N_LAT, data.GRID_N_LON)) * 1024) / 1024
+    fields = cycle[np.arange(12 * n_years) % 12]
     if signal is not None:
-        fields = fields + np.asarray(signal, dtype=float)[:, None, None]
-    return data.SstDataset(fields=fields, start_year=start_year)
+        fields = fields + (np.round(np.asarray(signal, dtype=float) * 1024) / 1024)[:, None, None]
+    return fields
 
 
-def test_anomalies_of_pure_seasonal_cycle_are_zero():
-    dataset = seasonal_dataset(31)
-    anomalies = data.compute_anomalies(dataset)
-    np.testing.assert_allclose(anomalies.fields, np.zeros_like(dataset.fields), atol=1e-12)
+def container_of(path, fields, start_year=1980):
+    data.write_sst(path, fields, start_year)
+    return data.open_sst(path)
 
 
-def test_anomaly_of_bump_outside_reference_period():
+def climatology_and_anomalies(container, months):
+    climatology = data.reference_climatology(container)
+    return climatology, list(data.anomalies(container, climatology, months))
+
+
+def test_anomalies_of_pure_seasonal_cycle_are_zero(tmp_path):
+    container = container_of(tmp_path / "x.sstg", seasonal_fields(31))
+    climatology = data.reference_climatology(container)
+    for field in data.anomalies(container, climatology, range(container.n_months)):
+        np.testing.assert_allclose(field, np.zeros((89, 180)), atol=1e-12)
+
+
+def test_anomaly_of_bump_outside_reference_period(tmp_path):
     signal = np.zeros(31 * 12)
     signal[30 * 12 + 4] = 1.0  # May 2010, outside the 1980..2009 reference
-    anomalies = data.compute_anomalies(seasonal_dataset(31, signal=signal))
-    np.testing.assert_allclose(anomalies.fields[30 * 12 + 4], np.ones((89, 180)), atol=1e-9)
-    np.testing.assert_allclose(anomalies.fields[30 * 12 + 3], np.zeros((89, 180)), atol=1e-9)
+    container = container_of(tmp_path / "x.sstg", seasonal_fields(31, signal=signal))
+    _, (bump, before) = climatology_and_anomalies(container, [30 * 12 + 4, 30 * 12 + 3])
+    np.testing.assert_allclose(bump, np.ones((89, 180)), atol=1e-9)
+    np.testing.assert_allclose(before, np.zeros((89, 180)), atol=1e-9)
 
 
-def test_anomalies_have_zero_reference_mean_per_cell():
+def test_anomalies_have_zero_reference_mean_per_cell(tmp_path):
     rng = np.random.default_rng(5)
     signal = rng.normal(size=30 * 12)
-    anomalies = data.compute_anomalies(seasonal_dataset(30, signal=signal))
+    container = container_of(tmp_path / "x.sstg", seasonal_fields(30, signal=signal))
     for month in range(12):
-        per_cell = anomalies.fields[month::12].mean(axis=0)
-        np.testing.assert_allclose(per_cell, np.zeros((89, 180)), atol=1e-9)
+        _, calendar_month = climatology_and_anomalies(container, range(month, 30 * 12, 12))
+        np.testing.assert_allclose(np.mean(calendar_month, axis=0), np.zeros((89, 180)), atol=1e-9)
 
 
-def test_anomalies_preserve_invalid_cells():
-    dataset = seasonal_dataset(30)
-    fields = dataset.fields.copy()
-    fields[:, 7, 9] = np.nan
-    dataset = data.SstDataset(fields=fields, start_year=dataset.start_year)
-    anomalies = data.compute_anomalies(dataset)
-    assert np.all(np.isnan(anomalies.fields[:, 7, 9]))
-    assert np.all(np.isfinite(anomalies.fields[:, 0, :]))
-    np.testing.assert_array_equal(anomalies.valid_mask, dataset.valid_mask)
+def test_anomalies_preserve_invalid_cells(tmp_path):
+    """A cell NaN in every month has a NaN climatology and stays NaN; one NaN month makes a cell invalid.
 
-
-def test_anomalies_are_computed_into_one_output_cube():
-    """Besides its result, the anomaly computation allocates at most a fifth of a cube.
-
-    Gathering the climatology month by month into a full cube before
-    subtracting it would allocate a second cube.
+    The valid mask of the scan is the cells finite in every month of the raw fields.
     """
-    dataset = seasonal_dataset(32)
-    tracemalloc.start()
-    try:
-        data.compute_anomalies(dataset)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * dataset.fields.nbytes, f"peak {peak / dataset.fields.nbytes:.2f} cubes"
+    signal = np.random.default_rng(6).normal(size=30 * 12)  # an index that is not degenerate
+    fields = seasonal_fields(30, signal=signal)
+    fields[:, 7, 9] = np.nan
+    fields[5, 8, 8] = np.nan
+    container = container_of(tmp_path / "x.sstg", fields)
+    climatology, months = climatology_and_anomalies(container, range(30 * 12))
+    assert np.all(np.isnan(climatology[:, 7, 9]))
+    assert all(np.isnan(field[7, 9]) and np.all(np.isfinite(field[0, :])) for field in months)
+    valid_mask, _ = data.nino34_scan(container, climatology)
+    np.testing.assert_array_equal(valid_mask, np.isfinite(fields).all(axis=0))
+    assert valid_mask.sum() == data.GRID_N_LAT * data.GRID_N_LON - 2
 
 
-def test_reference_period_outside_span_is_an_error():
-    dataset = seasonal_dataset(10, start_year=1990)
+def test_reference_period_outside_span_is_an_error(tmp_path):
+    container = container_of(tmp_path / "x.sstg", seasonal_fields(10), start_year=1990)
     with pytest.raises(DataError, match="reference period"):
-        data.compute_anomalies(dataset)
+        data.reference_climatology(container)
 
 
 def test_nino34_region_bounds():
@@ -168,31 +169,32 @@ def test_nino34_region_bounds():
     assert len(cols) == 26
 
 
-def test_nino34_index_unit_reference_std_and_scale_invariance():
+def scanned_index(container):
+    return data.nino34_scan(container, data.reference_climatology(container))[1]
+
+
+def test_nino34_index_unit_reference_std_and_scale_invariance(tmp_path):
     rng = np.random.default_rng(11)
-    signal = rng.normal(size=32 * 12)
-    anomalies = data.compute_anomalies(seasonal_dataset(32, signal=signal))
-    index = data.nino34_index(anomalies)
+    fields = seasonal_fields(32, signal=rng.normal(size=32 * 12))
+    index = scanned_index(container_of(tmp_path / "x.sstg", fields))
     ref = slice(0, 30 * 12)
     assert abs(float(index[ref].std()) - 1.0) <= 1e-9
-    tripled = data.SstDataset(fields=anomalies.fields * 3.0, start_year=anomalies.start_year)
-    np.testing.assert_allclose(data.nino34_index(tripled), index, rtol=1e-9)
+    tripled = scanned_index(container_of(tmp_path / "tripled.sstg", 3.0 * fields))
+    np.testing.assert_allclose(tripled, index, rtol=1e-9)
 
 
-def test_nino34_index_degenerate_reference():
-    flat = data.SstDataset(fields=np.zeros((30 * 12, data.GRID_N_LAT, data.GRID_N_LON)), start_year=1980)
+def test_nino34_index_degenerate_reference(tmp_path):
+    flat = container_of(tmp_path / "x.sstg", np.zeros((30 * 12, data.GRID_N_LAT, data.GRID_N_LON)))
     with pytest.raises(DataError, match="degenerate"):
-        data.nino34_index(data.compute_anomalies(flat))
+        scanned_index(flat)
 
 
-def test_nino34_index_empty_box_month():
-    dataset = seasonal_dataset(31, signal=np.arange(31 * 12, dtype=float))
-    fields = dataset.fields.copy()
+def test_nino34_index_empty_box_month(tmp_path):
+    fields = seasonal_fields(31, signal=np.arange(31 * 12, dtype=float))
     rows, cols = data.nino34_region()
     fields[np.ix_([5], rows, cols)] = np.nan
-    broken = data.SstDataset(fields=fields, start_year=dataset.start_year)
-    with pytest.raises(DataError, match="no valid cells"):
-        data.nino34_index(data.compute_anomalies(broken))
+    with pytest.raises(DataError, match="no valid cells in month index 5"):
+        scanned_index(container_of(tmp_path / "x.sstg", fields))
 
 
 def test_label_thresholds():
@@ -205,13 +207,15 @@ def test_label_thresholds():
         data.label_for_index(float("inf"))
 
 
-def test_build_sample_set_drops_neutral_and_splits_in_order():
+def test_build_sample_set_drops_neutral_and_splits_in_order(tmp_path):
+    """`enso_samples` yields the non-neutral months in order, each its anomaly clipped to +-5."""
     rng = np.random.default_rng(3)
     signal = rng.normal(size=31 * 12)
-    anomalies = data.compute_anomalies(seasonal_dataset(31, signal=signal))
+    container = container_of(tmp_path / "x.sstg", seasonal_fields(31, signal=signal))
+    climatology, anomalies = climatology_and_anomalies(container, range(10))
     index = np.zeros(31 * 12)
     index[:10] = [1.0, -1.0, 0.0, 0.6, -0.7, 0.2, 0.5, -0.5, 0.49, 3.0]
-    sample_set = data.build_sample_set(anomalies, index)
+    sample_set = data.SampleSet(tuple(data.enso_samples(container, climatology, index)))
     labels = [s.label for s in sample_set.samples]
     assert labels[:7] == [
         ClassLabel.EL_NINO, ClassLabel.LA_NINA, ClassLabel.EL_NINO, ClassLabel.LA_NINA,
@@ -220,11 +224,8 @@ def test_build_sample_set_drops_neutral_and_splits_in_order():
     assert len(sample_set.samples) == 7
     assert sample_set.split == ("train",) * 5 + ("val",) * 2
     assert [s.month_id for s in sample_set.samples] == [1200, 1201, 1203, 1204, 1206, 1207, 1209]
-    month_index = {mid: i for i, mid in enumerate(anomalies.month_ids)}
     for sample in sample_set.samples:
-        np.testing.assert_array_equal(
-            sample.field, np.clip(anomalies.fields[month_index[sample.month_id]], -5, 5)
-        )
+        np.testing.assert_array_equal(sample.field, np.clip(anomalies[sample.month_id - 1200], -5, 5))
 
 
 def test_samples_derive_their_label_and_sets_their_split():
@@ -279,12 +280,6 @@ def test_a_sample_skips_non_finite_cells_in_its_clip_range_check(field):
 def test_a_sample_with_a_finite_cell_outside_the_clip_range_is_a_data_error(field):
     with pytest.raises(DataError, match="clip range"):
         data.LabeledSample(field=field, index=1.0, month_id=0)
-
-
-def test_build_sample_set_rejects_bad_index_length():
-    anomalies = data.compute_anomalies(seasonal_dataset(31))
-    with pytest.raises(DataError):
-        data.build_sample_set(anomalies, np.ones(7))
 
 
 def test_preprocess_field_clips_scales_and_prepends_ones():
@@ -501,10 +496,10 @@ def test_full_pipeline_on_constructed_container(tmp_path):
     fields, expected_index = enso_like_fields()
     path = tmp_path / "mini.sstg"
     data.write_sst(path, fields, start_year=1980)
-    sample_set, anomalies = data.load_enso_samples(path)
-
-    index = data.nino34_index(anomalies)
+    container = data.open_sst(path)
+    valid_mask, index = data.nino34_scan(container, data.reference_climatology(container))
     np.testing.assert_allclose(index, expected_index, atol=1e-5)
+    sample_set, source_mask = enso_sample_set(path)
 
     # 30 labeled reference years plus the final warm year; the neutral year drops out
     assert len(sample_set.samples) == 31 * 12
@@ -515,4 +510,4 @@ def test_full_pipeline_on_constructed_container(tmp_path):
     n_train = int(data.TRAIN_FRACTION * len(sample_set.samples))
     assert len(sample_set.train_samples) == n_train
     assert len(sample_set.val_samples) == len(sample_set.samples) - n_train
-    assert anomalies.valid_mask.all()
+    assert valid_mask.all() and source_mask.all()

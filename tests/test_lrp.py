@@ -1,6 +1,5 @@
 import gc
 import io
-import weakref
 
 import numpy as np
 import pytest
@@ -303,55 +302,32 @@ def test_a_map_keeps_no_other_map_of_its_batch_alive():
                 assert not np.shares_memory(owner, b.scores)
 
 
-def track_sample_sets(monkeypatch):
-    """Follow every sample set the CLI loads with weak references.
-
-    Returns a list that fills with one reference per sample, then one for
-    the set itself and one for the anomaly dataset.
-    """
-    refs = []
-    load = data.load_enso_samples
-
-    def tracked(*args, **kwargs):
-        sample_set, anomalies = load(*args, **kwargs)
-        refs.extend(weakref.ref(s) for s in sample_set.samples)
-        refs.extend([weakref.ref(sample_set), weakref.ref(anomalies)])
-        return sample_set, anomalies
-
-    monkeypatch.setattr(data, "load_enso_samples", tracked)
-    return refs
-
-
 @pytest.mark.parametrize("source", ["synthetic", "data"])
 def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, source):
     """From the first map on, `relevance` holds at most one batch of samples, all of them mapped.
 
-    On --synthetic the samples stream from the generator, three to a batch
-    here, and the generator stops at the train split. On --data the sample
-    set as read, the set itself and the anomaly dataset are freed before
-    the first batch goes back through time, and the one batch holds every
-    sample the audit lists.
+    The samples stream from their generator (`data.synthetic_samples`, or
+    `data.enso_samples` reading the container), three to a batch here, and
+    the stream stops at the train split: 16 of the 20 synthetic samples,
+    297 of the container's 372.
     """
     if source == "synthetic":
-        inputs, shape = ["--synthetic", "8,12,20"], (8, 12)
+        inputs, shape, n, generator = ["--synthetic", "8,12,20"], (8, 12), 20, "synthetic_samples"
     else:
-        inputs, shape = ["--data", str(tmp_path / "sst.sstg")], (data.GRID_N_LAT, data.GRID_N_LON)
         write_enso_container(tmp_path / "sst.sstg")
+        inputs, shape, n, generator = ["--data", str(tmp_path / "sst.sstg")], (89, 180), 372, "enso_samples"
     out = tmp_path / "out"
     common = [*inputs, "--n-res", "20", "--ridge", "1e-8", "--out", str(out)]
     assert cli.main(["train", *common]) == 0
 
-    if source == "synthetic":
-        refs = track_generated_samples(monkeypatch)
-        # a trajectory of 13 steps of 20 units costs 2080 bytes per sample
-        monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 2080)
-    else:
-        refs = track_sample_sets(monkeypatch)
+    refs = track_generated_samples(monkeypatch, generator)
+    # a trajectory of 20 units costs 160 bytes per step, one step per column and one for the ones column
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 160 * (shape[1] + 1))
     seen = []
 
     def first_map_checked(model, trajectory):
         if not seen:
-            tracked = [i for i, live in enumerate(alive(refs)) if live]
+            tracked = sorted(ref().month_id for ref, live in zip(refs, alive(refs)) if live)
             samples = [o for o in gc.get_objects() if isinstance(o, data.LabeledSample) and o.field.shape == shape]
             seen.append((tracked, sorted(s.month_id for s in samples), len(trajectory.inputs)))
         return relevance_map(model, trajectory)
@@ -361,14 +337,11 @@ def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, s
     audit = (out / "relevance_audit.csv").read_text(encoding="ascii").splitlines()[1:]
     mapped = [int(line.split(",")[1]) for line in audit]
     [(tracked, held, batch)] = seen
+    assert len(refs) == data.train_count(n)
     if source == "synthetic":
-        # 16 of the 20 samples train, and the even ones are El Nino; each generated sample's month id is its draw index
-        assert len(refs) == data.train_count(20) == 16
-        assert mapped == list(range(0, 16, 2)) and batch == 3
-        assert held == tracked
-    else:
-        assert len(refs) > len(mapped) > 0
-        assert tracked == [] and batch == len(mapped)
+        # the even samples are El Nino; each generated sample's month id is its draw index
+        assert mapped == list(range(0, 16, 2))
+    assert batch == 3 and held == tracked
     assert set(held) <= set(mapped[:batch])
 
 

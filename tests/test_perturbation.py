@@ -10,6 +10,8 @@ and is fed forward again. The signed drop of the output is compared with the
 drop from zeroing k random valid cells.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,8 @@ def synthetic_input(d, t):
 def container_input(tmp_path):
     path = tmp_path / "sst.sstg"
     write_enso_container(path)
-    sample_set, anomalies = data.load_enso_samples(path)
-    return sample_set.train_samples[:N_TRAIN], anomalies.valid_mask
+    draw, _, valid_mask = data.enso_source(path)
+    return list(itertools.islice(draw(), N_TRAIN)), valid_mask
 
 
 def perturbation_drops(samples, valid_mask, n_res):
