@@ -12,6 +12,13 @@ A data error includes a malformed model file and, for `evaluate` and
 `relevance`, fields whose height differs from the saved model's `n_in`;
 both are found before anything is written.
 
+Every command first takes its samples' source (`sample_source`), which
+knows every sample's key (index and month id) and the fields' shape before
+any field is built: on --synthetic from the amplitudes alone, on --data
+from the container's Nino-3.4 index. The checks that read them (the field
+height, a class with no train sample) therefore run before anything is
+written, and a pass draws the fields of only the samples it keeps.
+
 Every encoding goes through one `forward_pass` over the samples in order,
 which feeds each batch to every reservoir of the command (the four leak
 rates of `leak-sweep`, the base and the column-permuted model of
@@ -19,18 +26,17 @@ rates of `leak-sweep`, the base and the column-permuted model of
 with the --baseline model in the same pass. A sample is let go once all
 the models are done with it. The studies then map the train samples of
 --class in one more draw, each batch under every model in turn
-(`maps_for`). Every pass draws the samples afresh as it asks for them,
-from the generator on --synthetic and from the container, a month at a
-time, on --data, so no command holds a set of fields: `train` draws the
-train split first and fits the baseline on it before any validation
-sample exists, and without a baseline, like every other command, holds
-one batch of samples at most.
+(`maps_for`), building no field of the other class. Every pass draws the
+samples afresh as it asks for them, from the generator on --synthetic and
+from the container, a month at a time, on --data, so no command holds a
+set of fields: `train` draws the train split first and fits the baseline
+on it before any validation sample exists, and without a baseline, like
+every other command, holds one batch of samples at most.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import sys
@@ -214,21 +220,18 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(command=args.command, **values)
 
 
-def sample_source(
-    cfg: ExperimentConfig,
-) -> Tuple[Callable[[], Iterator[data.LabeledSample]], int, Optional[np.ndarray]]:
-    """A function that draws all the samples afresh, in time order, as they are asked for;
-    their count; and the cells valid in every month, which only the baselines read (None on
-    --synthetic, whose cells are all valid).
+def sample_source(cfg: ExperimentConfig) -> data.SampleSource:
+    """The samples of --synthetic or of --data, their keys and field shape known before any
+    field is built (`data.SampleSource`).
 
-    On --synthetic a draw runs `data.synthetic_samples`. On --data the
-    container is checked and its index computed here (`data.enso_source`),
-    so a data error comes before anything is written, and a draw reads the
-    labelled months from the file.
+    On --synthetic the keys come from the amplitudes alone and a draw runs
+    `data.synthetic_samples`. On --data the container is checked and its
+    index computed here (`data.enso_source`), so a data error comes before
+    anything is written, and a draw reads the months it keeps from the file.
     """
     if cfg.synthetic is not None:
         d, t, n = cfg.synthetic
-        return functools.partial(data.synthetic_samples, n, d, t, seed=cfg.seed), n, None
+        return data.synthetic_source(n, d, t, seed=cfg.seed)
     path = data.locate_dataset(cfg.data)
     if path is None:
         raise DataError(
@@ -238,35 +241,9 @@ def sample_source(
     return data.enso_source(path)
 
 
-def with_shape(
-    samples: Iterable[data.LabeledSample],
-) -> Tuple[Optional[Tuple[int, int]], Iterator[data.LabeledSample]]:
-    """The first sample's field shape (None if there is no sample), and all the samples, in order.
-
-    The first sample is drawn to read its shape and put back at the head
-    of the stream, so the caller holds no sample of its own.
-    """
-    samples = iter(samples)
-    first = next(samples, None)
-    if first is None:
-        return None, samples
-    return first.field.shape, itertools.chain([first], samples)
-
-
-def shaped(samples: Iterable[data.LabeledSample]) -> Tuple[Tuple[int, int], Iterator[data.LabeledSample]]:
-    """`with_shape` for a fit, where a stream with no sample is a DataError."""
-    shape, samples = with_shape(samples)
-    if shape is None:
-        raise DataError("sample set has no training samples")
-    return shape, samples
-
-
-def filtered(samples: Iterable[data.LabeledSample], class_filter: str) -> Iterator[data.LabeledSample]:
-    """The samples of --class, in order, each drawn from `samples` only when asked for."""
-    if class_filter == "both":
-        return iter(samples)
-    want = readout.ClassLabel.EL_NINO if class_filter == "elnino" else readout.ClassLabel.LA_NINA
-    return (s for s in samples if s.label is want)
+def class_positions(keys: data.SampleSet, class_filter: str) -> List[int]:
+    """The positions of the train samples of --class among `keys`, in order (--class names a label's value)."""
+    return [i for i, key in enumerate(keys.train_samples) if class_filter in ("both", key.label.value)]
 
 
 @dataclass(frozen=True)
@@ -284,10 +261,13 @@ class Encoder:
 
 
 def batches(
-    samples: Iterable[data.LabeledSample], step_bytes: int, orders: Sequence[Optional[np.ndarray]]
-) -> Iterator[Tuple[List[data.SampleKey], List[np.ndarray]]]:
-    """Consecutive runs of the samples: each run's keys, and its preprocessed fields stacked
-    (B, n_in, T), once per column order of `orders` (see `Encoder.columns`).
+    samples: Iterable[data.LabeledSample],
+    shape: Tuple[int, int],
+    step_bytes: int,
+    orders: Sequence[Optional[np.ndarray]],
+) -> Iterator[List[np.ndarray]]:
+    """Consecutive runs of the samples, whose fields have `shape`: each run's preprocessed
+    fields stacked (B, n_in, T), once per column order of `orders` (see `Encoder.columns`).
 
     `samples` may be any iterable, a generator included. Each sample is
     drawn when its run is filled, written into the batch of every order
@@ -299,26 +279,18 @@ def batches(
     one per run would take the heap space a freed trajectory left.
     """
     samples = iter(samples)
-    first = next(samples, None)
-    if first is None:
-        return
-    shape = data.preprocess_field(first.field).shape
+    shape = (shape[0], shape[1] + 1)  # `data.preprocess_field` prepends the ones column
     size = max(1, TRAJECTORY_BUDGET_BYTES // (shape[1] * step_bytes))
     buffers = {id(order): (order, np.empty((size,) + shape)) for order in orders}
-    samples = itertools.chain([first], samples)
-    del first  # the chained stream hands it to its run like any other sample
 
-    def written(i: int, sample: data.LabeledSample) -> data.SampleKey:
+    def write(i: int, sample: data.LabeledSample) -> None:
         field = data.preprocess_field(sample.field)
         for order, buffer in buffers.values():
             buffer[i] = field if order is None else field[:, order]
-        return sample.key
 
-    while True:
-        keys = [written(i, sample) for i, sample in enumerate(itertools.islice(samples, size))]
-        if not keys:
-            return
-        yield keys, [buffers[id(order)][1][: len(keys)] for order in orders]
+    # a comprehension, unlike a for loop's variable, keeps no reference to the last sample written
+    while n := len([write(i, sample) for i, sample in enumerate(itertools.islice(samples, size))]):
+        yield [buffers[id(order)][1][:n] for order in orders]
 
 
 @dataclass(frozen=True)
@@ -341,10 +313,12 @@ class Baseline:
 def forward_pass(
     encoders: Sequence[Encoder],
     samples: Iterable[data.LabeledSample],
+    shape: Tuple[int, int],
     baseline: Optional[Baseline] = None,
-) -> Tuple[data.SampleSet, List[np.ndarray], Optional[np.ndarray]]:
-    """One pass over the samples, in order: their keys; under each encoder, their final
-    reservoir states, one row per sample; and their scores under `baseline` (None without one).
+) -> Tuple[List[np.ndarray], Optional[np.ndarray]]:
+    """One pass over the samples, whose fields have `shape`, in order: under each encoder,
+    their final reservoir states, one row per sample; and their scores under `baseline` (None
+    without one).
 
     Each run of `batches` goes through every encoder's reservoir in turn,
     in that encoder's column order, and no trajectory is recorded, so a run
@@ -364,36 +338,33 @@ def forward_pass(
             baseline_scores.append(baseline.score(chunk))
             del chunk  # before the next chunk is drawn
 
-    keys: List[data.SampleKey] = []
     # a first empty block each, so that no sample gives (0, n_res)
     states = [[np.empty((0, encoder.model.config.n_res))] for encoder in encoders]
     n_in = encoders[0].model.config.n_in
-    runs = batches(samples if baseline is None else scored(samples), n_in * 8, [e.columns for e in encoders])
-    for run, inputs in runs:
-        keys.extend(run)
+    runs = batches(samples if baseline is None else scored(samples), shape, n_in * 8, [e.columns for e in encoders])
+    for inputs in runs:
         for encoder, batch, encoded in zip(encoders, inputs, states):
             encoded.append(reservoir.final_states(encoder.model, batch))
     scores = None if baseline is None else np.concatenate(baseline_scores)
-    return data.SampleSet(tuple(keys)), [np.concatenate(encoded) for encoded in states], scores
+    return [np.concatenate(encoded) for encoded in states], scores
 
 
 def fit_esn(
     cfg: ExperimentConfig,
     encoders: Sequence[Encoder],
+    source: data.SampleSource,
     samples: Iterable[data.LabeledSample],
     baseline: Optional[Baseline] = None,
-) -> Tuple[List[Encoder], data.SampleSet, List[np.ndarray], Optional[np.ndarray]]:
-    """Run the samples through every encoder's reservoir in one `forward_pass`, fit
-    each readout on the train split and score every sample.
+) -> Tuple[List[Encoder], List[np.ndarray], Optional[np.ndarray]]:
+    """Run `samples`, every sample of `source` in order, through every encoder's reservoir in
+    one `forward_pass`, fit each readout on the train split and score every sample.
 
-    Returns the encoders with their trained models, the samples' keys, each
-    model's ESN scores and the `baseline` scores (None without one), all in
-    sample order, so the train rows come first (see `split_rows`).
+    Returns the encoders with their trained models, each model's ESN scores
+    and the `baseline` scores (None without one), all in sample order, so
+    the train rows come first (see `split_rows`).
     """
-    keys, states, baseline_scores = forward_pass(encoders, samples, baseline)
-    train = keys.train_samples
-    if not train:
-        raise DataError("sample set has no training samples")
+    states, baseline_scores = forward_pass(encoders, samples, source.shape, baseline)
+    train = source.keys.train_samples
     targets = np.array([k.index for k in train])
     fitted, scores = [], []
     for encoder, encoded in zip(encoders, states):
@@ -401,32 +372,34 @@ def fit_esn(
         model = encoder.model.with_readout(solution.w_out, solution.b_out)
         fitted.append(replace(encoder, model=model))
         scores.append(reservoir.model_output(model, encoded))
-    return fitted, keys, scores, baseline_scores
+    return fitted, scores, baseline_scores
 
 
 def maps_for(
-    encoders: Sequence[Encoder], samples: Iterable[data.LabeledSample]
+    encoders: Sequence[Encoder], source: data.SampleSource, positions: Sequence[int]
 ) -> Iterator[Tuple[int, data.SampleKey, lrp.RelevanceMap]]:
-    """The relevance maps of the samples under every encoder's model, from one draw of them:
-    batch by batch, each encoder's index with each sample's key and map.
+    """The relevance maps of the samples of `source` at `positions` under every encoder's model,
+    from one draw of them: batch by batch, each encoder's index with each sample's key and map.
 
     Each batch is mapped under each model in turn, in its encoder's column
     order, at the default `lrp.LrpConfig` (ε is not a command-line
     setting). A batch's trajectory is dropped as soon as its maps are
     built, and its maps as soon as they are drawn.
     """
+    keys = iter([source.keys.samples[p] for p in positions])
     n_res = encoders[0].model.config.n_res  # a trajectory holds the states, one float per unit and step
-    for keys, inputs in batches(samples, n_res * 8, [e.columns for e in encoders]):
+    for inputs in batches(source.draw(positions), source.shape, n_res * 8, [e.columns for e in encoders]):
+        run = list(itertools.islice(keys, len(inputs[0])))
         for i, (encoder, batch) in enumerate(zip(encoders, inputs)):
             maps = lrp.relevance_map(encoder.model, reservoir.run_reservoir(encoder.model, batch))
-            yield from zip(itertools.repeat(i), keys, maps)
+            yield from zip(itertools.repeat(i), run, maps)
             del maps  # before the next model maps the batch
 
 
-def mean_maps(encoders: Sequence[Encoder], samples: Iterable[data.LabeledSample]) -> List[np.ndarray]:
-    """Each encoder's mean map over the samples (see `lrp.mean_relevance`), from one draw of them."""
+def mean_maps(encoders: Sequence[Encoder], source: data.SampleSource, positions: Sequence[int]) -> List[np.ndarray]:
+    """Each encoder's mean map over the samples at `positions` (see `lrp.mean_relevance`), from one draw of them."""
     means = [lrp.RunningMean() for _ in encoders]
-    for i, _, rmap in maps_for(encoders, samples):
+    for i, _, rmap in maps_for(encoders, source, positions):
         means[i].add(rmap)
     return [mean.normalized() for mean in means]
 
@@ -493,23 +466,22 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     with the baseline, letting each go once both are done with it. Without
     a baseline nothing is held ahead of the pass.
     """
-    draw, n, valid_mask = sample_source(cfg)
-    samples = draw()
+    source = sample_source(cfg)
+    samples = source.draw()
     baseline = None
     if cfg.baseline != "none":
-        train = list(itertools.islice(samples, data.train_count(n)))
-        baseline = fit_baseline(cfg, train, valid_mask)
+        train = list(itertools.islice(samples, source.keys.n_train))
+        baseline = fit_baseline(cfg, train, source.valid_mask)
         train.reverse()  # popped from the end, each train sample is let go as the pass draws it
         samples = itertools.chain((train.pop() for _ in range(len(train))), samples)
-    shape, samples = shaped(samples)
-    encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(shape[0])))
-    [encoder], keys, [scores], baseline_scores = fit_esn(cfg, [encoder], samples, baseline)
+    encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(source.shape[0])))
+    [encoder], [scores], baseline_scores = fit_esn(cfg, [encoder], source, samples, baseline)
     persistence.save_model(out / MODEL_FILE, encoder.model)
-    data.write_sample_index_csv(out / "samples.csv", keys)
-    rows = split_rows("esn", keys, scores)
+    data.write_sample_index_csv(out / "samples.csv", source.keys)
+    rows = split_rows("esn", source.keys, scores)
     if baseline is not None:
         persistence.save_model(out / f"baseline_{baseline.name}.json", baseline.model)
-        rows += split_rows(baseline.name, keys, baseline_scores) + [baseline.fit_row]
+        rows += split_rows(baseline.name, source.keys, baseline_scores) + [baseline.fit_row]
     write_report(out / "train_report.csv", rows)
 
 
@@ -532,42 +504,29 @@ def check_field_height(model: reservoir.EsnModel, height: int, out: Path) -> Non
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     """Score every sample with the saved model in one streamed `forward_pass`."""
     model = load_trained_model(out)
-    shape, samples = with_shape(sample_source(cfg)[0]())
-    check_field_height(model, shape[0], out)
-    keys, [states], _ = forward_pass([Encoder(model)], samples)
-    write_report(out / "eval_report.csv", split_rows("esn", keys, reservoir.model_output(model, states)))
-
-
-def train_samples(
-    draw: Callable[[], Iterator[data.LabeledSample]], n: int, class_filter: str
-) -> Iterator[data.LabeledSample]:
-    """The train samples of a class, in order, from a fresh `draw` of the n samples, drawn as
-    asked for; the draw stops at the train split (`data.train_count`)."""
-    return filtered(itertools.islice(draw(), data.train_count(n)), class_filter)
-
-
-def relevance_samples(cfg: ExperimentConfig) -> Iterator[data.LabeledSample]:
-    """The --class train samples that `relevance` maps, in order, drawn as the map batches ask for them."""
-    draw, n, _ = sample_source(cfg)
-    return train_samples(draw, n, cfg.class_filter)
+    source = sample_source(cfg)
+    check_field_height(model, source.shape[0], out)
+    [states], _ = forward_pass([Encoder(model)], source.draw(), source.shape)
+    write_report(out / "eval_report.csv", split_rows("esn", source.keys, reservoir.model_output(model, states)))
 
 
 def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
-    """Map the `relevance_samples`, writing each map and its audit row, then the mean map.
+    """Map the train samples of --class, writing each map and its audit row, then the mean map.
 
-    The samples stream through `maps_for`: each is drawn, preprocessed
-    into its batch and let go before the batch is mapped, so one batch is
-    the most ever held, however many samples there are.
-    The checks (a sample is left, its field height is the model's) run on
-    the first sample before anything is written; then
-    the maps an earlier run left in `relevance/` are removed, so the
-    directory holds this run's only.
+    Only the samples of --class are drawn, and they stream through
+    `maps_for`: each is built, preprocessed into its batch and let go
+    before the batch is mapped, so one batch is the most ever held, however
+    many samples there are. The checks (a sample is left, the field height
+    is the model's) read the source's keys and shape before any field is
+    built or anything written; then the maps an earlier run left in
+    `relevance/` are removed, so the directory holds this run's only.
     """
     model = load_trained_model(out)
-    shape, samples = with_shape(relevance_samples(cfg))
-    if shape is None:
+    source = sample_source(cfg)
+    positions = class_positions(source.keys, cfg.class_filter)
+    if not positions:
         raise DataError(f"no training samples left after --class {cfg.class_filter}")
-    check_field_height(model, shape[0], out)
+    check_field_height(model, source.shape[0], out)
 
     rel_dir = out / "relevance"
     rel_dir.mkdir(parents=True, exist_ok=True)
@@ -577,7 +536,7 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
 
     def exported() -> Iterator[lrp.RelevanceMap]:
         """Write each map's CSV and audit row as it streams past."""
-        for i, (_, key, rmap) in enumerate(maps_for([Encoder(model)], samples)):
+        for i, (_, key, rmap) in enumerate(maps_for([Encoder(model)], source, positions)):
             lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
             audit.append(
                 f"{i},{key.month_id},{key.label.value},{rmap.total:.9g},"
@@ -592,37 +551,21 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     lrp.write_heatmap_pgm(out / "mean_map.pgm", mean)
 
 
-def study_samples(
-    cfg: ExperimentConfig,
-) -> Tuple[Tuple[int, int], Iterator[data.LabeledSample], Callable[[str], Iterator[data.LabeledSample]]]:
-    """A study's samples: the first field's shape; all of them, in order, for the fit pass;
-    and a function that gives the train samples of a class for a map pass.
-
-    Each pass draws the samples afresh (`sample_source`), so no pass holds
-    more than a batch of samples.
-    """
-    draw, n, _ = sample_source(cfg)
-    shape, samples = shaped(draw())
-    return shape, samples, functools.partial(train_samples, draw, n)
-
-
 def study(
-    cfg: ExperimentConfig,
-    encoders: Sequence[Encoder],
-    samples: Iterator[data.LabeledSample],
-    train: Callable[[str], Iterator[data.LabeledSample]],
+    cfg: ExperimentConfig, encoders: Sequence[Encoder], source: data.SampleSource
 ) -> Tuple[List[readout.AccuracyReport], List[np.ndarray]]:
     """Each model's val accuracy and mean map: the encoders' fresh reservoirs are fitted on one
-    draw of the `study_samples`, and the --class train samples mapped under them in one more."""
-    fitted, keys, scores, _ = fit_esn(cfg, encoders, samples)
-    return [val_accuracy(keys, s) for s in scores], mean_maps(fitted, train(cfg.class_filter))
+    draw of every sample, and the --class train samples mapped under them in one more."""
+    fitted, scores, _ = fit_esn(cfg, encoders, source, source.draw())
+    means = mean_maps(fitted, source, class_positions(source.keys, cfg.class_filter))
+    return [val_accuracy(source.keys, s) for s in scores], means
 
 
 def cmd_leak_sweep(cfg: ExperimentConfig, out: Path) -> None:
     """A fresh reservoir at each leak rate of SWEEP_ALPHAS, all four fitted and mapped in one `study`."""
-    shape, samples, train = study_samples(cfg)
-    encoders = [Encoder(reservoir.init_reservoir(cfg.esn_config(shape[0], alpha))) for alpha in SWEEP_ALPHAS]
-    reports, means = study(cfg, encoders, samples, train)
+    source = sample_source(cfg)
+    encoders = [Encoder(reservoir.init_reservoir(cfg.esn_config(source.shape[0], alpha))) for alpha in SWEEP_ALPHAS]
+    reports, means = study(cfg, encoders, source)
     rows = ["alpha,tag,accuracy_overall,accuracy_elnino,accuracy_lanina,mean_map_center_of_gravity"]
     for alpha, tag, report, mean in zip(SWEEP_ALPHAS, SWEEP_TAGS, reports, means):
         lrp.write_matrix_csv(out / f"mean_map_{tag}.csv", mean)
@@ -654,11 +597,11 @@ def cmd_permutation(cfg: ExperimentConfig, out: Path) -> None:
     permuted order as its batch is filled (`data.permuted_inputs`), so no
     permuted field is built.
     """
-    shape, samples, train = study_samples(cfg)
-    permutation = data.column_permutation(shape[1], cfg.permute_seed)
-    model = reservoir.init_reservoir(cfg.esn_config(shape[0]))
+    source = sample_source(cfg)
+    permutation = data.column_permutation(source.shape[1], cfg.permute_seed)
+    model = reservoir.init_reservoir(cfg.esn_config(source.shape[0]))
     encoders = [Encoder(model), Encoder(model, data.permuted_inputs(permutation))]
-    (base_report, perm_report), (base_mean, perm_mean) = study(cfg, encoders, samples, train)
+    (base_report, perm_report), (base_mean, perm_mean) = study(cfg, encoders, source)
     restored = data.inverse_permute(perm_mean, permutation)
 
     for name, matrix in (("base", base_mean), ("permuted", perm_mean), ("restored", restored)):
@@ -678,23 +621,24 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
 
     Relevance maps are averaged per class: map signs follow the sign of the
     model output, so pooling the positive- and negative-target classes would
-    cancel the very signal being located. The fit and each class's maps
-    draw the samples afresh (`study_samples`).
+    cancel the very signal being located. The fit draws every sample, and
+    each class's maps draw that class's train samples afresh; a class with
+    no train sample is skipped.
     """
     if cfg.synthetic is None:
         cfg.synthetic = DEFAULT_SYNTHETIC
     d, t, _ = cfg.synthetic
-    shape, samples, train = study_samples(cfg)
-    encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(shape[0])))
-    [encoder], keys, [scores], _ = fit_esn(cfg, [encoder], samples)
+    source = sample_source(cfg)
+    encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(d)))
+    [encoder], [scores], _ = fit_esn(cfg, [encoder], source, source.draw())
     persistence.save_model(out / MODEL_FILE, encoder.model)
-    rows = split_rows("esn", keys, scores)
+    rows = split_rows("esn", source.keys, scores)
     box = data.synthetic_blob_box(d, t)
     for class_filter in ("elnino", "lanina"):
-        found, samples = with_shape(train(class_filter))
-        if found is None:
+        positions = class_positions(source.keys, class_filter)
+        if not positions:
             continue
-        [mean] = mean_maps([encoder], samples)
+        [mean] = mean_maps([encoder], source, positions)
         lrp.write_matrix_csv(out / f"mean_map_{class_filter}.csv", mean)
         lrp.write_heatmap_pgm(out / f"mean_map_{class_filter}.pgm", mean)
         rows.append(f"esn,train,localization_ratio_{class_filter},{data.box_mass_ratio(mean, box):.9g}")

@@ -18,9 +18,9 @@ signal box.
 
 A container is checked once from its header and length, then read a month
 at a time: one pass over the reference years gives the climatology, one
-over every month the validity mask and the index, and each draw of the
-samples reads the labelled months again, so no array of all the months is
-built.
+over every month the validity mask and the index, which give every
+sample's key (`enso_source`), and each draw of the samples reads the
+labelled months it keeps again, so no array of all the months is built.
 
 Each fact is stored once and the rest derived from it: a month's id follows
 from the container's start year, a sample's class from its index, and a
@@ -35,7 +35,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,10 +115,6 @@ class LabeledSample(SampleKey):
         if _finite_peak(self.field) > CLIP_LIMIT:
             raise DataError(f"sample field exceeds the +-{CLIP_LIMIT} clip range")
 
-    @property
-    def key(self) -> SampleKey:
-        return SampleKey(index=self.index, month_id=self.month_id)
-
 
 def _finite_peak(field: np.ndarray) -> float:
     """The largest magnitude among the finite cells of a field, 0 when it has none.
@@ -177,6 +173,25 @@ class SampleSet:
     def split(self) -> Tuple[str, ...]:
         """One tag per sample, "train" or "val"."""
         return ("train",) * self.n_train + ("val",) * (len(self.samples) - self.n_train)
+
+
+@dataclass(frozen=True)
+class SampleSource:
+    """A task's samples as known before any field is built, and the way to build their fields.
+
+    `keys` holds every sample's key in time order (so the split is known
+    too), `shape` the fields' (rows, columns) and `valid_mask` the cells
+    valid in every month, which only the baselines read (None when every
+    cell is valid). `draw(positions)` builds the samples at `positions`,
+    increasing indices into `keys`, in order and each only as it is asked
+    for; it builds every sample when no positions are given. Every draw
+    starts afresh and keeps no sample it has yielded.
+    """
+
+    keys: SampleSet
+    shape: Tuple[int, int]
+    valid_mask: Optional[np.ndarray]
+    draw: Callable[..., Iterator[LabeledSample]]
 
 
 def write_sst(path: Union[str, Path], fields: np.ndarray, start_year: int) -> None:
@@ -341,33 +356,40 @@ def _labelled(index: np.ndarray) -> List[int]:
     return [month for month, value in enumerate(index) if label_for_index(value) is not ClassLabel.NEUTRAL]
 
 
-def enso_samples(container: SstContainer, climatology: np.ndarray, index: np.ndarray) -> Iterator[LabeledSample]:
+def enso_samples(
+    container: SstContainer, climatology: np.ndarray, index: np.ndarray, positions: Optional[Sequence[int]] = None
+) -> Iterator[LabeledSample]:
     """The non-neutral months of a container in time order, each read and clipped to +-CLIP_LIMIT as it is drawn.
 
-    The generator keeps none it has yielded, like `synthetic_samples`.
+    `positions` picks some of them, by their place among the non-neutral
+    months; no other month is read. The generator keeps none it has
+    yielded, like `synthetic_samples`.
     """
     months = _labelled(index)
+    if positions is not None:
+        months = [months[p] for p in positions]
     first_id = (container.start_year - EPOCH_YEAR) * 12
     for month, field in zip(months, anomalies(container, climatology, months)):
         np.clip(field, -CLIP_LIMIT, CLIP_LIMIT, out=field)
         yield LabeledSample(field=_locked(field), index=float(index[month]), month_id=first_id + month)
 
 
-def enso_source(path: Union[str, Path]) -> Tuple[Callable[[], Iterator[LabeledSample]], int, np.ndarray]:
-    """A container's samples: a function that draws them afresh (`enso_samples`), their count,
-    and the cells valid in every month.
+def enso_source(path: Union[str, Path]) -> SampleSource:
+    """A container's samples (`enso_samples`), their keys read off the Nino-3.4 index.
 
-    The container is checked, and its climatology and Nino-3.4 index
-    computed, before this returns, so every data error it holds is raised
-    here; a draw then re-reads the container a month at a time.
+    The container is checked, and its climatology and index computed,
+    before this returns, so every data error it holds is raised here; a
+    draw then re-reads the container a month at a time.
     """
     container = open_sst(path)
     climatology = reference_climatology(container)
     valid_mask, index = nino34_scan(container, climatology)
-    n = len(_labelled(index))
-    if n < 2:
-        raise DataError(f"only {n} labeled samples; cannot split")
-    return functools.partial(enso_samples, container, climatology, index), n, valid_mask
+    first_id = (container.start_year - EPOCH_YEAR) * 12
+    keys = SampleSet(tuple(SampleKey(float(index[m]), first_id + m) for m in _labelled(index)))
+    if len(keys.samples) < 2:
+        raise DataError(f"only {len(keys.samples)} labeled samples; cannot split")
+    draw = functools.partial(enso_samples, container, climatology, index)
+    return SampleSource(keys, (GRID_N_LAT, GRID_N_LON), valid_mask, draw)
 
 
 def preprocess_field(field: np.ndarray) -> np.ndarray:
@@ -434,8 +456,14 @@ def inverse_permute(arr: np.ndarray, permutation: np.ndarray) -> np.ndarray:
     raise DataError(f"cannot invert object of shape {arr.shape} with {inverse.size} columns")
 
 
-def _smoothed_noise(rng: np.random.Generator, shape: Tuple[int, int], sigma: float) -> Iterator[np.ndarray]:
-    """White Gaussian noise fields, each smoothed by a Gaussian of width sigma.
+def _smoothed_noise(
+    rng: np.random.Generator, shape: Tuple[int, int], sigma: float, positions: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """White Gaussian noise fields, each smoothed by a Gaussian of width sigma: those of the
+    draws at increasing `positions`.
+
+    A draw that no position names is made and dropped unsmoothed, so each
+    field is the one its position gives in a run that smooths every draw.
 
     Each field is bit for bit ``scipy.ndimage.gaussian_filter(z, sigma)`` of
     the draw ``z = rng.standard_normal(shape)``: a reflect boundary, radius
@@ -457,8 +485,11 @@ def _smoothed_noise(rng: np.random.Generator, shape: Tuple[int, int], sigma: flo
         rows = np.arange(-radius, n + radius) % (2 * n)
         reflect = np.where(rows < n, rows, 2 * n - 1 - rows)
         passes.append((reflect, np.empty((n + 2 * radius, m)), np.empty((n, m)), np.empty((n, m))))
-    while True:
-        rng.standard_normal(out=noise)
+    drawn = 0
+    for position in positions:
+        while drawn <= position:
+            rng.standard_normal(out=noise)
+            drawn += 1
         field = noise
         for reflect, padded, acc, pair in passes:
             np.take(field, reflect, axis=0, out=padded)
@@ -498,7 +529,25 @@ def check_synthetic_shape(n_samples: int, d: int, t: int) -> None:
         raise ConfigError(f"synthetic must have d, t >= 8 and n >= 2, got d,t,n = {d},{t},{n_samples}")
 
 
-def synthetic_samples(n_samples: int, d: int, t: int, seed: int) -> Iterator[LabeledSample]:
+def _synthetic_draws(n_samples: int, seed: int) -> Tuple[np.ndarray, np.random.Generator]:
+    """The indices of a synthetic task's samples, and the generator of their noise.
+
+    The amplitudes come from one draw of n_samples, which gives bit for bit
+    what n_samples draws of one give, so a task's keys cost no field.
+    """
+    # The spawn_key puts data generation in its own stream domain, so reusing
+    # one seed for both the task and a model never aliases their draws.
+    amp_rng, noise_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed, spawn_key=(101,)).spawn(2)
+    )
+    indices = amp_rng.uniform(*BLOB_AMPLITUDE_RANGE, size=n_samples)
+    indices[1::2] *= -1.0
+    return indices, noise_rng
+
+
+def synthetic_samples(
+    n_samples: int, d: int, t: int, seed: int, positions: Optional[Sequence[int]] = None
+) -> Iterator[LabeledSample]:
     """The samples of a two-class task with a known localized signal, drawn one at a time.
 
     Each sample is amplitude * blob + smoothed noise: the blob is a fixed
@@ -511,29 +560,33 @@ def synthetic_samples(n_samples: int, d: int, t: int, seed: int) -> Iterator[Lab
     samples are reproducible bit for bit.
 
     Sample i is drawn only when asked for, and the generator keeps none it
-    has yielded, so a caller that needs only some of them (the first
-    `train_count(n_samples)`, say) holds no others. The shape is checked
-    at the first draw.
+    has yielded. `positions`, increasing sample indices, picks the samples
+    to build (all of them by default): the noise of a sample it skips is
+    drawn but not smoothed, so each sample built is the one a full draw
+    gives. The shape is checked at the first draw.
     """
     check_synthetic_shape(n_samples, d, t)
-    # The spawn_key puts data generation in its own stream domain, so reusing
-    # one seed for both the task and a model never aliases their draws.
-    amp_rng, noise_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(seed, spawn_key=(101,)).spawn(2)
-    )
+    indices, noise_rng = _synthetic_draws(n_samples, seed)
     rr, cc = np.meshgrid(np.arange(d), np.arange(t), indexing="ij")
     r0, c0, sigma_r, sigma_c = _blob_geometry(d, t)
     blob = np.exp(-((rr - r0) ** 2 / (2 * sigma_r**2) + (cc - c0) ** 2 / (2 * sigma_c**2)))
 
-    noises = _smoothed_noise(noise_rng, (d, t), NOISE_SMOOTHING_SIGMA)
-    lo, hi = BLOB_AMPLITUDE_RANGE
-    for i in range(n_samples):
-        amplitude = float(amp_rng.uniform(lo, hi)) * (1.0 if i % 2 == 0 else -1.0)
+    positions = range(n_samples) if positions is None else positions
+    noises = _smoothed_noise(noise_rng, (d, t), NOISE_SMOOTHING_SIGMA, positions)
+    for i in positions:
+        amplitude = float(indices[i])
         # the blob product first: computed after the noise draw, synthesis runs ~2% slower at paper shape
         field = amplitude * blob
         noise = next(noises)
         field = field + noise * (NOISE_SCALE / float(noise.std()))
         yield LabeledSample(field=_locked(np.clip(field, -CLIP_LIMIT, CLIP_LIMIT)), index=amplitude, month_id=i)
+
+
+def synthetic_source(n_samples: int, d: int, t: int, seed: int) -> SampleSource:
+    """The samples of `synthetic_samples(n_samples, d, t, seed)`, their keys read off the amplitudes alone."""
+    check_synthetic_shape(n_samples, d, t)
+    keys = SampleSet(tuple(SampleKey(float(v), i) for i, v in enumerate(_synthetic_draws(n_samples, seed)[0])))
+    return SampleSource(keys, (d, t), None, functools.partial(synthetic_samples, n_samples, d, t, seed))
 
 
 def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:

@@ -90,8 +90,8 @@ class MatrixRows:
 
 def enso_sample_set(path):
     """All the samples of a container, from one draw of `data.enso_source`, as a set; and its valid cells."""
-    draw, _, valid_mask = data.enso_source(path)
-    return data.SampleSet(tuple(draw())), valid_mask
+    source = data.enso_source(path)
+    return data.SampleSet(tuple(source.draw())), source.valid_mask
 
 
 def track_generated_samples(monkeypatch, generator="synthetic_samples"):

@@ -398,17 +398,66 @@ def test_relevance_streams_the_class_train_samples_of_the_synthetic_task(n, clas
     """The samples `relevance` maps on --synthetic are those of the built set, bit for bit.
 
     They are the --class samples of `synthesize_task(...).train_samples`, in
-    order: the same fields, indices and month ids. At n = 24 the first
+    order: the same fields, indices and month ids, drawn at the positions
+    `cli.class_positions` picks from the source's keys. At n = 24 the first
     validation sample has the odd index 19, a La Nina one.
     """
     cfg = cli.ExperimentConfig(command="relevance", synthetic=(8, 12, n), seed=3, class_filter=class_filter)
-    streamed = list(cli.relevance_samples(cfg))
-    expected = list(cli.filtered(data.synthesize_task(n, 8, 12, seed=3).train_samples, class_filter))
+    source = cli.sample_source(cfg)
+    streamed = list(source.draw(cli.class_positions(source.keys, class_filter)))
+    train = data.synthesize_task(n, 8, 12, seed=3).train_samples
+    expected = [s for s in train if class_filter in ("both", s.label.value)]
     assert len(streamed) == len(expected) > 0
     for got, want in zip(streamed, expected):
         assert (got.index, got.month_id) == (want.index, want.month_id)
         assert got.field.tobytes() == want.field.tobytes()
     assert max(s.month_id for s in streamed) < data.train_count(n)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "data"])
+def test_relevance_of_one_class_builds_no_field_of_the_other(tmp_path, monkeypatch, source):
+    """`relevance --class elnino` builds the fields of the El Nino train samples and no other.
+
+    On --synthetic the generator builds one field per El Nino train sample,
+    8 of the 16 train samples. On the 384-month container the generator
+    does the same, and once the climatology and index scans are done the
+    container is read at those months only.
+    """
+    path = tmp_path / "sst.sstg"
+    if source == "synthetic":
+        inputs, generator = ["--synthetic", "8,12,20"], "synthetic_samples"
+    else:
+        write_enso_container(path)
+        inputs, generator = ["--data", str(path)], "enso_samples"
+    common = [*inputs, "--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path / "out")]
+    assert run_cli("train", *common) == 0
+    keys = cli.sample_source(cli.build_config(cli.build_parser().parse_args(["relevance", *common]))).keys
+    elnino = [k.month_id for k in keys.train_samples if k.label is readout.ClassLabel.EL_NINO]
+    assert 0 < len(elnino) < keys.n_train
+
+    refs = track_generated_samples(monkeypatch, generator)
+    reads = []
+    read, scan = data.SstContainer.read, data.nino34_scan
+
+    def recorded(self, months):
+        months = list(months)
+        for month, grid in zip(months, read(self, months)):
+            reads.append(month)
+            yield grid
+
+    def scanned(*args):
+        index = scan(*args)
+        reads.clear()  # what the scans read
+        return index
+
+    monkeypatch.setattr(data.SstContainer, "read", recorded)
+    monkeypatch.setattr(data, "nino34_scan", scanned)
+    assert run_cli("relevance", "--class", "elnino", *common) == 0
+    audit = (tmp_path / "out" / "relevance_audit.csv").read_text(encoding="ascii").splitlines()[1:]
+    assert [int(line.split(",")[1]) for line in audit] == elnino
+    assert len(refs) == len(elnino)
+    first_id = (1980 - data.EPOCH_YEAR) * 12
+    assert reads == ([] if source == "synthetic" else [m - first_id for m in elnino])
 
 
 def test_relevance_with_no_sample_of_the_class_exits_three_and_writes_nothing(tmp_path, capsys):
@@ -611,21 +660,31 @@ def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
     permuted = data.permuted_inputs(data.column_permutation(12, seed=3))
     encoders = [cli.Encoder(base), cli.Encoder(fast), cli.Encoder(base, permuted)]
 
-    def samples():
-        return data.synthetic_samples(20, 8, 12, seed=2)
+    source = data.synthetic_source(20, 8, 12, seed=2)
+    keys = source.keys
 
-    keys, states, _ = cli.forward_pass(encoders, samples())
+    def samples(drawn):
+        """A fresh draw of every sample, noting each one's key as it is drawn."""
+        for sample in source.draw():
+            drawn.append(data.SampleKey(sample.index, sample.month_id))
+            yield sample
+
+    together_keys = []
+    states, _ = cli.forward_pass(encoders, samples(together_keys), source.shape)
+    assert together_keys == list(keys.samples)
     fitted = []
     for encoder, together in zip(encoders, states):
-        alone_keys, [alone], _ = cli.forward_pass([encoder], samples())
-        assert alone_keys == keys and together.tobytes() == alone.tobytes()
+        alone_keys = []
+        [alone], _ = cli.forward_pass([encoder], samples(alone_keys), source.shape)
+        assert alone_keys == together_keys and together.tobytes() == alone.tobytes()
         fitted.append(replace(encoder, model=encoder.model.with_readout(np.ones((1, 20)), np.zeros(1))))
 
     maps = [[] for _ in fitted]
-    for i, key, rmap in cli.maps_for(fitted, samples()):
+    everything = range(20)
+    for i, key, rmap in cli.maps_for(fitted, source, everything):
         maps[i].append((key, rmap))
     for encoder, together in zip(fitted, maps):
-        alone = [(key, rmap) for _, key, rmap in cli.maps_for([encoder], samples())]
+        alone = [(key, rmap) for _, key, rmap in cli.maps_for([encoder], source, everything)]
         assert [key for key, _ in together] == [key for key, _ in alone] == list(keys.samples)
         for (_, a), (_, b) in zip(together, alone):
             assert a.scores.tobytes() == b.scores.tobytes()

@@ -4,7 +4,7 @@ import pytest
 from esnlrp import data
 from esnlrp.errors import ConfigError, DataError
 from esnlrp.readout import ClassLabel
-from helpers import enso_sample_set, preprocess_for_baseline
+from helpers import enso_sample_set, preprocess_for_baseline, write_enso_container
 
 
 def small_fields(n_months, seed=0, fill_nan_at=None):
@@ -390,6 +390,52 @@ def test_synthesize_task_determinism_and_labels():
     assert a.split == ("train",) * 9 + ("val",) * 3
 
 
+def per_sample_indices(n, seed):
+    """The synthetic task's indices as its definition draws them: one amplitude per sample, signs alternating."""
+    amp_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)).spawn(2)[0])
+    return [float(amp_rng.uniform(*data.BLOB_AMPLITUDE_RANGE)) * (1.0 if i % 2 == 0 else -1.0) for i in range(n)]
+
+
+def key_bytes(keys):
+    """Each key's index, as its bytes, and month id."""
+    return [(np.float64(k.index).tobytes(), k.month_id) for k in keys]
+
+
+@pytest.mark.parametrize(
+    "task", [(n, seed) for n in (2, 20, 24, 300) for seed in (0, 3)] + [None],
+    ids=lambda task: "container" if task is None else "n{}-seed{}".format(*task),
+)
+def test_a_source_knows_the_keys_and_draws_the_fields_of_a_full_draw(tmp_path, task):
+    """A source's keys are, bit for bit, the (index, month_id) of a full draw of its samples, and a
+    draw of some positions yields, byte for byte, the fields that the full draw gives at them.
+
+    On --synthetic (8x12 fields) the keys come from one draw of all the
+    amplitudes, which must give the per-sample draws that define the task;
+    on the 384-month container they come from the Nino-3.4 index scan.
+    """
+    if task is None:
+        write_enso_container(tmp_path / "sst.sstg")
+        source = data.enso_source(tmp_path / "sst.sstg")
+        assert source.shape == (data.GRID_N_LAT, data.GRID_N_LON)
+    else:
+        source = data.synthetic_source(task[0], 8, 12, seed=task[1])
+        assert source.shape == (8, 12) and source.valid_mask is None
+        assert key_bytes(source.keys.samples) == key_bytes(
+            data.SampleKey(index, i) for i, index in enumerate(per_sample_indices(*task))
+        )
+    n = len(source.keys.samples)
+    positions = sorted({1, n // 2, n - 1})
+    full, fields = [], {}
+    for i, sample in enumerate(source.draw()):
+        full.append(data.SampleKey(sample.index, sample.month_id))
+        if i in positions:
+            fields[i] = sample.field.tobytes()
+    assert key_bytes(source.keys.samples) == key_bytes(full)
+    drawn = list(source.draw(positions))
+    assert key_bytes(drawn) == key_bytes(full[p] for p in positions)
+    assert [s.field.tobytes() for s in drawn] == [fields[p] for p in positions]
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (8, 200), (16, 96), (89, 180)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_smoothed_noise_matches_scipy_bit_for_bit(shape):
     """8x8 is the smallest synthetic grid: radius 6 reaches almost across it.
@@ -398,7 +444,7 @@ def test_smoothed_noise_matches_scipy_bit_for_bit(shape):
     """
     gaussian_filter = pytest.importorskip("scipy.ndimage").gaussian_filter
     sigma = data.NOISE_SMOOTHING_SIGMA
-    noises = data._smoothed_noise(np.random.default_rng(shape[0] * shape[1]), shape, sigma)
+    noises = data._smoothed_noise(np.random.default_rng(shape[0] * shape[1]), shape, sigma, range(2))
     draws = np.random.default_rng(shape[0] * shape[1])
     for _ in range(2):
         np.testing.assert_array_equal(next(noises), gaussian_filter(draws.standard_normal(shape), sigma=sigma))

@@ -22,7 +22,7 @@ from esnlrp.lrp import (
     write_matrix_csv,
 )
 from esnlrp import cli, data
-from esnlrp.readout import fit_readout
+from esnlrp.readout import ClassLabel, fit_readout
 from esnlrp.reservoir import EsnConfig, StateTrajectory, final_states, init_reservoir, run_reservoir
 
 from helpers import alive, assemble_model, random_model, random_sample, track_generated_samples, write_enso_container
@@ -308,14 +308,14 @@ def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, s
 
     The samples stream from their generator (`data.synthetic_samples`, or
     `data.enso_samples` reading the container), three to a batch here, and
-    the stream stops at the train split: 16 of the 20 synthetic samples,
-    297 of the container's 372.
+    the stream builds only the El Nino samples of the train split: 8 of the
+    16 synthetic train samples, and those of the container's first 297.
     """
     if source == "synthetic":
-        inputs, shape, n, generator = ["--synthetic", "8,12,20"], (8, 12), 20, "synthetic_samples"
+        inputs, shape, generator = ["--synthetic", "8,12,20"], (8, 12), "synthetic_samples"
     else:
         write_enso_container(tmp_path / "sst.sstg")
-        inputs, shape, n, generator = ["--data", str(tmp_path / "sst.sstg")], (89, 180), 372, "enso_samples"
+        inputs, shape, generator = ["--data", str(tmp_path / "sst.sstg")], (89, 180), "enso_samples"
     out = tmp_path / "out"
     common = [*inputs, "--n-res", "20", "--ridge", "1e-8", "--out", str(out)]
     assert cli.main(["train", *common]) == 0
@@ -337,7 +337,9 @@ def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, s
     audit = (out / "relevance_audit.csv").read_text(encoding="ascii").splitlines()[1:]
     mapped = [int(line.split(",")[1]) for line in audit]
     [(tracked, held, batch)] = seen
-    assert len(refs) == data.train_count(n)
+    keys = cli.sample_source(cli.build_config(cli.build_parser().parse_args(["relevance", *common]))).keys
+    assert mapped == [k.month_id for k in keys.train_samples if k.label is ClassLabel.EL_NINO]
+    assert len(refs) == len(mapped)
     if source == "synthetic":
         # the even samples are El Nino; each generated sample's month id is its draw index
         assert mapped == list(range(0, 16, 2))

@@ -10,8 +10,6 @@ and is fed forward again. The signed drop of the output is compared with the
 drop from zeroing k random valid cells.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -38,8 +36,8 @@ def synthetic_input(d, t):
 def container_input(tmp_path):
     path = tmp_path / "sst.sstg"
     write_enso_container(path)
-    draw, _, valid_mask = data.enso_source(path)
-    return list(itertools.islice(draw(), N_TRAIN)), valid_mask
+    source = data.enso_source(path)
+    return list(source.draw(range(N_TRAIN))), source.valid_mask
 
 
 def perturbation_drops(samples, valid_mask, n_res):
