@@ -37,6 +37,7 @@ every other command, holds one batch of samples at most.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -626,7 +627,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     no train sample is skipped.
     """
     if cfg.synthetic is None:
-        cfg.synthetic = DEFAULT_SYNTHETIC
+        cfg = replace(cfg, synthetic=DEFAULT_SYNTHETIC)
     d, t, _ = cfg.synthetic
     source = sample_source(cfg)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(d)))
@@ -658,9 +659,18 @@ COMMANDS: Dict[str, Tuple[Callable[[ExperimentConfig, Path], None], str]] = {
 
 
 def run(cfg: ExperimentConfig) -> None:
+    """Run the command into --out. A failed command removes the directories it made for --out
+    while they are empty; an existing --out, and the files written before a failure, stay."""
     out = Path(cfg.out)
+    made = [path for path in (out, *out.parents) if not path.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)
-    COMMANDS[cfg.command][0](cfg, out)
+    try:
+        COMMANDS[cfg.command][0](cfg, out)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the first directory that is not empty ends the removal
+            for directory in made:
+                directory.rmdir()
+        raise
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

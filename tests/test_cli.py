@@ -81,6 +81,18 @@ def test_importing_the_cli_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_importing_the_package_root_or_data_loads_only_what_it_uses():
+    """The package root loads no submodule, and `esnlrp.data` only the two it imports."""
+    probe = (
+        "import sys, esnlrp; print(sorted(m for m in sys.modules if m.startswith('esnlrp.')));"
+        "import esnlrp.data; print(sorted(m for m in sys.modules if m.startswith('esnlrp.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.splitlines() == ["[]", "['esnlrp.data', 'esnlrp.errors', 'esnlrp.readout']"]
+
+
 def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
     """Fitting and scoring share one forward pass per sample; maps add one each.
 
@@ -645,6 +657,35 @@ def test_linreg_at_ridge_zero_with_too_few_samples_exits_four_before_reading_a_r
     assert "rank" in capsys.readouterr().err
     assert read == []
     assert not (out / "esn_model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["evaluate", *SMALL], 3),
+        (["relevance", *SMALL], 3),
+        (["train", "--synthetic", "8,12,20", "--n-res", "20", "--baseline", "linreg"], 4),
+    ],
+    ids=["evaluate", "relevance", "train-linreg-ridge-0"],
+)
+def test_a_failed_command_leaves_no_out_it_created(tmp_path, argv, code):
+    """A failure removes the empty directories it made for --out, parents too; an existing --out stays."""
+    fresh = tmp_path / "new" / "out"
+    assert run_cli(*argv, "--out", str(fresh)) == code
+    assert list(tmp_path.iterdir()) == []
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run_cli(*argv, "--out", str(existing)) == code
+    assert existing.is_dir() and list(existing.iterdir()) == []
+
+
+def test_run_leaves_its_config_as_it_was(tmp_path):
+    """`synthetic` without --synthetic studies the default task on a copy of the config, not by setting it."""
+    cfg = cli.ExperimentConfig(command="synthetic", out=str(tmp_path), n_res=20, ridge=1e-8)
+    before = replace(cfg)
+    cli.run(cfg)
+    assert cfg == before
+    assert metric(read_report(tmp_path / "synthetic_report.csv"), "esn", "val", "n_samples") == "60"
 
 
 def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
