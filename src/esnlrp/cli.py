@@ -26,12 +26,13 @@ rates of `leak-sweep`, the base and the column-permuted model of
 with the --baseline model in the same pass. A sample is let go once all
 the models are done with it. The studies then map the train samples of
 --class in one more draw, each batch under every model in turn
-(`maps_for`), building no field of the other class. Every pass draws the
-samples afresh as it asks for them, from the generator on --synthetic and
-from the container, a month at a time, on --data, so no command holds a
-set of fields: `train` draws the train split first and fits the baseline
-on it before any validation sample exists, and without a baseline, like
-every other command, holds one batch of samples at most.
+(`maps_for`), building no field of the other class. All the models of a
+pass read one batch, reordered in place for each (`in_turn`). Every pass
+draws the samples afresh as it asks for them, from the generator on
+--synthetic and from the container, a month at a time, on --data, so no
+command holds a set of fields: `train` draws the train split first and
+fits the baseline on it before any validation sample exists, and without
+a baseline, like every other command, holds one batch of samples at most.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class ExperimentConfig:
         if self.synthetic is not None:
             d, t, n = self.synthetic
             data.check_synthetic_shape(n, d, t)
-        self.esn_config(n_in=1)
+        if self.esn_config(n_in=1).recurrent_weight_count == 0:  # no seed can draw one
+            raise ConfigError(f"sparsity {self.sparsity} at n_res {self.n_res} leaves no recurrent weight")
         readout.check_ridge(self.ridge)
 
     def esn_config(self, n_in: int, alpha: Optional[float] = None) -> reservoir.EsnConfig:
@@ -249,49 +251,53 @@ def class_positions(keys: data.SampleSet, class_filter: str) -> List[int]:
 
 @dataclass(frozen=True)
 class Encoder:
-    """A reservoir and the order it reads the columns of each preprocessed field in.
-
-    `columns` of None reads them as `data.preprocess_field` gives them;
-    otherwise it indexes them (`data.permuted_inputs`), so that the base
-    and the column-permuted model of `permutation` share one draw of the
-    samples.
-    """
+    """A reservoir and the order it reads each field's columns in: as drawn for `columns`
+    of None, else column j of its field is column columns[j] of the drawn one
+    (`data.column_permutation`), so the base and the column-permuted model of
+    `permutation` share one draw of the samples and one batch (`in_turn`)."""
 
     model: reservoir.EsnModel
     columns: Optional[np.ndarray] = None
 
 
-def batches(
-    samples: Iterable[data.LabeledSample],
-    shape: Tuple[int, int],
-    step_bytes: int,
-    orders: Sequence[Optional[np.ndarray]],
-) -> Iterator[List[np.ndarray]]:
+def batches(samples: Iterable[data.LabeledSample], shape: Tuple[int, int], step_bytes: int) -> Iterator[np.ndarray]:
     """Consecutive runs of the samples, whose fields have `shape`: each run's preprocessed
-    fields stacked (B, n_in, T), once per column order of `orders` (see `Encoder.columns`).
+    fields stacked (B, n_in, T+1), in the order they are drawn.
 
     `samples` may be any iterable, a generator included. Each sample is
-    drawn when its run is filled, written into the batch of every order
-    and let go at once, so no sample outlives its drawing. Orders that are
-    the same object share one batch. One sample costs its caller
-    `step_bytes` per time step in each batch. Each run is as long as its
-    cost fits TRAJECTORY_BUDGET_BYTES, and at least one sample. Runs reuse
-    one array per order (a batch is valid until the next is drawn): a new
-    one per run would take the heap space a freed trajectory left.
+    drawn when its run is filled, written into the batch and let go at
+    once, so no sample outlives its drawing. One sample costs its caller
+    `step_bytes` per time step. Each run is as long as its cost fits
+    TRAJECTORY_BUDGET_BYTES, and at least one sample. Runs reuse one array
+    (a batch is valid until the next is drawn): a new one per run would
+    take the heap space a freed trajectory left.
     """
     samples = iter(samples)
     shape = (shape[0], shape[1] + 1)  # `data.preprocess_field` prepends the ones column
     size = max(1, TRAJECTORY_BUDGET_BYTES // (shape[1] * step_bytes))
-    buffers = {id(order): (order, np.empty((size,) + shape)) for order in orders}
+    buffer = np.empty((size,) + shape)
 
     def write(i: int, sample: data.LabeledSample) -> None:
-        field = data.preprocess_field(sample.field)
-        for order, buffer in buffers.values():
-            buffer[i] = field if order is None else field[:, order]
+        buffer[i] = data.preprocess_field(sample.field)
 
     # a comprehension, unlike a for loop's variable, keeps no reference to the last sample written
     while n := len([write(i, sample) for i, sample in enumerate(itertools.islice(samples, size))]):
-        yield [buffers[id(order)][1][:n] for order in orders]
+        yield buffer[:n]
+
+
+def in_turn(encoders: Sequence[Encoder], batch: np.ndarray) -> Iterator[Tuple[Encoder, np.ndarray]]:
+    """Each encoder with `batch`, a run of `batches`, whose field columns are first reordered
+    in place into the encoder's order, one sample at a time; the ones column stays first."""
+    drawn = np.arange(batch.shape[2] - 1)
+    order = drawn  # column j of the batch's fields is drawn column order[j]
+    for encoder in encoders:
+        wanted = drawn if encoder.columns is None else encoder.columns
+        if not np.array_equal(order, wanted):
+            moves = 1 + np.argsort(order)[wanted]
+            for sample in batch:
+                sample[:, 1:] = sample[:, moves]
+            order = wanted
+        yield encoder, batch
 
 
 @dataclass(frozen=True)
@@ -322,8 +328,8 @@ def forward_pass(
     without one).
 
     Each run of `batches` goes through every encoder's reservoir in turn,
-    in that encoder's column order, and no trajectory is recorded, so a run
-    costs only its stacked inputs. The encoders' reservoirs all read the
+    in that encoder's column order (`in_turn`), and no trajectory is
+    recorded, so a run costs only its stacked inputs. The encoders' reservoirs all read the
     same number of inputs. The baseline scores the samples
     `baselines.BATCH_ROWS` at a time, the chunks `baselines.mlp_predict`
     reads a whole set in. A sample is let go once all the models are done
@@ -342,10 +348,9 @@ def forward_pass(
     # a first empty block each, so that no sample gives (0, n_res)
     states = [[np.empty((0, encoder.model.config.n_res))] for encoder in encoders]
     n_in = encoders[0].model.config.n_in
-    runs = batches(samples if baseline is None else scored(samples), shape, n_in * 8, [e.columns for e in encoders])
-    for inputs in runs:
-        for encoder, batch, encoded in zip(encoders, inputs, states):
-            encoded.append(reservoir.final_states(encoder.model, batch))
+    for batch in batches(samples if baseline is None else scored(samples), shape, n_in * 8):
+        for (encoder, inputs), encoded in zip(in_turn(encoders, batch), states):
+            encoded.append(reservoir.final_states(encoder.model, inputs))
     scores = None if baseline is None else np.concatenate(baseline_scores)
     return [np.concatenate(encoded) for encoded in states], scores
 
@@ -382,17 +387,17 @@ def maps_for(
     """The relevance maps of the samples of `source` at `positions` under every encoder's model,
     from one draw of them: batch by batch, each encoder's index with each sample's key and map.
 
-    Each batch is mapped under each model in turn, in its encoder's column
-    order, at the default `lrp.LrpConfig` (ε is not a command-line
-    setting). A batch's trajectory is dropped as soon as its maps are
+    Each batch is mapped under each model in turn, in its encoder's
+    column order (`in_turn`), at the default `lrp.LrpConfig` (ε is not a
+    command-line setting). A batch's trajectory is dropped as soon as its maps are
     built, and its maps as soon as they are drawn.
     """
     keys = iter([source.keys.samples[p] for p in positions])
     n_res = encoders[0].model.config.n_res  # a trajectory holds the states, one float per unit and step
-    for inputs in batches(source.draw(positions), source.shape, n_res * 8, [e.columns for e in encoders]):
-        run = list(itertools.islice(keys, len(inputs[0])))
-        for i, (encoder, batch) in enumerate(zip(encoders, inputs)):
-            maps = lrp.relevance_map(encoder.model, reservoir.run_reservoir(encoder.model, batch))
+    for batch in batches(source.draw(positions), source.shape, n_res * 8):
+        run = list(itertools.islice(keys, len(batch)))
+        for i, (encoder, inputs) in enumerate(in_turn(encoders, batch)):
+            maps = lrp.relevance_map(encoder.model, reservoir.run_reservoir(encoder.model, inputs))
             yield from zip(itertools.repeat(i), run, maps)
             del maps  # before the next model maps the batch
 
@@ -594,14 +599,14 @@ def cmd_permutation(cfg: ExperimentConfig, out: Path) -> None:
     """One reservoir, fitted and mapped in one `study` on the fields as they are and with
     their columns permuted (--permute-seed); the permuted mean map is then restored.
 
-    The permuted model reads each preprocessed sample's columns in the
-    permuted order as its batch is filled (`data.permuted_inputs`), so no
-    permuted field is built.
+    Both models read one batch per run: its columns are permuted in place
+    before the permuted model's turn (`in_turn`), so no permuted field or
+    second batch is built.
     """
     source = sample_source(cfg)
     permutation = data.column_permutation(source.shape[1], cfg.permute_seed)
     model = reservoir.init_reservoir(cfg.esn_config(source.shape[0]))
-    encoders = [Encoder(model), Encoder(model, data.permuted_inputs(permutation))]
+    encoders = [Encoder(model), Encoder(model, permutation)]
     (base_report, perm_report), (base_mean, perm_mean) = study(cfg, encoders, source)
     restored = data.inverse_permute(perm_mean, permutation)
 
@@ -663,7 +668,10 @@ def run(cfg: ExperimentConfig) -> None:
     while they are empty; an existing --out, and the files written before a failure, stay."""
     out = Path(cfg.out)
     made = [path for path in (out, *out.parents) if not path.exists()]  # innermost first
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out, or a directory above it, names a file
+        raise ConfigError(f"--out {out} cannot be made a directory: {exc}") from exc
     try:
         COMMANDS[cfg.command][0](cfg, out)
     except BaseException:

@@ -437,16 +437,6 @@ def column_permutation(n_cols: int, seed: int) -> np.ndarray:
     return _locked(np.random.default_rng(np.random.SeedSequence(seed)).permutation(n_cols))
 
 
-def permuted_inputs(permutation: np.ndarray) -> np.ndarray:
-    """The columns of `preprocess_field(field)`, in the order that gives `preprocess_field(field[:, permutation])`.
-
-    The ones column stays first and every other column is preprocessed on
-    its own, so the two agree bit for bit: a command can permute each
-    preprocessed sample as it is drawn instead of building permuted fields.
-    """
-    return _locked(np.concatenate([[0], 1 + np.asarray(permutation)]))
-
-
 def inverse_permute(arr: np.ndarray, permutation: np.ndarray) -> np.ndarray:
     """Restore the original column order of a 2-D field or map whose columns were permuted by `permutation`."""
     inverse = np.argsort(permutation)

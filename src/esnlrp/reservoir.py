@@ -62,6 +62,11 @@ class EsnConfig:
         if not 0.0 < self.spectral_radius < np.inf:
             raise ConfigError(f"spectral_radius must be positive and finite, got {self.spectral_radius}")
 
+    @property
+    def recurrent_weight_count(self) -> int:
+        """The number of nonzero recurrent weights `init_reservoir` draws: round(sparsity * n_res**2)."""
+        return int(round(self.sparsity * self.n_res * self.n_res))
+
 
 @dataclass(frozen=True)
 class EsnModel:
@@ -163,8 +168,8 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
     """Draw the fixed random weights of a reservoir.
 
     w_in, b_in and b_res are dense uniform in [-WEIGHT_RANGE, +WEIGHT_RANGE].
-    w_res gets exactly round(sparsity * n_res**2) nonzero entries at uniformly
-    chosen positions, values from the same interval, then rescaled to the
+    w_res gets exactly `config.recurrent_weight_count` nonzero entries at
+    uniformly chosen positions, values from the same interval, then rescaled to the
     configured spectral radius. Five independent substreams (one per weight
     block) are split off the seed. The draws are the same on any platform,
     but the eigenvalue solve threads its reductions, so the model is
@@ -176,7 +181,7 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
 
     w_in = rng_w_in.uniform(-w, w, size=(n, d))
     b_in = rng_b_in.uniform(-w, w, size=n)
-    n_nonzero = int(round(config.sparsity * n * n))
+    n_nonzero = config.recurrent_weight_count
     w_res = np.zeros((n, n))
     if n_nonzero > 0:
         positions = rng_pos.choice(n * n, size=n_nonzero, replace=False)

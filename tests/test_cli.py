@@ -679,6 +679,27 @@ def test_a_failed_command_leaves_no_out_it_created(tmp_path, argv, code):
     assert existing.is_dir() and list(existing.iterdir()) == []
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+def test_out_naming_a_file_exits_two(tmp_path, capsys, under):
+    """--out naming a file, or a path under one, is a configuration error, and the file stays."""
+    blocker = tmp_path / "f"
+    blocker.write_text("kept", encoding="ascii")
+    assert run_cli("train", *SMALL, "--out", str(blocker / under)) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text(encoding="ascii") == "kept"
+
+
+@pytest.mark.parametrize("settings", [["--n-res", "1"], ["--n-res", "300", "--sparsity", "1e-6"]], ids=["1-unit", "sparse"])
+def test_a_sparsity_that_leaves_no_recurrent_weight_exits_two_before_any_fit(tmp_path, monkeypatch, capsys, settings):
+    """round(sparsity * n_res**2) = 0 draws no recurrent weight whatever the seed: a configuration
+    error found with the other settings, before the baseline is fitted."""
+    monkeypatch.setattr(baselines, "train_mlp", lambda *args, **kwargs: pytest.fail("the MLP was fitted"))
+    argv = ["train", "--synthetic", "8,12,12", *settings, "--ridge", "1e-3", "--baseline", "mlp"]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert "no recurrent weight" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_leaves_its_config_as_it_was(tmp_path):
     """`synthetic` without --synthetic studies the default task on a copy of the config, not by setting it."""
     cfg = cli.ExperimentConfig(command="synthetic", out=str(tmp_path), n_res=20, ridge=1e-8)
@@ -691,18 +712,22 @@ def test_run_leaves_its_config_as_it_was(tmp_path):
 def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
     """`forward_pass` and `maps_for` over several encoders give, bit for bit, what each gives alone.
 
-    Three models read the same draw: two leak rates as preprocessed, and
-    one with its columns permuted. The small budget splits the 20 samples
-    into several batches in both passes.
+    Three models read the same draw: two leak rates as drawn, and one with
+    its columns permuted, taking its turn last, first (so the batch goes
+    back to the drawn order) and in the middle. The small budget splits the
+    20 samples into several batches in both passes.
     """
     monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 2080)
     cfg = cli.ExperimentConfig(command="leak-sweep", n_res=20)
     base, fast = (reservoir.init_reservoir(cfg.esn_config(8, alpha)) for alpha in (0.01, 0.4))
-    permuted = data.permuted_inputs(data.column_permutation(12, seed=3))
-    encoders = [cli.Encoder(base), cli.Encoder(fast), cli.Encoder(base, permuted)]
-
+    encoders = {
+        "base": cli.Encoder(base),
+        "fast": cli.Encoder(fast),
+        "permuted": cli.Encoder(base, data.column_permutation(12, seed=3)),
+    }
     source = data.synthetic_source(20, 8, 12, seed=2)
-    keys = source.keys
+    keys = list(source.keys.samples)
+    everything = range(20)
 
     def samples(drawn):
         """A fresh draw of every sample, noting each one's key as it is drawn."""
@@ -710,27 +735,52 @@ def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
             drawn.append(data.SampleKey(sample.index, sample.month_id))
             yield sample
 
-    together_keys = []
-    states, _ = cli.forward_pass(encoders, samples(together_keys), source.shape)
-    assert together_keys == list(keys.samples)
-    fitted = []
-    for encoder, together in zip(encoders, states):
-        alone_keys = []
-        [alone], _ = cli.forward_pass([encoder], samples(alone_keys), source.shape)
-        assert alone_keys == together_keys and together.tobytes() == alone.tobytes()
-        fitted.append(replace(encoder, model=encoder.model.with_readout(np.ones((1, 20)), np.zeros(1))))
+    alone = {}
+    for name, encoder in encoders.items():
+        drawn = []
+        [states], _ = cli.forward_pass([encoder], samples(drawn), source.shape)
+        assert drawn == keys
+        fitted = replace(encoder, model=encoder.model.with_readout(np.ones((1, 20)), np.zeros(1)))
+        alone[name] = states, fitted, [(key, rmap) for _, key, rmap in cli.maps_for([fitted], source, everything)]
 
-    maps = [[] for _ in fitted]
-    everything = range(20)
-    for i, key, rmap in cli.maps_for(fitted, source, everything):
-        maps[i].append((key, rmap))
-    for encoder, together in zip(fitted, maps):
-        alone = [(key, rmap) for _, key, rmap in cli.maps_for([encoder], source, everything)]
-        assert [key for key, _ in together] == [key for key, _ in alone] == list(keys.samples)
-        for (_, a), (_, b) in zip(together, alone):
-            assert a.scores.tobytes() == b.scores.tobytes()
-            assert a.dummy_scores.tobytes() == b.dummy_scores.tobytes()
-            assert (a.absorbed, a.total) == (b.absorbed, b.total)
+    for order in (["base", "fast", "permuted"], ["permuted", "base", "fast"], ["base", "permuted", "fast"]):
+        drawn = []
+        states, _ = cli.forward_pass([encoders[name] for name in order], samples(drawn), source.shape)
+        assert drawn == keys
+        for name, together in zip(order, states):
+            assert together.tobytes() == alone[name][0].tobytes(), (order, name)
+
+        maps = [[] for _ in order]
+        for i, key, rmap in cli.maps_for([alone[name][1] for name in order], source, everything):
+            maps[i].append((key, rmap))
+        for name, together in zip(order, maps):
+            assert [key for key, _ in together] == [key for key, _ in alone[name][2]] == keys
+            for (_, a), (_, b) in zip(together, alone[name][2]):
+                assert a.scores.tobytes() == b.scores.tobytes(), (order, name)
+                assert a.dummy_scores.tobytes() == b.dummy_scores.tobytes()
+                assert (a.absorbed, a.total) == (b.absorbed, b.total)
+
+
+@pytest.mark.parametrize("command", ["permutation", "leak-sweep"])
+def test_every_model_of_a_pass_reads_the_same_batch(tmp_path, monkeypatch, command):
+    """Each run of a pass is one buffer, which every model's reservoir reads in turn, in the
+    encoding pass and in the map pass: no model reads a batch of its own."""
+    addresses = []
+    for name in ("final_states", "run_reservoir"):
+
+        def recorded(model, batch, run=getattr(reservoir, name)):
+            addresses.append(batch.__array_interface__["data"][0])
+            return run(model, batch)
+
+        monkeypatch.setattr(reservoir, name, recorded)
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 2080)
+    argv = [command, "--synthetic", "8,12,20", "--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
+    assert run_cli(*argv) == 0
+    n_models = 2 if command == "permutation" else len(cli.SWEEP_ALPHAS)
+    # 20 samples encoded in runs of 7, 7 and 6, then 16 train samples mapped in runs of 3, 3, 3, 3, 3 and 1
+    assert len(addresses) == 9 * n_models
+    runs = [addresses[i : i + n_models] for i in range(0, len(addresses), n_models)]
+    assert all(len(set(run)) == 1 for run in runs), runs
 
 
 @pytest.mark.parametrize("baseline", cli.BASELINES)

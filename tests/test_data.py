@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esnlrp import data
+from esnlrp import cli, data, reservoir
 from esnlrp.errors import ConfigError, DataError
 from esnlrp.readout import ClassLabel
 from helpers import enso_sample_set, preprocess_for_baseline, write_enso_container
@@ -330,8 +330,9 @@ def test_baseline_rows_are_preprocess_for_baseline_bit_for_bit(masked):
 def test_permute_columns_round_trip_and_errors():
     """A seeded column permutation is reproducible, and `inverse_permute` undoes it on every field.
 
-    The preprocessed permuted field is the preprocessed field read in the
-    order of `permuted_inputs`, bit for bit, NaN cells included.
+    The batch that `cli.in_turn` hands a column-permuted encoder is the
+    stacked preprocessed permuted fields, bit for bit, NaN cells included;
+    the encoder before it reads the fields as drawn.
     """
     sample_set = data.synthesize_task(6, 8, 10, seed=0)
     permutation = data.column_permutation(10, seed=42)
@@ -339,14 +340,19 @@ def test_permute_columns_round_trip_and_errors():
     np.testing.assert_array_equal(np.sort(permutation), np.arange(10))
     assert not permutation.flags.writeable
 
-    inputs = data.permuted_inputs(permutation)
+    fields = []
     for sample in sample_set.samples:
         field = sample.field.copy()
         field[2, 3] = np.nan
-        shuffled = field[:, permutation]
-        np.testing.assert_array_equal(data.inverse_permute(shuffled, permutation), field)
-        preprocessed = data.preprocess_field(shuffled)
-        assert preprocessed.tobytes() == data.preprocess_field(field)[:, inputs].tobytes()
+        np.testing.assert_array_equal(data.inverse_permute(field[:, permutation], permutation), field)
+        fields.append(field)
+    batch = np.stack([data.preprocess_field(field) for field in fields])
+    drawn = batch.copy()
+    model = reservoir.init_reservoir(reservoir.EsnConfig(n_in=8, n_res=4))
+    encoders = [cli.Encoder(model), cli.Encoder(model, permutation)]
+    turns = [inputs.copy() for _, inputs in cli.in_turn(encoders, batch)]
+    assert turns[0].tobytes() == drawn.tobytes()
+    assert turns[1].tobytes() == np.stack([data.preprocess_field(field[:, permutation]) for field in fields]).tobytes()
     with pytest.raises(DataError):
         data.inverse_permute(sample_set.samples[0].field, permutation[:-1])
 
