@@ -16,17 +16,18 @@ Every command first takes its samples' source (`sample_source`), which
 knows every sample's key (index and month id) and the fields' shape before
 any field is built: on --synthetic from the amplitudes alone, on --data
 from the container's Nino-3.4 index. The checks that read them (the field
-height, a class with no train sample) therefore run before anything is
-written, and a pass draws the fields of only the samples it keeps.
+height; a --class with no train sample, in `relevance`, `leak-sweep` and
+`permutation`) therefore run before any field is drawn or anything written,
+and a pass draws the fields of only the samples it keeps.
 
 Every encoding goes through one `forward_pass` over the samples in order,
-which feeds each batch to every reservoir of the command (the four leak
-rates of `leak-sweep`, the base and the column-permuted model of
-`permutation`, the one model of the others) and, in `train`, scores them
-with the --baseline model in the same pass. A sample is let go once all
-the models are done with it. The studies then map the train samples of
---class in one more draw, each batch under every model in turn
-(`maps_for`), building no field of the other class. All the models of a
+which feeds each batch to every reservoir of the command (one reservoir at
+the four leak rates of `leak-sweep`, the base and the column-permuted model
+of `permutation`, the one model of the others). In `train`, the --baseline
+model scores the stream of samples that the pass reads (`Baseline.scored`).
+A sample is let go once all the models are done with it. The studies then
+map the train samples of --class in one more draw, each batch under every
+model in turn (`maps_for`), building no field of the other class. All the models of a
 pass read one batch, reordered in place for each (`in_turn`). Every pass
 draws the samples afresh as it asks for them, from the generator on
 --synthetic and from the container, a month at a time, on --data, so no
@@ -103,11 +104,11 @@ class ExperimentConfig:
             raise ConfigError(f"sparsity {self.sparsity} at n_res {self.n_res} leaves no recurrent weight")
         readout.check_ridge(self.ridge)
 
-    def esn_config(self, n_in: int, alpha: Optional[float] = None) -> reservoir.EsnConfig:
+    def esn_config(self, n_in: int) -> reservoir.EsnConfig:
         return reservoir.EsnConfig(
             n_in=n_in,
             n_res=self.n_res,
-            leak_rate=self.alpha if alpha is None else alpha,
+            leak_rate=self.alpha,
             sparsity=self.sparsity,
             spectral_radius=self.spectral_radius,
             seed=self.seed,
@@ -249,6 +250,14 @@ def class_positions(keys: data.SampleSet, class_filter: str) -> List[int]:
     return [i for i, key in enumerate(keys.train_samples) if class_filter in ("both", key.label.value)]
 
 
+def mapped_positions(keys: data.SampleSet, class_filter: str) -> List[int]:
+    """`class_positions`, read from the keys before any field is drawn; none is a DataError."""
+    positions = class_positions(keys, class_filter)
+    if not positions:
+        raise DataError(f"no training samples left after --class {class_filter}")
+    return positions
+
+
 @dataclass(frozen=True)
 class Encoder:
     """A reservoir and the order it reads each field's columns in: as drawn for `columns`
@@ -316,43 +325,36 @@ class Baseline:
             return baselines.mlp_predict(self.model, rows)
         return baselines.linreg_predict(self.model, rows.read(range(len(rows)), np.empty((len(rows), rows.width))))
 
+    def scored(self, samples: Iterable[data.LabeledSample], into: List[np.ndarray]) -> Iterator[data.LabeledSample]:
+        """The samples, passed on unchanged, and scored `baselines.BATCH_ROWS` at a time, the chunks
+        `baselines.mlp_predict` reads a whole set in: each chunk's scores are appended to `into`
+        once it has been passed on, and the chunk is let go before the next is drawn."""
+        samples = iter(samples)
+        while chunk := list(itertools.islice(samples, baselines.BATCH_ROWS)):
+            yield from chunk
+            into.append(self.score(chunk))
+            del chunk  # before the next chunk is drawn
+
 
 def forward_pass(
-    encoders: Sequence[Encoder],
-    samples: Iterable[data.LabeledSample],
-    shape: Tuple[int, int],
-    baseline: Optional[Baseline] = None,
-) -> Tuple[List[np.ndarray], Optional[np.ndarray]]:
+    encoders: Sequence[Encoder], samples: Iterable[data.LabeledSample], shape: Tuple[int, int]
+) -> List[np.ndarray]:
     """One pass over the samples, whose fields have `shape`, in order: under each encoder,
-    their final reservoir states, one row per sample; and their scores under `baseline` (None
-    without one).
+    their final reservoir states, one row per sample.
 
     Each run of `batches` goes through every encoder's reservoir in turn,
     in that encoder's column order (`in_turn`), and no trajectory is
     recorded, so a run costs only its stacked inputs. The encoders' reservoirs all read the
-    same number of inputs. The baseline scores the samples
-    `baselines.BATCH_ROWS` at a time, the chunks `baselines.mlp_predict`
-    reads a whole set in. A sample is let go once all the models are done
-    with it: a stream's samples are held no longer than one run, or one
-    baseline chunk.
+    same number of inputs. A sample is let go once all the models are done
+    with it: a stream's samples are held no longer than one run.
     """
-    baseline_scores: List[np.ndarray] = []
-
-    def scored(samples: Iterable[data.LabeledSample]) -> Iterator[data.LabeledSample]:
-        samples = iter(samples)
-        while chunk := list(itertools.islice(samples, baselines.BATCH_ROWS)):
-            yield from chunk
-            baseline_scores.append(baseline.score(chunk))
-            del chunk  # before the next chunk is drawn
-
     # a first empty block each, so that no sample gives (0, n_res)
     states = [[np.empty((0, encoder.model.config.n_res))] for encoder in encoders]
     n_in = encoders[0].model.config.n_in
-    for batch in batches(samples if baseline is None else scored(samples), shape, n_in * 8):
+    for batch in batches(samples, shape, n_in * 8):
         for (encoder, inputs), encoded in zip(in_turn(encoders, batch), states):
             encoded.append(reservoir.final_states(encoder.model, inputs))
-    scores = None if baseline is None else np.concatenate(baseline_scores)
-    return [np.concatenate(encoded) for encoded in states], scores
+    return [np.concatenate(encoded) for encoded in states]
 
 
 def fit_esn(
@@ -360,16 +362,14 @@ def fit_esn(
     encoders: Sequence[Encoder],
     source: data.SampleSource,
     samples: Iterable[data.LabeledSample],
-    baseline: Optional[Baseline] = None,
-) -> Tuple[List[Encoder], List[np.ndarray], Optional[np.ndarray]]:
+) -> Tuple[List[Encoder], List[np.ndarray]]:
     """Run `samples`, every sample of `source` in order, through every encoder's reservoir in
     one `forward_pass`, fit each readout on the train split and score every sample.
 
-    Returns the encoders with their trained models, each model's ESN scores
-    and the `baseline` scores (None without one), all in sample order, so
-    the train rows come first (see `split_rows`).
+    Returns the encoders with their trained models and each model's ESN
+    scores in sample order, so the train rows come first (see `split_rows`).
     """
-    states, baseline_scores = forward_pass(encoders, samples, source.shape, baseline)
+    states = forward_pass(encoders, samples, source.shape)
     train = source.keys.train_samples
     targets = np.array([k.index for k in train])
     fitted, scores = [], []
@@ -378,7 +378,7 @@ def fit_esn(
         model = encoder.model.with_readout(solution.w_out, solution.b_out)
         fitted.append(replace(encoder, model=model))
         scores.append(reservoir.model_output(model, encoded))
-    return fitted, scores, baseline_scores
+    return fitted, scores
 
 
 def maps_for(
@@ -403,7 +403,7 @@ def maps_for(
 
 
 def mean_maps(encoders: Sequence[Encoder], source: data.SampleSource, positions: Sequence[int]) -> List[np.ndarray]:
-    """Each encoder's mean map over the samples at `positions` (see `lrp.mean_relevance`), from one draw of them."""
+    """Each encoder's mean map over the samples at `positions` (see `lrp.RunningMean`), from one draw of them."""
     means = [lrp.RunningMean() for _ in encoders]
     for i, _, rmap in maps_for(encoders, source, positions):
         means[i].add(rmap)
@@ -467,27 +467,27 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     """Fit the --baseline on the train split, then the ESN and both models' scores in one pass.
 
     The train samples are drawn first and held while the baseline is fit on
-    them, before any validation sample is drawn. One `forward_pass` over
-    every sample in order then encodes them for the ESN and scores them
-    with the baseline, letting each go once both are done with it. Without
-    a baseline nothing is held ahead of the pass.
+    them, before any validation sample is drawn. The baseline then scores
+    the stream of every sample in order (`Baseline.scored`) that one
+    `forward_pass` encodes for the ESN, so each sample is let go once both
+    are done with it. Without a baseline nothing is held ahead of the pass.
     """
     source = sample_source(cfg)
     samples = source.draw()
-    baseline = None
+    baseline, baseline_scores = None, []
     if cfg.baseline != "none":
         train = list(itertools.islice(samples, source.keys.n_train))
         baseline = fit_baseline(cfg, train, source.valid_mask)
         train.reverse()  # popped from the end, each train sample is let go as the pass draws it
-        samples = itertools.chain((train.pop() for _ in range(len(train))), samples)
+        samples = baseline.scored(itertools.chain((train.pop() for _ in range(len(train))), samples), baseline_scores)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(source.shape[0])))
-    [encoder], [scores], baseline_scores = fit_esn(cfg, [encoder], source, samples, baseline)
+    [encoder], [scores] = fit_esn(cfg, [encoder], source, samples)
     persistence.save_model(out / MODEL_FILE, encoder.model)
     data.write_sample_index_csv(out / "samples.csv", source.keys)
     rows = split_rows("esn", source.keys, scores)
     if baseline is not None:
         persistence.save_model(out / f"baseline_{baseline.name}.json", baseline.model)
-        rows += split_rows(baseline.name, source.keys, baseline_scores) + [baseline.fit_row]
+        rows += split_rows(baseline.name, source.keys, np.concatenate(baseline_scores)) + [baseline.fit_row]
     write_report(out / "train_report.csv", rows)
 
 
@@ -512,7 +512,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     model = load_trained_model(out)
     source = sample_source(cfg)
     check_field_height(model, source.shape[0], out)
-    [states], _ = forward_pass([Encoder(model)], source.draw(), source.shape)
+    [states] = forward_pass([Encoder(model)], source.draw(), source.shape)
     write_report(out / "eval_report.csv", split_rows("esn", source.keys, reservoir.model_output(model, states)))
 
 
@@ -529,9 +529,7 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     """
     model = load_trained_model(out)
     source = sample_source(cfg)
-    positions = class_positions(source.keys, cfg.class_filter)
-    if not positions:
-        raise DataError(f"no training samples left after --class {cfg.class_filter}")
+    positions = mapped_positions(source.keys, cfg.class_filter)
     check_field_height(model, source.shape[0], out)
 
     rel_dir = out / "relevance"
@@ -539,19 +537,16 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     for stale in rel_dir.glob("sample_*.csv"):
         stale.unlink()
     audit = ["sample,month_id,label,output,scores_sum,dummy_sum,absorbed,conservation_error,within_tolerance"]
-
-    def exported() -> Iterator[lrp.RelevanceMap]:
-        """Write each map's CSV and audit row as it streams past."""
-        for i, (_, key, rmap) in enumerate(maps_for([Encoder(model)], source, positions)):
-            lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
-            audit.append(
-                f"{i},{key.month_id},{key.label.value},{rmap.total:.9g},"
-                f"{rmap.scores.sum():.9g},{rmap.dummy_scores.sum():.9g},{rmap.absorbed:.9g},"
-                f"{rmap.conservation_error():.9g},{int(rmap.conserved())}"
-            )
-            yield rmap
-
-    mean = lrp.mean_relevance(exported())
+    running = lrp.RunningMean()
+    for i, (_, key, rmap) in enumerate(maps_for([Encoder(model)], source, positions)):
+        lrp.write_matrix_csv(rel_dir / f"sample_{i:04d}.csv", rmap.scores)
+        audit.append(
+            f"{i},{key.month_id},{key.label.value},{rmap.total:.9g},"
+            f"{rmap.scores.sum():.9g},{rmap.dummy_scores.sum():.9g},{rmap.absorbed:.9g},"
+            f"{rmap.conservation_error():.9g},{int(rmap.conserved())}"
+        )
+        running.add(rmap)
+    mean = running.normalized()
     (out / "relevance_audit.csv").write_text("\n".join(audit) + "\n", encoding="ascii")
     lrp.write_matrix_csv(out / "mean_map.csv", mean)
     lrp.write_heatmap_pgm(out / "mean_map.pgm", mean)
@@ -561,16 +556,20 @@ def study(
     cfg: ExperimentConfig, encoders: Sequence[Encoder], source: data.SampleSource
 ) -> Tuple[List[readout.AccuracyReport], List[np.ndarray]]:
     """Each model's val accuracy and mean map: the encoders' fresh reservoirs are fitted on one
-    draw of every sample, and the --class train samples mapped under them in one more."""
-    fitted, scores, _ = fit_esn(cfg, encoders, source, source.draw())
-    means = mean_maps(fitted, source, class_positions(source.keys, cfg.class_filter))
+    draw of every sample, and the --class train samples mapped under them in one more. A --class
+    with no train sample is a DataError before any field is drawn."""
+    positions = mapped_positions(source.keys, cfg.class_filter)
+    fitted, scores = fit_esn(cfg, encoders, source, source.draw())
+    means = mean_maps(fitted, source, positions)
     return [val_accuracy(source.keys, s) for s in scores], means
 
 
 def cmd_leak_sweep(cfg: ExperimentConfig, out: Path) -> None:
-    """A fresh reservoir at each leak rate of SWEEP_ALPHAS, all four fitted and mapped in one `study`."""
+    """One reservoir, drawn once, at each leak rate of SWEEP_ALPHAS (a parameter of the state
+    update, not of the weights), all four models fitted and mapped in one `study`."""
     source = sample_source(cfg)
-    encoders = [Encoder(reservoir.init_reservoir(cfg.esn_config(source.shape[0], alpha))) for alpha in SWEEP_ALPHAS]
+    model = reservoir.init_reservoir(cfg.esn_config(source.shape[0]))
+    encoders = [Encoder(replace(model, config=replace(model.config, leak_rate=alpha))) for alpha in SWEEP_ALPHAS]
     reports, means = study(cfg, encoders, source)
     rows = ["alpha,tag,accuracy_overall,accuracy_elnino,accuracy_lanina,mean_map_center_of_gravity"]
     for alpha, tag, report, mean in zip(SWEEP_ALPHAS, SWEEP_TAGS, reports, means):
@@ -636,7 +635,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     d, t, _ = cfg.synthetic
     source = sample_source(cfg)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(d)))
-    [encoder], [scores], _ = fit_esn(cfg, [encoder], source, source.draw())
+    [encoder], [scores] = fit_esn(cfg, [encoder], source, source.draw())
     persistence.save_model(out / MODEL_FILE, encoder.model)
     rows = split_rows("esn", source.keys, scores)
     box = data.synthetic_blob_box(d, t)

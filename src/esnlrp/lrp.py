@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -202,7 +202,7 @@ def relevance_map(
 
 
 class RunningMean:
-    """The running sum of map scores behind `mean_relevance`, fed the maps as they come.
+    """The elementwise mean of map scores, normalized to [-1, 1] by its peak, fed the maps as they come.
 
     A command that maps each batch under several models keeps one per
     model, so no map outlives its batch.
@@ -213,6 +213,7 @@ class RunningMean:
         self.count = 0
 
     def add(self, rmap: RelevanceMap) -> None:
+        """Add a map's scores to the sum; a map whose shape differs from the first's is a ConfigError."""
         if self.total is None:
             self.total = np.zeros_like(rmap.scores, dtype=float)
         elif rmap.scores.shape != self.total.shape:
@@ -221,28 +222,16 @@ class RunningMean:
         self.count += 1
 
     def normalized(self) -> np.ndarray:
-        """The mean of the maps added so far, normalized to [-1, 1] by its peak (see `mean_relevance`)."""
+        """The mean of the maps added so far, divided by its peak |value|. When the mean cancels to
+        (numerically) nothing, normalization is skipped and zeros are returned; a mean of no map
+        is a ConfigError."""
         if self.total is None:
-            raise ConfigError("mean_relevance needs at least one map")
+            raise ConfigError("a mean map needs at least one map")
         mean = self.total / self.count
         peak = float(np.max(np.abs(mean))) if mean.size else 0.0
         if peak < 1e-15:
             return np.zeros_like(mean)
         return mean / peak
-
-
-def mean_relevance(maps: Iterable[RelevanceMap]) -> np.ndarray:
-    """Elementwise mean of map scores, normalized to [-1, 1] by its peak.
-
-    `maps` may be any iterable, a generator included: it is consumed once
-    into a running sum (`RunningMean`), so no map need outlive its turn.
-    When the mean cancels to (numerically) nothing, normalization is
-    skipped and zeros are returned.
-    """
-    running = RunningMean()
-    for rmap in maps:
-        running.add(rmap)
-    return running.normalized()
 
 
 def column_center_of_gravity(scores: np.ndarray) -> float:

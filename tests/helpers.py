@@ -48,22 +48,24 @@ def random_sample(rng, d, t):
     return sample
 
 
-def write_enso_container(path, n_years=32):
+def write_enso_container(path, n_years=32, offsets=None):
     """A full 89x180 container: n_years (at least 32) from 1980 with land and an ENSO box.
 
     Every cell carries a fixed seasonal cycle plus white noise of sigma 0.3.
     Rows 0-19, and rows 60-69 by columns 100-149, are land (NaN in every
-    month). The Nino-3.4 box is offset by +2 in even and -2 in odd years,
-    except by 0.2 in 2010 (neutral) and by +4 in 2011 (warm). The first 32
-    years do not depend on n_years. Returns the box as inclusive (row_lo,
-    row_hi, col_lo, col_hi) bounds.
+    month). The Nino-3.4 box is offset by `offsets`, one value per year;
+    by default by +2 in even and -2 in odd years, except by 0.2 in 2010
+    (neutral) and by +4 in 2011 (warm). The first 32 years do not depend
+    on n_years. Returns the box as inclusive (row_lo, row_hi, col_lo,
+    col_hi) bounds.
     """
     months = np.arange(12 * n_years)
     rng = np.random.default_rng(0)
     fields = rng.normal(0.0, 0.3, size=(months.size, data.GRID_N_LAT, data.GRID_N_LON))
     fields += 26.0 + 2.0 * np.sin(2.0 * np.pi * months / 12.0)[:, None, None]
-    offsets = [2.0 if year % 2 == 0 else -2.0 for year in range(n_years)]
-    offsets[30:32] = [0.2, 4.0]
+    if offsets is None:
+        offsets = [2.0 if year % 2 == 0 else -2.0 for year in range(n_years)]
+        offsets[30:32] = [0.2, 4.0]
     rows, cols = data.nino34_region()
     fields[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] += np.repeat(offsets, 12)[:, None, None]
     fields[:, :20] = np.nan

@@ -16,7 +16,7 @@ import pytest
 from esnlrp import data
 from esnlrp.baselines import init_mlp, linreg_predict, mlp_gradients, mlp_predict, train_mlp
 from esnlrp.baselines import MlpModel
-from esnlrp.lrp import column_center_of_gravity, mean_relevance, relevance_map
+from esnlrp.lrp import RunningMean, column_center_of_gravity, relevance_map
 from esnlrp.readout import ClassLabel, accuracy, fit_readout
 from esnlrp.reservoir import (
     EsnConfig,
@@ -67,12 +67,11 @@ def esn_accuracy(model, samples):
 
 
 def class_mean_map(model, samples, label):
-    chosen = [s for s in samples if s.label is label]
-    maps = [
-        relevance_map(model, run_reservoir(model, data.preprocess_field(s.field)[None]))[0]
-        for s in chosen
-    ]
-    return mean_relevance(maps)
+    mean = RunningMean()
+    for s in samples:
+        if s.label is label:
+            mean.add(relevance_map(model, run_reservoir(model, data.preprocess_field(s.field)[None]))[0])
+    return mean.normalized()
 
 
 def test_criterion_1_conservation_property():

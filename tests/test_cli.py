@@ -700,6 +700,33 @@ def test_a_sparsity_that_leaves_no_recurrent_weight_exits_two_before_any_fit(tmp
     assert list(tmp_path.iterdir()) == []
 
 
+TRAIN_MM = ["train", "--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8", "--out", "mm"]
+
+
+@pytest.mark.parametrize(
+    "setup, argv, code, absent",
+    [
+        (None, ["train", "--synthetic", "5,12,12", "--out", "bad"], 2, "bad"),
+        (None, ["evaluate", "--synthetic", "16,96,300", "--n-res", "100", "--ridge", "1e-8", "--out", "empty"], 3, "empty"),
+        (TRAIN_MM, ["relevance", "--synthetic", "10,12,12", "--out", "mm"], 3, "mm/relevance"),
+        (TRAIN_MM, [*TRAIN_MM[:-1], "mm/esn_model.json"], 2, None),
+        (None, ["train", "--synthetic", "8,12,12", "--n-res", "1", "--out", "one"], 2, "one"),
+    ],
+    ids=["bad-shape", "no-model", "field-height", "out-is-a-file", "one-unit"],
+)
+def test_the_installed_entry_point_exits_with_the_documented_codes(tmp_path, setup, argv, code, absent):
+    """The `esnlrp` console script that installing the package makes gives each error its exit
+    code and leaves no --out it made. Skipped where the script is not installed."""
+    script = shutil.which("esnlrp")
+    if script is None:
+        pytest.skip("no esnlrp console script on PATH; install the package to run this test")
+    env = subprocess_env()
+    if setup is not None:
+        subprocess.run([script, *setup], cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120)
+    assert subprocess.run([script, *argv], cwd=tmp_path, env=env, capture_output=True, timeout=120).returncode == code
+    assert absent is None or not (tmp_path / absent).exists()
+
+
 def test_run_leaves_its_config_as_it_was(tmp_path):
     """`synthetic` without --synthetic studies the default task on a copy of the config, not by setting it."""
     cfg = cli.ExperimentConfig(command="synthetic", out=str(tmp_path), n_res=20, ridge=1e-8)
@@ -719,7 +746,7 @@ def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
     """
     monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 2080)
     cfg = cli.ExperimentConfig(command="leak-sweep", n_res=20)
-    base, fast = (reservoir.init_reservoir(cfg.esn_config(8, alpha)) for alpha in (0.01, 0.4))
+    base, fast = (reservoir.init_reservoir(replace(cfg.esn_config(8), leak_rate=alpha)) for alpha in (0.01, 0.4))
     encoders = {
         "base": cli.Encoder(base),
         "fast": cli.Encoder(fast),
@@ -738,15 +765,16 @@ def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
     alone = {}
     for name, encoder in encoders.items():
         drawn = []
-        [states], _ = cli.forward_pass([encoder], samples(drawn), source.shape)
+        [states] = cli.forward_pass([encoder], samples(drawn), source.shape)
         assert drawn == keys
         fitted = replace(encoder, model=encoder.model.with_readout(np.ones((1, 20)), np.zeros(1)))
         alone[name] = states, fitted, [(key, rmap) for _, key, rmap in cli.maps_for([fitted], source, everything)]
 
     for order in (["base", "fast", "permuted"], ["permuted", "base", "fast"], ["base", "permuted", "fast"]):
         drawn = []
-        states, _ = cli.forward_pass([encoders[name] for name in order], samples(drawn), source.shape)
+        states = cli.forward_pass([encoders[name] for name in order], samples(drawn), source.shape)
         assert drawn == keys
+        assert isinstance(states, list) and len(states) == len(order)  # the states alone
         for name, together in zip(order, states):
             assert together.tobytes() == alone[name][0].tobytes(), (order, name)
 
@@ -759,6 +787,52 @@ def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
                 assert a.scores.tobytes() == b.scores.tobytes(), (order, name)
                 assert a.dummy_scores.tobytes() == b.dummy_scores.tobytes()
                 assert (a.absorbed, a.total) == (b.absorbed, b.total)
+
+
+def test_leak_sweep_draws_one_reservoir_for_its_four_leak_rates(tmp_path, monkeypatch):
+    """`leak-sweep` draws and scales its reservoir once: its four models, in both passes, differ
+    only in the leak rate and share one `w_res` array (and every other weight)."""
+    drawn, models = [], []
+    init = reservoir.init_reservoir
+    monkeypatch.setattr(reservoir, "init_reservoir", lambda config: drawn.append(init(config)) or drawn[-1])
+    for name in ("final_states", "run_reservoir"):
+
+        def recorded(model, batch, run=getattr(reservoir, name)):
+            models.append(model)
+            return run(model, batch)
+
+        monkeypatch.setattr(reservoir, name, recorded)
+    assert run_cli("leak-sweep", *SMALL, "--out", str(tmp_path)) == 0
+    [model] = drawn
+    assert {m.config.leak_rate for m in models} == set(cli.SWEEP_ALPHAS)
+    for m in models:
+        assert all(getattr(m, block) is getattr(model, block) for block in ("w_in", "b_in", "w_res", "b_res"))
+        assert replace(m.config, leak_rate=model.config.leak_rate) == model.config
+
+
+@pytest.mark.parametrize("command", ["leak-sweep", "permutation"])
+def test_a_study_of_a_class_with_no_train_sample_exits_three_before_drawing_a_field(
+    tmp_path, monkeypatch, capsys, command
+):
+    """On a container whose 124 train months are all El Nino, `--class lanina` leaves nothing
+    to map: the study exits 3, as `relevance` does, before any field is drawn or any model fit."""
+    container = tmp_path / "warm.sstg"
+    offsets = [0.0] * 40
+    for year in (3, 13, 23, *range(30, 38)):
+        offsets[year] = 4.0
+    offsets[38:40] = [-4.0, -4.0]
+    write_enso_container(container, n_years=40, offsets=offsets)
+    keys = data.enso_source(container).keys
+    assert (len(keys.samples), keys.n_train) == (156, 124)
+    assert {key.label for key in keys.train_samples} == {readout.ClassLabel.EL_NINO}
+
+    refs = track_generated_samples(monkeypatch, "enso_samples")
+    out = tmp_path / "out"
+    argv = [command, "--data", str(container), "--n-res", "20", "--ridge", "1e-8", "--out", str(out)]
+    assert run_cli(*argv, "--class", "lanina") == 3
+    assert "no training samples left after --class lanina" in capsys.readouterr().err
+    assert refs == [] and not out.exists()
+    assert run_cli(*argv, "--class", "elnino") == 0
 
 
 @pytest.mark.parametrize("command", ["permutation", "leak-sweep"])

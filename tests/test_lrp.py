@@ -12,8 +12,8 @@ from esnlrp.errors import ConfigError
 from esnlrp.lrp import (
     LrpConfig,
     RelevanceMap,
+    RunningMean,
     column_center_of_gravity,
-    mean_relevance,
     relevance_first_column,
     relevance_map,
     relevance_output_layer,
@@ -414,10 +414,18 @@ def test_map_full_leak_no_recurrence_all_on_final_column():
     )
 
 
+def mean_of(maps):
+    """The normalized `RunningMean` of `maps`, added in order."""
+    running = RunningMean()
+    for rmap in maps:
+        running.add(rmap)
+    return running.normalized()
+
+
 def test_mean_relevance_single_map_normalizes_to_unit_peak():
     scores = np.array([[2.0, -4.0], [1.0, 0.0]])
     rmap = RelevanceMap(scores=scores, dummy_scores=np.zeros(2), absorbed=0.0, total=1.0)
-    mean = mean_relevance([rmap])
+    mean = mean_of([rmap])
     np.testing.assert_allclose(mean, scores / 4.0, rtol=1e-15)
     assert np.max(np.abs(mean)) == 1.0
 
@@ -428,7 +436,7 @@ def test_mean_relevance_cancellation_yields_zeros():
         RelevanceMap(scores=scores, dummy_scores=np.zeros(1), absorbed=0.0, total=1.0),
         RelevanceMap(scores=-scores, dummy_scores=np.zeros(1), absorbed=0.0, total=-1.0),
     ]
-    np.testing.assert_array_equal(mean_relevance(maps), np.zeros((1, 2)))
+    np.testing.assert_array_equal(mean_of(maps), np.zeros((1, 2)))
 
 
 def test_mean_relevance_rejects_empty_and_mixed_shapes():
@@ -436,9 +444,9 @@ def test_mean_relevance_rejects_empty_and_mixed_shapes():
     b = RelevanceMap(scores=np.zeros((2, 3)), dummy_scores=np.zeros(2), absorbed=0.0, total=0.0)
     for wrap in (list, iter):
         with pytest.raises(ConfigError, match="at least one map"):
-            mean_relevance(wrap([]))
+            mean_of(wrap([]))
         with pytest.raises(ConfigError, match="mixed shapes"):
-            mean_relevance(wrap([a, b]))
+            mean_of(wrap([a, b]))
 
 
 def test_mean_relevance_streams_from_a_generator():
@@ -447,8 +455,8 @@ def test_mean_relevance_streams_from_a_generator():
         RelevanceMap(scores=rng.normal(size=(3, 5)), dummy_scores=np.zeros(3), absorbed=0.0, total=1.0)
         for _ in range(7)
     ]
-    streamed = mean_relevance(m for m in maps)
-    np.testing.assert_array_equal(streamed, mean_relevance(maps))
+    streamed = mean_of(m for m in maps)
+    np.testing.assert_array_equal(streamed, mean_of(maps))
     # the running sum adds in stack order, as the mean over stacked maps does
     stacked = np.mean([m.scores for m in maps], axis=0)
     np.testing.assert_array_equal(streamed, stacked / np.max(np.abs(stacked)))
