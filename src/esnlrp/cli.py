@@ -62,8 +62,9 @@ BASELINES = ("linreg", "mlp", "none")
 MODEL_FILE = "esn_model.json"
 
 # Bytes that one batch of samples may cost its caller: encoding holds the stacked
-# inputs (n_in floats per step), mapping the states (n_res floats per step).
-# Samples are fed forward, and mapped, in the largest runs that fit.
+# inputs (n_in floats per step), mapping the inputs and the states (n_res floats
+# per step), and neither of them may outgrow the budget. Samples are fed
+# forward, and mapped, in the largest runs that fit.
 TRAJECTORY_BUDGET_BYTES = 12 * 2**20
 
 
@@ -393,8 +394,8 @@ def maps_for(
     built, and its maps as soon as they are drawn.
     """
     keys = iter([source.keys.samples[p] for p in positions])
-    n_res = encoders[0].model.config.n_res  # a trajectory holds the states, one float per unit and step
-    for batch in batches(source.draw(positions), source.shape, n_res * 8):
+    config = encoders[0].model.config  # a batch holds n_in inputs and its trajectory n_res states per step
+    for batch in batches(source.draw(positions), source.shape, max(config.n_in, config.n_res) * 8):
         run = list(itertools.islice(keys, len(batch)))
         for i, (encoder, inputs) in enumerate(in_turn(encoders, batch)):
             maps = lrp.relevance_map(encoder.model, reservoir.run_reservoir(encoder.model, inputs))

@@ -17,10 +17,10 @@ column permutation, and a synthetic stand-in task with a known ground-truth
 signal box.
 
 A container is checked once from its header and length, then read a month
-at a time: one pass over the reference years gives the climatology, one
-over every month the validity mask and the index, which give every
-sample's key (`enso_source`), and each draw of the samples reads the
-labelled months it keeps again, so no array of all the months is built.
+at a time: one pass over every month (`scan`) gives the climatology, the
+validity mask and the Nino-3.4 box means, whose index gives every sample's
+key (`enso_source`), and each draw of the samples reads the months its keys
+name again, so no array of all the months is built.
 
 Each fact is stored once and the rest derived from it: a month's id follows
 from the container's start year, a sample's class from its index, and a
@@ -35,7 +35,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -279,24 +279,39 @@ def _reference_slice(container: SstContainer) -> slice:
     return slice(lo, hi)
 
 
-def reference_climatology(container: SstContainer) -> np.ndarray:
-    """Each calendar month's per-cell mean over the REFERENCE_PERIOD years, shape (12, n_lat, n_lon).
+def scan(container: SstContainer) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over every month, in order: the climatology, the valid cells and the Nino-3.4 box means.
 
-    Cells with no finite reference value get NaN. One pass reads the
-    reference years a calendar month at a time into one (years, n_lat,
-    n_lon) float64 slab.
+    The climatology is each calendar month's per-cell mean over the
+    REFERENCE_PERIOD years, shape (12, n_lat, n_lon), NaN where a cell has
+    no finite reference value; its sums add a year at a time, as `np.sum`
+    over the years does. The valid cells are those finite in every month
+    (such a cell has a finite climatology, so they are the valid cells of
+    the anomalies too). The box means are each month's mean anomaly over
+    the valid cells of the Nino-3.4 box, taken from its 130 raw cells
+    minus their climatology once every month is read.
     """
     ref = _reference_slice(container)
-    slab = np.empty(((ref.stop - ref.start) // 12, GRID_N_LAT, GRID_N_LON))
-    climatology = np.empty((12, GRID_N_LAT, GRID_N_LON))
-    for month in range(12):
-        for year, grid in zip(slab, container.read(range(ref.start + month, ref.stop, 12))):
-            year[...] = grid
-        finite = np.isfinite(slab)
-        counts = finite.sum(axis=0)
-        sums = np.where(finite, slab, 0.0).sum(axis=0)
-        climatology[month] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return _locked(climatology)
+    rows, cols = nino34_region()
+    valid = np.ones((GRID_N_LAT, GRID_N_LON), dtype=bool)
+    box = np.empty((container.n_months, rows.size * cols.size))  # float64, as the anomalies are
+    sums = np.zeros((12, GRID_N_LAT, GRID_N_LON))
+    counts = np.zeros((12, GRID_N_LAT, GRID_N_LON), dtype=int)
+    for month, grid in enumerate(container.read(range(container.n_months))):
+        finite = np.isfinite(grid)
+        valid &= finite
+        box[month] = grid[rows[:, None], cols].reshape(-1)
+        if ref.start <= month < ref.stop:
+            sums[month % 12] += np.where(finite, grid, 0.0)
+            counts[month % 12] += finite
+    climatology = _locked(np.where(counts > 0, sums / np.maximum(counts, 1), np.nan))
+    box -= climatology[:, rows[:, None], cols].reshape(12, -1)[np.arange(container.n_months) % 12]
+    finite = np.isfinite(box)
+    counts = finite.sum(axis=1)
+    if np.any(counts == 0):
+        bad = int(np.argmin(counts))
+        raise DataError(f"Nino-3.4 box has no valid cells in month index {bad}")
+    return climatology, _locked(valid), np.where(finite, box, 0.0).sum(axis=1) / counts
 
 
 def anomalies(container: SstContainer, climatology: np.ndarray, months: Sequence[int]) -> Iterator[np.ndarray]:
@@ -317,29 +332,12 @@ def nino34_region() -> Tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def nino34_scan(container: SstContainer, climatology: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One pass over every month's anomalies: the cells finite in every month, and the normalized
-    Nino-3.4 series (box mean over valid cells, unit reference std).
-
-    A cell finite in every month has a finite climatology, so the valid
-    cells of the anomalies are those of the raw fields.
-    """
-    rows, cols = nino34_region()
-    valid = np.ones((GRID_N_LAT, GRID_N_LON), dtype=bool)
-    box = np.empty((container.n_months, rows.size * cols.size))
-    for month, field in enumerate(anomalies(container, climatology, range(container.n_months))):
-        valid &= np.isfinite(field)
-        box[month] = field[rows][:, cols].reshape(-1)
-    finite = np.isfinite(box)
-    counts = finite.sum(axis=1)
-    if np.any(counts == 0):
-        bad = int(np.argmin(counts))
-        raise DataError(f"Nino-3.4 box has no valid cells in month index {bad}")
-    regional = np.where(finite, box, 0.0).sum(axis=1) / counts
-    scale = float(regional[_reference_slice(container)].std())
+def nino34_index(container: SstContainer, box_means: np.ndarray) -> np.ndarray:
+    """The normalized Nino-3.4 series: the box means of `scan` over their reference-period std."""
+    scale = float(box_means[_reference_slice(container)].std())
     if not scale > 0.0:
         raise DataError(f"Nino-3.4 reference standard deviation is degenerate ({scale})")
-    return _locked(valid), regional / scale
+    return box_means / scale
 
 
 def label_for_index(index: float) -> ClassLabel:
@@ -352,43 +350,39 @@ def label_for_index(index: float) -> ClassLabel:
     return ClassLabel.NEUTRAL
 
 
-def _labelled(index: np.ndarray) -> List[int]:
-    return [month for month, value in enumerate(index) if label_for_index(value) is not ClassLabel.NEUTRAL]
-
-
 def enso_samples(
-    container: SstContainer, climatology: np.ndarray, index: np.ndarray, positions: Optional[Sequence[int]] = None
+    container: SstContainer, climatology: np.ndarray, keys: SampleSet, positions: Optional[Sequence[int]] = None
 ) -> Iterator[LabeledSample]:
-    """The non-neutral months of a container in time order, each read and clipped to +-CLIP_LIMIT as it is drawn.
+    """The samples of `keys`, in order, each its month read and clipped to +-CLIP_LIMIT as it is drawn.
 
-    `positions` picks some of them, by their place among the non-neutral
-    months; no other month is read. The generator keeps none it has
-    yielded, like `synthetic_samples`.
+    `positions` picks some of them, by their place among the keys; no other
+    month is read. The generator keeps none it has yielded, like
+    `synthetic_samples`.
     """
-    months = _labelled(index)
-    if positions is not None:
-        months = [months[p] for p in positions]
+    chosen = keys.samples if positions is None else [keys.samples[p] for p in positions]
     first_id = (container.start_year - EPOCH_YEAR) * 12
-    for month, field in zip(months, anomalies(container, climatology, months)):
+    months = [key.month_id - first_id for key in chosen]
+    for key, field in zip(chosen, anomalies(container, climatology, months)):
         np.clip(field, -CLIP_LIMIT, CLIP_LIMIT, out=field)
-        yield LabeledSample(field=_locked(field), index=float(index[month]), month_id=first_id + month)
+        yield LabeledSample(field=_locked(field), index=key.index, month_id=key.month_id)
 
 
 def enso_source(path: Union[str, Path]) -> SampleSource:
-    """A container's samples (`enso_samples`), their keys read off the Nino-3.4 index.
+    """A container's samples (`enso_samples`): its non-neutral months, keyed by the Nino-3.4 index.
 
-    The container is checked, and its climatology and index computed,
-    before this returns, so every data error it holds is raised here; a
-    draw then re-reads the container a month at a time.
+    The container is checked and scanned once before this returns, so
+    every data error it holds is raised here; a draw then reads the months
+    it keeps again.
     """
     container = open_sst(path)
-    climatology = reference_climatology(container)
-    valid_mask, index = nino34_scan(container, climatology)
+    climatology, valid_mask, box_means = scan(container)
+    index = nino34_index(container, box_means)
     first_id = (container.start_year - EPOCH_YEAR) * 12
-    keys = SampleSet(tuple(SampleKey(float(index[m]), first_id + m) for m in _labelled(index)))
+    labelled = [m for m, v in enumerate(index) if label_for_index(v) is not ClassLabel.NEUTRAL]
+    keys = SampleSet(tuple(SampleKey(float(index[m]), first_id + m) for m in labelled))
     if len(keys.samples) < 2:
         raise DataError(f"only {len(keys.samples)} labeled samples; cannot split")
-    draw = functools.partial(enso_samples, container, climatology, index)
+    draw = functools.partial(enso_samples, container, climatology, keys)
     return SampleSource(keys, (GRID_N_LAT, GRID_N_LON), valid_mask, draw)
 
 

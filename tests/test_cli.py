@@ -432,8 +432,8 @@ def test_relevance_of_one_class_builds_no_field_of_the_other(tmp_path, monkeypat
 
     On --synthetic the generator builds one field per El Nino train sample,
     8 of the 16 train samples. On the 384-month container the generator
-    does the same, and once the climatology and index scans are done the
-    container is read at those months only.
+    does the same, and once the container's one scan is done it is read
+    at those months only.
     """
     path = tmp_path / "sst.sstg"
     if source == "synthetic":
@@ -449,7 +449,7 @@ def test_relevance_of_one_class_builds_no_field_of_the_other(tmp_path, monkeypat
 
     refs = track_generated_samples(monkeypatch, generator)
     reads = []
-    read, scan = data.SstContainer.read, data.nino34_scan
+    read, scan = data.SstContainer.read, data.scan
 
     def recorded(self, months):
         months = list(months)
@@ -458,12 +458,12 @@ def test_relevance_of_one_class_builds_no_field_of_the_other(tmp_path, monkeypat
             yield grid
 
     def scanned(*args):
-        index = scan(*args)
-        reads.clear()  # what the scans read
-        return index
+        result = scan(*args)
+        reads.clear()  # what the scan read
+        return result
 
     monkeypatch.setattr(data.SstContainer, "read", recorded)
-    monkeypatch.setattr(data, "nino34_scan", scanned)
+    monkeypatch.setattr(data, "scan", scanned)
     assert run_cli("relevance", "--class", "elnino", *common) == 0
     audit = (tmp_path / "out" / "relevance_audit.csv").read_text(encoding="ascii").splitlines()[1:]
     assert [int(line.split(",")[1]) for line in audit] == elnino
@@ -546,6 +546,26 @@ def test_train_fits_the_baseline_before_the_validation_split_is_drawn(tmp_path, 
     assert len(refs) == 20
     assert drawn_at_baseline_fit == ([] if baseline == "none" else [data.train_count(20)])
     assert alive_at_readout_fit[-1] == [False] * 20
+
+
+def test_a_map_batch_of_fewer_units_than_inputs_fits_the_budget_with_its_inputs(tmp_path, monkeypatch):
+    """At `--n-res 20` on 89-row fields a map batch's stacked inputs, 89 floats per step,
+    outweigh its trajectory of 20: no batch holds more samples than the inputs fit the budget."""
+    model = ["--synthetic", "89,12,40", "--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
+    assert run_cli("train", *model) == 0
+    budget = 4 * 13 * 89 * 8  # four samples of 13 steps of 89 inputs
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", budget)
+    sizes = []
+    run_reservoir = reservoir.run_reservoir
+
+    def recorded(model, inputs):
+        sizes.append(len(inputs))
+        return run_reservoir(model, inputs)
+
+    monkeypatch.setattr(reservoir, "run_reservoir", recorded)
+    assert run_cli("relevance", "--class", "both", *model) == 0
+    assert sum(sizes) == data.train_count(40)
+    assert max(sizes) == budget // (13 * 89 * 8)
 
 
 # Encoding a 16x96 sample costs 97 steps of 16 inputs, 12,416 bytes.
@@ -1096,7 +1116,7 @@ def test_data_memory_does_not_grow_with_the_month_count(tmp_path, monkeypatch, c
     would take 49 MB as one float64 cube. What grows is each sample's key,
     final state of 20 units and score, one index value and 130 Nino-3.4
     box values a month, and the audit rows of `relevance`. The batches, 16
-    samples to encode and 71 to map, are full on both containers.
+    samples to encode and 16 to map, are full on both containers.
     """
     monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 16 * ENCODE_BYTES_89X180)
     model = ["--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]

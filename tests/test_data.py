@@ -108,13 +108,13 @@ def container_of(path, fields, start_year=1980):
 
 
 def climatology_and_anomalies(container, months):
-    climatology = data.reference_climatology(container)
+    climatology = data.scan(container)[0]
     return climatology, list(data.anomalies(container, climatology, months))
 
 
 def test_anomalies_of_pure_seasonal_cycle_are_zero(tmp_path):
     container = container_of(tmp_path / "x.sstg", seasonal_fields(31))
-    climatology = data.reference_climatology(container)
+    climatology = data.scan(container)[0]
     for field in data.anomalies(container, climatology, range(container.n_months)):
         np.testing.assert_allclose(field, np.zeros((89, 180)), atol=1e-12)
 
@@ -150,15 +150,52 @@ def test_anomalies_preserve_invalid_cells(tmp_path):
     climatology, months = climatology_and_anomalies(container, range(30 * 12))
     assert np.all(np.isnan(climatology[:, 7, 9]))
     assert all(np.isnan(field[7, 9]) and np.all(np.isfinite(field[0, :])) for field in months)
-    valid_mask, _ = data.nino34_scan(container, climatology)
+    valid_mask = data.scan(container)[1]
     np.testing.assert_array_equal(valid_mask, np.isfinite(fields).all(axis=0))
     assert valid_mask.sum() == data.GRID_N_LAT * data.GRID_N_LON - 2
+
+
+def test_scan_climatology_matches_the_whole_slab_bit_for_bit(tmp_path):
+    """The running per-calendar-month sums of `scan` give bit for bit the climatology of one
+    float64 slab of the reference years summed over its first axis, NaN cells included."""
+    rng = np.random.default_rng(8)
+    fields = rng.normal(26.0, 3.0, size=(31 * 12, data.GRID_N_LAT, data.GRID_N_LON))
+    fields[rng.random(fields.shape) < 0.05] = np.nan
+    fields[:, 7, 9] = np.nan  # no finite reference value
+    container = container_of(tmp_path / "x.sstg", fields)
+    raw = np.stack(list(container.read(range(30 * 12)))).astype(float)
+    expected = np.empty((12, data.GRID_N_LAT, data.GRID_N_LON))
+    for month in range(12):
+        slab = raw[month::12]
+        finite = np.isfinite(slab)
+        counts = finite.sum(axis=0)
+        sums = np.where(finite, slab, 0.0).sum(axis=0)
+        expected[month] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    climatology = data.scan(container)[0]
+    assert np.isnan(climatology[:, 7, 9]).all()
+    assert np.array_equal(climatology, expected, equal_nan=True)
+
+
+def test_enso_source_reads_each_month_once_in_one_call(tmp_path, monkeypatch):
+    """Checking a container and keying its samples reads every month once, in month order."""
+    path = tmp_path / "sst.sstg"
+    write_enso_container(path)
+    calls = []
+    read = data.SstContainer.read
+
+    def recorded(self, months):
+        calls.append(list(months))
+        return read(self, calls[-1])
+
+    monkeypatch.setattr(data.SstContainer, "read", recorded)
+    data.enso_source(path)
+    assert calls == [list(range(32 * 12))]
 
 
 def test_reference_period_outside_span_is_an_error(tmp_path):
     container = container_of(tmp_path / "x.sstg", seasonal_fields(10), start_year=1990)
     with pytest.raises(DataError, match="reference period"):
-        data.reference_climatology(container)
+        data.scan(container)
 
 
 def test_nino34_region_bounds():
@@ -170,7 +207,7 @@ def test_nino34_region_bounds():
 
 
 def scanned_index(container):
-    return data.nino34_scan(container, data.reference_climatology(container))[1]
+    return data.nino34_index(container, data.scan(container)[2])
 
 
 def test_nino34_index_unit_reference_std_and_scale_invariance(tmp_path):
@@ -207,15 +244,17 @@ def test_label_thresholds():
         data.label_for_index(float("inf"))
 
 
-def test_build_sample_set_drops_neutral_and_splits_in_order(tmp_path):
-    """`enso_samples` yields the non-neutral months in order, each its anomaly clipped to +-5."""
+def test_build_sample_set_drops_neutral_and_splits_in_order(tmp_path, monkeypatch):
+    """`enso_source` keys the non-neutral months in order, and its draw yields each one's
+    anomaly clipped to +-5."""
     rng = np.random.default_rng(3)
     signal = rng.normal(size=31 * 12)
     container = container_of(tmp_path / "x.sstg", seasonal_fields(31, signal=signal))
-    climatology, anomalies = climatology_and_anomalies(container, range(10))
+    _, anomalies = climatology_and_anomalies(container, range(10))
     index = np.zeros(31 * 12)
     index[:10] = [1.0, -1.0, 0.0, 0.6, -0.7, 0.2, 0.5, -0.5, 0.49, 3.0]
-    sample_set = data.SampleSet(tuple(data.enso_samples(container, climatology, index)))
+    monkeypatch.setattr(data, "nino34_index", lambda *args: index)
+    sample_set = data.SampleSet(tuple(data.enso_source(container.path).draw()))
     labels = [s.label for s in sample_set.samples]
     assert labels[:7] == [
         ClassLabel.EL_NINO, ClassLabel.LA_NINA, ClassLabel.EL_NINO, ClassLabel.LA_NINA,
@@ -549,7 +588,8 @@ def test_full_pipeline_on_constructed_container(tmp_path):
     path = tmp_path / "mini.sstg"
     data.write_sst(path, fields, start_year=1980)
     container = data.open_sst(path)
-    valid_mask, index = data.nino34_scan(container, data.reference_climatology(container))
+    _, valid_mask, box_means = data.scan(container)
+    index = data.nino34_index(container, box_means)
     np.testing.assert_allclose(index, expected_index, atol=1e-5)
     sample_set, source_mask = enso_sample_set(path)
 

@@ -321,8 +321,9 @@ def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, s
     assert cli.main(["train", *common]) == 0
 
     refs = track_generated_samples(monkeypatch, generator)
-    # a trajectory of 20 units costs 160 bytes per step, one step per column and one for the ones column
-    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * 160 * (shape[1] + 1))
+    # a map batch costs the larger of its inputs and its trajectory of 20 units, 8 bytes a float,
+    # per step: one step per column and one for the ones column
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * max(shape[0], 20) * 8 * (shape[1] + 1))
     seen = []
 
     def first_map_checked(model, trajectory):
