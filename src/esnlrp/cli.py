@@ -17,7 +17,8 @@ knows every sample's key (index and month id) and the fields' shape before
 any field is built: on --synthetic from the amplitudes alone, on --data
 from the container's Nino-3.4 index. The checks that read them (the field
 height; a --class with no train sample, in `relevance`, `leak-sweep` and
-`permutation`) therefore run before any field is drawn or anything written,
+`permutation`; a train split of fewer than two samples, in the commands
+that fit) therefore run before any field is drawn or anything written,
 and a pass draws the fields of only the samples it keeps.
 
 Every encoding goes through one `forward_pass` over the samples in order,
@@ -75,11 +76,11 @@ class ExperimentConfig:
     command: str
     data: Optional[str] = None
     out: str = "out"
-    seed: int = 0
-    alpha: float = 0.01
-    n_res: int = 300
-    sparsity: float = 0.3
-    spectral_radius: float = 0.8
+    seed: int = reservoir.EsnConfig.seed
+    alpha: float = reservoir.EsnConfig.leak_rate
+    n_res: int = reservoir.EsnConfig.n_res
+    sparsity: float = reservoir.EsnConfig.sparsity
+    spectral_radius: float = reservoir.EsnConfig.spectral_radius
     ridge: float = 0.0
     class_filter: str = "both"
     baseline: str = "none"
@@ -119,6 +120,17 @@ class ExperimentConfig:
 # Field types, resolved from the annotations, that config-file values must have.
 CONFIG_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
+# Each numeric flag sets the ExperimentConfig field of its name, of that field's type and default.
+NUMERIC_FLAGS = (
+    ("--seed", "master seed"),
+    ("--alpha", "leak rate"),
+    ("--n-res", "reservoir units"),
+    ("--sparsity", "fraction of nonzero recurrent weights"),
+    ("--spectral-radius", "target spectral radius of the recurrent matrix"),
+    ("--ridge", "readout ridge penalty"),
+    ("--permute-seed", "seed of the column permutation"),
+)
+
 
 def parse_synthetic(text: str) -> Tuple[int, int, int]:
     parts = text.split(",")
@@ -141,25 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, help="JSON file of settings; flags override it")
         sp.add_argument("--data", default=None, help="dataset container path")
-        sp.add_argument("--out", default=None, help="output directory (default: out)")
-        sp.add_argument("--seed", type=int, default=None, help="master seed (default: 0)")
-        sp.add_argument("--alpha", type=float, default=None, help="leak rate (default: 0.01)")
-        sp.add_argument("--n-res", dest="n_res", type=int, default=None, help="reservoir units (default: 300)")
-        sp.add_argument("--sparsity", type=float, default=None, help="fraction of nonzero recurrent weights")
-        sp.add_argument(
-            "--spectral-radius", dest="spectral_radius", type=float, default=None,
-            help="target spectral radius of the recurrent matrix (default: 0.8)",
-        )
-        sp.add_argument("--ridge", type=float, default=None, help="readout ridge penalty (default: 0)")
+        sp.add_argument("--out", default=None, help=f"output directory (default: {ExperimentConfig.out})")
+        for flag, text in NUMERIC_FLAGS:
+            name = flag[2:].replace("-", "_")
+            text = f"{text} (default: {getattr(ExperimentConfig, name)})"
+            sp.add_argument(flag, dest=name, type=CONFIG_FIELD_TYPES[name], default=None, help=text)
         sp.add_argument(
             "--class", dest="class_filter", choices=CLASS_FILTERS, default=None,
             help="restrict relevance maps to one class",
         )
         sp.add_argument("--baseline", choices=BASELINES, default=None, help="also train a baseline")
-        sp.add_argument(
-            "--permute-seed", dest="permute_seed", type=int, default=None,
-            help="seed of the column permutation (default: 1)",
-        )
         sp.add_argument(
             "--synthetic", type=parse_synthetic, default=None, metavar="D,T,N",
             help="generate D-row, T-column fields, N samples, instead of loading data",
@@ -249,6 +252,12 @@ def sample_source(cfg: ExperimentConfig) -> data.SampleSource:
 def class_positions(keys: data.SampleSet, class_filter: str) -> List[int]:
     """The positions of the train samples of --class among `keys`, in order (--class names a label's value)."""
     return [i for i, key in enumerate(keys.train_samples) if class_filter in ("both", key.label.value)]
+
+
+def check_train_split(keys: data.SampleSet) -> None:
+    """A readout fit needs at least two train samples; fewer, read from the keys, is a DataError."""
+    if keys.n_train < 2:
+        raise DataError(f"need at least two train samples to fit the readout, the split has {keys.n_train}")
 
 
 def mapped_positions(keys: data.SampleSet, class_filter: str) -> List[int]:
@@ -389,16 +398,17 @@ def maps_for(
     from one draw of them: batch by batch, each encoder's index with each sample's key and map.
 
     Each batch is mapped under each model in turn, in its encoder's
-    column order (`in_turn`), at the default `lrp.LrpConfig` (ε is not a
-    command-line setting). A batch's trajectory is dropped as soon as its maps are
-    built, and its maps as soon as they are drawn.
+    column order (`in_turn`), by one `lrp.relevance_map` call, which runs
+    that model's forward pass on the batch itself, at `lrp.EPSILON` (ε is
+    not a command-line setting). A batch's trajectory lives only inside
+    that call, and its maps are dropped as soon as they are drawn.
     """
     keys = iter([source.keys.samples[p] for p in positions])
     config = encoders[0].model.config  # a batch holds n_in inputs and its trajectory n_res states per step
     for batch in batches(source.draw(positions), source.shape, max(config.n_in, config.n_res) * 8):
         run = list(itertools.islice(keys, len(batch)))
         for i, (encoder, inputs) in enumerate(in_turn(encoders, batch)):
-            maps = lrp.relevance_map(encoder.model, reservoir.run_reservoir(encoder.model, inputs))
+            maps = lrp.relevance_map(encoder.model, inputs)
             yield from zip(itertools.repeat(i), run, maps)
             del maps  # before the next model maps the batch
 
@@ -474,6 +484,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     are done with it. Without a baseline nothing is held ahead of the pass.
     """
     source = sample_source(cfg)
+    check_train_split(source.keys)
     samples = source.draw()
     baseline, baseline_scores = None, []
     if cfg.baseline != "none":
@@ -558,7 +569,8 @@ def study(
 ) -> Tuple[List[readout.AccuracyReport], List[np.ndarray]]:
     """Each model's val accuracy and mean map: the encoders' fresh reservoirs are fitted on one
     draw of every sample, and the --class train samples mapped under them in one more. A --class
-    with no train sample is a DataError before any field is drawn."""
+    with no train sample, or a train split too small to fit, is a DataError before any field is drawn."""
+    check_train_split(source.keys)
     positions = mapped_positions(source.keys, cfg.class_filter)
     fitted, scores = fit_esn(cfg, encoders, source, source.draw())
     means = mean_maps(fitted, source, positions)
@@ -635,6 +647,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
         cfg = replace(cfg, synthetic=DEFAULT_SYNTHETIC)
     d, t, _ = cfg.synthetic
     source = sample_source(cfg)
+    check_train_split(source.keys)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(d)))
     [encoder], [scores] = fit_esn(cfg, [encoder], source, source.draw())
     persistence.save_model(out / MODEL_FILE, encoder.model)
@@ -657,7 +670,7 @@ COMMANDS: Dict[str, Tuple[Callable[[ExperimentConfig, Path], None], str]] = {
     "train": (cmd_train, "train a reservoir (and optional baselines), write model and accuracy report"),
     "evaluate": (cmd_evaluate, "re-evaluate a previously trained model on a dataset"),
     "relevance": (cmd_relevance, "per-sample relevance maps, conservation audit, and the mean map"),
-    "leak-sweep": (cmd_leak_sweep, "train at leak rates 0.01/0.05/0.2/0.4 and compare maps"),
+    "leak-sweep": (cmd_leak_sweep, f"train at leak rates {'/'.join(map(str, SWEEP_ALPHAS))} and compare maps"),
     "permutation": (cmd_permutation, "train on column-permuted data and restore the mean map"),
     "synthetic": (cmd_synthetic, "full study on the generated task with known signal location"),
 }

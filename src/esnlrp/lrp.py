@@ -1,9 +1,11 @@
 """Relevance decomposition of a trained ESN output through the unfolded recurrence.
 
-The scalar model output is taken as the total relevance and traced backwards
-through time. Every layer it crosses is one z+ redistribution (`_redistribute`):
-shares in proportion to the positive contributions w[j,k] v[k] only; biases
-receive nothing. The layers are the readout W_out on x(T), the recurrent step
+`relevance_map(model, batch)` is one relevance pass: it runs the forward pass
+of a (B, n_in, T) batch (`reservoir.run_reservoir`), takes each scalar model
+output as the total relevance and traces it backwards through time. Every
+layer it crosses is one z+ redistribution (`_redistribute`): shares in
+proportion to the positive contributions w[j,k] v[k] only; biases receive
+nothing. The layers are the readout W_out on x(T), the recurrent step
 [W_in | W_res] on [u(t) | x(t-1)], and W_in on the first column u(1). The
 contributions are never formed one by one: max(w v, 0) = w+ v+ + w- v- turns
 their sums into two matrix products per layer over a whole batch of samples
@@ -17,10 +19,10 @@ proportion to the positive parts of the transition summands:
   alpha * act(...), which crosses the recurrent step.
 
 Relevance passes through the nonlinearity and the alpha scaling unchanged.
-Every z+ denominator meets the stabilizer epsilon in one place, `_zplus`:
-where it falls below epsilon, the affected relevance is booked to the
-sample's explicit `absorbed` ledger instead of being redistributed, so the
-conservation identity
+Every z+ denominator meets the stabilizer epsilon (`EPSILON` by default) in
+one place, `_zplus`: where it falls below epsilon, the affected relevance is
+booked to the sample's explicit `absorbed` ledger instead of being
+redistributed, so the conservation identity
 
     total = sum(scores) + sum(dummy_scores) + absorbed
 
@@ -37,19 +39,12 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from . import reservoir
 from .errors import ConfigError
 from .reservoir import EsnModel, StateTrajectory, model_output
 
-
-@dataclass(frozen=True)
-class LrpConfig:
-    """Stabilizer of the z+ denominators in the backward pass."""
-
-    epsilon: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < np.inf:
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+# Stabilizer of the z+ denominators in the backward pass.
+EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class RelevanceMap:
 
 
 def relevance_output_layer(
-    model: EsnModel, traj: StateTrajectory, cfg: LrpConfig = LrpConfig()
+    model: EsnModel, traj: StateTrajectory, epsilon: float = EPSILON
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distribute each sample's scalar output onto its final reservoir states.
 
@@ -85,7 +80,7 @@ def relevance_output_layer(
     that were distributed.
     """
     total = model_output(model, traj.final_state)
-    r_state, absorbed = _redistribute(sign_split(model.w_out), traj.final_state, total[:, None], cfg.epsilon)
+    r_state, absorbed = _redistribute(sign_split(model.w_out), traj.final_state, total[:, None], epsilon)
     return r_state, absorbed, total
 
 
@@ -127,8 +122,8 @@ def relevance_step_back(
     traj: StateTrajectory,
     t: int,
     r_state: np.ndarray,
-    cfg: LrpConfig = LrpConfig(),
-    split: Optional[np.ndarray] = None,
+    split: np.ndarray,
+    epsilon: float = EPSILON,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Push the (B, n_res) state relevance at time t (1-based, t >= 2) one step back.
 
@@ -138,31 +133,28 @@ def relevance_step_back(
     the latter is alpha act(t), exactly at alpha = 0 and 1 and within one
     ulp of x(t) otherwise. The activation share then crosses the recurrent
     layer [W_in | W_res] onto v = [u(t) | x(t-1)] by one `_redistribute`.
-    `split` is `sign_split(model.w_in, model.w_res)`, built here when not
-    given.
+    `split` is `sign_split(model.w_in, model.w_res)`, built once per pass.
 
     Returns (input relevance for column t, relevance on x(t-1), absorbed),
     each with one row per sample.
     """
     if not 2 <= t <= traj.n_steps:
         raise ConfigError(f"t must lie in [2, {traj.n_steps}], got {t}")
-    if split is None:
-        split = sign_split(model.w_in, model.w_res)
     n_in = model.config.n_in
     x_prev = traj.states[t - 2]
 
     leak = (1.0 - model.config.leak_rate) * x_prev
     z_leak = np.maximum(leak, 0.0)
     z_act = np.maximum(traj.states[t - 1] - leak, 0.0)
-    weight, absorbed = _zplus(r_state, z_leak + z_act, cfg.epsilon)
+    weight, absorbed = _zplus(r_state, z_leak + z_act, epsilon)
 
     v = np.hstack([traj.inputs[:, :, t - 1], x_prev])
-    r_v, delta = _redistribute(split, v, z_act * weight, cfg.epsilon)
+    r_v, delta = _redistribute(split, v, z_act * weight, epsilon)
     return r_v[:, :n_in], z_leak * weight + r_v[:, n_in:], absorbed + delta
 
 
 def relevance_first_column(
-    model: EsnModel, traj: StateTrajectory, r_state: np.ndarray, cfg: LrpConfig = LrpConfig()
+    model: EsnModel, traj: StateTrajectory, r_state: np.ndarray, epsilon: float = EPSILON
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Assign all residual state relevance at t=1 to the first column's inputs.
 
@@ -171,24 +163,24 @@ def relevance_first_column(
     bias receives nothing. Returns the (B, n_in) first-column relevance and
     the (B,) absorbed part.
     """
-    return _redistribute(sign_split(model.w_in), traj.inputs[:, :, 0], r_state, cfg.epsilon)
+    return _redistribute(sign_split(model.w_in), traj.inputs[:, :, 0], r_state, epsilon)
 
 
-def relevance_map(
-    model: EsnModel, traj: StateTrajectory, cfg: LrpConfig = LrpConfig()
-) -> List[RelevanceMap]:
-    """Full backward pass of a batch: output layer, every time step, first column.
-
-    Returns one map per sample, in batch order; each owns its scores.
-    """
+def relevance_map(model: EsnModel, batch: np.ndarray, epsilon: float = EPSILON) -> List[RelevanceMap]:
+    """One relevance pass over a (B, n_in, T) batch: the forward pass that records its trajectory,
+    then the backward pass (output layer, every time step, first column) at a positive, finite
+    epsilon (else a ConfigError). Returns one map per sample, in batch order; each owns its scores."""
+    if not 0.0 < epsilon < np.inf:
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
+    traj = reservoir.run_reservoir(model, batch)  # looked up at call time, so a wrapper set on it sees the call
     split = sign_split(model.w_in, model.w_res)
     n_samples, n_inputs, n_steps = traj.inputs.shape
-    r_state, absorbed, total = relevance_output_layer(model, traj, cfg)
+    r_state, absorbed, total = relevance_output_layer(model, traj, epsilon)
     scores = np.empty((n_steps - 1, n_samples, n_inputs))
     for t in range(n_steps, 1, -1):
-        scores[t - 2], r_state, delta = relevance_step_back(model, traj, t, r_state, cfg, split)
+        scores[t - 2], r_state, delta = relevance_step_back(model, traj, t, r_state, split, epsilon)
         absorbed += delta
-    dummy_scores, delta = relevance_first_column(model, traj, r_state, cfg)
+    dummy_scores, delta = relevance_first_column(model, traj, r_state, epsilon)
     absorbed += delta
     return [
         RelevanceMap(

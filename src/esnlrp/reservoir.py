@@ -95,13 +95,6 @@ class EsnModel:
     def is_trained(self) -> bool:
         return self.w_out is not None and self.b_out is not None
 
-    @property
-    def trainable_parameter_count(self) -> int:
-        """Readout size: n_res weights plus one bias (0 before training)."""
-        if not self.is_trained:
-            return 0
-        return int(self.w_out.size + self.b_out.size)
-
     def with_readout(self, w_out: np.ndarray, b_out: np.ndarray) -> "EsnModel":
         """A trained copy with one score per sample (see `readout.one_score_readout`)."""
         w_out, b_out = one_score_readout(w_out, b_out, self.config.n_res)

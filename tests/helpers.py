@@ -1,6 +1,6 @@
 """Shared builders for tests: models from explicit arrays, random draws, a generated SST container,
-a row source over an explicit matrix, weak references to the generated samples, and the
-whole-set references that the streamed code is checked against."""
+a signal-and-distractor task, a row source over an explicit matrix, weak references to the
+generated samples, and the whole-set references that the streamed code is checked against."""
 
 import gc
 import weakref
@@ -72,6 +72,37 @@ def write_enso_container(path, n_years=32, offsets=None):
     fields[:, 60:70, 100:150] = np.nan
     data.write_sst(path, fields, 1980)
     return (int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
+
+
+def distractor_task(n_samples, d, t, seed):
+    """A seeded two-blob task on (d, t) fields: a signal and a distractor blob of equal energy.
+
+    Both blobs have the synthetic task's column centre and sigmas
+    (`data.BLOB_*`), one centred a quarter of the rows down and one three
+    quarters. Each sample draws both amplitudes from `data.BLOB_AMPLITUDE_RANGE`
+    with a random sign each, so the two carry the same energy, but only the
+    signal's signed amplitude is the target; white noise of sigma
+    `data.NOISE_SCALE` is added. Returns the fields (n, d, t), the targets
+    (n,), and the signal and distractor boxes as inclusive (row_lo, row_hi,
+    col_lo, col_hi) bounds, `data.BLOB_BOX_HALF_WIDTH_SIGMAS` around each
+    centre.
+    """
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.choice([-1.0, 1.0], size=(2, n_samples)) * rng.uniform(*data.BLOB_AMPLITUDE_RANGE, (2, n_samples))
+    col_centre = data.BLOB_COL_CENTER_FRACTION * (t - 1)
+    sigma_r, sigma_c = data.BLOB_ROW_SIGMA_FRACTION * d, data.BLOB_COL_SIGMA_FRACTION * t
+    rows, cols = np.arange(d)[:, None], np.arange(t)[None, :]
+    fields = rng.normal(0.0, data.NOISE_SCALE, size=(n_samples, d, t))
+    _, _, col_lo, col_hi = data.synthetic_blob_box(d, t)  # the synthetic task's columns
+    half_r = data.BLOB_BOX_HALF_WIDTH_SIGMAS * sigma_r
+    boxes = []
+    for amplitude, row_centre in zip(amplitudes, (d / 4, 3 * d / 4)):
+        blob = np.exp(-0.5 * (((rows - row_centre) / sigma_r) ** 2 + ((cols - col_centre) / sigma_c) ** 2))
+        fields += amplitude[:, None, None] * blob
+        row_lo, row_hi = max(0, int(np.ceil(row_centre - half_r))), min(d - 1, int(np.floor(row_centre + half_r)))
+        boxes.append((row_lo, row_hi, col_lo, col_hi))
+    signal_box, distractor_box = boxes
+    return fields, amplitudes[0], signal_box, distractor_box
 
 
 class MatrixRows:

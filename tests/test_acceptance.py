@@ -70,7 +70,7 @@ def class_mean_map(model, samples, label):
     mean = RunningMean()
     for s in samples:
         if s.label is label:
-            mean.add(relevance_map(model, run_reservoir(model, data.preprocess_field(s.field)[None]))[0])
+            mean.add(relevance_map(model, data.preprocess_field(s.field)[None])[0])
     return mean.normalized()
 
 
@@ -84,7 +84,7 @@ def test_criterion_1_conservation_property():
         d = int(rng.integers(1, 11))
         t = int(rng.integers(2, 21))
         model = random_model(rng, n, d, alphas[i % 4])
-        rmap = relevance_map(model, run_reservoir(model, random_sample(rng, d, t)[None]))[0]
+        rmap = relevance_map(model, random_sample(rng, d, t)[None])[0]
         assert rmap.conserved(1e-6), (
             f"pair {i}: N={n} D={d} T={t} alpha={alphas[i % 4]} "
             f"error {rmap.conservation_error():.3e} exceeds 1e-6*max(1,|y|)"
@@ -111,7 +111,7 @@ def test_criterion_2_oracle_equivalence():
                     alpha = alphas[draws % 4] if draws % 2 == 0 else float(rng.uniform())
                     model = random_model(rng, n, d, alpha)
                     sample = random_sample(rng, d, t)
-                    rmap = relevance_map(model, run_reservoir(model, sample[None]))[0]
+                    rmap = relevance_map(model, sample[None])[0]
                     scores, dummy, absorbed, total = oracle_relevance(
                         model.w_in.tolist(), model.b_in.tolist(), model.w_res.tolist(),
                         model.b_res.tolist(), model.w_out[0].tolist(),
@@ -352,7 +352,7 @@ def test_criterion_8_numerics():
         w_res=np.zeros((6, 6)), b_res=rng.uniform(-1, 1, size=6),
         alpha=1.0, w_out=rng.uniform(0, 1, size=(1, 6)), b_out=[0.0],
     )
-    rmap = relevance_map(memoryless, run_reservoir(memoryless, random_sample(rng, 4, 9)[None]))[0]
+    rmap = relevance_map(memoryless, random_sample(rng, 4, 9)[None])[0]
     assert np.all(rmap.scores[:, :-1] == 0.0)
     assert np.all(rmap.dummy_scores == 0.0)
     assert rmap.conserved(1e-9)

@@ -2,6 +2,7 @@ import base64
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -651,9 +652,9 @@ def test_the_studies_hold_at_most_one_batch_of_samples_at_every_fit_and_map(tmp_
         alive_at_fit.append(sum(alive(refs)))
         return fit(*args, **kwargs)
 
-    def map_checked(model, trajectory):
-        alive_at_map.append((sum(alive(refs)), len(trajectory.inputs)))
-        return relevance(model, trajectory)
+    def map_checked(model, batch):
+        alive_at_map.append((sum(alive(refs)), len(batch)))
+        return relevance(model, batch)
 
     monkeypatch.setattr(readout, "fit_readout", fit_checked)
     monkeypatch.setattr(lrp, "relevance_map", map_checked)
@@ -731,8 +732,9 @@ TRAIN_MM = ["train", "--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8
         (TRAIN_MM, ["relevance", "--synthetic", "10,12,12", "--out", "mm"], 3, "mm/relevance"),
         (TRAIN_MM, [*TRAIN_MM[:-1], "mm/esn_model.json"], 2, None),
         (None, ["train", "--synthetic", "8,12,12", "--n-res", "1", "--out", "one"], 2, "one"),
+        (None, ["train", "--synthetic", "8,12,2", "--out", "one-sample"], 3, "one-sample"),
     ],
-    ids=["bad-shape", "no-model", "field-height", "out-is-a-file", "one-unit"],
+    ids=["bad-shape", "no-model", "field-height", "out-is-a-file", "one-unit", "one-train-sample"],
 )
 def test_the_installed_entry_point_exits_with_the_documented_codes(tmp_path, setup, argv, code, absent):
     """The `esnlrp` console script that installing the package makes gives each error its exit
@@ -853,6 +855,52 @@ def test_a_study_of_a_class_with_no_train_sample_exits_three_before_drawing_a_fi
     assert "no training samples left after --class lanina" in capsys.readouterr().err
     assert refs == [] and not out.exists()
     assert run_cli(*argv, "--class", "elnino") == 0
+
+
+def write_two_month_container(path):
+    """A 1980-2009 container whose Nino-3.4 index labels exactly two months: the box holds +1 in
+    January 1980 and -1 in January 1995, and every other cell and month holds 0."""
+    fields = np.zeros((360, data.GRID_N_LAT, data.GRID_N_LON))
+    rows, cols = data.nino34_region()
+    fields[0, rows[:, None], cols] = 1.0
+    fields[180, rows[:, None], cols] = -1.0
+    data.write_sst(path, fields, 1980)
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [("train", "synthetic"), ("leak-sweep", "synthetic"), ("permutation", "synthetic"), ("synthetic", "synthetic"),
+     ("train", "data")],
+    ids=["train", "leak-sweep", "permutation", "synthetic", "train-data"],
+)
+def test_a_one_sample_train_split_exits_three_before_drawing_a_field(tmp_path, monkeypatch, capsys, command, source):
+    """Two samples leave one to train, too few to fit a readout: each fitting command exits 3,
+    read from the keys before any field is drawn, and leaves no --out behind."""
+    if source == "synthetic":
+        inputs, generator = ["--synthetic", "8,12,2"], "synthetic_samples"
+    else:
+        write_two_month_container(tmp_path / "two.sstg")
+        inputs, generator = ["--data", str(tmp_path / "two.sstg")], "enso_samples"
+        keys = data.enso_source(tmp_path / "two.sstg").keys
+        assert (len(keys.samples), keys.n_train) == (2, 1)
+    refs = track_generated_samples(monkeypatch, generator)
+    out = tmp_path / "out"
+    assert run_cli(command, *inputs, "--n-res", "5", "--ridge", "1e-3", "--out", str(out)) == 3
+    assert "need at least two train samples to fit the readout, the split has 1" in capsys.readouterr().err
+    assert refs == [] and not out.exists()
+
+
+def test_every_numeric_flag_and_out_state_their_fields_default():
+    """Each "(default: ...)" of a help line is the ExperimentConfig field's default, and every
+    numeric flag and --out states one."""
+    [commands] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    for parser in commands.choices.values():
+        flags = [a for a in parser._actions if a.type in (int, float) or a.dest == "out"]
+        assert {a.dest for a in flags} >= {"out", "seed", "alpha", "n_res", "sparsity", "spectral_radius", "ridge"}
+        for action in flags:
+            stated = re.search(r"\(default: ([^)]*)\)$", action.help)
+            assert stated, f"{action.dest} states no default"
+            assert (action.type or str)(stated.group(1)) == getattr(cli.ExperimentConfig, action.dest), action.dest
 
 
 @pytest.mark.parametrize("command", ["permutation", "leak-sweep"])

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from esnlrp import lrp
 from esnlrp.errors import ConfigError
 from esnlrp.lrp import (
-    LrpConfig,
     RelevanceMap,
     RunningMean,
     column_center_of_gravity,
@@ -40,12 +39,12 @@ def final_state_trajectory(x_final, n_inputs=1):
 
 
 def test_lrp_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        LrpConfig(epsilon=0.0)
-    with pytest.raises(ConfigError):
-        LrpConfig(epsilon=-1e-9)
-    with pytest.raises(ConfigError):
-        LrpConfig(epsilon=float("inf"))
+    rng = np.random.default_rng(3)
+    model = random_model(rng, 2, 2, alpha=0.5)
+    batch = random_sample(rng, 2, 3)[None]
+    for epsilon in (0.0, -1e-9, float("inf")):
+        with pytest.raises(ConfigError):
+            relevance_map(model, batch, epsilon)
 
 
 def test_output_layer_equal_positive_contributions():
@@ -103,7 +102,7 @@ def test_step_back_two_stage_hand_example():
         states=np.array([[[0.4]], [[0.6]]]),
         inputs=np.array([[[1.0, 1.0]]]),
     )
-    r_input, r_prev, absorbed = relevance_step_back(model, traj, 2, np.array([[1.0]]))
+    r_input, r_prev, absorbed = relevance_step_back(model, traj, 2, np.array([[1.0]]), lrp.sign_split(model.w_in, model.w_res))
     np.testing.assert_allclose(r_input[0], [0.4 / 0.6], rtol=1e-14)
     np.testing.assert_allclose(r_prev[0], [0.2 / 0.6], rtol=1e-14)
     assert absorbed[0] == 0.0
@@ -117,7 +116,9 @@ def test_step_back_full_leak_skips_leak_path():
         alpha=1.0, w_out=model.w_out, b_out=model.b_out,
     )
     traj = run_reservoir(model, random_sample(rng, 3, 5)[None])
-    r_input, r_prev, absorbed = relevance_step_back(model, traj, 4, np.abs(rng.normal(size=4))[None])
+    r_input, r_prev, absorbed = relevance_step_back(
+        model, traj, 4, np.abs(rng.normal(size=4))[None], lrp.sign_split(model.w_in, model.w_res)
+    )
     np.testing.assert_array_equal(r_prev[0], np.zeros(4))
 
 
@@ -128,7 +129,9 @@ def test_step_back_conserves_exactly():
         traj = run_reservoir(model, random_sample(rng, 3, 6)[None])
         r_state = rng.normal(size=5)
         t = int(rng.integers(2, 7))
-        r_input, r_prev, absorbed = relevance_step_back(model, traj, t, r_state[None])
+        r_input, r_prev, absorbed = relevance_step_back(
+            model, traj, t, r_state[None], lrp.sign_split(model.w_in, model.w_res)
+        )
         together = r_input.sum() + r_prev.sum() + absorbed[0]
         assert abs(together - r_state.sum()) <= 1e-12 * max(1.0, abs(r_state.sum()))
 
@@ -139,7 +142,7 @@ def test_step_back_rejects_out_of_range_t():
     traj = run_reservoir(model, random_sample(rng, 2, 3)[None])
     for t in (0, 1, 4):
         with pytest.raises(ConfigError):
-            relevance_step_back(model, traj, t, np.zeros((1, 2)))
+            relevance_step_back(model, traj, t, np.zeros((1, 2)), lrp.sign_split(model.w_in, model.w_res))
 
 
 def test_first_column_redistributes_or_absorbs():
@@ -173,7 +176,7 @@ def test_map_matches_path_enumeration_oracle():
         alpha = float(rng.choice([0.0, 0.3, 0.5, 1.0, rng.uniform()]))
         model = random_model(rng, n, d, alpha)
         sample = random_sample(rng, d, t)
-        rmap = relevance_map(model, run_reservoir(model, sample[None]))[0]
+        rmap = relevance_map(model, sample[None])[0]
         scores, dummy, absorbed, total = oracle_relevance(
             model.w_in.tolist(), model.b_in.tolist(), model.w_res.tolist(),
             model.b_res.tolist(), model.w_out[0].tolist(), float(model.b_out[0]),
@@ -215,7 +218,7 @@ def test_edge_case_maps_match_the_oracle(n, d, t, batch, alpha, epsilon, zero_sa
     samples = np.stack([random_sample(rng, d, t) for _ in range(batch)])
     if zero_sample is not None:
         samples[zero_sample % batch] = 0.0
-    maps = relevance_map(model, run_reservoir(model, samples), LrpConfig(epsilon))
+    maps = relevance_map(model, samples, epsilon)
     for sample, rmap in zip(samples, maps):
         scores, dummy, absorbed, total = oracle_relevance(
             model.w_in.tolist(), model.b_in.tolist(), model.w_res.tolist(),
@@ -240,7 +243,7 @@ def test_edge_case_maps_match_the_oracle(n, d, t, batch, alpha, epsilon, zero_sa
 def test_map_conserves_total(n, d, t, alpha, seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, n, d, alpha)
-    rmap = relevance_map(model, run_reservoir(model, random_sample(rng, d, t)[None]))[0]
+    rmap = relevance_map(model, random_sample(rng, d, t)[None])[0]
     assert rmap.conserved(1e-6)
 
 
@@ -269,10 +272,10 @@ def test_batched_maps_match_single_sample_maps(n, d, t, batch, alpha, zero_sampl
     samples = np.stack([random_sample(rng, d, t) for _ in range(batch)])
     if zero_sample is not None:
         samples[zero_sample % batch] = 0.0
-    maps = relevance_map(model, run_reservoir(model, samples))
+    maps = relevance_map(model, samples)
     assert len(maps) == batch
     for sample, rmap in zip(samples, maps):
-        single = relevance_map(model, run_reservoir(model, sample[None]))[0]
+        single = relevance_map(model, sample[None])[0]
         tol = 1e-12 * max(1.0, abs(single.total))
         assert rmap.scores.shape == single.scores.shape == (d, t - 1)
         np.testing.assert_allclose(rmap.scores, single.scores, rtol=0.0, atol=tol)
@@ -291,7 +294,7 @@ def test_a_map_keeps_no_other_map_of_its_batch_alive():
     rng = np.random.default_rng(21)
     model = random_model(rng, 4, 3, alpha=0.5)
     samples = np.stack([random_sample(rng, 3, 6) for _ in range(3)])
-    maps = relevance_map(model, run_reservoir(model, samples))
+    maps = relevance_map(model, samples)
     for a in maps:
         owner = a.scores
         while owner.base is not None:
@@ -326,12 +329,12 @@ def test_relevance_keeps_only_the_samples_it_maps_alive(tmp_path, monkeypatch, s
     monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 3 * max(shape[0], 20) * 8 * (shape[1] + 1))
     seen = []
 
-    def first_map_checked(model, trajectory):
+    def first_map_checked(model, batch):
         if not seen:
             tracked = sorted(ref().month_id for ref, live in zip(refs, alive(refs)) if live)
             samples = [o for o in gc.get_objects() if isinstance(o, data.LabeledSample) and o.field.shape == shape]
-            seen.append((tracked, sorted(s.month_id for s in samples), len(trajectory.inputs)))
-        return relevance_map(model, trajectory)
+            seen.append((tracked, sorted(s.month_id for s in samples), len(batch)))
+        return relevance_map(model, batch)
 
     monkeypatch.setattr(lrp, "relevance_map", first_map_checked)
     assert cli.main(["relevance", "--class", "elnino", *common]) == 0
@@ -376,7 +379,7 @@ def test_maps_match_the_reference_at_paper_shape(paper_shape_batch, epsilon):
     reaches the dummy column), so the absorbed ledger carries weight here.
     """
     model, batch = paper_shape_batch
-    maps = relevance_map(model, run_reservoir(model, batch), LrpConfig(epsilon))
+    maps = relevance_map(model, batch, epsilon)
     for sample, rmap in zip(batch, maps):
         scores, dummy, absorbed, total = reference_relevance(model, sample, epsilon)
         tol = 1e-12 * abs(total)
@@ -391,8 +394,7 @@ def test_map_sign_follows_output():
     rng = np.random.default_rng(42)
     for _ in range(10):
         model = random_model(rng, 4, 3, alpha=0.4)
-        traj = run_reservoir(model, random_sample(rng, 3, 5)[None])
-        rmap = relevance_map(model, traj)[0]
+        rmap = relevance_map(model, random_sample(rng, 3, 5)[None])[0]
         if rmap.total == 0.0:
             continue
         sign = np.sign(rmap.total)
@@ -407,7 +409,7 @@ def test_map_full_leak_no_recurrence_all_on_final_column():
         w_res=np.zeros((5, 5)), b_res=rng.uniform(-1, 1, size=5),
         alpha=1.0, w_out=rng.uniform(0, 1, size=(1, 5)), b_out=[0.1],
     )
-    rmap = relevance_map(model, run_reservoir(model, random_sample(rng, 3, 7)[None]))[0]
+    rmap = relevance_map(model, random_sample(rng, 3, 7)[None])[0]
     np.testing.assert_array_equal(rmap.scores[:, :-1], np.zeros((3, 5)))
     np.testing.assert_array_equal(rmap.dummy_scores, np.zeros(3))
     assert abs(rmap.scores[:, -1].sum() + rmap.absorbed - rmap.total) <= 1e-12 * max(

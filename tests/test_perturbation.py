@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from esnlrp import data
-from esnlrp.lrp import relevance_map
+from esnlrp.lrp import RunningMean, relevance_map
 from esnlrp.readout import fit_readout
-from esnlrp.reservoir import EsnConfig, final_states, init_reservoir, model_output, run_reservoir
+from esnlrp.reservoir import EsnConfig, final_states, init_reservoir, model_output
 
-from helpers import write_enso_container
+from helpers import distractor_task, write_enso_container
 
 SEED = 3
 N_TRAIN = 40
@@ -51,7 +51,7 @@ def perturbation_drops(samples, valid_mask, n_res):
 
     output = model_output(model, states)
     sign = np.where(output >= 0.0, 1.0, -1.0)  # the predicted class, as `readout.accuracy` decides it
-    scores = np.stack([m.scores for m in relevance_map(model, run_reservoir(model, batch))])
+    scores = np.stack([m.scores for m in relevance_map(model, batch)])
     assert np.all(scores[:, ~valid_mask] == 0.0)  # invalid (land) cells are zero inputs
     # the dummy column is never a candidate, nor is an invalid cell
     cells = np.flatnonzero(valid_mask)
@@ -88,3 +88,44 @@ def test_zeroing_the_most_relevant_cells_moves_the_output_most(tmp_path, build, 
     print(" ".join(f"k={f:.0%}: top {top:.3f} random {rand:.3f}" for f, top, rand in drops))
     for fraction, top, rand in drops:
         assert top > MARGIN * abs(rand), f"k={fraction:.0%}: top-k drop {top:.4f}, random drop {rand:.4f}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_zeroing_the_distractor_barely_moves_the_output(seed):
+    """Two blobs of equal energy, only one of them labelled (Kindermans et al. 2018, "Learning
+    how to explain neural networks: PatternNet and PatternAttribution"): the trained ESN uses the
+    signal, so zeroing the distractor box moves its output by less than 5% of what zeroing the
+    signal box does. The El Nino mean map's share of absolute mass in each box is printed, not
+    asserted: the z+ maps give the two boxes about equal mass.
+    """
+    fields, targets, signal_box, distractor_box = distractor_task(200, 24, 96, seed)
+    batch = np.stack([data.preprocess_field(field) for field in fields])
+    n_train = data.train_count(len(batch))
+    model = init_reservoir(EsnConfig(n_in=24, n_res=100, seed=seed))
+    states = final_states(model, batch)
+    solution = fit_readout(states[:n_train], targets[:n_train], ridge=1e-8)
+    model = model.with_readout(solution.w_out, solution.b_out)
+    output = model_output(model, states)
+
+    def moved(box):
+        """Mean |change| of the output when each sample's box cells are zeroed."""
+        r0, r1, c0, c1 = box
+        zeroed = batch.copy()
+        zeroed[:, r0 : r1 + 1, c0 + 1 : c1 + 2] = 0.0  # past the ones column
+        return float(np.mean(np.abs(output - model_output(model, final_states(model, zeroed)))))
+
+    mean = RunningMean()
+    for rmap in relevance_map(model, batch[:n_train][targets[:n_train] >= data.LABEL_THRESHOLD]):
+        mean.add(rmap)
+    mass = np.abs(mean.normalized())
+
+    def share(box):
+        r0, r1, c0, c1 = box
+        return float(mass[r0 : r1 + 1, c0 : c1 + 1].sum() / mass.sum())
+
+    signal, distractor = moved(signal_box), moved(distractor_box)
+    print(
+        f"output moved: signal {signal:.3f} distractor {distractor:.4f}; "
+        f"El Nino map mass: signal box {share(signal_box):.3f} distractor box {share(distractor_box):.3f}"
+    )
+    assert distractor < 0.05 * signal

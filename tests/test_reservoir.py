@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from esnlrp.errors import ConfigError, NumericError
 from esnlrp.reservoir import (
     EsnConfig,
-    EsnModel,
     final_states,
     init_reservoir,
     model_output,
@@ -299,7 +298,6 @@ def test_model_output_and_parameter_count():
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0], alpha=0.5
     )
     assert not model.is_trained
-    assert model.trainable_parameter_count == 0
     traj = run_reservoir(model, np.ones((1, 1, 2)))
     with pytest.raises(ConfigError):
         model_output(model, traj.final_state)
@@ -309,13 +307,6 @@ def test_model_output_and_parameter_count():
 
     summing = model.with_readout(np.array([[1.0, 1.0]]), np.array([0.0]))
     np.testing.assert_allclose(model_output(summing, np.array([[0.3, 0.7]])), [1.0], rtol=1e-15)
-
-    big = EsnModel(
-        config=EsnConfig(n_in=5, n_res=300),
-        w_in=np.zeros((300, 5)), b_in=np.zeros(300),
-        w_res=np.zeros((300, 300)), b_res=np.zeros(300),
-    ).with_readout(np.zeros((1, 300)), np.zeros(1))
-    assert big.trainable_parameter_count == 301
 
 
 def test_with_readout_validates_shapes():
