@@ -25,7 +25,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, setting
 from .readout import ReadoutSolution
 
 # Widths of the two hidden layers; the input width comes from the data, the output is 1.
@@ -61,13 +61,15 @@ class RowSource(Protocol):
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Feed-forward net with identity activations throughout and one output unit."""
+    """Feed-forward net with identity activations throughout and one output unit; `layer_dims`,
+    any sequence of integers (`errors.setting`), is kept as a tuple."""
 
     layer_dims: Tuple[int, ...]
     weights: Tuple[np.ndarray, ...]
     biases: Tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "layer_dims", tuple(setting("layer_dims", d, int) for d in self.layer_dims))
         if len(self.layer_dims) < 2:
             raise ConfigError(f"need at least input and output dims, got {self.layer_dims}")
         if any(d < 1 for d in self.layer_dims):

@@ -51,7 +51,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from . import baselines, data, lrp, persistence, readout, reservoir
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, setting
 
 SWEEP_ALPHAS = (0.01, 0.05, 0.2, 0.4)
 SWEEP_TAGS = ("A", "B", "C", "D")
@@ -71,7 +71,7 @@ TRAJECTORY_BUDGET_BYTES = 12 * 2**20
 
 @dataclass
 class ExperimentConfig:
-    """Merged view of config-file values and command-line flags."""
+    """Merged view of config-file values and command-line flags, each checked for type and range."""
 
     command: str
     data: Optional[str] = None
@@ -88,7 +88,19 @@ class ExperimentConfig:
     synthetic: Optional[Tuple[int, int, int]] = None
 
     def __post_init__(self) -> None:
-        """Check every setting, whether or not the command uses it, before any data is read."""
+        """Check every setting's type (`errors.setting`), then its range, used or not, before any data is read."""
+        for name, kind in CONFIG_FIELD_TYPES.items():
+            value = getattr(self, name)
+            if get_origin(kind) is Union:  # Optional: None, or a value of its one type
+                if value is None:
+                    continue
+                kind = get_args(kind)[0]
+            if get_origin(kind) is not tuple:
+                setattr(self, name, setting(name, value, kind))
+            elif isinstance(value, (list, tuple)) and len(value) == len(get_args(kind)):
+                setattr(self, name, tuple(setting(name, v, k) for v, k in zip(value, get_args(kind))))
+            else:
+                raise ConfigError(f"{name!r} must be a list of three integers, got {value!r}")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.class_filter not in CLASS_FILTERS:
@@ -96,9 +108,8 @@ class ExperimentConfig:
         if self.baseline not in BASELINES:
             raise ConfigError(f"--baseline must be one of {BASELINES}, got {self.baseline!r}")
         for name in ("seed", "permute_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be a non-negative integer, got {getattr(self, name)!r}")
         if self.synthetic is not None:
             d, t, n = self.synthetic
             data.check_synthetic_shape(n, d, t)
@@ -117,7 +128,7 @@ class ExperimentConfig:
         )
 
 
-# Field types, resolved from the annotations, that config-file values must have.
+# Field types, resolved from the annotations once, that every ExperimentConfig checks its values against.
 CONFIG_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 # Each numeric flag sets the ExperimentConfig field of its name, of that field's type and default.
@@ -133,13 +144,10 @@ NUMERIC_FLAGS = (
 
 
 def parse_synthetic(text: str) -> Tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected d,t,n, got {text!r}")
     try:
-        d, t, n = (int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected integers d,t,n, got {text!r}") from exc
+        d, t, n = (int(p) for p in text.split(","))
+    except ValueError as exc:  # a part that is no integer, or other than three parts
+        raise argparse.ArgumentTypeError(f"expected three integers d,t,n, got {text!r}") from exc
     return d, t, n
 
 
@@ -170,43 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_file_value(path: Path, key: str, name: str, value: object) -> object:
-    """A config-file value checked against the type of its ExperimentConfig field.
-
-    Numbers may not be booleans, integer fields take only integers, and
-    `synthetic` takes a list of three integers (ExperimentConfig checks their
-    range).
-    """
-    hint = CONFIG_FIELD_TYPES[name]
-    if get_origin(hint) is Union:
-        if value is None:
-            return None
-        hint = get_args(hint)[0]
-
-    def is_number(v: object) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    if hint is str:
-        ok, want = isinstance(value, str), "a string"
-    elif hint is int:
-        ok, want = isinstance(value, int) and is_number(value), "an integer"
-    elif hint is float:
-        ok, want = is_number(value), "a number"
-    else:
-        ok = isinstance(value, list) and len(value) == 3 and all(isinstance(v, int) and is_number(v) for v in value)
-        want = "a list of three integers"
-        value = tuple(value) if ok else value
-    if not ok:
-        raise ConfigError(f"config file {path}: {key!r} must be {want}, got {value!r}")
-    return value
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Start from defaults, apply the config file, then non-default flags.
-
-    Every setting has a flag; its config-file key is the flag's `dest`, or
-    `class` for `--class`.
-    """
+    """The config file's settings, checked in full as one ExperimentConfig (an error names the file,
+    even where a flag overrides the value), then the non-default flags over them. Every setting has
+    a flag; its config-file key is the flag's `dest`, or `class` for `--class`."""
     names = {"class" if f.name == "class_filter" else f.name: f.name for f in dataclass_fields(ExperimentConfig)}
     del names["command"]
     values: Dict[str, object] = {}
@@ -218,14 +193,14 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        for key, value in loaded.items():
-            if key not in names:
-                raise ConfigError(f"config file {path} has unknown key {key!r}")
-            values[names[key]] = config_file_value(path, key, names[key], value)
-    for name in names.values():
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
-    return ExperimentConfig(command=args.command, **values)
+        if unknown := [key for key in loaded if key not in names]:
+            raise ConfigError(f"config file {path} has unknown key {unknown[0]!r}")
+        values = {names[key]: value for key, value in loaded.items()}
+    try:
+        cfg = ExperimentConfig(command=args.command, **values)
+    except ConfigError as exc:  # the defaults hold, so the file is at fault
+        raise ConfigError(f"config file {args.config}: {exc}") from exc
+    return replace(cfg, **{name: getattr(args, name) for name in names.values() if getattr(args, name) is not None})
 
 
 def sample_source(cfg: ExperimentConfig) -> data.SampleSource:
@@ -678,7 +653,8 @@ COMMANDS: Dict[str, Tuple[Callable[[ExperimentConfig, Path], None], str]] = {
 
 def run(cfg: ExperimentConfig) -> None:
     """Run the command into --out. A failed command removes the directories it made for --out
-    while they are empty; an existing --out, and the files written before a failure, stay."""
+    while they are empty; an existing --out, and the files written before a failure, stay. An OSError
+    that escapes the command is a write under --out (an input's is a DataError): a ConfigError."""
     out = Path(cfg.out)
     made = [path for path in (out, *out.parents) if not path.exists()]  # innermost first
     try:
@@ -687,10 +663,12 @@ def run(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"--out {out} cannot be made a directory: {exc}") from exc
     try:
         COMMANDS[cfg.command][0](cfg, out)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):  # the first directory that is not empty ends the removal
             for directory in made:
                 directory.rmdir()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write under --out {out}: {exc}") from exc
         raise
 
 

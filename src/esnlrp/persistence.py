@@ -110,10 +110,9 @@ def _build(kind: str, config: dict, arrays: dict) -> _Model:
             model = model.with_readout(_decode(arrays, "w_out"), _decode(arrays, "b_out"))
         return model
     if kind == "mlp":
-        dims = tuple(int(d) for d in config["layer_dims"])
-        n_layers = len(dims) - 1
+        n_layers = len(config["layer_dims"]) - 1
         return MlpModel(
-            layer_dims=dims,
+            layer_dims=config["layer_dims"],  # each an integer, or a ConfigError
             weights=tuple(_decode(arrays, f"w{i}") for i in range(n_layers)),
             biases=tuple(_decode(arrays, f"b{i}") for i in range(n_layers)),
         )

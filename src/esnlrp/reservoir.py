@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, setting
 from .readout import one_score_readout
 
 # Half-width of the uniform draws of w_in, b_in, b_res and (before spectral
@@ -40,7 +40,8 @@ class EsnConfig:
     """Hyperparameters of a leaky echo state network.
 
     Defaults are the production values used throughout: 300 units, 30%
-    connectivity, spectral radius 0.8 and leak rate 0.01.
+    connectivity, spectral radius 0.8 and leak rate 0.01. Each field is
+    checked against its type (`errors.setting`), then against its range.
     """
 
     n_in: int
@@ -51,6 +52,8 @@ class EsnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, kind in ESN_FIELD_TYPES.items():
+            object.__setattr__(self, name, setting(name, getattr(self, name), kind))
         if self.n_in < 1:
             raise ConfigError(f"n_in must be positive, got {self.n_in}")
         if self.n_res < 1:
@@ -66,6 +69,9 @@ class EsnConfig:
     def recurrent_weight_count(self) -> int:
         """The number of nonzero recurrent weights `init_reservoir` draws: round(sparsity * n_res**2)."""
         return int(round(self.sparsity * self.n_res * self.n_res))
+
+
+ESN_FIELD_TYPES = get_type_hints(EsnConfig)
 
 
 @dataclass(frozen=True)

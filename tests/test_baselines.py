@@ -144,6 +144,15 @@ def test_mlp_model_shape_validation():
         MlpModel(layer_dims=(2, 1), weights=(np.zeros((1, 2)),), biases=(np.zeros(2),))
 
 
+@pytest.mark.parametrize("width", [2.0, True, "2"], ids=["float", "bool", "string"])
+def test_mlp_layer_widths_must_be_integers(width):
+    """A layer width is an int, not a bool, and is not coerced into one; a list of them is kept as a tuple."""
+    blocks = dict(weights=(np.zeros((1, 2)),), biases=(np.zeros(1),))
+    with pytest.raises(ConfigError, match=f"'layer_dims' must be an integer, got {width!r}"):
+        MlpModel(layer_dims=[width, 1], **blocks)
+    assert MlpModel(layer_dims=[2, 1], **blocks).layer_dims == (2, 1)
+
+
 def test_adam_zero_gradient_is_a_no_op():
     model = init_mlp(TOY_DIMS, seed=0)
     state = adam_init(model)

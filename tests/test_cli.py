@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from esnlrp import baselines, cli, data, lrp, persistence, readout, reservoir
+from esnlrp.errors import ConfigError
 from helpers import (
     MatrixRows, alive, encode, enso_sample_set, preprocess_for_baseline, track_generated_samples, write_enso_container,
 )
@@ -258,6 +259,28 @@ def test_malformed_model_files_exit_three(tmp_path, capsys, edit, key):
     assert not (out / "relevance").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("n_res", 6.0, "an integer"), ("n_in", 8.0, "an integer"), ("leak_rate", True, "a number")],
+    ids=["n_res=6.0", "n_in=8.0", "leak_rate=true"],
+)
+def test_model_file_settings_of_the_wrong_type_exit_three(tmp_path, capsys, key, value, kind):
+    """A saved config value of the wrong type is a data error naming the key, for both commands
+    that load the model, and nothing is written; the integers keep the values the model was
+    trained with (8 inputs, 6 units), so only their type is at fault."""
+    out = tmp_path / "out"
+    settings = ["--synthetic", "8,12,12", "--n-res", "6", "--ridge", "1e-8"]
+    assert run_cli("train", "--out", str(out), *settings) == 0
+    doc = json.loads((out / "esn_model.json").read_text())
+    doc["config"][key] = value
+    (out / "esn_model.json").write_text(json.dumps(doc))
+    for command in ("evaluate", "relevance"):
+        assert run_cli(command, "--out", str(out), *settings) == 3
+        assert f"'{key}' must be {kind}" in capsys.readouterr().err
+    assert not (out / "eval_report.csv").exists()
+    assert not (out / "relevance").exists()
+
+
 def test_fields_of_another_height_than_the_model_exit_three(tmp_path, capsys):
     """Fields with more rows than the saved model has inputs are a data error, and nothing is written."""
     out = tmp_path / "out"
@@ -315,6 +338,43 @@ def test_config_file_values_of_the_wrong_type_exit_two(tmp_path, capsys, setting
     config.write_text(json.dumps({"synthetic": [8, 12, 12], "ridge": 1e-8, **settings}))
     assert run_cli("train", "--config", str(config), "--out", str(tmp_path / "o")) == 2
     assert f"{key!r} must be" in capsys.readouterr().err
+
+
+def test_integers_for_number_settings_save_as_the_flags_do(tmp_path):
+    """A config file's integer for a number setting reads as that number: the saved model is the
+    same, byte for byte, as with the flags."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": 1, "spectral_radius": 1}))
+    for out, settings in (("file", ["--config", str(config)]), ("flags", ["--alpha", "1", "--spectral-radius", "1"])):
+        assert run_cli("train", *SMALL, *settings, "--out", str(tmp_path / out)) == 0
+    saved = (tmp_path / "file" / "esn_model.json").read_bytes()
+    assert saved == (tmp_path / "flags" / "esn_model.json").read_bytes()
+    assert json.loads(saved)["config"]["leak_rate"] == 1.0 and b'"leak_rate": 1.0' in saved
+
+
+def test_a_config_file_value_out_of_range_exits_two_where_a_flag_overrides_it(tmp_path, capsys):
+    """The file's settings are checked in full before the flags apply, and the error names the file."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": 1.5}))
+    out = tmp_path / "o"
+    assert run_cli("train", *SMALL, "--config", str(config), "--alpha", "0.2", "--out", str(out)) == 2
+    assert f"config file {config}: leak_rate must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_callers_meet_the_type_check_of_every_setting():
+    """An ExperimentConfig built in Python checks the types a config file's values must have."""
+    cfg = cli.ExperimentConfig(command="train", synthetic=[8, 12, 12], alpha=1, ridge=0)
+    assert cfg.synthetic == (8, 12, 12) and type(cfg.alpha) is float and type(cfg.ridge) is float
+    for settings, message in [
+        ({"n_res": 20.0}, "'n_res' must be an integer, got 20.0"),
+        ({"seed": False}, "'seed' must be an integer, got False"),
+        ({"out": Path("o")}, "'out' must be a string"),
+        ({"synthetic": (8, 12)}, "'synthetic' must be a list of three integers"),
+        ({"synthetic": [8, 12.0, 12]}, "'synthetic' must be an integer, got 12.0"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli.ExperimentConfig(command="train", **settings)
 
 
 # flag, value, and the setting the error message must name
@@ -710,6 +770,31 @@ def test_out_naming_a_file_exits_two(tmp_path, capsys, under):
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text(encoding="ascii") == "kept"
 
 
+def relevance_dir_is_a_file(out):
+    assert run_cli("train", *TINY, "--out", str(out)) == 0
+    (out / "relevance").write_text("kept", encoding="ascii")
+    return ["relevance", *TINY], out / "relevance"
+
+
+def report_path_is_a_directory(out):
+    (out / "train_report.csv").mkdir(parents=True)
+    return ["train", *TINY], out / "train_report.csv"
+
+
+TINY = ["--synthetic", "8,12,40", "--n-res", "6", "--ridge", "1e-3"]
+
+
+@pytest.mark.parametrize("block", [relevance_dir_is_a_file, report_path_is_a_directory])
+def test_a_blocked_output_path_exits_two_naming_it(tmp_path, capsys, block):
+    """An output path under --out that cannot be written (a file where the maps' directory goes,
+    a directory where a report goes) is a configuration error naming the path."""
+    out = tmp_path / "o"
+    argv, blocked = block(out)
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert str(blocked) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("settings", [["--n-res", "1"], ["--n-res", "300", "--sparsity", "1e-6"]], ids=["1-unit", "sparse"])
 def test_a_sparsity_that_leaves_no_recurrent_weight_exits_two_before_any_fit(tmp_path, monkeypatch, capsys, settings):
     """round(sparsity * n_res**2) = 0 draws no recurrent weight whatever the seed: a configuration
@@ -724,6 +809,22 @@ def test_a_sparsity_that_leaves_no_recurrent_weight_exits_two_before_any_fit(tmp
 TRAIN_MM = ["train", "--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8", "--out", "mm"]
 
 
+def write_float_n_res_config(directory):
+    (directory / "c.json").write_text(json.dumps({"n_res": 20.5}))
+
+
+def train_with_float_n_res(directory):
+    """A model of 6 units whose file then says 6.0."""
+    assert run_cli("train", "--synthetic", "8,12,12", "--n-res", "6", "--ridge", "1e-8", "--out", str(directory / "m6")) == 0
+    doc = json.loads((directory / "m6" / "esn_model.json").read_text())
+    doc["config"]["n_res"] = 6.0
+    (directory / "m6" / "esn_model.json").write_text(json.dumps(doc))
+
+
+def block_the_train_report(directory):
+    (directory / "blocked" / "train_report.csv").mkdir(parents=True)
+
+
 @pytest.mark.parametrize(
     "setup, argv, code, absent",
     [
@@ -733,17 +834,26 @@ TRAIN_MM = ["train", "--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8
         (TRAIN_MM, [*TRAIN_MM[:-1], "mm/esn_model.json"], 2, None),
         (None, ["train", "--synthetic", "8,12,12", "--n-res", "1", "--out", "one"], 2, "one"),
         (None, ["train", "--synthetic", "8,12,2", "--out", "one-sample"], 3, "one-sample"),
+        (write_float_n_res_config, ["train", "--config", "c.json", "--synthetic", "8,12,12", "--out", "cfg"], 2, "cfg"),
+        (train_with_float_n_res, ["evaluate", "--synthetic", "8,12,12", "--out", "m6"], 3, "m6/eval_report.csv"),
+        (block_the_train_report, [*TRAIN_MM[:-1], "blocked"], 2, None),
     ],
-    ids=["bad-shape", "no-model", "field-height", "out-is-a-file", "one-unit", "one-train-sample"],
+    ids=[
+        "bad-shape", "no-model", "field-height", "out-is-a-file", "one-unit", "one-train-sample",
+        "config-n-res-20.5", "model-n-res-6.0", "blocked-output",
+    ],
 )
 def test_the_installed_entry_point_exits_with_the_documented_codes(tmp_path, setup, argv, code, absent):
     """The `esnlrp` console script that installing the package makes gives each error its exit
-    code and leaves no --out it made. Skipped where the script is not installed."""
+    code and leaves no --out it made. `setup` is a command the script runs first, or a function
+    that prepares the directory. Skipped where the script is not installed."""
     script = shutil.which("esnlrp")
     if script is None:
         pytest.skip("no esnlrp console script on PATH; install the package to run this test")
     env = subprocess_env()
-    if setup is not None:
+    if callable(setup):
+        setup(tmp_path)
+    elif setup is not None:
         subprocess.run([script, *setup], cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120)
     assert subprocess.run([script, *argv], cwd=tmp_path, env=env, capture_output=True, timeout=120).returncode == code
     assert absent is None or not (tmp_path / absent).exists()

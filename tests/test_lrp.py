@@ -425,7 +425,7 @@ def mean_of(maps):
     return running.normalized()
 
 
-def test_mean_relevance_single_map_normalizes_to_unit_peak():
+def test_running_mean_single_map_normalizes_to_unit_peak():
     scores = np.array([[2.0, -4.0], [1.0, 0.0]])
     rmap = RelevanceMap(scores=scores, dummy_scores=np.zeros(2), absorbed=0.0, total=1.0)
     mean = mean_of([rmap])
@@ -433,7 +433,7 @@ def test_mean_relevance_single_map_normalizes_to_unit_peak():
     assert np.max(np.abs(mean)) == 1.0
 
 
-def test_mean_relevance_cancellation_yields_zeros():
+def test_running_mean_cancellation_yields_zeros():
     scores = np.array([[1.0, -2.0]])
     maps = [
         RelevanceMap(scores=scores, dummy_scores=np.zeros(1), absorbed=0.0, total=1.0),
@@ -442,7 +442,7 @@ def test_mean_relevance_cancellation_yields_zeros():
     np.testing.assert_array_equal(mean_of(maps), np.zeros((1, 2)))
 
 
-def test_mean_relevance_rejects_empty_and_mixed_shapes():
+def test_running_mean_rejects_empty_and_mixed_shapes():
     a = RelevanceMap(scores=np.zeros((2, 2)), dummy_scores=np.zeros(2), absorbed=0.0, total=0.0)
     b = RelevanceMap(scores=np.zeros((2, 3)), dummy_scores=np.zeros(2), absorbed=0.0, total=0.0)
     for wrap in (list, iter):
@@ -452,7 +452,7 @@ def test_mean_relevance_rejects_empty_and_mixed_shapes():
             mean_of(wrap([a, b]))
 
 
-def test_mean_relevance_streams_from_a_generator():
+def test_running_mean_streams_from_a_generator():
     rng = np.random.default_rng(12)
     maps = [
         RelevanceMap(scores=rng.normal(size=(3, 5)), dummy_scores=np.zeros(3), absorbed=0.0, total=1.0)

@@ -181,3 +181,15 @@ def test_load_rejects_corrupted_array_block(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="w_in"):
         load_model(path)
+
+
+@pytest.mark.parametrize("dims", [[96.9, 8, 8, 1], ["96", 8, 8, 1]], ids=["float-width", "string-width"])
+def test_a_saved_mlp_whose_layer_widths_are_not_integers_does_not_load(tmp_path, dims):
+    """Each layer width must be an integer; none is truncated or parsed into one."""
+    path = tmp_path / "mlp.json"
+    save_model(path, init_mlp((96, 8, 8, 1), seed=0))
+    doc = json.loads(path.read_text())
+    doc["config"]["layer_dims"] = dims
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="'layer_dims' must be an integer"):
+        load_model(path)

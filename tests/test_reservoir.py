@@ -36,6 +36,26 @@ def test_config_validation():
             EsnConfig(n_in=5, spectral_radius=radius)
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("n_in", 8.0, "an integer"),
+        ("n_res", 6.0, "an integer"),
+        ("seed", True, "an integer"),
+        ("leak_rate", True, "a number"),
+        ("sparsity", "0.3", "a number"),
+        ("spectral_radius", None, "a number"),
+    ],
+)
+def test_config_fields_of_the_wrong_type_are_config_errors(field, value, kind):
+    """Every field is checked against its type, however the config is built; an integer given for
+    a number is kept as that number, a float."""
+    with pytest.raises(ConfigError, match=f"'{field}' must be {kind}, got {value!r}"):
+        EsnConfig(**{"n_in": 5, field: value})
+    config = EsnConfig(n_in=5, leak_rate=1, sparsity=1, spectral_radius=2)
+    assert [type(getattr(config, f)) for f in ("leak_rate", "sparsity", "spectral_radius")] == [float] * 3
+
+
 def test_spectral_radius_known_matrices():
     assert abs(spectral_radius(np.eye(4)) - 1.0) <= 1e-9
     assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
