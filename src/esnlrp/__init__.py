@@ -13,6 +13,7 @@ reservoir`), so that each import loads only what it uses:
 - baselines: linear regression and the small identity-activation MLP
 - persistence: bit-exact JSON model round-trips
 - errors:    the configuration, data and numeric errors behind the exit codes
+- blas:      the BLAS thread count of each phase
 - cli:       experiment driver (`esnlrp` entry point)
 """
 

@@ -11,11 +11,12 @@ against, and the collapse makes for a free correctness check.
 
 The MLP reads its inputs through a row source (`RowSource`, such as
 `data.BaselineRows`) a mini-batch at a time, in training and in prediction,
-so no (samples x inputs) matrix is built for it. No product of a
-training step is split over BLAS threads (the weight gradients are written
-in column blocks for that, see `mlp_gradients`), so training runs on one
-core whatever the BLAS thread count, and its weights are bit for bit the
-same under 1 and 2 threads.
+so no (samples x inputs) matrix is built for it. Training and scoring
+run at one BLAS thread (`blas.threads`), so they use one core whatever the
+BLAS thread count, and the weights are bit for bit the same under 1 and 2
+threads. Where no thread-count setter is found, the weight gradients are
+still written in column blocks too small for BLAS to split (see
+`mlp_gradients`), so no product of a training step threads.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, NumericError, setting
 from .readout import ReadoutSolution
 
@@ -131,6 +133,7 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> List[np.ndarray]:
     return activations
 
 
+@blas.threads(1)
 def mlp_predict(model: MlpModel, rows: RowSource) -> np.ndarray:
     """One score per row of the source, shape (n,), BATCH_ROWS rows at a time through one buffer."""
     if rows.width != model.layer_dims[0]:
@@ -163,7 +166,8 @@ def mlp_gradients(
     small layers. At a batch of 10 a block (320k multiply-adds) is below
     OpenBLAS's threading cutoff (about 1M; the whole product is 1.28M), so
     it runs on the calling thread and no BLAS worker spins through the
-    single-threaded Adam update that follows. Each element is still one
+    single-threaded Adam update that follows, even where `train_mlp`'s
+    one-thread setting finds no OpenBLAS setter. Each element is still one
     dot product over the batch rows, so the result is bit for bit that of
     the whole product. The widths are equal so that no block is a single
     column: numpy sends that to BLAS's matrix-vector routine, which rounds
@@ -245,6 +249,7 @@ def _blocks(layer_dims: Tuple[int, ...], flat: np.ndarray) -> Tuple[Tuple[np.nda
     return tuple(views[:n_layers]), tuple(views[n_layers:])
 
 
+@blas.threads(1)
 def train_mlp(
     rows: RowSource,
     targets: np.ndarray,
@@ -308,6 +313,7 @@ def train_mlp(
     return MlpModel(dims, *_blocks(dims, theta)), history
 
 
+@blas.threads(1)
 def linreg_predict(model: ReadoutSolution, vectors: np.ndarray) -> np.ndarray:
     """One score per row of a batch of vectors under a fitted linear model, shape (n,)."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))

@@ -4,9 +4,11 @@ Subcommands reproduce the studies end to end and emit everything as files:
 JSON models, CSV tables, and grayscale PGM heatmaps with CSV sidecars. Every
 command is a pure function of (configuration, input files, seed, BLAS thread
 count); rerunning with the same inputs at a fixed BLAS thread count produces
-byte-identical outputs, so there are no timestamps anywhere. Across thread
-counts, fresh fits agree within 1e-12 of the readout's peak at the 16x96 sweep
-shape but differ in the last digits at paper shape, where the encoding threads.
+byte-identical outputs, so there are no timestamps anywhere. Each phase sets
+its own BLAS thread count (`blas`): at the 16x96 sweep shape's 100 units every
+phase runs at one thread, so the outputs are the same bytes under any thread
+count; at paper shape the encoding and the maps thread, and fresh fits differ
+in the last digits.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 A data error includes a malformed model file and, for `evaluate` and
 `relevance`, fields whose height differs from the saved model's `n_in`;

@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import reservoir
+from . import blas, reservoir
 from .errors import ConfigError
 from .reservoir import EsnModel, StateTrajectory, model_output
 
@@ -169,18 +169,20 @@ def relevance_first_column(
 def relevance_map(model: EsnModel, batch: np.ndarray, epsilon: float = EPSILON) -> List[RelevanceMap]:
     """One relevance pass over a (B, n_in, T) batch: the forward pass that records its trajectory,
     then the backward pass (output layer, every time step, first column) at a positive, finite
-    epsilon (else a ConfigError). Returns one map per sample, in batch order; each owns its scores."""
+    epsilon (else a ConfigError), at the BLAS thread count `blas.for_units` gives the reservoir.
+    Returns one map per sample, in batch order; each owns its scores."""
     if not 0.0 < epsilon < np.inf:
         raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
     traj = reservoir.run_reservoir(model, batch)  # looked up at call time, so a wrapper set on it sees the call
     split = sign_split(model.w_in, model.w_res)
     n_samples, n_inputs, n_steps = traj.inputs.shape
-    r_state, absorbed, total = relevance_output_layer(model, traj, epsilon)
-    scores = np.empty((n_steps - 1, n_samples, n_inputs))
-    for t in range(n_steps, 1, -1):
-        scores[t - 2], r_state, delta = relevance_step_back(model, traj, t, r_state, split, epsilon)
-        absorbed += delta
-    dummy_scores, delta = relevance_first_column(model, traj, r_state, epsilon)
+    with blas.for_units(model.config.n_res):
+        r_state, absorbed, total = relevance_output_layer(model, traj, epsilon)
+        scores = np.empty((n_steps - 1, n_samples, n_inputs))
+        for t in range(n_steps, 1, -1):
+            scores[t - 2], r_state, delta = relevance_step_back(model, traj, t, r_state, split, epsilon)
+            absorbed += delta
+        dummy_scores, delta = relevance_first_column(model, traj, r_state, epsilon)
     absorbed += delta
     return [
         RelevanceMap(

@@ -8,6 +8,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, NumericError
 
 
@@ -79,6 +80,7 @@ def check_rank_attainable(n_samples: int, n_units: int, ridge: float) -> None:
         )
 
 
+@blas.threads(1)
 def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutSolution:
     """Least-squares readout w, b minimizing ||X w + b - y||^2 + ridge * ||w||^2.
 
@@ -91,7 +93,8 @@ def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.
     the gain is 1 / s, and centred states of rank below n_units (by
     lstsq's default cut-off on s) are rejected, with no SVD run when there
     are too few samples for full rank (`check_rank_attainable`). No Gram
-    matrix is formed, so the conditioning of X is not squared.
+    matrix is formed, so the conditioning of X is not squared. The solve
+    runs at one BLAS thread, so its bits do not depend on the thread count.
     """
     x = np.asarray(final_states, dtype=float)
     y = np.asarray(targets, dtype=float)

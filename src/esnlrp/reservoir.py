@@ -27,6 +27,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, NumericError, setting
 from .readout import one_score_readout
 
@@ -131,9 +132,11 @@ class StateTrajectory:
         return self.states[-1]
 
 
+@blas.threads(1)
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a square matrix, from one LAPACK eigenvalue
-    solve (exact up to rounding). Non-convergence is a NumericError."""
+    solve (exact up to rounding) at one BLAS thread, so that it gives the same bits
+    under any thread count. Non-convergence is a NumericError."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {m.shape}")
@@ -171,8 +174,8 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
     uniformly chosen positions, values from the same interval, then rescaled to the
     configured spectral radius. Five independent substreams (one per weight
     block) are split off the seed. The draws are the same on any platform,
-    but the eigenvalue solve threads its reductions, so the model is
-    reproduced bit for bit for one BLAS build and thread count.
+    and the eigenvalue solve runs at one BLAS thread, so the model is
+    reproduced bit for bit for one BLAS build under any thread count.
     """
     n, d, w = config.n_res, config.n_in, WEIGHT_RANGE
     spawned = np.random.SeedSequence(config.seed).spawn(5)
@@ -212,8 +215,9 @@ def _run(model: EsnModel, batch: np.ndarray, n_kept: int) -> np.ndarray:
     """x(t) of a checked (B, n_in, T) batch, written at t % n_kept of a (n_kept, B, n_res) buffer.
 
     Each step is one (B x n_in)(n_in x n_res) input product and, after the
-    first, one (B x n_res)(n_res x n_res) recurrent product. With n_kept = 1
-    the state is updated in place.
+    first, one (B x n_res)(n_res x n_res) recurrent product, at the BLAS
+    thread count `blas.for_units` gives the reservoir. With n_kept = 1 the
+    state is updated in place.
     """
     n_samples, n_in, n_steps = batch.shape
     alpha = model.config.leak_rate
@@ -221,23 +225,24 @@ def _run(model: EsnModel, batch: np.ndarray, n_kept: int) -> np.ndarray:
     column = np.empty((n_samples, n_in))
     act = np.empty_like(states[0])
     recurrent = np.empty_like(act)
-    for t in range(n_steps):
-        state = states[t % n_kept]
-        np.copyto(column, batch[:, :, t])
-        np.matmul(column, model.w_in.T, out=act)
-        act += model.b_in
-        if t:
-            prev = states[(t - 1) % n_kept]
-            np.matmul(prev, model.w_res.T, out=recurrent)
-            act += recurrent
-            act += model.b_res
-        np.tanh(act, out=act)
-        act *= alpha
-        if t:
-            np.multiply(prev, 1.0 - alpha, out=state)
-            state += act
-        else:
-            np.copyto(state, act)
+    with blas.for_units(model.config.n_res):
+        for t in range(n_steps):
+            state = states[t % n_kept]
+            np.copyto(column, batch[:, :, t])
+            np.matmul(column, model.w_in.T, out=act)
+            act += model.b_in
+            if t:
+                prev = states[(t - 1) % n_kept]
+                np.matmul(prev, model.w_res.T, out=recurrent)
+                act += recurrent
+                act += model.b_res
+            np.tanh(act, out=act)
+            act *= alpha
+            if t:
+                np.multiply(prev, 1.0 - alpha, out=state)
+                state += act
+            else:
+                np.copyto(state, act)
     return states
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esnlrp import baselines, cli, data, lrp, persistence, readout, reservoir
+from esnlrp import baselines, blas, cli, data, lrp, persistence, readout, reservoir
 from esnlrp.errors import ConfigError
 from helpers import (
     MatrixRows, alive, encode, enso_sample_set, preprocess_for_baseline, track_generated_samples, write_enso_container,
@@ -84,7 +84,8 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_importing_the_package_root_or_data_loads_only_what_it_uses():
-    """The package root loads no submodule, and `esnlrp.data` only the two it imports."""
+    """The package root loads no submodule, and `esnlrp.data` only the two it imports and
+    `esnlrp.blas`, which `esnlrp.readout` imports to run its solve at one BLAS thread."""
     probe = (
         "import sys, esnlrp; print(sorted(m for m in sys.modules if m.startswith('esnlrp.')));"
         "import esnlrp.data; print(sorted(m for m in sys.modules if m.startswith('esnlrp.')))"
@@ -92,7 +93,7 @@ def test_importing_the_package_root_or_data_loads_only_what_it_uses():
     result = subprocess.run(
         [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
     )
-    assert result.stdout.splitlines() == ["[]", "['esnlrp.data', 'esnlrp.errors', 'esnlrp.readout']"]
+    assert result.stdout.splitlines() == ["[]", "['esnlrp.blas', 'esnlrp.data', 'esnlrp.errors', 'esnlrp.readout']"]
 
 
 def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
@@ -134,8 +135,16 @@ def test_each_command_runs_a_sample_forward_once_per_use(tmp_path, monkeypatch):
             assert all(n == 1 or nbytes <= budget for n, nbytes in batches), (command, budget, batches)
 
 
+# Where numpy's OpenBLAS exposes its thread-count setter, the sweep shape's
+# 100 units run every phase at one thread (`blas`), so its outputs are the
+# same bytes under any thread count. Elsewhere every phase threads as the
+# environment sets, and the outputs only agree within a tolerance.
+PINNED = blas.openblas() is not None
+
+
 def test_relevance_maps_agree_across_blas_thread_counts(tmp_path):
-    """Maps from one saved model agree within 1e-12 of their peak under 1 and 2 BLAS threads.
+    """Maps from one saved model are byte-identical under 1 and 2 BLAS threads (without a
+    thread-count setter, they agree within 1e-12 of their peak).
 
     At this shape all 48 training samples form one batch, so the batched
     products are large enough for OpenBLAS to split them over two threads.
@@ -143,7 +152,7 @@ def test_relevance_maps_agree_across_blas_thread_counts(tmp_path):
     shape = ["--synthetic", "16,96,60", "--n-res", "100", "--ridge", "1e-8"]
     model_dir = tmp_path / "model"
     assert run_cli("train", "--out", str(model_dir), *shape) == 0
-    maps = {}
+    maps, files = {}, {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         shutil.copytree(model_dir, out)
@@ -154,28 +163,33 @@ def test_relevance_maps_agree_across_blas_thread_counts(tmp_path):
         )
         paths = sorted((out / "relevance").glob("sample_*.csv"))
         maps[threads] = [np.loadtxt(p, delimiter=",", ndmin=2) for p in paths]
+        files[threads] = tree_bytes(out)
     assert len(maps["1"]) == len(maps["2"]) == 48
+    if PINNED:
+        assert files["1"] == files["2"]
     for one, two in zip(maps["1"], maps["2"]):
         assert np.max(np.abs(one - two)) <= 1e-12 * np.max(np.abs(one))
 
 
-def test_fresh_fits_agree_across_blas_thread_counts(tmp_path):
-    """train and leak-sweep from scratch under 1 and 2 BLAS threads.
+SWEEP_SHAPE = ["--synthetic", "16,96,300", "--n-res", "100", "--ridge", "1e-8"]
 
-    At the sweep shape (240 train samples, 100 units) the encoded states
-    are the same under both settings, so what remains is the readout
-    solve: its weights agree within 1e-12 of their peak, the leak-sweep
-    mean maps within 1e-9 of their peak, and the centres of gravity
-    within 1e-9.
+
+def test_fresh_fits_agree_across_blas_thread_counts(tmp_path):
+    """train and leak-sweep from scratch under 1 and 2 BLAS threads write the same bytes.
+
+    Without a thread-count setter, at the sweep shape (240 train samples,
+    100 units) the encoded states are the same under both settings, so
+    what remains is the readout solve: its weights agree within 1e-12 of
+    their peak, the leak-sweep mean maps within 1e-9 of their peak, and the
+    centres of gravity within 1e-9.
     """
-    shape = ["--synthetic", "16,96,300", "--n-res", "100", "--ridge", "1e-8"]
-    runs = {}
+    runs, files = {}, {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         for command in ("train", "leak-sweep"):
             subprocess.run(
-                [sys.executable, "-m", "esnlrp.cli", command, "--out", str(out), *shape],
+                [sys.executable, "-m", "esnlrp.cli", command, "--out", str(out), *SWEEP_SHAPE],
                 env=env, check=True, timeout=300,
             )
         model = persistence.load_model(out / "esn_model.json")
@@ -184,6 +198,9 @@ def test_fresh_fits_agree_across_blas_thread_counts(tmp_path):
             "maps": [np.loadtxt(out / f"mean_map_{tag}.csv", delimiter=",") for tag in cli.SWEEP_TAGS],
             "centres": [float(row["mean_map_center_of_gravity"]) for row in read_report(out / "sweep_report.csv")],
         }
+        files[threads] = tree_bytes(out)
+    if PINNED:
+        assert files["1"] == files["2"]
     one, two = runs["1"], runs["2"]
     assert np.max(np.abs(one["w_out"] - two["w_out"])) <= 1e-12 * np.max(np.abs(one["w_out"]))
     for a, b in zip(one["maps"], two["maps"]):
@@ -194,10 +211,11 @@ def test_fresh_fits_agree_across_blas_thread_counts(tmp_path):
 def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
     """train and relevance from scratch at paper shape under 1 and 2 BLAS threads.
 
-    With 89x180 inputs and 300 units the reservoir's eigenvalue solve, the
-    encoding products and the 28-map batch all thread, so only agreement is
-    promised, not bits: the train report is byte-identical, w_res agrees
-    within 1e-12 of its peak, and w_out and every map within 1e-9 of theirs.
+    With 89x180 inputs and 300 units the encoding products and the 28-map
+    batch thread, so only agreement is promised, not bits: the train report
+    is byte-identical, w_res is bit for bit the same (its eigenvalue solve
+    runs at one thread; without a thread-count setter, within 1e-12 of its
+    peak), and w_out and every map agree within 1e-9 of theirs.
     """
     shape = ["--synthetic", "89,180,35", "--ridge", "1e-8"]
     runs = {}
@@ -218,11 +236,119 @@ def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
         }
     one, two = runs["1"], runs["2"]
     assert one["report"] == two["report"]
+    if PINNED:
+        np.testing.assert_array_equal(one["w_res"], two["w_res"])
     assert np.max(np.abs(one["w_res"] - two["w_res"])) <= 1e-12 * np.max(np.abs(one["w_res"]))
     assert np.max(np.abs(one["w_out"] - two["w_out"])) <= 1e-9 * np.max(np.abs(one["w_out"]))
     assert len(one["maps"]) == len(two["maps"]) == 28
     for a, b in zip(one["maps"], two["maps"]):
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+
+
+# Runs leak-sweep at the sweep shape in a fresh interpreter and prints the CPU
+# seconds that the process and the calling thread spent in it.
+SWEEP_CPU = """
+import json, resource, sys, time
+from esnlrp import cli
+
+before, start = resource.getrusage(resource.RUSAGE_SELF), time.thread_time()
+code = cli.main(["leak-sweep", *sys.argv[2:], "--out", sys.argv[1]])
+thread, after = time.thread_time() - start, resource.getrusage(resource.RUSAGE_SELF)
+cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+print(json.dumps({"exit": code, "cpu_s": cpu, "thread_cpu_s": thread}))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 cores for a second BLAS thread to run on")
+@pytest.mark.skipif(not PINNED, reason="no OpenBLAS thread-count setter to pin the phases with")
+def test_leak_sweep_runs_on_one_core_under_two_blas_threads(tmp_path):
+    """At 100 units every phase of leak-sweep runs at one BLAS thread, so no worker spins.
+
+    The base is the calling thread's CPU time, as in
+    `test_mlp_training_runs_on_one_core_under_two_blas_threads`. With every
+    phase threaded as the environment set, the process used about 1.9 CPU
+    seconds per second of wall time (2 cores); pinned, about 1.15.
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", SWEEP_CPU, str(tmp_path / "out"), *SWEEP_SHAPE],
+        env=subprocess_env(OPENBLAS_NUM_THREADS="2"), capture_output=True, text=True, check=True, timeout=300,
+    )
+    run = json.loads(result.stdout.splitlines()[-1])
+    assert run["exit"] == 0
+    assert run["cpu_s"] <= 1.3 * run["thread_cpu_s"], run
+
+
+# Maps 4 samples at paper shape (89x181 inputs, 300 units) in a fresh
+# interpreter and prints every thread count set through the OpenBLAS handle
+# and the count read at each step back.
+PAPER_SHAPE_MAP = """
+import json
+import numpy as np
+from esnlrp import blas, lrp, reservoir
+
+handle, counts = blas.openblas(), {"set": [], "step_back": []}
+blas.openblas = lambda: blas.Handle(lambda n: (counts["set"].append(n), handle.set(n))[1], handle.get)
+step_back = lrp.relevance_step_back
+
+def counted(*args, **kwargs):
+    counts["step_back"].append(handle.get())
+    return step_back(*args, **kwargs)
+
+lrp.relevance_step_back = counted
+model = reservoir.init_reservoir(reservoir.EsnConfig(n_in=89, n_res=300, leak_rate=0.01, seed=1))
+rng = np.random.default_rng(0)
+model = model.with_readout(rng.uniform(-1.0, 1.0, (1, 300)), np.zeros(1))
+maps = lrp.relevance_map(model, rng.uniform(-1.0, 1.0, (4, 89, 181)))
+print(json.dumps({"maps": len(maps), **counts}))
+"""
+
+
+@pytest.mark.skipif(not PINNED, reason="no OpenBLAS thread-count setter to read the count with")
+def test_a_paper_shape_relevance_map_never_runs_above_one_blas_thread_under_one():
+    """300 units keep the environment's count for their products, and here that is 1: no phase
+    of the pass, the eigenvalue solve of the reservoir draw included, sets a higher one."""
+    result = subprocess.run(
+        [sys.executable, "-c", PAPER_SHAPE_MAP],
+        env=subprocess_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, check=True, timeout=300,
+    )
+    run = json.loads(result.stdout.splitlines()[-1])
+    assert run["maps"] == 4
+    assert len(run["step_back"]) == 180
+    assert set(run["step_back"]) == {1}
+    assert all(n <= 1 for n in run["set"]), run["set"]
+
+
+@pytest.mark.skipif(not PINNED, reason="no OpenBLAS thread-count setter to read the count with")
+def test_without_a_setter_every_phase_runs_at_the_environments_count(tmp_path, monkeypatch):
+    """With the setter lookup finding nothing, no phase changes the BLAS thread count, so every
+    product runs at the count the environment set, as before the phases had their own.
+
+    The count is raised to 2 in-process first, so that a phase pinned to 1
+    would show. The eigenvalue and readout solves, the MLP's products and
+    each step back read the count as they run.
+    """
+    handle = blas.openblas()
+    seen = []
+
+    def watched(fn):
+        def call(*args, **kwargs):
+            seen.append((fn.__name__, handle.get()))
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name in ((np.linalg, "eigvals"), (np.linalg, "svd"), (lrp, "relevance_step_back"),
+                         (baselines, "mlp_forward")):
+        monkeypatch.setattr(module, name, watched(getattr(module, name)))
+    monkeypatch.setattr(blas, "openblas", lambda: None)
+    before = handle.get()
+    handle.set(2)
+    try:
+        assert run_cli("train", "--out", str(tmp_path / "out"), "--baseline", "mlp", *SMALL) == 0
+        assert run_cli("leak-sweep", "--out", str(tmp_path / "out"), *SMALL) == 0
+    finally:
+        handle.set(before)
+    assert {name for name, _ in seen} == {"eigvals", "svd", "relevance_step_back", "mlp_forward"}
+    assert {count for _, count in seen} == {2}
 
 
 def two_readout_rows(doc):
