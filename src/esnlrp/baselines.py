@@ -12,7 +12,7 @@ against, and the collapse makes for a free correctness check.
 The MLP reads its inputs through a row source (`RowSource`, such as
 `data.BaselineRows`) a mini-batch at a time, in training and in prediction,
 so no (samples x inputs) matrix is built for it. Training and scoring
-run at one BLAS thread (`blas.threads`), so they use one core whatever the
+run at one BLAS thread (`blas.one_thread`), so they use one core whatever the
 BLAS thread count, and the weights are bit for bit the same under 1 and 2
 threads. Where no thread-count setter is found, the weight gradients are
 still written in column blocks too small for BLAS to split (see
@@ -40,8 +40,9 @@ ADAM_EPS = 1e-8
 
 INIT_HALF_RANGE = 0.05
 
-# Rows per mini-batch, in training and in prediction.
+# Rows per mini-batch, in training and in prediction, and passes of `train_mlp` over the train rows.
 BATCH_ROWS = 10
+EPOCHS = 30
 
 # Adam updates the flat parameter vector this many elements at a time, so
 # its temporaries stay in cache.
@@ -98,12 +99,11 @@ class MlpModel:
 
 @dataclass
 class AdamState:
-    """Moment accumulators over the flat parameter vector, and the learning rate."""
+    """Moment accumulators over the flat parameter vector."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    lr: float = ADAM_LR
 
 
 def init_mlp(layer_dims: Sequence[int], seed: int = 0) -> MlpModel:
@@ -133,7 +133,7 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> List[np.ndarray]:
     return activations
 
 
-@blas.threads(1)
+@blas.one_thread()
 def mlp_predict(model: MlpModel, rows: RowSource) -> np.ndarray:
     """One score per row of the source, shape (n,), BATCH_ROWS rows at a time through one buffer."""
     if rows.width != model.layer_dims[0]:
@@ -196,12 +196,12 @@ def mlp_gradients(
     return loss, grads_w, grads_b
 
 
-def adam_init(model: MlpModel, lr: float = ADAM_LR) -> AdamState:
-    return AdamState(m=np.zeros(model.param_count), v=np.zeros(model.param_count), lr=lr)
+def adam_init(model: MlpModel) -> AdamState:
+    return AdamState(m=np.zeros(model.param_count), v=np.zeros(model.param_count))
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
-    """One Adam update of a flat parameter vector, in place; advances the state.
+    """One Adam update of a flat parameter vector at ADAM_LR, in place; advances the state.
 
     Each slice goes through the textbook expressions in their usual order,
     so the result is bit for bit that of the unsliced arithmetic.
@@ -212,7 +212,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         )
     state.step += 1
     t = state.step
-    scale = state.lr * np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
+    scale = ADAM_LR * np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
     work = np.empty((2, min(ADAM_SLICE, theta.size)))
     for lo in range(0, theta.size, ADAM_SLICE):
         p, g = theta[lo : lo + ADAM_SLICE], grad[lo : lo + ADAM_SLICE]
@@ -249,17 +249,11 @@ def _blocks(layer_dims: Tuple[int, ...], flat: np.ndarray) -> Tuple[Tuple[np.nda
     return tuple(views[:n_layers]), tuple(views[n_layers:])
 
 
-@blas.threads(1)
-def train_mlp(
-    rows: RowSource,
-    targets: np.ndarray,
-    epochs: int = 30,
-    batch: int = BATCH_ROWS,
-    seed: int = 0,
-    lr: float = ADAM_LR,
-) -> Tuple[MlpModel, List[float]]:
+@blas.one_thread()
+def train_mlp(rows: RowSource, targets: np.ndarray, seed: int = 0) -> Tuple[MlpModel, List[float]]:
     """Mini-batch Adam on MSE for a (rows.width, *HIDDEN_DIMS, 1) net on the
-    source's n rows and their (n,) targets; deterministic given the seed.
+    source's n rows and their (n,) targets: EPOCHS passes of BATCH_ROWS-row
+    mini-batches at ADAM_LR; deterministic given the seed.
 
     The seed spawns two substreams, one for the weight init and one for the
     per-epoch reshuffle, so init and batch order never interact. Returns the
@@ -268,34 +262,32 @@ def train_mlp(
 
     Parameters and gradients each live in one flat vector that the layer
     blocks view, so every step updates them in place. Each mini-batch is
-    read from the source into one reused (batch, width) buffer.
+    read from the source into one reused (BATCH_ROWS, width) buffer.
     """
     targets = np.asarray(targets, dtype=float)
     n_samples = len(rows)
     if targets.shape != (n_samples,):
         raise ConfigError(f"{n_samples} rows need targets of shape ({n_samples},), got {targets.shape}")
-    if epochs < 1 or batch < 1:
-        raise ConfigError(f"epochs and batch must be positive, got {epochs}, {batch}")
 
     streams = np.random.SeedSequence(seed).spawn(2)
     initial = init_mlp((rows.width, *HIDDEN_DIMS, 1), seed=seed)
     dims = initial.layer_dims
     shuffle_rng = np.random.default_rng(streams[1])
-    state = adam_init(initial, lr=lr)
+    state = adam_init(initial)
 
     theta = np.concatenate([p.ravel() for p in initial.weights + initial.biases])
     grad = np.empty_like(theta)
     model = MlpModel(dims, *_blocks(dims, theta))
     grad_blocks = _blocks(dims, grad)
-    x_rows = np.empty((min(batch, n_samples), rows.width))
-    y_rows = np.empty(min(batch, n_samples))
+    x_rows = np.empty((min(BATCH_ROWS, n_samples), rows.width))
+    y_rows = np.empty(min(BATCH_ROWS, n_samples))
 
     history: List[float] = []
-    for epoch in range(epochs):
+    for epoch in range(EPOCHS):
         order = shuffle_rng.permutation(n_samples)
         epoch_losses = []
-        for lo in range(0, n_samples, batch):
-            picked = order[lo : lo + batch]
+        for lo in range(0, n_samples, BATCH_ROWS):
+            picked = order[lo : lo + BATCH_ROWS]
             x = rows.read(picked, x_rows)
             # the rows come from a permutation, so clipping never applies; it
             # lets take() write straight into the buffer
@@ -303,8 +295,8 @@ def train_mlp(
             loss, _, _ = mlp_gradients(model, x, y, out=grad_blocks)
             if not np.isfinite(loss):
                 raise NumericError(
-                    f"loss became non-finite ({loss}) at epoch {epoch + 1}, batch {lo // batch + 1}; "
-                    "lower the learning rate or rescale the inputs"
+                    f"loss became non-finite ({loss}) at epoch {epoch + 1}, batch {lo // BATCH_ROWS + 1}; "
+                    "rescale the inputs"
                 )
             adam_step(theta, grad, state)
             epoch_losses.append(loss)
@@ -313,7 +305,7 @@ def train_mlp(
     return MlpModel(dims, *_blocks(dims, theta)), history
 
 
-@blas.threads(1)
+@blas.one_thread()
 def linreg_predict(model: ReadoutSolution, vectors: np.ndarray) -> np.ndarray:
     """One score per row of a batch of vectors under a fitted linear model, shape (n,)."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))

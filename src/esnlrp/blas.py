@@ -83,20 +83,19 @@ def openblas() -> Optional[Handle]:
 
 
 @contextlib.contextmanager
-def threads(n: int) -> Iterator[None]:
-    """Run the block at no more than n BLAS threads, then restore the count it found.
+def one_thread() -> Iterator[None]:
+    """Run the block at one BLAS thread, then restore the count it found.
 
-    A count at or below n is left as it is, so the block never runs above
-    what the environment (or an enclosing block) set. Without a setter it
-    does nothing. The count is the process's: blocks open on two Python
-    threads at once would restore each other's count.
+    Without a setter, or at one thread already, it does nothing. The count
+    is the process's: blocks open on two Python threads at once would
+    restore each other's count.
     """
     handle = openblas()
-    before = n if handle is None else handle.get()
-    if before <= n:
+    before = 1 if handle is None else handle.get()
+    if before <= 1:
         yield
         return
-    handle.set(n)
+    handle.set(1)
     try:
         yield
     finally:
@@ -106,4 +105,4 @@ def threads(n: int) -> Iterator[None]:
 def for_units(n_res: int) -> ContextManager[None]:
     """The thread count of a reservoir's per-step products: the environment's from
     THREADED_MIN_UNITS units up, else one thread."""
-    return contextlib.nullcontext() if n_res >= THREADED_MIN_UNITS else threads(1)
+    return contextlib.nullcontext() if n_res >= THREADED_MIN_UNITS else one_thread()

@@ -115,6 +115,8 @@ class ExperimentConfig:
         if self.synthetic is not None:
             d, t, n = self.synthetic
             data.check_synthetic_shape(n, d, t)
+        if self.data is not None and (self.synthetic is not None or self.command == "synthetic"):
+            raise ConfigError(f"--data {self.data} names a second source beside the generated samples; pass one")
         if self.esn_config(n_in=1).recurrent_weight_count == 0:  # no seed can draw one
             raise ConfigError(f"sparsity {self.sparsity} at n_res {self.n_res} leaves no recurrent weight")
         readout.check_ridge(self.ridge)
@@ -335,8 +337,7 @@ def forward_pass(
     same number of inputs. A sample is let go once all the models are done
     with it: a stream's samples are held no longer than one run.
     """
-    # a first empty block each, so that no sample gives (0, n_res)
-    states = [[np.empty((0, encoder.model.config.n_res))] for encoder in encoders]
+    states: List[List[np.ndarray]] = [[] for _ in encoders]
     n_in = encoders[0].model.config.n_in
     for batch in batches(samples, shape, n_in * 8):
         for (encoder, inputs), encoded in zip(in_turn(encoders, batch), states):
@@ -617,8 +618,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     Relevance maps are averaged per class: map signs follow the sign of the
     model output, so pooling the positive- and negative-target classes would
     cancel the very signal being located. The fit draws every sample, and
-    each class's maps draw that class's train samples afresh; a class with
-    no train sample is skipped.
+    each class's maps draw that class's train samples afresh.
     """
     if cfg.synthetic is None:
         cfg = replace(cfg, synthetic=DEFAULT_SYNTHETIC)
@@ -631,10 +631,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     rows = split_rows("esn", source.keys, scores)
     box = data.synthetic_blob_box(d, t)
     for class_filter in ("elnino", "lanina"):
-        positions = class_positions(source.keys, class_filter)
-        if not positions:
-            continue
-        [mean] = mean_maps([encoder], source, positions)
+        [mean] = mean_maps([encoder], source, class_positions(source.keys, class_filter))
         lrp.write_matrix_csv(out / f"mean_map_{class_filter}.csv", mean)
         lrp.write_heatmap_pgm(out / f"mean_map_{class_filter}.pgm", mean)
         rows.append(f"esn,train,localization_ratio_{class_filter},{data.box_mass_ratio(mean, box):.9g}")

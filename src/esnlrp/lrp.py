@@ -43,8 +43,10 @@ from . import blas, reservoir
 from .errors import ConfigError
 from .reservoir import EsnModel, StateTrajectory, model_output
 
-# Stabilizer of the z+ denominators in the backward pass.
+# Stabilizer of the z+ denominators in the backward pass, and the largest conservation
+# error, relative to max(1, |total|), of a map that `RelevanceMap.conserved` passes.
 EPSILON = 1e-12
+CONSERVATION_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,8 @@ class RelevanceMap:
     def conservation_error(self) -> float:
         return abs(self.total - float(self.scores.sum()) - float(self.dummy_scores.sum()) - self.absorbed)
 
-    def conserved(self, tol: float = 1e-6) -> bool:
-        return self.conservation_error() <= tol * max(1.0, abs(self.total))
+    def conserved(self) -> bool:
+        return self.conservation_error() <= CONSERVATION_TOLERANCE * max(1.0, abs(self.total))
 
 
 def relevance_output_layer(

@@ -80,7 +80,7 @@ def check_rank_attainable(n_samples: int, n_units: int, ridge: float) -> None:
         )
 
 
-@blas.threads(1)
+@blas.one_thread()
 def fit_readout(final_states: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutSolution:
     """Least-squares readout w, b minimizing ||X w + b - y||^2 + ridge * ||w||^2.
 

@@ -132,7 +132,7 @@ class StateTrajectory:
         return self.states[-1]
 
 
-@blas.threads(1)
+@blas.one_thread()
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a square matrix, from one LAPACK eigenvalue
     solve (exact up to rounding) at one BLAS thread, so that it gives the same bits
@@ -185,9 +185,7 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
     b_in = rng_b_in.uniform(-w, w, size=n)
     n_nonzero = config.recurrent_weight_count
     w_res = np.zeros((n, n))
-    if n_nonzero > 0:
-        positions = rng_pos.choice(n * n, size=n_nonzero, replace=False)
-        w_res.flat[positions] = rng_val.uniform(-w, w, size=n_nonzero)
+    w_res.flat[rng_pos.choice(n * n, size=n_nonzero, replace=False)] = rng_val.uniform(-w, w, size=n_nonzero)
     b_res = rng_b_res.uniform(-w, w, size=n)
 
     w_res = scale_to_spectral_radius(w_res, config.spectral_radius)

@@ -179,7 +179,7 @@ def test_adam_rejects_mismatched_blocks():
         adam_step(flat_vector(model)[:2], np.zeros(2), state)
 
 
-def reference_train_mlp(vectors, targets, epochs=30, batch=10, seed=0, lr=ADAM_LR):
+def reference_train_mlp(vectors, targets, epochs, batch, seed):
     """The list-based loop train_mlp replaced: new arrays for every block at every step.
 
     Backprop and the Adam update are spelled out here as they were, so a
@@ -214,7 +214,7 @@ def reference_train_mlp(vectors, targets, epochs=30, batch=10, seed=0, lr=ADAM_L
                 if layer > 0:
                     delta = delta @ model.weights[layer]
             step += 1
-            scale = lr * np.sqrt(1.0 - ADAM_BETA2**step) / (1.0 - ADAM_BETA1**step)
+            scale = ADAM_LR * np.sqrt(1.0 - ADAM_BETA2**step) / (1.0 - ADAM_BETA1**step)
             params = []
             for i, (p, g) in enumerate(zip(flat_params(model), grads_w + grads_b)):
                 m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
@@ -235,17 +235,20 @@ def reference_train_mlp(vectors, targets, epochs=30, batch=10, seed=0, lr=ADAM_L
         pytest.param(23, 16_020, 2, 10, id="paper-width"),
     ],
 )
-def test_train_mlp_matches_the_list_based_reference_bit_for_bit(n_samples, width, epochs, batch):
+def test_train_mlp_matches_the_list_based_reference_bit_for_bit(monkeypatch, n_samples, width, epochs, batch):
     """In-place training gives the reference's weights and loss history exactly.
 
     23 and 12 samples leave a short last batch; at width 9000 the parameter
     vector spans three Adam slices, and at the paper's 16,020 the first
-    layer's weight gradient is written in four column blocks.
+    layer's weight gradient is written in four column blocks. Each case
+    sets the schedule's constants to its own epochs and batch.
     """
+    monkeypatch.setattr(baselines, "EPOCHS", epochs)
+    monkeypatch.setattr(baselines, "BATCH_ROWS", batch)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(n_samples, width))
     y = np.where(rng.random(n_samples) < 0.5, -1.0, 1.0)
-    got, history = train_mlp(MatrixRows(x), y, epochs=epochs, batch=batch, seed=3)
+    got, history = train_mlp(MatrixRows(x), y, seed=3)
     want, want_history = reference_train_mlp(x, y, epochs=epochs, batch=batch, seed=3)
     assert got.layer_dims == want.layer_dims == (width, 8, 8, 1)
     assert history == want_history
@@ -256,11 +259,13 @@ def test_train_mlp_matches_the_list_based_reference_bit_for_bit(n_samples, width
         assert got.param_count > 2 * ADAM_SLICE
 
 
-def test_train_mlp_fits_a_linear_rule():
+def test_train_mlp_fits_a_linear_rule(monkeypatch):
+    monkeypatch.setattr(baselines, "EPOCHS", 200)
+    monkeypatch.setattr(baselines, "ADAM_LR", 0.01)
     rng = np.random.default_rng(8)
     x = rng.normal(size=(60, 4))
     y = x @ np.array([0.5, -0.25, 0.1, 0.7]) + 0.3
-    model, history = train_mlp(MatrixRows(x), y, epochs=200, batch=10, seed=0, lr=0.01)
+    model, history = train_mlp(MatrixRows(x), y, seed=0)
     assert history[-1] < history[0]
     assert history[-1] < 1e-3
     np.testing.assert_allclose(mlp_predict(model, MatrixRows(x)), y, atol=0.15)
@@ -270,12 +275,12 @@ def test_train_mlp_is_seed_deterministic():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
-    a, history_a = train_mlp(MatrixRows(x), y, epochs=3, batch=4, seed=7)
-    b, history_b = train_mlp(MatrixRows(x), y, epochs=3, batch=4, seed=7)
+    a, history_a = train_mlp(MatrixRows(x), y, seed=7)
+    b, history_b = train_mlp(MatrixRows(x), y, seed=7)
     assert history_a == history_b
     for pa, pb in zip(flat_params(a), flat_params(b)):
         np.testing.assert_array_equal(pa, pb)
-    c, _ = train_mlp(MatrixRows(x), y, epochs=3, batch=4, seed=8)
+    c, _ = train_mlp(MatrixRows(x), y, seed=8)
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
@@ -285,14 +290,17 @@ def test_train_mlp_is_seed_deterministic():
 PAPER_WIDTH_TRAINING = """
 import hashlib, json, resource, time
 import numpy as np
+from esnlrp import baselines
 from esnlrp.baselines import train_mlp
 from helpers import MatrixRows
+
+baselines.EPOCHS = 10
 
 rng = np.random.default_rng(0)
 x = rng.uniform(-1.0, 1.0, size=(200, 16_020))
 y = np.where(rng.random(200) < 0.5, -1.0, 1.0)
 before, start = resource.getrusage(resource.RUSAGE_SELF), time.thread_time()
-model, history = train_mlp(MatrixRows(x), y, epochs=10)
+model, history = train_mlp(MatrixRows(x), y)
 thread, after = time.thread_time() - start, resource.getrusage(resource.RUSAGE_SELF)
 cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 digest = hashlib.sha256(b"".join(p.tobytes() for p in model.weights + model.biases))
@@ -337,17 +345,13 @@ def test_train_mlp_aborts_on_overflow():
     x = np.full((10, 2), 1e200)
     y = np.ones(10)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
-        train_mlp(MatrixRows(x), y, epochs=1, batch=10, seed=0)
+        train_mlp(MatrixRows(x), y, seed=0)
 
 
 def test_train_mlp_input_validation():
     x = MatrixRows(np.ones((10, 2)))
     with pytest.raises(ConfigError):
         train_mlp(x, np.ones(9))
-    with pytest.raises(ConfigError):
-        train_mlp(x, np.ones(10), epochs=0)
-    with pytest.raises(ConfigError):
-        train_mlp(x, np.ones(10), batch=0)
 
 
 def test_linreg_recovers_linear_map():

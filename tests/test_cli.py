@@ -359,6 +359,13 @@ def two_readout_rows(doc):
         block["data"] = base64.b64encode(2 * base64.b64decode(block["data"])).decode("ascii")
 
 
+def an_mlp_of_the_readout(doc):
+    """A well-formed MLP document in place of the reservoir's: one (1, n_res) layer, the readout's blocks."""
+    arrays = doc["arrays"]
+    doc.update(kind="mlp", config={"layer_dims": [doc["config"]["n_res"], 1]})
+    doc["arrays"] = {"w0": arrays["w_out"], "b0": arrays["b_out"]}
+
+
 @pytest.mark.parametrize(
     "edit, key",
     [
@@ -369,6 +376,11 @@ def two_readout_rows(doc):
         pytest.param(lambda doc: doc["arrays"]["w_in"]["shape"].reverse(), "w_in", id="transposed-w-in"),
         pytest.param(two_readout_rows, "w_out", id="two-readout-rows"),
         pytest.param(lambda doc: doc["arrays"]["w_out"]["shape"].pop(0), "w_out", id="one-dimensional-w-out"),
+        pytest.param(an_mlp_of_the_readout, "does not hold a trained reservoir model", id="an-mlp"),
+        pytest.param(
+            lambda doc: [doc["arrays"].pop(k) for k in ("w_out", "b_out")],
+            "does not hold a trained reservoir model", id="untrained",
+        ),
     ],
 )
 def test_malformed_model_files_exit_three(tmp_path, capsys, edit, key):
@@ -457,6 +469,7 @@ def test_config_file_class_alias_and_unknown_key(tmp_path, capsys):
         pytest.param({"synthetic": 5}, "synthetic", id="synthetic=5"),
         pytest.param({"synthetic": [8.0, 12, 12]}, "synthetic", id="synthetic=float"),
         pytest.param({"ridge": True}, "ridge", id="ridge=true"),
+        pytest.param({"alpha": 10**400}, "alpha", id="alpha=10**400"),
     ],
 )
 def test_config_file_values_of_the_wrong_type_exit_two(tmp_path, capsys, settings, key):
@@ -464,6 +477,27 @@ def test_config_file_values_of_the_wrong_type_exit_two(tmp_path, capsys, setting
     config.write_text(json.dumps({"synthetic": [8, 12, 12], "ridge": 1e-8, **settings}))
     assert run_cli("train", "--config", str(config), "--out", str(tmp_path / "o")) == 2
     assert f"{key!r} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("{not json", "cannot read config file", id="not-json"),
+        pytest.param("[8, 12, 12]", "must hold a JSON object", id="a-list"),
+        pytest.param('{"class": "x"}', "--class must be one of", id="class=x"),
+        pytest.param('{"baseline": "x"}', "--baseline must be one of", id="baseline=x"),
+    ],
+)
+def test_config_files_that_cannot_be_used_exit_two_naming_the_file(tmp_path, capsys, text, message):
+    """A config file that is no JSON object, or names a --class or --baseline there is none of, is a
+    configuration error naming the file, found before --out is made."""
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="ascii")
+    out = tmp_path / "o"
+    assert run_cli("train", *SMALL, "--config", str(config), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(config) in err
+    assert not out.exists()
 
 
 def test_integers_for_number_settings_save_as_the_flags_do(tmp_path):
@@ -550,6 +584,21 @@ def test_missing_dataset_paths_exit_three(tmp_path, capsys, monkeypatch):
     assert "data error" in capsys.readouterr().err
     assert run_cli("train", "--out", "o") == 3  # no dataset anywhere, no --synthetic
     assert run_cli("evaluate", "--out", "o", *SMALL) == 3  # no trained model yet
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--synthetic", "8,12,12"], ["synthetic"], ["synthetic", "--synthetic", "8,12,12"]],
+    ids=["train-synthetic", "synthetic", "synthetic-synthetic"],
+)
+def test_data_beside_generated_samples_exits_two_before_anything_is_read(tmp_path, capsys, monkeypatch, argv):
+    """--data names a second source where the samples are generated: a configuration error, found
+    before any source is read or --out is made, even where the path does not exist."""
+    monkeypatch.setattr(cli, "sample_source", lambda cfg: pytest.fail("a source was read"))
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--data", str(tmp_path / "nope.sstg"), "--out", str(out)) == 2
+    assert "configuration error: --data" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rank_deficient_plain_regression_exits_four(tmp_path, capsys):
@@ -963,10 +1012,11 @@ def block_the_train_report(directory):
         (write_float_n_res_config, ["train", "--config", "c.json", "--synthetic", "8,12,12", "--out", "cfg"], 2, "cfg"),
         (train_with_float_n_res, ["evaluate", "--synthetic", "8,12,12", "--out", "m6"], 3, "m6/eval_report.csv"),
         (block_the_train_report, [*TRAIN_MM[:-1], "blocked"], 2, None),
+        (None, ["train", "--synthetic", "8,12,12", "--data", "nope.sstg", "--out", "two-sources"], 2, "two-sources"),
     ],
     ids=[
         "bad-shape", "no-model", "field-height", "out-is-a-file", "one-unit", "one-train-sample",
-        "config-n-res-20.5", "model-n-res-6.0", "blocked-output",
+        "config-n-res-20.5", "model-n-res-6.0", "blocked-output", "data-beside-synthetic",
     ],
 )
 def test_the_installed_entry_point_exits_with_the_documented_codes(tmp_path, setup, argv, code, absent):

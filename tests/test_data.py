@@ -198,6 +198,21 @@ def test_reference_period_outside_span_is_an_error(tmp_path):
         data.scan(container)
 
 
+def test_a_container_with_one_labelled_month_is_a_data_error(tmp_path):
+    """`enso_source` needs two labelled months to split. One Nino-3.4 cell is +1 in January 1980,
+    when the box's other cells are missing, and -1 in January 1981, beside 129 zeros, and missing
+    in every other January: the box means are +1 and -1/130 there and 0 elsewhere, so only January
+    1980 lies beyond the label threshold."""
+    fields = np.zeros((360, data.GRID_N_LAT, data.GRID_N_LON))
+    rows, cols = data.nino34_region()
+    fields[0, rows[:, None], cols] = np.nan
+    fields[::12, rows[0], cols[0]] = np.nan
+    fields[0, rows[0], cols[0]], fields[12, rows[0], cols[0]] = 1.0, -1.0
+    data.write_sst(tmp_path / "one.sstg", fields, 1980)
+    with pytest.raises(DataError, match="only 1 labeled samples"):
+        data.enso_source(tmp_path / "one.sstg")
+
+
 def test_nino34_region_bounds():
     rows, cols = data.nino34_region()
     np.testing.assert_array_equal(data.LAT_CENTERS[rows], [-4, -2, 0, 2, 4])

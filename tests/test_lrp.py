@@ -229,7 +229,7 @@ def test_edge_case_maps_match_the_oracle(n, d, t, batch, alpha, epsilon, zero_sa
         np.testing.assert_allclose(rmap.dummy_scores, dummy, rtol=0.0, atol=1e-10)
         assert abs(rmap.absorbed - absorbed) <= 1e-10
         assert abs(rmap.total - total) <= 1e-10
-        assert rmap.conserved(1e-6)
+        assert rmap.conserved()
 
 
 @settings(max_examples=50, deadline=None)
@@ -244,7 +244,7 @@ def test_map_conserves_total(n, d, t, alpha, seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, n, d, alpha)
     rmap = relevance_map(model, random_sample(rng, d, t)[None])[0]
-    assert rmap.conserved(1e-6)
+    assert rmap.conserved()
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,7 +282,7 @@ def test_batched_maps_match_single_sample_maps(n, d, t, batch, alpha, zero_sampl
         np.testing.assert_allclose(rmap.dummy_scores, single.dummy_scores, rtol=0.0, atol=tol)
         assert abs(rmap.absorbed - single.absorbed) <= tol
         assert abs(rmap.total - single.total) <= tol
-        assert rmap.conserved(1e-6)
+        assert rmap.conserved()
 
 
 def test_a_map_keeps_no_other_map_of_its_batch_alive():
@@ -387,7 +387,7 @@ def test_maps_match_the_reference_at_paper_shape(paper_shape_batch, epsilon):
         assert np.max(np.abs(rmap.dummy_scores - dummy)) <= 1e-12 * np.max(np.abs(dummy))
         assert abs(rmap.absorbed - absorbed) <= tol
         assert abs(rmap.total - total) <= tol
-        assert rmap.conserved(1e-6)
+        assert rmap.conserved()
 
 
 def test_map_sign_follows_output():

@@ -139,6 +139,26 @@ def test_load_rejects_malformed_documents(tmp_path):
         with pytest.raises(DataError, match=key):
             load_model(path)
 
+    save_model(path, init_mlp((2, 3, 1), seed=0))
+    saved = json.loads(path.read_text())
+    for dims, message in [
+        ([2], "need at least input and output dims"),
+        ([2, 0, 1], "must be positive"),
+        ([2, 3, 2], "must end in 1"),
+        ([2, 3, 3, 1], "lacks key 'w2'"),
+    ]:
+        saved["config"]["layer_dims"] = dims
+        path.write_text(json.dumps(saved))
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    save_model(path, ReadoutSolution(w_out=np.ones((1, 2)), b_out=np.zeros(1), train_mse=0.5))
+    saved = json.loads(path.read_text())
+    saved["arrays"]["train_mse"] = saved["arrays"]["w_out"]  # two values
+    path.write_text(json.dumps(saved))
+    with pytest.raises(DataError, match="train_mse block must hold one value"):
+        load_model(path)
+
 
 VERSION_1_MODEL = Path(__file__).parent / "data" / "esn_model_v1.json"
 
