@@ -215,36 +215,29 @@ def sample_source(cfg: ExperimentConfig) -> data.SampleSource:
     `data.synthetic_samples`. On --data the container is checked and its
     index computed here (`data.enso_source`), so a data error comes before
     anything is written, and a draw reads the months it keeps from the file.
+    With neither, no other input is consulted: it is a DataError.
     """
     if cfg.synthetic is not None:
         d, t, n = cfg.synthetic
         return data.synthetic_source(n, d, t, seed=cfg.seed)
-    path = data.locate_dataset(cfg.data)
-    if path is None:
-        raise DataError(
-            "no dataset found: pass --data <path>, set "
-            f"{data.ENV_DATASET}, place {data.DEFAULT_DATASET_PATH}, or use --synthetic d,t,n"
-        )
-    return data.enso_source(path)
+    if cfg.data is None:
+        raise DataError("no samples: pass --data <path> or --synthetic d,t,n")
+    return data.enso_source(cfg.data)
 
 
 def class_positions(keys: data.SampleSet, class_filter: str) -> List[int]:
-    """The positions of the train samples of --class among `keys`, in order (--class names a label's value)."""
-    return [i for i, key in enumerate(keys.train_samples) if class_filter in ("both", key.label.value)]
+    """The positions of the train samples of --class among `keys`, in order (--class names a
+    label's value), read before any field is drawn; none is a DataError."""
+    positions = [i for i, key in enumerate(keys.train_samples) if class_filter in ("both", key.label.value)]
+    if not positions:
+        raise DataError(f"no training samples left after --class {class_filter}")
+    return positions
 
 
 def check_train_split(keys: data.SampleSet) -> None:
     """A readout fit needs at least two train samples; fewer, read from the keys, is a DataError."""
     if keys.n_train < 2:
         raise DataError(f"need at least two train samples to fit the readout, the split has {keys.n_train}")
-
-
-def mapped_positions(keys: data.SampleSet, class_filter: str) -> List[int]:
-    """`class_positions`, read from the keys before any field is drawn; none is a DataError."""
-    positions = class_positions(keys, class_filter)
-    if not positions:
-        raise DataError(f"no training samples left after --class {class_filter}")
-    return positions
 
 
 @dataclass(frozen=True)
@@ -519,7 +512,7 @@ def cmd_relevance(cfg: ExperimentConfig, out: Path) -> None:
     """
     model = load_trained_model(out)
     source = sample_source(cfg)
-    positions = mapped_positions(source.keys, cfg.class_filter)
+    positions = class_positions(source.keys, cfg.class_filter)
     check_field_height(model, source.shape[0], out)
 
     rel_dir = out / "relevance"
@@ -549,7 +542,7 @@ def study(
     draw of every sample, and the --class train samples mapped under them in one more. A --class
     with no train sample, or a train split too small to fit, is a DataError before any field is drawn."""
     check_train_split(source.keys)
-    positions = mapped_positions(source.keys, cfg.class_filter)
+    positions = class_positions(source.keys, cfg.class_filter)
     fitted, scores = fit_esn(cfg, encoders, source, source.draw())
     means = mean_maps(fitted, source, positions)
     return [val_accuracy(source.keys, s) for s in scores], means

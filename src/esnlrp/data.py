@@ -55,9 +55,6 @@ REFERENCE_PERIOD = (1980, 2009)
 NINO34_LAT = (-5.0, 5.0)
 NINO34_LON = (190.0, 240.0)
 
-ENV_DATASET = "ESNLRP_SST"
-DEFAULT_DATASET_PATH = Path("data") / "sst.sstg"
-
 # Synthetic-task geometry: the class signal is a Gaussian blob centered at
 # 20% of the width (rows centered), sigma d/12 by t/10, zonally stretched.
 # The ground-truth box spans 1.5 sigma around the center on both axes.
@@ -600,23 +597,3 @@ def write_sample_index_csv(path: Union[str, Path], sample_set: SampleSet) -> Non
     for sample, tag in zip(sample_set.samples, sample_set.split):
         lines.append(f"{sample.month_id},{sample.index:.9g},{sample.label.value},{tag}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def locate_dataset(explicit: Optional[Union[str, Path]] = None) -> Optional[Path]:
-    """Resolve the dataset path: explicit flag, ESNLRP_SST, then data/sst.sstg.
-
-    An explicitly named path (flag or environment) that does not exist is an
-    error; the conventional default location simply yields None when absent.
-    """
-    if explicit is not None:
-        path = Path(explicit)
-        if not path.exists():
-            raise DataError(f"dataset file {path} does not exist")
-        return path
-    env = os.environ.get(ENV_DATASET)
-    if env:
-        path = Path(env)
-        if not path.exists():
-            raise DataError(f"{ENV_DATASET} points at {path}, which does not exist")
-        return path
-    return DEFAULT_DATASET_PATH if DEFAULT_DATASET_PATH.exists() else None

@@ -172,7 +172,8 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
     w_in, b_in and b_res are dense uniform in [-WEIGHT_RANGE, +WEIGHT_RANGE].
     w_res gets exactly `config.recurrent_weight_count` nonzero entries at
     uniformly chosen positions, values from the same interval, then rescaled to the
-    configured spectral radius. Five independent substreams (one per weight
+    configured spectral radius; a count of 0 is a ConfigError, since no seed can
+    draw a weight. Five independent substreams (one per weight
     block) are split off the seed. The draws are the same on any platform,
     and the eigenvalue solve runs at one BLAS thread, so the model is
     reproduced bit for bit for one BLAS build under any thread count.
@@ -184,6 +185,8 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
     w_in = rng_w_in.uniform(-w, w, size=(n, d))
     b_in = rng_b_in.uniform(-w, w, size=n)
     n_nonzero = config.recurrent_weight_count
+    if n_nonzero == 0:
+        raise ConfigError(f"sparsity {config.sparsity} at n_res {n} leaves no recurrent weight")
     w_res = np.zeros((n, n))
     w_res.flat[rng_pos.choice(n * n, size=n_nonzero, replace=False)] = rng_val.uniform(-w, w, size=n_nonzero)
     b_res = rng_b_res.uniform(-w, w, size=n)

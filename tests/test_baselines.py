@@ -135,6 +135,10 @@ def test_predict_shapes_and_constant_model():
     np.testing.assert_array_equal(mlp_predict(constant, MatrixRows(np.ones((3, 2)))), [4.5] * 3)
     with pytest.raises(ConfigError):
         mlp_forward(constant, np.ones((2, 3)))
+    with pytest.raises(ConfigError, match="input width 3 does not match model input dim 2"):
+        mlp_predict(constant, MatrixRows(np.ones((2, 3))))
+    with pytest.raises(ConfigError, match=r"3 inputs need targets of shape \(3,\)"):
+        mlp_gradients(constant, np.ones((3, 2)), np.ones((3, 1)))
 
 
 def test_mlp_model_shape_validation():
@@ -142,6 +146,8 @@ def test_mlp_model_shape_validation():
         MlpModel(layer_dims=(2, 1), weights=(np.zeros((1, 3)),), biases=(np.zeros(1),))
     with pytest.raises(ConfigError):
         MlpModel(layer_dims=(2, 1), weights=(np.zeros((1, 2)),), biases=(np.zeros(2),))
+    with pytest.raises(ConfigError, match="2 layers need 2 weight and bias blocks, got 1 and 2"):
+        MlpModel(layer_dims=(2, 3, 1), weights=(np.zeros((3, 2)),), biases=(np.zeros(3), np.zeros(1)))
 
 
 @pytest.mark.parametrize("width", [2.0, True, "2"], ids=["float", "bool", "string"])

@@ -351,6 +351,21 @@ def test_without_a_setter_every_phase_runs_at_the_environments_count(tmp_path, m
     assert {count for _, count in seen} == {2}
 
 
+def test_the_lookup_finds_no_setter_in_a_numpy_that_bundles_none(tmp_path, monkeypatch):
+    """`blas.openblas()` passes over a bundled file named *openblas* that is no library, and a
+    loaded library under such a name (libm, linked to) that exports no setter, and finds None."""
+    maps = Path("/proc/self/maps")
+    libm = next((word for word in (maps.read_text().split() if maps.exists() else []) if "/libm." in word), None)
+    if libm is None:
+        pytest.skip("no loaded libm listed in /proc/self/maps")
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libopenblas-text.so").write_text("not a library")
+    (libs / "libopenblas-libm.so").symlink_to(libm)
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert blas.openblas.__wrapped__() is None
+
+
 def two_readout_rows(doc):
     """Stack a second copy of the readout: w_out (2, n_res), b_out (2,)."""
     for key in ("w_out", "b_out"):
@@ -577,12 +592,19 @@ def test_malformed_synthetic_flag_exits_two(tmp_path):
     assert err.value.code == 2
 
 
-def test_missing_dataset_paths_exit_three(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("ESNLRP_SST", raising=False)
+def test_missing_dataset_paths_exit_three(tmp_path, capsys, monkeypatch, enso_container):
+    """A command reads only the inputs its command line names: without --data or --synthetic it
+    exits 3 before --out is made, though ESNLRP_SST and ./data/sst.sstg both name a valid container."""
     monkeypatch.chdir(tmp_path)
     assert run_cli("train", "--out", "o", "--data", str(tmp_path / "nope.sstg")) == 3
-    assert "data error" in capsys.readouterr().err
-    assert run_cli("train", "--out", "o") == 3  # no dataset anywhere, no --synthetic
+    assert "data error: cannot read" in capsys.readouterr().err
+    (tmp_path / "data").mkdir()
+    shutil.copyfile(enso_container[0], tmp_path / "data" / "sst.sstg")
+    monkeypatch.setenv("ESNLRP_SST", str(enso_container[0]))
+    monkeypatch.setattr(data, "open_sst", lambda path: pytest.fail(f"{path} was read"))
+    assert run_cli("train", "--out", "o") == 3
+    assert "pass --data <path> or --synthetic d,t,n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
     assert run_cli("evaluate", "--out", "o", *SMALL) == 3  # no trained model yet
 
 
@@ -1000,6 +1022,12 @@ def block_the_train_report(directory):
     (directory / "blocked" / "train_report.csv").mkdir(parents=True)
 
 
+def place_a_container_at_data_sst(directory):
+    """A valid container where no flag names it, which a command must not read."""
+    (directory / "data").mkdir()
+    write_enso_container(directory / "data" / "sst.sstg")
+
+
 @pytest.mark.parametrize(
     "setup, argv, code, absent",
     [
@@ -1013,10 +1041,11 @@ def block_the_train_report(directory):
         (train_with_float_n_res, ["evaluate", "--synthetic", "8,12,12", "--out", "m6"], 3, "m6/eval_report.csv"),
         (block_the_train_report, [*TRAIN_MM[:-1], "blocked"], 2, None),
         (None, ["train", "--synthetic", "8,12,12", "--data", "nope.sstg", "--out", "two-sources"], 2, "two-sources"),
+        (place_a_container_at_data_sst, ["train", "--out", "unnamed"], 3, "unnamed"),
     ],
     ids=[
         "bad-shape", "no-model", "field-height", "out-is-a-file", "one-unit", "one-train-sample",
-        "config-n-res-20.5", "model-n-res-6.0", "blocked-output", "data-beside-synthetic",
+        "config-n-res-20.5", "model-n-res-6.0", "blocked-output", "data-beside-synthetic", "unnamed-input",
     ],
 )
 def test_the_installed_entry_point_exits_with_the_documented_codes(tmp_path, setup, argv, code, absent):
@@ -1291,6 +1320,7 @@ def test_permutation_report(tmp_path):
     assert 0.0 <= gap <= 1.0
     r = float(metric(rows, "comparison", "maps", "pearson_restored_vs_base"))
     assert -1.0 <= r <= 1.0
+    assert cli.pearson(np.full((2, 3), 0.5), np.arange(6.0).reshape(2, 3)) == 0.0  # a constant map
     for name in ("base", "permuted", "restored"):
         assert (out / f"mean_map_{name}.csv").exists()
         assert (out / f"mean_map_{name}.pgm").exists()

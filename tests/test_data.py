@@ -549,31 +549,6 @@ def test_write_sample_index_csv(tmp_path):
     assert first[3] == "train"
 
 
-def test_locate_dataset(tmp_path, monkeypatch):
-    monkeypatch.delenv(data.ENV_DATASET, raising=False)
-    monkeypatch.chdir(tmp_path)
-    assert data.locate_dataset() is None
-
-    with pytest.raises(DataError):
-        data.locate_dataset(tmp_path / "missing.sstg")
-
-    real = tmp_path / "present.sstg"
-    real.write_bytes(b"SSTG")
-    assert data.locate_dataset(real) == real
-
-    monkeypatch.setenv(data.ENV_DATASET, str(tmp_path / "gone.sstg"))
-    with pytest.raises(DataError, match=data.ENV_DATASET):
-        data.locate_dataset()
-    monkeypatch.setenv(data.ENV_DATASET, str(real))
-    assert data.locate_dataset() == real
-
-    monkeypatch.delenv(data.ENV_DATASET)
-    default = tmp_path / data.DEFAULT_DATASET_PATH
-    default.parent.mkdir()
-    default.write_bytes(b"SSTG")
-    assert data.locate_dataset() == data.DEFAULT_DATASET_PATH
-
-
 def enso_like_fields(n_years=32, start_year=1980):
     """A full-size container whose Nino-3.4 story is known in advance.
 

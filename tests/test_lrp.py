@@ -484,6 +484,8 @@ def test_matrix_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back, matrix, rtol=1e-8)
     text = path.read_text(encoding="ascii")
     assert len(text.strip().splitlines()) == 4
+    with pytest.raises(ValueError, match="expected a 1-D or 2-D matrix, got 3-D"):
+        write_matrix_csv(path, np.zeros((2, 3, 4)))
 
 
 def savetxt_bytes(matrix):

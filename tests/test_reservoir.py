@@ -131,10 +131,16 @@ def test_init_reservoir_hits_target_radius():
             assert abs(measured - target) <= 1e-12 * target
 
 
-def test_init_reservoir_zero_draw_is_a_numeric_error():
-    # round(0.3 * 1 * 1) = 0 nonzero entries: nothing to rescale
-    with pytest.raises(NumericError):
+def test_init_reservoir_with_no_recurrent_weight_is_a_config_error():
+    # round(0.3 * 1 * 1) = 0 nonzero entries: no seed can draw one
+    with pytest.raises(ConfigError, match="sparsity 0.3 at n_res 1 leaves no recurrent weight"):
         init_reservoir(EsnConfig(n_in=1, n_res=1, sparsity=0.3))
+
+
+def test_init_reservoir_nilpotent_draw_is_a_numeric_error():
+    # round(0.25 * 2 * 2) = 1 entry, which seed 0 draws off the diagonal: radius 0
+    with pytest.raises(NumericError, match="re-seed"):
+        init_reservoir(EsnConfig(n_in=1, n_res=2, sparsity=0.25, seed=0))
 
 
 def test_init_reservoir_weights_are_frozen():
