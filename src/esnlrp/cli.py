@@ -370,9 +370,10 @@ def maps_for(
 
     Each batch is mapped under each model in turn, in its encoder's
     column order (`in_turn`), by one `lrp.relevance_map` call, which runs
-    that model's forward pass on the batch itself, at `lrp.EPSILON` (ε is
-    not a command-line setting). A batch's trajectory lives only inside
-    that call, and its maps are dropped as soon as they are drawn.
+    that model's forward pass on the batch itself and reads the stabilizer
+    `lrp.EPSILON` (ε is neither a flag nor an argument). A batch's states
+    live only inside that call, and its maps are dropped as soon as they
+    are drawn.
     """
     keys = iter([source.keys.samples[p] for p in positions])
     config = encoders[0].model.config  # a batch holds n_in inputs and its trajectory n_res states per step

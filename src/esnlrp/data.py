@@ -232,7 +232,7 @@ def open_sst(path: Union[str, Path]) -> SstContainer:
     with _opened(path) as handle:
         raw = handle.read(HEADER_SIZE)
         size = os.fstat(handle.fileno()).st_size
-    if raw[: len(MAGIC)] != MAGIC:
+    if not MAGIC.startswith(raw[: len(MAGIC)]):
         raise DataError(
             f"{path}: bad magic at byte 0: found {raw[:len(MAGIC)]!r}, expected {MAGIC!r}"
         )
@@ -438,10 +438,10 @@ def inverse_permute(arr: np.ndarray, permutation: np.ndarray) -> np.ndarray:
 
 
 def _smoothed_noise(
-    rng: np.random.Generator, shape: Tuple[int, int], sigma: float, positions: Iterable[int]
+    rng: np.random.Generator, shape: Tuple[int, int], positions: Iterable[int]
 ) -> Iterator[np.ndarray]:
-    """White Gaussian noise fields, each smoothed by a Gaussian of width sigma: those of the
-    draws at increasing `positions`.
+    """White Gaussian noise fields, each smoothed by a Gaussian of width `NOISE_SMOOTHING_SIGMA`:
+    those of the draws at increasing `positions`.
 
     A draw that no position names is made and dropped unsmoothed, so each
     field is the one its position gives in a run that smooths every draw.
@@ -455,6 +455,7 @@ def _smoothed_noise(
     keeps a long task from returning heap to the kernel and faulting it
     back in for every sample.
     """
+    sigma = NOISE_SMOOTHING_SIGMA
     radius = int(4.0 * sigma + 0.5)
     offsets = np.arange(-radius, radius + 1)
     weights = np.exp(-0.5 / (sigma * sigma) * offsets**2)
@@ -553,7 +554,7 @@ def synthetic_samples(
     blob = np.exp(-((rr - r0) ** 2 / (2 * sigma_r**2) + (cc - c0) ** 2 / (2 * sigma_c**2)))
 
     positions = range(n_samples) if positions is None else positions
-    noises = _smoothed_noise(noise_rng, (d, t), NOISE_SMOOTHING_SIGMA, positions)
+    noises = _smoothed_noise(noise_rng, (d, t), positions)
     for i in positions:
         amplitude = float(indices[i])
         # the blob product first: computed after the noise draw, synthesis runs ~2% slower at paper shape

@@ -19,9 +19,9 @@ proportion to the positive parts of the transition summands:
   alpha * act(...), which crosses the recurrent step.
 
 Relevance passes through the nonlinearity and the alpha scaling unchanged.
-Every z+ denominator meets the stabilizer epsilon (`EPSILON` by default) in
-one place, `_zplus`: where it falls below epsilon, the affected relevance is
-booked to the sample's explicit `absorbed` ledger instead of being
+Every z+ denominator meets the stabilizer `EPSILON`, read at each call, in
+one place, `_zplus`: where it falls below `EPSILON`, the affected relevance
+is booked to the sample's explicit `absorbed` ledger instead of being
 redistributed, so the conservation identity
 
     total = sum(scores) + sum(dummy_scores) + absorbed
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import blas, reservoir
 from .errors import ConfigError
-from .reservoir import EsnModel, StateTrajectory, model_output
+from .reservoir import EsnModel, model_output
 
 # Stabilizer of the z+ denominators in the backward pass, and the largest conservation
 # error, relative to max(1, |total|), of a map that `RelevanceMap.conserved` passes.
@@ -71,18 +71,16 @@ class RelevanceMap:
         return self.conservation_error() <= CONSERVATION_TOLERANCE * max(1.0, abs(self.total))
 
 
-def relevance_output_layer(
-    model: EsnModel, traj: StateTrajectory, epsilon: float = EPSILON
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distribute each sample's scalar output onto its final reservoir states.
+def relevance_output_layer(model: EsnModel, final_state: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distribute each sample's scalar output onto its (B, n_res) final reservoir states x(T).
 
     Returns the (B, n_res) state relevance, the (B,) absorbed remainder
     (a sample's whole output, if its positive contributions sum below
-    epsilon; the output bias never receives a share) and the (B,) outputs
+    `EPSILON`; the output bias never receives a share) and the (B,) outputs
     that were distributed.
     """
-    total = model_output(model, traj.final_state)
-    r_state, absorbed = _redistribute(sign_split(model.w_out), traj.final_state, total[:, None], epsilon)
+    total = model_output(model, final_state)
+    r_state, absorbed = _redistribute(sign_split(model.w_out), final_state, total[:, None])
     return r_state, absorbed, total
 
 
@@ -96,38 +94,32 @@ def sign_split(*blocks: np.ndarray) -> np.ndarray:
     return np.hstack([np.maximum(w, 0.0), np.minimum(w, 0.0)])
 
 
-def _zplus(r: np.ndarray, denominator: np.ndarray, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The (B, n) weights r / denominator where the denominator reaches epsilon
+def _zplus(r: np.ndarray, denominator: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The (B, n) weights r / denominator where the denominator reaches `EPSILON`
     (0 elsewhere), and the (B,) relevance of the units where it does not."""
-    live = denominator >= epsilon
+    live = denominator >= EPSILON
     absorbed = np.where(live, 0.0, r).sum(axis=1)
     return np.where(live, r, 0.0) / np.where(live, denominator, 1.0), absorbed
 
 
-def _redistribute(
-    split: np.ndarray, v: np.ndarray, r_unit: np.ndarray, epsilon: float
-) -> Tuple[np.ndarray, np.ndarray]:
+def _redistribute(split: np.ndarray, v: np.ndarray, r_unit: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """z+ redistribution of (B, n) unit relevance over the contributions w[j,k] v[k].
 
     `split` is the layer's `sign_split`. Returns the (B, m) relevance on v
     and the (B,) relevance absorbed by units whose positive contributions
-    sum below epsilon.
+    sum below `EPSILON`.
     """
     p = np.hstack([np.maximum(v, 0.0), np.minimum(v, 0.0)])
-    unit_weight, absorbed = _zplus(r_unit, p @ split.T, epsilon)
+    unit_weight, absorbed = _zplus(r_unit, p @ split.T)
     shares = p * (unit_weight @ split)
     return shares[:, : v.shape[1]] + shares[:, v.shape[1] :], absorbed
 
 
 def relevance_step_back(
-    model: EsnModel,
-    traj: StateTrajectory,
-    t: int,
-    r_state: np.ndarray,
-    split: np.ndarray,
-    epsilon: float = EPSILON,
+    model: EsnModel, x_prev: np.ndarray, x_now: np.ndarray, u_now: np.ndarray, r_state: np.ndarray, split: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Push the (B, n_res) state relevance at time t (1-based, t >= 2) one step back.
+    """Push the (B, n_res) state relevance on x(t) = `x_now` one step back, onto the (B, n_in)
+    input column u(t) = `u_now` and the (B, n_res) states x(t-1) = `x_prev`, for t >= 2.
 
     The z+ rule first splits each unit's relevance between the leak track
     and the activation track in proportion to the positive parts of the two
@@ -140,51 +132,45 @@ def relevance_step_back(
     Returns (input relevance for column t, relevance on x(t-1), absorbed),
     each with one row per sample.
     """
-    if not 2 <= t <= traj.n_steps:
-        raise ConfigError(f"t must lie in [2, {traj.n_steps}], got {t}")
     n_in = model.config.n_in
-    x_prev = traj.states[t - 2]
-
     leak = (1.0 - model.config.leak_rate) * x_prev
     z_leak = np.maximum(leak, 0.0)
-    z_act = np.maximum(traj.states[t - 1] - leak, 0.0)
-    weight, absorbed = _zplus(r_state, z_leak + z_act, epsilon)
+    z_act = np.maximum(x_now - leak, 0.0)
+    weight, absorbed = _zplus(r_state, z_leak + z_act)
 
-    v = np.hstack([traj.inputs[:, :, t - 1], x_prev])
-    r_v, delta = _redistribute(split, v, z_act * weight, epsilon)
+    v = np.hstack([u_now, x_prev])
+    r_v, delta = _redistribute(split, v, z_act * weight)
     return r_v[:, :n_in], z_leak * weight + r_v[:, n_in:], absorbed + delta
 
 
-def relevance_first_column(
-    model: EsnModel, traj: StateTrajectory, r_state: np.ndarray, epsilon: float = EPSILON
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Assign all residual state relevance at t=1 to the first column's inputs.
+def relevance_first_column(model: EsnModel, u_first: np.ndarray, r_state: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Assign all residual state relevance at t=1 to the (B, n_in) first column u(1).
 
     x(1) = alpha act(W_in u(1) + b_in) has no previous state, so the
     relevance crosses W_in alone onto u(1) by one `_redistribute`; the input
     bias receives nothing. Returns the (B, n_in) first-column relevance and
     the (B,) absorbed part.
     """
-    return _redistribute(sign_split(model.w_in), traj.inputs[:, :, 0], r_state, epsilon)
+    return _redistribute(sign_split(model.w_in), u_first, r_state)
 
 
-def relevance_map(model: EsnModel, batch: np.ndarray, epsilon: float = EPSILON) -> List[RelevanceMap]:
-    """One relevance pass over a (B, n_in, T) batch: the forward pass that records its trajectory,
-    then the backward pass (output layer, every time step, first column) at a positive, finite
-    epsilon (else a ConfigError), at the BLAS thread count `blas.for_units` gives the reservoir.
-    Returns one map per sample, in batch order; each owns its scores."""
-    if not 0.0 < epsilon < np.inf:
-        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
-    traj = reservoir.run_reservoir(model, batch)  # looked up at call time, so a wrapper set on it sees the call
+def relevance_map(model: EsnModel, batch: np.ndarray) -> List[RelevanceMap]:
+    """One relevance pass over a (B, n_in, T) batch: the forward pass that records its states, then the
+    backward pass (output layer, every time step, first column) at the BLAS thread count `blas.for_units`
+    gives the reservoir. Returns one map per sample, in batch order; each owns its scores."""
+    states = reservoir.run_reservoir(model, batch)  # looked up at call time, so a wrapper set on it sees the call
+    batch = np.asarray(batch, dtype=float)
     split = sign_split(model.w_in, model.w_res)
-    n_samples, n_inputs, n_steps = traj.inputs.shape
+    n_samples, n_inputs, n_steps = batch.shape
     with blas.for_units(model.config.n_res):
-        r_state, absorbed, total = relevance_output_layer(model, traj, epsilon)
+        r_state, absorbed, total = relevance_output_layer(model, states[-1])
         scores = np.empty((n_steps - 1, n_samples, n_inputs))
         for t in range(n_steps, 1, -1):
-            scores[t - 2], r_state, delta = relevance_step_back(model, traj, t, r_state, split, epsilon)
+            scores[t - 2], r_state, delta = relevance_step_back(
+                model, states[t - 2], states[t - 1], batch[:, :, t - 1], r_state, split
+            )
             absorbed += delta
-        dummy_scores, delta = relevance_first_column(model, traj, r_state, epsilon)
+        dummy_scores, delta = relevance_first_column(model, batch[:, :, 0], r_state)
     absorbed += delta
     return [
         RelevanceMap(

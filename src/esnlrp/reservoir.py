@@ -108,30 +108,6 @@ class EsnModel:
         return dataclasses.replace(self, w_out=w_out, b_out=b_out)
 
 
-@dataclass
-class StateTrajectory:
-    """Forward-pass record of a batch, needed by the relevance backward pass.
-
-    states[t-1, b] holds x(t) of sample b for t = 1..T, laid out
-    (T, B, n_res) so each step is one contiguous block. The states alone fix
-    both summands of the leaky update: the leak share (1 - alpha) x(t-1) and
-    the activation share x(t) - (1 - alpha) x(t-1) = alpha act(t). `inputs`
-    is the originating (B, n_in, T) batch.
-    """
-
-    states: np.ndarray
-    inputs: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def final_state(self) -> np.ndarray:
-        """x(T) of every sample, shape (B, n_res)."""
-        return self.states[-1]
-
-
 @blas.one_thread()
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a square matrix, from one LAPACK eigenvalue
@@ -247,13 +223,16 @@ def _run(model: EsnModel, batch: np.ndarray, n_kept: int) -> np.ndarray:
     return states
 
 
-def run_reservoir(model: EsnModel, sample: np.ndarray) -> StateTrajectory:
+def run_reservoir(model: EsnModel, sample: np.ndarray) -> np.ndarray:
     """Feed a (B, n_in, T) batch column by column and record the state sequence.
 
-    Only x(t) is kept: the activation share of step t is x(t) - (1 - alpha) x(t-1).
+    states[t-1, b] holds x(t) of sample b for t = 1..T, laid out (T, B, n_res)
+    so each step is one contiguous block. The states alone fix both summands
+    of the leaky update: the leak share (1 - alpha) x(t-1) and the activation
+    share x(t) - (1 - alpha) x(t-1) = alpha act(t).
     """
     sample = _checked_batch(model, sample)
-    return StateTrajectory(states=_run(model, sample, sample.shape[2]), inputs=sample)
+    return _run(model, sample, sample.shape[2])
 
 
 def final_states(model: EsnModel, batch: np.ndarray) -> np.ndarray:
@@ -261,7 +240,7 @@ def final_states(model: EsnModel, batch: np.ndarray) -> np.ndarray:
 
     The recurrence of `run_reservoir`, step for step, keeping only the
     running state, so memory does not grow with T beyond the batch itself
-    and the result equals `run_reservoir(model, batch).final_state` bit for bit.
+    and the result equals `run_reservoir(model, batch)[-1]` bit for bit.
     """
     return _run(model, _checked_batch(model, batch), 1)[0]
 

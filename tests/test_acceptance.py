@@ -346,8 +346,8 @@ def test_criterion_8_numerics():
     # alpha=0 freezes the state at zero
     rng = np.random.default_rng(8)
     frozen = init_reservoir(EsnConfig(n_in=3, n_res=30, leak_rate=0.0, seed=3))
-    traj = run_reservoir(frozen, random_sample(rng, 3, 12)[None])
-    assert np.all(traj.states == 0.0)
+    states = run_reservoir(frozen, random_sample(rng, 3, 12)[None])
+    assert np.all(states == 0.0)
 
     # alpha=1 with w_res=0: every score lands on the final column
     memoryless = assemble_model(

@@ -35,17 +35,21 @@ def test_write_sst_rejects_wrong_shape(tmp_path):
 
 
 def test_load_sst_bad_magic(tmp_path):
+    """A file whose first bytes already differ from the magic, long or short."""
     path = tmp_path / "x.sstg"
-    path.write_bytes(b"JUNKxxxxxxxxxxxxxxxxxxx")
-    with pytest.raises(DataError, match="byte 0"):
-        data.open_sst(path)
+    for raw in (b"JUNKxxxxxxxxxxxxxxxxxxx", b"SX"):
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="bad magic at byte 0"):
+            data.open_sst(path)
 
 
 def test_load_sst_truncated_header(tmp_path):
+    """A file that ends inside the header, inside its magic too, names the byte at which it ends."""
     path = tmp_path / "x.sstg"
-    path.write_bytes(b"SSTG\x01\x02")
-    with pytest.raises(DataError, match="truncated header"):
-        data.open_sst(path)
+    for raw in (b"", b"SS", b"SSTG\x01\x02"):
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=f"truncated header, file ends at byte {len(raw)} "):
+            data.open_sst(path)
 
 
 def test_load_sst_wrong_grid(tmp_path):
@@ -504,7 +508,7 @@ def test_smoothed_noise_matches_scipy_bit_for_bit(shape):
     """
     gaussian_filter = pytest.importorskip("scipy.ndimage").gaussian_filter
     sigma = data.NOISE_SMOOTHING_SIGMA
-    noises = data._smoothed_noise(np.random.default_rng(shape[0] * shape[1]), shape, sigma, range(2))
+    noises = data._smoothed_noise(np.random.default_rng(shape[0] * shape[1]), shape, range(2))
     draws = np.random.default_rng(shape[0] * shape[1])
     for _ in range(2):
         np.testing.assert_array_equal(next(noises), gaussian_filter(draws.standard_normal(shape), sigma=sigma))

@@ -1,5 +1,6 @@
 import gc
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,29 +23,11 @@ from esnlrp.lrp import (
 )
 from esnlrp import cli, data
 from esnlrp.readout import ClassLabel, fit_readout
-from esnlrp.reservoir import EsnConfig, StateTrajectory, final_states, init_reservoir, run_reservoir
+from esnlrp.reservoir import EsnConfig, final_states, init_reservoir, run_reservoir
 
 from helpers import alive, assemble_model, random_model, random_sample, track_generated_samples, write_enso_container
 from oracle_lrp import oracle_relevance
 from reference_lrp import reference_relevance
-
-
-def final_state_trajectory(x_final, n_inputs=1):
-    """One-sample trajectory stub for output-layer tests; only final_state is consulted."""
-    x_final = np.asarray(x_final, dtype=float)
-    return StateTrajectory(
-        states=x_final[None, None, :],
-        inputs=np.ones((1, n_inputs, 1)),
-    )
-
-
-def test_lrp_config_rejects_bad_values():
-    rng = np.random.default_rng(3)
-    model = random_model(rng, 2, 2, alpha=0.5)
-    batch = random_sample(rng, 2, 3)[None]
-    for epsilon in (0.0, -1e-9, float("inf")):
-        with pytest.raises(ConfigError):
-            relevance_map(model, batch, epsilon)
 
 
 def test_output_layer_equal_positive_contributions():
@@ -52,7 +35,7 @@ def test_output_layer_equal_positive_contributions():
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[1.0, 1.0], b_out=[0.0],
     )
-    r_state, absorbed, _ = relevance_output_layer(model, final_state_trajectory([0.3, 0.7]))
+    r_state, absorbed, _ = relevance_output_layer(model, np.array([[0.3, 0.7]]))
     np.testing.assert_allclose(r_state[0], [0.3, 0.7], atol=1e-15)
     assert absorbed[0] == 0.0
 
@@ -62,7 +45,7 @@ def test_output_layer_negative_contribution_gets_nothing():
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[1.0, -1.0], b_out=[0.25],
     )
-    r_state, absorbed, _ = relevance_output_layer(model, final_state_trajectory([0.5, 0.5]))
+    r_state, absorbed, _ = relevance_output_layer(model, np.array([[0.5, 0.5]]))
     # y(T) = 0.5 - 0.5 + 0.25; the single positive contribution takes all of it
     np.testing.assert_allclose(r_state[0], [0.25, 0.0], atol=1e-15)
     assert absorbed[0] == 0.0
@@ -73,7 +56,7 @@ def test_output_layer_zero_state_absorbs_everything():
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[1.0, 1.0], b_out=[0.4],
     )
-    r_state, absorbed, total = relevance_output_layer(model, final_state_trajectory([0.0, 0.0]))
+    r_state, absorbed, total = relevance_output_layer(model, np.array([[0.0, 0.0]]))
     np.testing.assert_array_equal(r_state[0], [0.0, 0.0])
     assert absorbed[0] == 0.4
     assert total.shape == (1,) and total[0] == 0.4
@@ -85,9 +68,9 @@ def test_output_layer_requires_training_and_single_output():
     untrained = assemble_model(
         w_in=model.w_in, b_in=model.b_in, w_res=model.w_res, b_res=model.b_res, alpha=0.5
     )
-    traj = run_reservoir(model, random_sample(rng, 2, 3)[None])
+    states = run_reservoir(model, random_sample(rng, 2, 3)[None])
     with pytest.raises(ConfigError):
-        relevance_output_layer(untrained, traj)
+        relevance_output_layer(untrained, states[-1])
     with pytest.raises(ConfigError):
         untrained.with_readout(np.ones((2, 3)), np.zeros(2))
 
@@ -98,11 +81,10 @@ def test_step_back_two_stage_hand_example():
         w_in=[[1.0]], b_in=[0.0], w_res=[[0.0]], b_res=[0.0],
         alpha=0.5, w_out=[[1.0]], b_out=[0.0],
     )
-    traj = StateTrajectory(
-        states=np.array([[[0.4]], [[0.6]]]),
-        inputs=np.array([[[1.0, 1.0]]]),
+    r_input, r_prev, absorbed = relevance_step_back(
+        model, np.array([[0.4]]), np.array([[0.6]]), np.array([[1.0]]), np.array([[1.0]]),
+        lrp.sign_split(model.w_in, model.w_res),
     )
-    r_input, r_prev, absorbed = relevance_step_back(model, traj, 2, np.array([[1.0]]), lrp.sign_split(model.w_in, model.w_res))
     np.testing.assert_allclose(r_input[0], [0.4 / 0.6], rtol=1e-14)
     np.testing.assert_allclose(r_prev[0], [0.2 / 0.6], rtol=1e-14)
     assert absorbed[0] == 0.0
@@ -115,9 +97,11 @@ def test_step_back_full_leak_skips_leak_path():
         w_in=model.w_in, b_in=model.b_in, w_res=np.zeros((4, 4)), b_res=model.b_res,
         alpha=1.0, w_out=model.w_out, b_out=model.b_out,
     )
-    traj = run_reservoir(model, random_sample(rng, 3, 5)[None])
+    batch = random_sample(rng, 3, 5)[None]
+    states = run_reservoir(model, batch)
     r_input, r_prev, absorbed = relevance_step_back(
-        model, traj, 4, np.abs(rng.normal(size=4))[None], lrp.sign_split(model.w_in, model.w_res)
+        model, states[2], states[3], batch[:, :, 3], np.abs(rng.normal(size=4))[None],
+        lrp.sign_split(model.w_in, model.w_res),
     )
     np.testing.assert_array_equal(r_prev[0], np.zeros(4))
 
@@ -126,23 +110,16 @@ def test_step_back_conserves_exactly():
     rng = np.random.default_rng(7)
     for _ in range(20):
         model = random_model(rng, 5, 3, alpha=float(rng.uniform(0.05, 1.0)))
-        traj = run_reservoir(model, random_sample(rng, 3, 6)[None])
+        batch = random_sample(rng, 3, 6)[None]
+        states = run_reservoir(model, batch)
         r_state = rng.normal(size=5)
         t = int(rng.integers(2, 7))
         r_input, r_prev, absorbed = relevance_step_back(
-            model, traj, t, r_state[None], lrp.sign_split(model.w_in, model.w_res)
+            model, states[t - 2], states[t - 1], batch[:, :, t - 1], r_state[None],
+            lrp.sign_split(model.w_in, model.w_res),
         )
         together = r_input.sum() + r_prev.sum() + absorbed[0]
         assert abs(together - r_state.sum()) <= 1e-12 * max(1.0, abs(r_state.sum()))
-
-
-def test_step_back_rejects_out_of_range_t():
-    rng = np.random.default_rng(5)
-    model = random_model(rng, 2, 2, alpha=0.5)
-    traj = run_reservoir(model, random_sample(rng, 2, 3)[None])
-    for t in (0, 1, 4):
-        with pytest.raises(ConfigError):
-            relevance_step_back(model, traj, t, np.zeros((1, 2)), lrp.sign_split(model.w_in, model.w_res))
 
 
 def test_first_column_redistributes_or_absorbs():
@@ -150,10 +127,8 @@ def test_first_column_redistributes_or_absorbs():
         w_in=[[1.0, -2.0], [0.5, 0.5]], b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[[1.0, 1.0]], b_out=[0.0],
     )
-    traj = StateTrajectory(
-        states=np.zeros((1, 1, 2)), inputs=np.array([[[1.0], [1.0]]])
-    )
-    dummy, absorbed = relevance_first_column(model, traj, np.array([[1.0, 1.0]]))
+    u_first = np.array([[1.0, 1.0]])
+    dummy, absorbed = relevance_first_column(model, u_first, np.array([[1.0, 1.0]]))
     # unit 0: z = (1, 0) -> all to input 0; unit 1: z = (0.5, 0.5) -> half each
     np.testing.assert_allclose(dummy[0], [1.5, 0.5], rtol=1e-14)
     assert absorbed[0] == 0.0
@@ -161,7 +136,7 @@ def test_first_column_redistributes_or_absorbs():
         w_in=-model.w_in, b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0],
         alpha=0.5, w_out=[[1.0, 1.0]], b_out=[0.0],
     )
-    dummy, absorbed = relevance_first_column(negated, traj, np.array([[0.25, 0.5]]))
+    dummy, absorbed = relevance_first_column(negated, u_first, np.array([[0.25, 0.5]]))
     # unit 0 keeps one positive product (-1*1 < 0, +2*1 > 0); unit 1 is all-negative
     np.testing.assert_allclose(dummy[0], [0.0, 0.25], rtol=1e-14)
     assert absorbed[0] == 0.5
@@ -209,7 +184,8 @@ def test_edge_case_maps_match_the_oracle(n, d, t, batch, alpha, epsilon, zero_sa
     The leak rate runs over its ends, the production value and a uniform
     draw; T = 1 leaves only the dummy column; an all-zero sample (dummy
     column too) absorbs everything that reaches its first column; and at
-    epsilon = 0.5 most relevance is absorbed. The library takes the
+    epsilon = 0.5 most relevance is absorbed; the library reads epsilon
+    from `lrp.EPSILON`, patched here. The library takes the
     activation share as x(t) - (1 - alpha) x(t-1), the oracle as
     alpha * act(t), so this is also where the two must agree.
     """
@@ -218,7 +194,8 @@ def test_edge_case_maps_match_the_oracle(n, d, t, batch, alpha, epsilon, zero_sa
     samples = np.stack([random_sample(rng, d, t) for _ in range(batch)])
     if zero_sample is not None:
         samples[zero_sample % batch] = 0.0
-    maps = relevance_map(model, samples, epsilon)
+    with mock.patch.object(lrp, "EPSILON", epsilon):
+        maps = relevance_map(model, samples)
     for sample, rmap in zip(samples, maps):
         scores, dummy, absorbed, total = oracle_relevance(
             model.w_in.tolist(), model.b_in.tolist(), model.w_res.tolist(),
@@ -370,16 +347,18 @@ def paper_shape_batch():
 
 
 @pytest.mark.parametrize("epsilon", [1e-12, 0.05])
-def test_maps_match_the_reference_at_paper_shape(paper_shape_batch, epsilon):
+def test_maps_match_the_reference_at_paper_shape(paper_shape_batch, epsilon, monkeypatch):
     """Batched maps at 89x180 with 300 units agree with the one-sample z+ reference.
 
     Scores and dummy scores agree within 1e-12 of their peak, absorbed and
     total within 1e-12 of the total. Most of each output is absorbed at
     this shape (69-74% at epsilon 1e-12, 88-91% at 0.05, where nothing
     reaches the dummy column), so the absorbed ledger carries weight here.
+    The library reads epsilon from `lrp.EPSILON`, patched here.
     """
     model, batch = paper_shape_batch
-    maps = relevance_map(model, batch, epsilon)
+    monkeypatch.setattr(lrp, "EPSILON", epsilon)
+    maps = relevance_map(model, batch)
     for sample, rmap in zip(batch, maps):
         scores, dummy, absorbed, total = reference_relevance(model, sample, epsilon)
         tol = 1e-12 * abs(total)

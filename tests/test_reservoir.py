@@ -168,10 +168,11 @@ def test_first_step_has_no_recurrent_terms():
     model = assemble_model(
         w_in=[[1.0]], b_in=[0.0], w_res=[[0.7]], b_res=[5.0], alpha=0.5
     )
-    traj = run_reservoir(model, np.array([[[1.0]]]))
+    batch = np.array([[[1.0]]])
+    states = run_reservoir(model, batch)
     # b_res and w_res must not enter x(1); a 5.0 recurrent bias would be obvious
-    np.testing.assert_allclose(traj.states[0, 0], [0.5 * np.tanh(1.0)], rtol=1e-15)
-    np.testing.assert_allclose(traj.states[:, 0], tanh_recurrence(model, traj.inputs[0]), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(states[0, 0], [0.5 * np.tanh(1.0)], rtol=1e-15)
+    np.testing.assert_allclose(states[:, 0], tanh_recurrence(model, batch[0]), rtol=0.0, atol=1e-12)
 
 
 def test_zero_leak_freezes_states_at_zero():
@@ -180,8 +181,8 @@ def test_zero_leak_freezes_states_at_zero():
         w_in=rng.normal(size=(6, 3)), b_in=rng.normal(size=6),
         w_res=rng.normal(size=(6, 6)) * 0.1, b_res=rng.normal(size=6), alpha=0.0,
     )
-    traj = run_reservoir(model, random_sample(rng, 3, 9)[None])
-    np.testing.assert_array_equal(traj.states, np.zeros((9, 1, 6)))
+    states = run_reservoir(model, random_sample(rng, 3, 9)[None])
+    np.testing.assert_array_equal(states, np.zeros((9, 1, 6)))
 
 
 def test_full_leak_states_equal_activation_branch():
@@ -190,8 +191,9 @@ def test_full_leak_states_equal_activation_branch():
         w_in=rng.normal(size=(4, 2)), b_in=rng.normal(size=4),
         w_res=rng.normal(size=(4, 4)) * 0.2, b_res=rng.normal(size=4), alpha=1.0,
     )
-    traj = run_reservoir(model, random_sample(rng, 2, 6)[None])
-    np.testing.assert_allclose(traj.states[:, 0], tanh_recurrence(model, traj.inputs[0]), rtol=0.0, atol=1e-12)
+    batch = random_sample(rng, 2, 6)[None]
+    states = run_reservoir(model, batch)
+    np.testing.assert_allclose(states[:, 0], tanh_recurrence(model, batch[0]), rtol=0.0, atol=1e-12)
 
 
 def test_transition_algebra_reproduces_recorded_states():
@@ -202,15 +204,16 @@ def test_transition_algebra_reproduces_recorded_states():
         w_in=rng.normal(size=(5, 3)), b_in=rng.normal(size=5),
         w_res=rng.normal(size=(5, 5)) * 0.15, b_res=rng.normal(size=5), alpha=alpha,
     )
-    traj = run_reservoir(model, random_sample(rng, 3, 8)[None])
-    np.testing.assert_allclose(traj.states[:, 0], tanh_recurrence(model, traj.inputs[0]), rtol=0.0, atol=1e-12)
+    batch = random_sample(rng, 3, 8)[None]
+    states = run_reservoir(model, batch)
+    np.testing.assert_allclose(states[:, 0], tanh_recurrence(model, batch[0]), rtol=0.0, atol=1e-12)
     for t in range(1, 8):
         pre = (
-            model.w_in @ traj.inputs[0, :, t] + model.b_in
-            + model.w_res @ traj.states[t - 1, 0] + model.b_res
+            model.w_in @ batch[0, :, t] + model.b_in
+            + model.w_res @ states[t - 1, 0] + model.b_res
         )
-        rebuilt = (1 - alpha) * traj.states[t - 1, 0] + alpha * np.tanh(pre)
-        np.testing.assert_allclose(traj.states[t, 0], rebuilt, rtol=0.0, atol=1e-12)
+        rebuilt = (1 - alpha) * states[t - 1, 0] + alpha * np.tanh(pre)
+        np.testing.assert_allclose(states[t, 0], rebuilt, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,7 +248,7 @@ def test_final_states_match_the_recorded_trajectory(n, d, t, batch, alpha, zero_
         samples[zero_sample % batch] = 0.0
     got = final_states(model, samples)
     assert got.shape == (batch, n)
-    np.testing.assert_array_equal(got, run_reservoir(model, samples).final_state)
+    np.testing.assert_array_equal(got, run_reservoir(model, samples)[-1])
 
 
 @pytest.mark.parametrize("flipped", [[3], list(range(1, 12, 2))], ids=["unit-3", "every-odd-unit"])
@@ -268,8 +271,8 @@ def test_a_sign_flip_of_units_negates_their_states_and_keeps_the_outputs(flipped
         alpha=0.3, w_out=model.w_out * sign, b_out=model.b_out,
     )
     batch = np.stack([random_sample(rng, 5, 15) for _ in range(4)])
-    states = run_reservoir(model, batch).states
-    np.testing.assert_array_equal(run_reservoir(flip, batch).states, states * sign)
+    states = run_reservoir(model, batch)
+    np.testing.assert_array_equal(run_reservoir(flip, batch), states * sign)
     np.testing.assert_array_equal(
         model_output(flip, final_states(flip, batch)), model_output(model, final_states(model, batch))
     )
@@ -281,8 +284,8 @@ def test_states_stay_inside_unit_box():
         w_in=rng.normal(size=(8, 4)) * 3, b_in=rng.normal(size=8) * 3,
         w_res=rng.normal(size=(8, 8)), b_res=rng.normal(size=8), alpha=0.9,
     )
-    traj = run_reservoir(model, rng.uniform(-1, 1, size=(1, 4, 30)))
-    assert np.max(np.abs(traj.states)) <= 1.0
+    states = run_reservoir(model, rng.uniform(-1, 1, size=(1, 4, 30)))
+    assert np.max(np.abs(states)) <= 1.0
 
 
 def test_run_reservoir_input_validation():
@@ -324,12 +327,12 @@ def test_model_output_and_parameter_count():
         w_in=np.zeros((2, 1)), b_in=[0, 0], w_res=np.zeros((2, 2)), b_res=[0, 0], alpha=0.5
     )
     assert not model.is_trained
-    traj = run_reservoir(model, np.ones((1, 1, 2)))
+    states = run_reservoir(model, np.ones((1, 1, 2)))
     with pytest.raises(ConfigError):
-        model_output(model, traj.final_state)
+        model_output(model, states[-1])
 
     constant = model.with_readout(np.zeros((1, 2)), np.array([2.5]))
-    np.testing.assert_array_equal(model_output(constant, traj.final_state), [2.5])
+    np.testing.assert_array_equal(model_output(constant, states[-1]), [2.5])
 
     summing = model.with_readout(np.array([[1.0, 1.0]]), np.array([0.0]))
     np.testing.assert_allclose(model_output(summing, np.array([[0.3, 0.7]])), [1.0], rtol=1e-15)
