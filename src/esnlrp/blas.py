@@ -13,7 +13,12 @@ from its work:
 - for the per-step products of a reservoir (its forward pass, and the step
   back of a relevance pass), the count the environment set where the
   reservoir has at least THREADED_MIN_UNITS units, else one thread
-  (`for_units`).
+  (`for_units`);
+- one thread for every phase of `train --baseline`, which fits the
+  baseline on a worker thread while the calling thread encodes the train
+  split (`cli.fit_beside_encoding`). One `one_thread` block spans both
+  threads, so the blocks inside it find one thread and leave the count
+  alone.
 
 A phase at one thread gives the same bits under any thread count. The count
 is set through `openblas_set_num_threads` in the OpenBLAS that numpy loaded,
@@ -88,7 +93,8 @@ def one_thread() -> Iterator[None]:
 
     Without a setter, or at one thread already, it does nothing. The count
     is the process's: blocks open on two Python threads at once would
-    restore each other's count.
+    restore each other's count, so two threads run inside one block opened
+    before the second starts and closed after it is joined.
     """
     handle = openblas()
     before = 1 if handle is None else handle.get()

@@ -8,7 +8,9 @@ byte-identical outputs, so there are no timestamps anywhere. Each phase sets
 its own BLAS thread count (`blas`): at the 16x96 sweep shape's 100 units every
 phase runs at one thread, so the outputs are the same bytes under any thread
 count; at paper shape the encoding and the maps thread, and fresh fits differ
-in the last digits.
+in the last digits, except in `train --baseline`, which runs every phase at
+one thread and the baseline's fit beside the encoding on a second Python
+thread (`fit_beside_encoding`), so its outputs are the same bytes too.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 A data error includes a malformed model file and, for `evaluate` and
 `relevance`, fields whose height differs from the saved model's `n_in`;
@@ -20,14 +22,17 @@ any field is built: on --synthetic from the amplitudes alone, on --data
 from the container's Nino-3.4 index. The checks that read them (the field
 height; a --class with no train sample, in `relevance`, `leak-sweep` and
 `permutation`; a train split of fewer than two samples, in the commands
-that fit) therefore run before any field is drawn or anything written,
+that fit; too few for the linear-regression baseline at ridge 0, in
+`train`) therefore run before any field is drawn or anything written,
 and a pass draws the fields of only the samples it keeps.
 
 Every encoding goes through one `forward_pass` over the samples in order,
 which feeds each batch to every reservoir of the command (one reservoir at
 the four leak rates of `leak-sweep`, the base and the column-permuted model
 of `permutation`, the one model of the others). In `train`, the --baseline
-model scores the stream of samples that the pass reads (`Baseline.scored`).
+model scores the stream of samples that the pass reads (`Baseline.scored`);
+that pass is split in two at a run of `batches`, the train split's whole
+runs encoded while the baseline is fit.
 A sample is let go once all the models are done with it. The studies then
 map the train samples of --class in one more draw, each batch under every
 model in turn (`maps_for`), building no field of the other class. All the models of a
@@ -52,7 +57,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from . import baselines, data, lrp, persistence, readout, reservoir
+from . import baselines, blas, data, lrp, persistence, readout, reservoir
 from .errors import ConfigError, DataError, NumericError, setting
 
 SWEEP_ALPHAS = (0.01, 0.05, 0.2, 0.4)
@@ -251,6 +256,12 @@ class Encoder:
     columns: Optional[np.ndarray] = None
 
 
+def run_length(shape: Tuple[int, int], step_bytes: int) -> int:
+    """The samples in each run of `batches` but the last: as many as fit TRAJECTORY_BUDGET_BYTES
+    at `step_bytes` per time step of their (rows, columns) `shape`, and at least one."""
+    return max(1, TRAJECTORY_BUDGET_BYTES // ((shape[1] + 1) * step_bytes))
+
+
 def batches(samples: Iterable[data.LabeledSample], shape: Tuple[int, int], step_bytes: int) -> Iterator[np.ndarray]:
     """Consecutive runs of the samples, whose fields have `shape`: each run's preprocessed
     fields stacked (B, n_in, T+1), in the order they are drawn.
@@ -258,15 +269,14 @@ def batches(samples: Iterable[data.LabeledSample], shape: Tuple[int, int], step_
     `samples` may be any iterable, a generator included. Each sample is
     drawn when its run is filled, written into the batch and let go at
     once, so no sample outlives its drawing. One sample costs its caller
-    `step_bytes` per time step. Each run is as long as its cost fits
-    TRAJECTORY_BUDGET_BYTES, and at least one sample. Runs reuse one array
+    `step_bytes` per time step, and every run but the last is `run_length`
+    samples long. Runs reuse one array
     (a batch is valid until the next is drawn): a new one per run would
     take the heap space a freed trajectory left.
     """
     samples = iter(samples)
-    shape = (shape[0], shape[1] + 1)  # `data.preprocess_field` prepends the ones column
-    size = max(1, TRAJECTORY_BUDGET_BYTES // (shape[1] * step_bytes))
-    buffer = np.empty((size,) + shape)
+    size = run_length(shape, step_bytes)
+    buffer = np.empty((size, shape[0], shape[1] + 1))  # `data.preprocess_field` prepends the ones column
 
     def write(i: int, sample: data.LabeledSample) -> None:
         buffer[i] = data.preprocess_field(sample.field)
@@ -318,40 +328,40 @@ class Baseline:
             del chunk  # before the next chunk is drawn
 
 
+def encoded_runs(
+    encoders: Sequence[Encoder], samples: Iterable[data.LabeledSample], shape: Tuple[int, int]
+) -> Iterator[List[np.ndarray]]:
+    """The samples, whose fields have `shape`, run by run of `batches` in order: under each
+    encoder, the run's final reservoir states, one row per sample.
+
+    Each run goes through every encoder's reservoir in turn, in that
+    encoder's column order (`in_turn`), and no trajectory is recorded, so
+    a run costs only its stacked inputs. The encoders' reservoirs all read
+    the same number of inputs. A sample is let go once all the models are
+    done with it: a stream's samples are held no longer than one run.
+    """
+    for batch in batches(samples, shape, encoders[0].model.config.n_in * 8):
+        yield [reservoir.final_states(encoder.model, inputs) for encoder, inputs in in_turn(encoders, batch)]
+
+
 def forward_pass(
     encoders: Sequence[Encoder], samples: Iterable[data.LabeledSample], shape: Tuple[int, int]
 ) -> List[np.ndarray]:
     """One pass over the samples, whose fields have `shape`, in order: under each encoder,
-    their final reservoir states, one row per sample.
-
-    Each run of `batches` goes through every encoder's reservoir in turn,
-    in that encoder's column order (`in_turn`), and no trajectory is
-    recorded, so a run costs only its stacked inputs. The encoders' reservoirs all read the
-    same number of inputs. A sample is let go once all the models are done
-    with it: a stream's samples are held no longer than one run.
-    """
-    states: List[List[np.ndarray]] = [[] for _ in encoders]
-    n_in = encoders[0].model.config.n_in
-    for batch in batches(samples, shape, n_in * 8):
-        for (encoder, inputs), encoded in zip(in_turn(encoders, batch), states):
-            encoded.append(reservoir.final_states(encoder.model, inputs))
-    return [np.concatenate(encoded) for encoded in states]
+    their final reservoir states, one row per sample (`encoded_runs`)."""
+    return [np.concatenate(encoded) for encoded in zip(*encoded_runs(encoders, samples, shape))]
 
 
 def fit_esn(
-    cfg: ExperimentConfig,
-    encoders: Sequence[Encoder],
-    source: data.SampleSource,
-    samples: Iterable[data.LabeledSample],
+    cfg: ExperimentConfig, encoders: Sequence[Encoder], keys: data.SampleSet, states: Sequence[np.ndarray]
 ) -> Tuple[List[Encoder], List[np.ndarray]]:
-    """Run `samples`, every sample of `source` in order, through every encoder's reservoir in
-    one `forward_pass`, fit each readout on the train split and score every sample.
+    """Fit each encoder's readout on the train rows of its final states, one row per sample
+    of `keys` in order (`forward_pass`), and score every sample.
 
     Returns the encoders with their trained models and each model's ESN
     scores in sample order, so the train rows come first (see `split_rows`).
     """
-    states = forward_pass(encoders, samples, source.shape)
-    train = source.keys.train_samples
+    train = keys.train_samples
     targets = np.array([k.index for k in train])
     fitted, scores = [], []
     for encoder, encoded in zip(encoders, states):
@@ -432,13 +442,12 @@ def fit_baseline(
     a `valid_mask` of None means every cell is valid). The MLP reads them a
     mini-batch at a time, so it builds no (samples x cells) matrix. The
     linear regression's closed-form solve needs that matrix, and builds it
-    for the train samples only, unless at ridge 0 they are too few for a
-    full-rank fit (`readout.check_rank_attainable`).
+    for the train samples only (`cmd_train` has checked that at ridge 0
+    they are enough for a full-rank fit).
     """
     inputs = data.BaselineRows(train, valid_mask)
     y_train = np.array([s.index for s in train])
     if cfg.baseline == "linreg":
-        readout.check_rank_attainable(len(inputs), inputs.width, cfg.ridge)
         x = inputs.read(range(len(inputs)), np.empty((len(inputs), inputs.width)))
         solution = readout.fit_readout(x, y_train, ridge=cfg.ridge)
         return Baseline("linreg", solution, valid_mask, f"linreg,train,mse,{solution.train_mse:.9g}")
@@ -446,33 +455,79 @@ def fit_baseline(
     return Baseline("mlp", model, valid_mask, f"mlp,train,final_loss,{history[-1]:.9g}")
 
 
-def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
-    """Fit the --baseline on the train split, then the ESN and both models' scores in one pass.
+def fit_beside_encoding(
+    cfg: ExperimentConfig, encoder: Encoder, source: data.SampleSource
+) -> Tuple[Baseline, np.ndarray, np.ndarray]:
+    """The --baseline model fitted on the train split, and the final states under `encoder` and
+    the baseline's scores of every sample, in order. The caller holds `blas.one_thread`.
 
-    The train samples are drawn first and held while the baseline is fit on
-    them, before any validation sample is drawn. The baseline then scores
-    the stream of every sample in order (`Baseline.scored`) that one
-    `forward_pass` encodes for the ESN, so each sample is let go once both
-    are done with it. Without a baseline nothing is held ahead of the pass.
+    The train samples are drawn first and held while the baseline is fit
+    on them, before any validation sample is drawn. Meanwhile the calling
+    thread encodes the split's whole runs of `batches`, and the fit runs on
+    a worker thread, each at one BLAS thread. Where no thread-count setter
+    is found, two threads at the environment's count would oversubscribe
+    the cores, so the fit runs first, then the encoding. The worker is
+    joined before any error leaves, and the fit's error comes first. Then
+    the baseline scores the stream of every sample in order
+    (`Baseline.scored`), and the encoding goes on from where it stopped,
+    so each sample is let go once both models are done with it. The runs
+    and the 10-row scoring chunks are those of one pass over every sample,
+    and so are the bytes.
+    """
+    samples = source.draw()
+    train = list(itertools.islice(samples, source.keys.n_train))
+    run = run_length(source.shape, encoder.model.config.n_in * 8)  # `forward_pass`'s runs
+    head = len(train) // run * run
+    encoding = (states for [states] in encoded_runs([encoder], itertools.islice(train, head), source.shape))
+    if blas.openblas() is None:
+        baseline = fit_baseline(cfg, train, source.valid_mask)
+        runs = list(encoding)
+    else:
+        # imported here: it loads `logging`, which would cost every other command 10 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            fit = worker.submit(fit_baseline, cfg, train, source.valid_mask)
+            try:
+                runs = list(encoding)
+            finally:
+                baseline = fit.result()  # raises the fit's error, over the encoding's
+    scores: List[np.ndarray] = []
+    train.reverse()  # popped from the end, each train sample is let go as the pass draws it
+    stream = baseline.scored(itertools.chain((train.pop() for _ in range(len(train))), samples), scores)
+    next(itertools.islice(stream, head, head), None)  # scores the encoded samples, encodes none
+    runs += [states for [states] in encoded_runs([encoder], stream, source.shape)]
+    return baseline, np.concatenate(runs), np.concatenate(scores)
+
+
+def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
+    """Fit the ESN, and the --baseline beside it (`fit_beside_encoding`), and score every sample.
+
+    Without a baseline one `forward_pass` encodes every sample and nothing
+    is held ahead of it; each phase sets its own BLAS thread count. With one,
+    the command runs at one BLAS thread from the baseline's fit to the
+    last write, the encoding included, so its outputs are the same bytes
+    under any thread count.
     """
     source = sample_source(cfg)
     check_train_split(source.keys)
-    samples = source.draw()
-    baseline, baseline_scores = None, []
-    if cfg.baseline != "none":
-        train = list(itertools.islice(samples, source.keys.n_train))
-        baseline = fit_baseline(cfg, train, source.valid_mask)
-        train.reverse()  # popped from the end, each train sample is let go as the pass draws it
-        samples = baseline.scored(itertools.chain((train.pop() for _ in range(len(train))), samples), baseline_scores)
+    if cfg.baseline == "linreg":  # at ridge 0 it needs more train samples than cells, known before any draw
+        cells = np.prod(source.shape) if source.valid_mask is None else np.count_nonzero(source.valid_mask)
+        readout.check_rank_attainable(source.keys.n_train, int(cells), cfg.ridge)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(source.shape[0])))
-    [encoder], [scores] = fit_esn(cfg, [encoder], source, samples)
-    persistence.save_model(out / MODEL_FILE, encoder.model)
-    data.write_sample_index_csv(out / "samples.csv", source.keys)
-    rows = split_rows("esn", source.keys, scores)
-    if baseline is not None:
-        persistence.save_model(out / f"baseline_{baseline.name}.json", baseline.model)
-        rows += split_rows(baseline.name, source.keys, np.concatenate(baseline_scores)) + [baseline.fit_row]
-    write_report(out / "train_report.csv", rows)
+    with contextlib.nullcontext() if cfg.baseline == "none" else blas.one_thread():
+        if cfg.baseline == "none":
+            baseline, [states] = None, forward_pass([encoder], source.draw(), source.shape)
+        else:
+            baseline, states, baseline_scores = fit_beside_encoding(cfg, encoder, source)
+        [encoder], [scores] = fit_esn(cfg, [encoder], source.keys, [states])
+        persistence.save_model(out / MODEL_FILE, encoder.model)
+        data.write_sample_index_csv(out / "samples.csv", source.keys)
+        rows = split_rows("esn", source.keys, scores)
+        if baseline is not None:
+            persistence.save_model(out / f"baseline_{baseline.name}.json", baseline.model)
+            rows += split_rows(baseline.name, source.keys, baseline_scores) + [baseline.fit_row]
+        write_report(out / "train_report.csv", rows)
 
 
 def load_trained_model(out: Path) -> reservoir.EsnModel:
@@ -544,7 +599,7 @@ def study(
     with no train sample, or a train split too small to fit, is a DataError before any field is drawn."""
     check_train_split(source.keys)
     positions = class_positions(source.keys, cfg.class_filter)
-    fitted, scores = fit_esn(cfg, encoders, source, source.draw())
+    fitted, scores = fit_esn(cfg, encoders, source.keys, forward_pass(encoders, source.draw(), source.shape))
     means = mean_maps(fitted, source, positions)
     return [val_accuracy(source.keys, s) for s in scores], means
 
@@ -620,7 +675,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     source = sample_source(cfg)
     check_train_split(source.keys)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(d)))
-    [encoder], [scores] = fit_esn(cfg, [encoder], source, source.draw())
+    [encoder], [scores] = fit_esn(cfg, [encoder], source.keys, forward_pass([encoder], source.draw(), source.shape))
     persistence.save_model(out / MODEL_FILE, encoder.model)
     rows = split_rows("esn", source.keys, scores)
     box = data.synthetic_blob_box(d, t)

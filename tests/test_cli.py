@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -209,16 +210,20 @@ def test_fresh_fits_agree_across_blas_thread_counts(tmp_path):
 
 
 def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
-    """train and relevance from scratch at paper shape under 1 and 2 BLAS threads.
+    """train and relevance from scratch at paper shape under 1 and 2 BLAS threads, and
+    `train --baseline mlp`.
 
     With 89x180 inputs and 300 units the encoding products and the 28-map
     batch thread, so only agreement is promised, not bits: the train report
     is byte-identical, w_res is bit for bit the same (its eigenvalue solve
     runs at one thread; without a thread-count setter, within 1e-12 of its
-    peak), and w_out and every map agree within 1e-9 of theirs.
+    peak), and w_out and every map agree within 1e-9 of theirs. `train
+    --baseline` runs every phase at one thread, its fit beside the encoding
+    of the train split's two whole runs (240 samples, runs of 97), so its
+    outputs are the same bytes where a thread-count setter is found.
     """
     shape = ["--synthetic", "89,180,35", "--ridge", "1e-8"]
-    runs = {}
+    runs, baseline_files = {}, {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
@@ -234,6 +239,14 @@ def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
             "w_out": np.append(model.w_out, model.b_out),
             "maps": [np.loadtxt(p, delimiter=",", ndmin=2) for p in sorted((out / "relevance").glob("sample_*.csv"))],
         }
+        subprocess.run(
+            [sys.executable, "-m", "esnlrp.cli", "train", *PAPER_BASELINE, "--out", str(tmp_path / f"mlp_{threads}")],
+            env=env, check=True, timeout=300,
+        )
+        baseline_files[threads] = tree_bytes(tmp_path / f"mlp_{threads}")
+    if PINNED:
+        assert baseline_files["1"] == baseline_files["2"]
+    assert sorted(baseline_files["1"]) == ["baseline_mlp.json", "esn_model.json", "samples.csv", "train_report.csv"]
     one, two = runs["1"], runs["2"]
     assert one["report"] == two["report"]
     if PINNED:
@@ -243,6 +256,122 @@ def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
     assert len(one["maps"]) == len(two["maps"]) == 28
     for a, b in zip(one["maps"], two["maps"]):
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+
+
+# `train --baseline mlp` at paper shape: 240 train samples hold two whole runs of 97.
+PAPER_BASELINE = ["--baseline", "mlp", "--synthetic", "89,180,300", "--ridge", "1e-8"]
+
+# Runs `train --baseline mlp` at paper shape in a fresh interpreter through a
+# counting OpenBLAS handle, and prints each call of `train_mlp`,
+# `final_states` and `adam_step` as it starts and ends, with its thread and
+# the thread count it reads, then the count and the live threads after.
+TRAIN_BESIDE_ENCODING = """
+import json, sys, threading
+from esnlrp import baselines, blas, cli, reservoir
+
+handle, sets, calls = blas.openblas(), [], []
+blas.openblas = lambda: blas.Handle(lambda n: (sets.append(n), handle.set(n))[1], handle.get)
+
+def watched(module, name):
+    fn = getattr(module, name)
+
+    def call(*args, **kwargs):
+        calls.append((name, "start", threading.get_ident(), handle.get()))
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            calls.append((name, "end", threading.get_ident(), handle.get()))
+
+    setattr(module, name, call)
+
+watched(baselines, "train_mlp")
+watched(baselines, "adam_step")
+watched(reservoir, "final_states")
+code = cli.main(["train", *sys.argv[2:], "--out", sys.argv[1]])
+print(json.dumps({"exit": code, "sets": sets, "calls": calls, "after": handle.get(), "threads": threading.active_count()}))
+"""
+
+
+@pytest.mark.skipif(not PINNED, reason="no OpenBLAS thread-count setter to read the count with")
+def test_train_fits_the_baseline_on_a_worker_while_the_train_split_is_encoded(tmp_path):
+    """Under 2 BLAS threads `train --baseline mlp` sets one thread before the worker starts and
+    2 again after it is joined: the MLP's Adam steps and every encoding read 1, the fit runs on
+    its own Python thread while the calling thread encodes, and no thread is left."""
+    result = subprocess.run(
+        [sys.executable, "-c", TRAIN_BESIDE_ENCODING, str(tmp_path / "out"), *PAPER_BASELINE],
+        env=subprocess_env(OPENBLAS_NUM_THREADS="2"), capture_output=True, text=True, check=True, timeout=300,
+    )
+    run = json.loads(result.stdout.splitlines()[-1])
+    assert run["exit"] == 0
+    assert run["after"] == 2 and run["threads"] == 1
+    assert run["sets"] == [1, 2] * (len(run["sets"]) // 2)  # each block restores its own count
+    starts = [(name, thread, count) for name, edge, thread, count in run["calls"] if edge == "start"]
+    assert len([name for name, _, _ in starts if name == "final_states"]) == 4  # 2 whole runs, then 97 and 9
+    assert {count for name, _, count in starts if name in ("final_states", "adam_step")} == {1}
+    order = [(name, edge) for name, edge, _, _ in run["calls"]]
+    [fit_thread] = {thread for name, thread, _ in starts if name == "train_mlp"}
+    encode_thread = next(thread for name, thread, _ in starts if name == "final_states")
+    assert fit_thread != encode_thread
+    assert order.index(("final_states", "start")) < order.index(("train_mlp", "end"))
+
+
+@pytest.mark.skipif(not PINNED, reason="without a thread-count setter no worker is ever started")
+def test_without_a_setter_train_fits_the_baseline_first_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    """Where no thread-count setter is found, `train --baseline mlp` starts no thread: it fits the
+    MLP, then encodes. At one BLAS thread it writes the bytes of the run that overlaps them, and
+    the ESN model of `train` without a baseline, whose one pass has the same runs.
+
+    Runs of 64 put three whole runs in the 240-sample train split. At 300
+    units the final states depend on the runs (100 units hide a shift of
+    the runs by one sample).
+    """
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 64 * ENCODE_BYTES_16X96)
+    shape = ["--synthetic", "16,96,300", "--n-res", "300", "--ridge", "1e-8"]
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
+    handle = blas.openblas()
+    argv = ["train", "--baseline", "mlp", *shape]
+    before = handle.get()
+    handle.set(1)
+    try:
+        assert run_cli(*argv, "--out", str(tmp_path / "beside")) == 0
+        assert len(started) == 1
+        monkeypatch.setattr(blas, "openblas", lambda: None)
+        assert run_cli(*argv, "--out", str(tmp_path / "first")) == 0
+        assert len(started) == 1
+        assert run_cli("train", *shape, "--out", str(tmp_path / "alone")) == 0
+    finally:
+        handle.set(before)
+    assert tree_bytes(tmp_path / "beside") == tree_bytes(tmp_path / "first")
+    assert (tmp_path / "beside" / cli.MODEL_FILE).read_bytes() == (tmp_path / "alone" / cli.MODEL_FILE).read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow, raised on the worker outside any np.errstate
+def test_a_failed_baseline_fit_exits_four_after_the_worker_is_joined(tmp_path, monkeypatch, capsys):
+    """The fit's NumericError leaves `train` only after the join, with its exit code and message,
+    also where the encoding beside it fails too, and the --out that `train` made goes as with
+    any failure. Runs of 4 of the 9 train samples are encoded meanwhile."""
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 4 * 13 * 8 * 8)
+    monkeypatch.setattr(baselines, "ADAM_LR", 1e300)
+    threads = threading.active_count()
+    fresh = tmp_path / "new" / "out"
+    assert run_cli("train", "--baseline", "mlp", *SMALL, "--out", str(fresh)) == 4
+    assert "numeric failure: loss became non-finite" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert list(tmp_path.iterdir()) == []
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run_cli("train", "--baseline", "mlp", *SMALL, "--out", str(existing)) == 4
+    assert list(existing.iterdir()) == []
+
+    def failing(model, batch):
+        raise ConfigError("the encoding failed")
+
+    monkeypatch.setattr(reservoir, "final_states", failing)
+    assert run_cli("train", "--baseline", "mlp", *SMALL, "--out", str(existing)) == 4
+    assert "numeric failure: loss became non-finite" in capsys.readouterr().err
+    assert threading.active_count() == threads
 
 
 # Runs leak-sweep at the sweep shape in a fresh interpreter and prints the CPU
@@ -862,18 +991,22 @@ def test_train_and_evaluate_memory_does_not_grow_with_the_synthetic_sample_count
 
 
 def test_train_with_the_mlp_baseline_holds_no_more_than_the_train_split(tmp_path, monkeypatch):
-    """With `--baseline mlp` the peak grows with N by no more than the train split's fields.
+    """With `--baseline mlp` the peak grows with N by no more than the train split's fields
+    and their final states.
 
     The MLP trains on the train fields, which are held until the pass
     encodes them; the validation fields are drawn after the MLP is fit,
-    and let go as the pass goes. The 5% on top of the 480 more train fields
-    covers their sample objects, targets and shuffle order (about 2%);
-    holding the 120 more validation fields as well would add 25%.
+    and let go as the pass goes. The train split's whole runs are encoded
+    while the MLP is fit, so their final states (20 units, 160 bytes a
+    sample, 1.3% of a field) are held beside the fields. The 5% on top of
+    the 480 more train fields and states covers their sample objects,
+    targets and shuffle order (about 2%); holding the 120 more validation
+    fields as well would add 25%.
     """
     peaks = streamed_peaks(tmp_path, monkeypatch, "train", "--baseline", "mlp")
-    train_growth = (data.train_count(800) - data.train_count(200)) * 16 * 96 * 8
+    train_growth = (data.train_count(800) - data.train_count(200)) * (16 * 96 + 20) * 8
     growth = peaks[800] - peaks[200]
-    assert growth < 1.05 * train_growth, f"peaks {peaks}: {growth / train_growth:.3f} of the train fields' growth"
+    assert growth < 1.05 * train_growth, f"peaks {peaks}: {growth / train_growth:.3f} of the train fields' and states' growth"
 
 
 @pytest.mark.parametrize("command", ["leak-sweep", "permutation", "synthetic"])
@@ -926,14 +1059,16 @@ def test_the_studies_hold_at_most_one_batch_of_samples_at_every_fit_and_map(tmp_
 
 
 def test_linreg_at_ridge_zero_with_too_few_samples_exits_four_before_reading_a_row(tmp_path, monkeypatch, capsys):
-    """16 train samples cannot fit 96 linear-regression weights unpenalized; no row is read to find that out."""
+    """16 train samples cannot fit 96 linear-regression weights unpenalized; no field is drawn, and
+    no row read, to find that out."""
     read = []
     monkeypatch.setattr(data.BaselineRows, "read", lambda self, indices, out: read.append(indices))
+    drawn = track_generated_samples(monkeypatch)
     out = tmp_path / "out"
     argv = ["train", "--synthetic", "8,12,20", "--n-res", "20", "--baseline", "linreg", "--out", str(out)]
     assert run_cli(*argv) == 4
     assert "rank" in capsys.readouterr().err
-    assert read == []
+    assert read == [] and drawn == []
     assert not (out / "esn_model.json").exists()
 
 
