@@ -457,18 +457,19 @@ def fit_baseline(
 
 def fit_beside_encoding(
     cfg: ExperimentConfig, encoder: Encoder, source: data.SampleSource
-) -> Tuple[Baseline, np.ndarray, np.ndarray]:
-    """The --baseline model fitted on the train split, and the final states under `encoder` and
-    the baseline's scores of every sample, in order. The caller holds `blas.one_thread`.
+) -> Tuple[np.ndarray, Baseline, np.ndarray]:
+    """The final states of every sample under `encoder`, in order, the --baseline model fitted on
+    the train split, and its scores of every sample. `cmd_train` calls it inside `blas.one_thread`.
 
     The train samples are drawn first and held while the baseline is fit
     on them, before any validation sample is drawn. Meanwhile the calling
     thread encodes the split's whole runs of `batches`, and the fit runs on
     a worker thread, each at one BLAS thread. Where no thread-count setter
     is found, two threads at the environment's count would oversubscribe
-    the cores, so the fit runs first, then the encoding. The worker is
-    joined before any error leaves, and the fit's error comes first. Then
-    the baseline scores the stream of every sample in order
+    the cores; there, and where the split holds no whole run to encode,
+    the fit runs first, then the encoding, and no thread is started. The
+    worker is joined before any error leaves, and the fit's error comes
+    first. Then the baseline scores the stream of every sample in order
     (`Baseline.scored`), and the encoding goes on from where it stopped,
     so each sample is let go once both models are done with it. The runs
     and the 10-row scoring chunks are those of one pass over every sample,
@@ -479,7 +480,7 @@ def fit_beside_encoding(
     run = run_length(source.shape, encoder.model.config.n_in * 8)  # `forward_pass`'s runs
     head = len(train) // run * run
     encoding = (states for [states] in encoded_runs([encoder], itertools.islice(train, head), source.shape))
-    if blas.openblas() is None:
+    if head == 0 or blas.openblas() is None:
         baseline = fit_baseline(cfg, train, source.valid_mask)
         runs = list(encoding)
     else:
@@ -497,7 +498,7 @@ def fit_beside_encoding(
     stream = baseline.scored(itertools.chain((train.pop() for _ in range(len(train))), samples), scores)
     next(itertools.islice(stream, head, head), None)  # scores the encoded samples, encodes none
     runs += [states for [states] in encoded_runs([encoder], stream, source.shape)]
-    return baseline, np.concatenate(runs), np.concatenate(scores)
+    return np.concatenate(runs), baseline, np.concatenate(scores)
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
@@ -515,19 +516,33 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
         cells = np.prod(source.shape) if source.valid_mask is None else np.count_nonzero(source.valid_mask)
         readout.check_rank_attainable(source.keys.n_train, int(cells), cfg.ridge)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(source.shape[0])))
-    with contextlib.nullcontext() if cfg.baseline == "none" else blas.one_thread():
-        if cfg.baseline == "none":
-            baseline, [states] = None, forward_pass([encoder], source.draw(), source.shape)
-        else:
-            baseline, states, baseline_scores = fit_beside_encoding(cfg, encoder, source)
-        [encoder], [scores] = fit_esn(cfg, [encoder], source.keys, [states])
-        persistence.save_model(out / MODEL_FILE, encoder.model)
-        data.write_sample_index_csv(out / "samples.csv", source.keys)
-        rows = split_rows("esn", source.keys, scores)
-        if baseline is not None:
-            persistence.save_model(out / f"baseline_{baseline.name}.json", baseline.model)
-            rows += split_rows(baseline.name, source.keys, baseline_scores) + [baseline.fit_row]
-        write_report(out / "train_report.csv", rows)
+    if cfg.baseline == "none":
+        [states] = forward_pass([encoder], source.draw(), source.shape)
+        write_train(cfg, out, source, encoder, states)
+    else:
+        with blas.one_thread():  # opened before the worker starts, closed after the last write
+            write_train(cfg, out, source, encoder, *fit_beside_encoding(cfg, encoder, source))
+
+
+def write_train(
+    cfg: ExperimentConfig,
+    out: Path,
+    source: data.SampleSource,
+    encoder: Encoder,
+    states: np.ndarray,
+    baseline: Optional[Baseline] = None,
+    baseline_scores: Optional[np.ndarray] = None,
+) -> None:
+    """Fit the ESN's readout on the final states of every sample of `source`, in order, and write
+    `train`'s outputs: the ESN model, the sample index and the report, with the baseline's."""
+    [encoder], [scores] = fit_esn(cfg, [encoder], source.keys, [states])
+    persistence.save_model(out / MODEL_FILE, encoder.model)
+    data.write_sample_index_csv(out / "samples.csv", source.keys)
+    rows = split_rows("esn", source.keys, scores)
+    if baseline is not None:
+        persistence.save_model(out / f"baseline_{baseline.name}.json", baseline.model)
+        rows += split_rows(baseline.name, source.keys, baseline_scores) + [baseline.fit_row]
+    write_report(out / "train_report.csv", rows)
 
 
 def load_trained_model(out: Path) -> reservoir.EsnModel:

@@ -85,9 +85,11 @@ class SampleKey:
     """What a sample is without its field: its normalized index and its month id.
 
     The index fixes the class. A command that has let a sample's field go
-    keeps its key for the reports.
+    keeps its key for the reports. Keys and samples keep no per-instance
+    dict: a command holds every key and a whole train split of samples.
     """
 
+    __slots__ = ("index", "month_id")
     index: float
     month_id: int
 
@@ -103,6 +105,7 @@ class SampleKey:
 class LabeledSample(SampleKey):
     """One month's anomaly field with its key (normalized index and month id)."""
 
+    __slots__ = ("field", "__weakref__")
     field: np.ndarray
 
     def __post_init__(self) -> None:
@@ -528,9 +531,10 @@ def _synthetic_draws(n_samples: int, seed: int) -> Tuple[np.ndarray, np.random.G
 
 
 def synthetic_samples(
-    n_samples: int, d: int, t: int, seed: int, positions: Optional[Sequence[int]] = None
+    keys: SampleSet, d: int, t: int, seed: int, positions: Optional[Sequence[int]] = None
 ) -> Iterator[LabeledSample]:
-    """The samples of a two-class task with a known localized signal, drawn one at a time.
+    """The samples of a two-class task with a known localized signal, drawn one at a time: those
+    of `keys`, the keys of `synthetic_source(len(keys.samples), d, t, seed)`.
 
     Each sample is amplitude * blob + smoothed noise: the blob is a fixed
     Gaussian bump (see the module constants for its geometry), amplitudes
@@ -539,7 +543,8 @@ def synthetic_samples(
     to standard deviation NOISE_SCALE. The continuous target equals the
     amplitude, so labels follow the +-0.5 index rule exactly and both
     classes appear in any contiguous split. With everything seeded the
-    samples are reproducible bit for bit.
+    samples are reproducible bit for bit. A sample holds its key's index
+    and month id, not copies, like those of `enso_samples`.
 
     Sample i is drawn only when asked for, and the generator keeps none it
     has yielded. `positions`, increasing sample indices, picks the samples
@@ -547,33 +552,34 @@ def synthetic_samples(
     drawn but not smoothed, so each sample built is the one a full draw
     gives. The shape is checked at the first draw.
     """
-    check_synthetic_shape(n_samples, d, t)
-    indices, noise_rng = _synthetic_draws(n_samples, seed)
+    check_synthetic_shape(len(keys.samples), d, t)
+    noise_rng = _synthetic_draws(len(keys.samples), seed)[1]
     rr, cc = np.meshgrid(np.arange(d), np.arange(t), indexing="ij")
     r0, c0, sigma_r, sigma_c = _blob_geometry(d, t)
     blob = np.exp(-((rr - r0) ** 2 / (2 * sigma_r**2) + (cc - c0) ** 2 / (2 * sigma_c**2)))
 
-    positions = range(n_samples) if positions is None else positions
+    positions = range(len(keys.samples)) if positions is None else positions
     noises = _smoothed_noise(noise_rng, (d, t), positions)
     for i in positions:
-        amplitude = float(indices[i])
+        key = keys.samples[i]
         # the blob product first: computed after the noise draw, synthesis runs ~2% slower at paper shape
-        field = amplitude * blob
+        field = key.index * blob
         noise = next(noises)
         field = field + noise * (NOISE_SCALE / float(noise.std()))
-        yield LabeledSample(field=_locked(np.clip(field, -CLIP_LIMIT, CLIP_LIMIT)), index=amplitude, month_id=i)
+        field = _locked(np.clip(field, -CLIP_LIMIT, CLIP_LIMIT))
+        yield LabeledSample(field=field, index=key.index, month_id=key.month_id)
 
 
 def synthetic_source(n_samples: int, d: int, t: int, seed: int) -> SampleSource:
-    """The samples of `synthetic_samples(n_samples, d, t, seed)`, their keys read off the amplitudes alone."""
+    """The samples of a synthetic task (`synthetic_samples`), their keys read off the amplitudes alone."""
     check_synthetic_shape(n_samples, d, t)
     keys = SampleSet(tuple(SampleKey(float(v), i) for i, v in enumerate(_synthetic_draws(n_samples, seed)[0])))
-    return SampleSource(keys, (d, t), None, functools.partial(synthetic_samples, n_samples, d, t, seed))
+    return SampleSource(keys, (d, t), None, functools.partial(synthetic_samples, keys, d, t, seed))
 
 
 def synthesize_task(n_samples: int, d: int, t: int, seed: int) -> SampleSet:
-    """All the samples of `synthetic_samples(n_samples, d, t, seed)`, as one set."""
-    return SampleSet(samples=tuple(synthetic_samples(n_samples, d, t, seed)))
+    """All the samples of `synthetic_source(n_samples, d, t, seed)`, as one set."""
+    return SampleSet(samples=tuple(synthetic_source(n_samples, d, t, seed).draw()))
 
 
 def box_mass_ratio(scores: np.ndarray, box: Tuple[int, int, int, int]) -> float:
