@@ -9,9 +9,10 @@ affine map; it is kept in layered form anyway because the layered
 parameterization (and its optimization trajectory) is what we compare
 against, and the collapse makes for a free correctness check.
 
-The MLP reads its inputs through a row source (`RowSource`, such as
-`data.BaselineRows`) a mini-batch at a time, in training and in prediction,
-so no (samples x inputs) matrix is built for it. Training and scoring
+Both read their inputs through a row source (`RowSource`, such as
+`data.BaselineRows`) a mini-batch at a time when they score, and the MLP
+when it trains too, so no (samples x inputs) matrix is built but the one
+the linear regression's closed-form fit needs. Training and scoring
 run at one BLAS thread (`blas.one_thread`), so they use one core whatever the
 BLAS thread count, and the weights are bit for bit the same under 1 and 2
 threads. Where no thread-count setter is found, the weight gradients are
@@ -22,7 +23,7 @@ still written in column blocks too small for BLAS to split (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -133,18 +134,23 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> List[np.ndarray]:
     return activations
 
 
-@blas.one_thread()
-def mlp_predict(model: MlpModel, rows: RowSource) -> np.ndarray:
-    """One score per row of the source, shape (n,), BATCH_ROWS rows at a time through one buffer."""
-    if rows.width != model.layer_dims[0]:
-        raise ConfigError(f"input width {rows.width} does not match model input dim {model.layer_dims[0]}")
+def _scored(rows: RowSource, score: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """One score per row of the source, shape (n,): `score` of BATCH_ROWS rows at a time, read through one buffer."""
     n = len(rows)
     scores = np.empty(n)
     buffer = np.empty((min(BATCH_ROWS, n), rows.width))
     for lo in range(0, n, BATCH_ROWS):
         hi = min(lo + BATCH_ROWS, n)
-        scores[lo:hi] = mlp_forward(model, rows.read(range(lo, hi), buffer))[-1][:, 0]
+        scores[lo:hi] = score(rows.read(range(lo, hi), buffer))
     return scores
+
+
+@blas.one_thread()
+def mlp_predict(model: MlpModel, rows: RowSource) -> np.ndarray:
+    """One score per row of the source, shape (n,), BATCH_ROWS rows at a time through one buffer."""
+    if rows.width != model.layer_dims[0]:
+        raise ConfigError(f"input width {rows.width} does not match model input dim {model.layer_dims[0]}")
+    return _scored(rows, lambda x: mlp_forward(model, x)[-1][:, 0])
 
 
 def mlp_gradients(
@@ -306,7 +312,7 @@ def train_mlp(rows: RowSource, targets: np.ndarray, seed: int = 0) -> Tuple[MlpM
 
 
 @blas.one_thread()
-def linreg_predict(model: ReadoutSolution, vectors: np.ndarray) -> np.ndarray:
-    """One score per row of a batch of vectors under a fitted linear model, shape (n,)."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    return (vectors @ model.w_out.T + model.b_out)[:, 0]
+def linreg_predict(model: ReadoutSolution, rows: RowSource) -> np.ndarray:
+    """One score per row of the source under a fitted linear model, shape (n,), BATCH_ROWS rows at
+    a time through one buffer, as `mlp_predict` reads them."""
+    return _scored(rows, lambda x: (x @ model.w_out.T + model.b_out)[:, 0])

@@ -26,13 +26,14 @@ that fit; too few for the linear-regression baseline at ridge 0, in
 `train`) therefore run before any field is drawn or anything written,
 and a pass draws the fields of only the samples it keeps.
 
-Every encoding goes through one `forward_pass` over the samples in order,
-which feeds each batch to every reservoir of the command (one reservoir at
-the four leak rates of `leak-sweep`, the base and the column-permuted model
-of `permutation`, the one model of the others). In `train`, the --baseline
-model scores the stream of samples that the pass reads (`Baseline.scored`);
-that pass is split in two at a run of `batches`, the train split's whole
-runs encoded while the baseline is fit.
+Every encoding draws the samples once, in order, and encodes them in runs
+of `batches` that end at the train/validation split: the train split's
+runs, then the validation split's (`forward_pass`). Each batch is fed to
+every reservoir of the command (one reservoir at the four leak rates of
+`leak-sweep`, the base and the column-permuted model of `permutation`, the
+one model of the others). In `train`, the --baseline model scores the
+samples that the pass reads (`Baseline.score`, `Baseline.scored`), and the
+train split is encoded while the baseline is fit (`fit_beside_encoding`).
 A sample is let go once all the models are done with it. The studies then
 map the train samples of --class in one more draw, each batch under every
 model in turn (`maps_for`), building no field of the other class. All the models of a
@@ -256,12 +257,6 @@ class Encoder:
     columns: Optional[np.ndarray] = None
 
 
-def run_length(shape: Tuple[int, int], step_bytes: int) -> int:
-    """The samples in each run of `batches` but the last: as many as fit TRAJECTORY_BUDGET_BYTES
-    at `step_bytes` per time step of their (rows, columns) `shape`, and at least one."""
-    return max(1, TRAJECTORY_BUDGET_BYTES // ((shape[1] + 1) * step_bytes))
-
-
 def batches(samples: Iterable[data.LabeledSample], shape: Tuple[int, int], step_bytes: int) -> Iterator[np.ndarray]:
     """Consecutive runs of the samples, whose fields have `shape`: each run's preprocessed
     fields stacked (B, n_in, T+1), in the order they are drawn.
@@ -269,13 +264,13 @@ def batches(samples: Iterable[data.LabeledSample], shape: Tuple[int, int], step_
     `samples` may be any iterable, a generator included. Each sample is
     drawn when its run is filled, written into the batch and let go at
     once, so no sample outlives its drawing. One sample costs its caller
-    `step_bytes` per time step, and every run but the last is `run_length`
-    samples long. Runs reuse one array
-    (a batch is valid until the next is drawn): a new one per run would
-    take the heap space a freed trajectory left.
+    `step_bytes` per time step, and every run but the last holds as many
+    samples as fit TRAJECTORY_BUDGET_BYTES, and at least one. Runs reuse one
+    array (a batch is valid until the next is drawn): a new one per run
+    would take the heap space a freed trajectory left.
     """
     samples = iter(samples)
-    size = run_length(shape, step_bytes)
+    size = max(1, TRAJECTORY_BUDGET_BYTES // ((shape[1] + 1) * step_bytes))
     buffer = np.empty((size, shape[0], shape[1] + 1))  # `data.preprocess_field` prepends the ones column
 
     def write(i: int, sample: data.LabeledSample) -> None:
@@ -311,16 +306,15 @@ class Baseline:
     fit_row: str
 
     def score(self, samples: Sequence[data.LabeledSample]) -> np.ndarray:
-        """One score per sample, from its valid cells (`data.BaselineRows`), shape (n,)."""
-        rows = data.BaselineRows(samples, self.valid_mask)
-        if isinstance(self.model, baselines.MlpModel):
-            return baselines.mlp_predict(self.model, rows)
-        return baselines.linreg_predict(self.model, rows.read(range(len(rows)), np.empty((len(rows), rows.width))))
+        """One score per sample, from its valid cells (`data.BaselineRows`) read
+        `baselines.BATCH_ROWS` at a time, shape (n,)."""
+        predict = baselines.mlp_predict if isinstance(self.model, baselines.MlpModel) else baselines.linreg_predict
+        return predict(self.model, data.BaselineRows(samples, self.valid_mask))
 
     def scored(self, samples: Iterable[data.LabeledSample], into: List[np.ndarray]) -> Iterator[data.LabeledSample]:
         """The samples, passed on unchanged, and scored `baselines.BATCH_ROWS` at a time, the chunks
-        `baselines.mlp_predict` reads a whole set in: each chunk's scores are appended to `into`
-        once it has been passed on, and the chunk is let go before the next is drawn."""
+        `score` reads a whole set in: each chunk's scores are appended to `into` once it has been
+        passed on, and the chunk is let go before the next is drawn."""
         samples = iter(samples)
         while chunk := list(itertools.islice(samples, baselines.BATCH_ROWS)):
             yield from chunk
@@ -344,12 +338,14 @@ def encoded_runs(
         yield [reservoir.final_states(encoder.model, inputs) for encoder, inputs in in_turn(encoders, batch)]
 
 
-def forward_pass(
-    encoders: Sequence[Encoder], samples: Iterable[data.LabeledSample], shape: Tuple[int, int]
-) -> List[np.ndarray]:
-    """One pass over the samples, whose fields have `shape`, in order: under each encoder,
-    their final reservoir states, one row per sample (`encoded_runs`)."""
-    return [np.concatenate(encoded) for encoded in zip(*encoded_runs(encoders, samples, shape))]
+def forward_pass(encoders: Sequence[Encoder], source: data.SampleSource) -> List[np.ndarray]:
+    """One draw of every sample of `source`, in order: under each encoder, their final reservoir
+    states, one row per sample. The train split is encoded in runs of `batches`, then the
+    validation split in runs of its own (`encoded_runs`), so no run holds samples of both."""
+    samples = source.draw()
+    runs = [*encoded_runs(encoders, itertools.islice(samples, source.keys.n_train), source.shape)]
+    runs += encoded_runs(encoders, samples, source.shape)
+    return [np.concatenate(encoded) for encoded in zip(*runs)]
 
 
 def fit_esn(
@@ -458,29 +454,25 @@ def fit_baseline(
 def fit_beside_encoding(
     cfg: ExperimentConfig, encoder: Encoder, source: data.SampleSource
 ) -> Tuple[np.ndarray, Baseline, np.ndarray]:
-    """The final states of every sample under `encoder`, in order, the --baseline model fitted on
-    the train split, and its scores of every sample. `cmd_train` calls it inside `blas.one_thread`.
+    """The final states of every sample under `encoder`, in the runs of `forward_pass`, the
+    --baseline model fitted on the train split, and its scores of every sample. `cmd_train`
+    calls it inside `blas.one_thread`.
 
     The train samples are drawn first and held while the baseline is fit
     on them, before any validation sample is drawn. Meanwhile the calling
-    thread encodes the split's whole runs of `batches`, and the fit runs on
-    a worker thread, each at one BLAS thread. Where no thread-count setter
-    is found, two threads at the environment's count would oversubscribe
-    the cores; there, and where the split holds no whole run to encode,
-    the fit runs first, then the encoding, and no thread is started. The
-    worker is joined before any error leaves, and the fit's error comes
-    first. Then the baseline scores the stream of every sample in order
-    (`Baseline.scored`), and the encoding goes on from where it stopped,
-    so each sample is let go once both models are done with it. The runs
-    and the 10-row scoring chunks are those of one pass over every sample,
-    and so are the bytes.
+    thread encodes the whole split, and the fit runs on a worker thread,
+    each at one BLAS thread. Where no thread-count setter is found, two
+    threads at the environment's count would oversubscribe the cores;
+    there the fit runs first, then the encoding, and no thread is started.
+    The worker is joined before any error leaves, and the fit's error comes
+    first. Then the baseline scores the held split, which is let go, and
+    the validation samples are drawn, scored (`Baseline.scored`) and
+    encoded, each let go once both models are done with it.
     """
     samples = source.draw()
     train = list(itertools.islice(samples, source.keys.n_train))
-    run = run_length(source.shape, encoder.model.config.n_in * 8)  # `forward_pass`'s runs
-    head = len(train) // run * run
-    encoding = (states for [states] in encoded_runs([encoder], itertools.islice(train, head), source.shape))
-    if head == 0 or blas.openblas() is None:
+    encoding = (states for [states] in encoded_runs([encoder], train, source.shape))
+    if blas.openblas() is None:
         baseline = fit_baseline(cfg, train, source.valid_mask)
         runs = list(encoding)
     else:
@@ -493,11 +485,9 @@ def fit_beside_encoding(
                 runs = list(encoding)
             finally:
                 baseline = fit.result()  # raises the fit's error, over the encoding's
-    scores: List[np.ndarray] = []
-    train.reverse()  # popped from the end, each train sample is let go as the pass draws it
-    stream = baseline.scored(itertools.chain((train.pop() for _ in range(len(train))), samples), scores)
-    next(itertools.islice(stream, head, head), None)  # scores the encoded samples, encodes none
-    runs += [states for [states] in encoded_runs([encoder], stream, source.shape)]
+    scores = [baseline.score(train)]
+    train.clear()
+    runs += [states for [states] in encoded_runs([encoder], baseline.scored(samples, scores), source.shape)]
     return np.concatenate(runs), baseline, np.concatenate(scores)
 
 
@@ -508,7 +498,8 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     is held ahead of it; each phase sets its own BLAS thread count. With one,
     the command runs at one BLAS thread from the baseline's fit to the
     last write, the encoding included, so its outputs are the same bytes
-    under any thread count.
+    under any thread count. Both encode the samples in the same runs, so at
+    one BLAS thread the ESN model is the same bytes with a baseline or without.
     """
     source = sample_source(cfg)
     check_train_split(source.keys)
@@ -517,7 +508,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
         readout.check_rank_attainable(source.keys.n_train, int(cells), cfg.ridge)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(source.shape[0])))
     if cfg.baseline == "none":
-        [states] = forward_pass([encoder], source.draw(), source.shape)
+        [states] = forward_pass([encoder], source)
         write_train(cfg, out, source, encoder, states)
     else:
         with blas.one_thread():  # opened before the worker starts, closed after the last write
@@ -566,7 +557,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> None:
     model = load_trained_model(out)
     source = sample_source(cfg)
     check_field_height(model, source.shape[0], out)
-    [states] = forward_pass([Encoder(model)], source.draw(), source.shape)
+    [states] = forward_pass([Encoder(model)], source)
     write_report(out / "eval_report.csv", split_rows("esn", source.keys, reservoir.model_output(model, states)))
 
 
@@ -614,7 +605,7 @@ def study(
     with no train sample, or a train split too small to fit, is a DataError before any field is drawn."""
     check_train_split(source.keys)
     positions = class_positions(source.keys, cfg.class_filter)
-    fitted, scores = fit_esn(cfg, encoders, source.keys, forward_pass(encoders, source.draw(), source.shape))
+    fitted, scores = fit_esn(cfg, encoders, source.keys, forward_pass(encoders, source))
     means = mean_maps(fitted, source, positions)
     return [val_accuracy(source.keys, s) for s in scores], means
 
@@ -690,7 +681,7 @@ def cmd_synthetic(cfg: ExperimentConfig, out: Path) -> None:
     source = sample_source(cfg)
     check_train_split(source.keys)
     encoder = Encoder(reservoir.init_reservoir(cfg.esn_config(d)))
-    [encoder], [scores] = fit_esn(cfg, [encoder], source.keys, forward_pass([encoder], source.draw(), source.shape))
+    [encoder], [scores] = fit_esn(cfg, [encoder], source.keys, forward_pass([encoder], source))
     persistence.save_model(out / MODEL_FILE, encoder.model)
     rows = split_rows("esn", source.keys, scores)
     box = data.synthetic_blob_box(d, t)

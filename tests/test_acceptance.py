@@ -26,7 +26,9 @@ from esnlrp.reservoir import (
     spectral_radius,
 )
 
-from helpers import assemble_model, encode, enso_sample_set, preprocess_for_baseline, random_model, random_sample
+from helpers import (
+    MatrixRows, assemble_model, encode, enso_sample_set, preprocess_for_baseline, random_model, random_sample,
+)
 from oracle_lrp import oracle_relevance
 
 SYNTHETIC_SCALE = dict(n_samples=300, d=16, t=96, seed=0)
@@ -298,7 +300,7 @@ def test_criterion_6_baselines():
 
     linreg = fit_readout(x_train, y_train, ridge=RIDGE)
     for split, samples, x in (("train", train, x_train), ("val", val, vectors(val))):
-        scores = linreg_predict(linreg, x)
+        scores = linreg_predict(linreg, MatrixRows(x))
         report = accuracy(scores, [s.label for s in samples])
         assert report.overall == 1.0, f"linreg {split} accuracy {report.overall} != 100%"
 

@@ -366,7 +366,7 @@ def test_linreg_recovers_linear_map():
     w = rng.normal(size=5)
     y = x @ w + 1.25
     solution = fit_readout(x, y)
-    np.testing.assert_allclose(linreg_predict(solution, x), y, atol=1e-8)
+    np.testing.assert_allclose(linreg_predict(solution, MatrixRows(x)), y, atol=1e-8)
     np.testing.assert_allclose(solution.w_out[0], w, rtol=1e-8)
     np.testing.assert_allclose(solution.b_out, [1.25], rtol=1e-8)
     assert solution.train_mse <= 1e-16

@@ -219,7 +219,7 @@ def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
     runs at one thread; without a thread-count setter, within 1e-12 of its
     peak), and w_out and every map agree within 1e-9 of theirs. `train
     --baseline` runs every phase at one thread, its fit beside the encoding
-    of the train split's two whole runs (240 samples, runs of 97), so its
+    of the train split (240 samples, in runs of 97, 97 and 46), so its
     outputs are the same bytes where a thread-count setter is found.
     """
     shape = ["--synthetic", "89,180,35", "--ridge", "1e-8"]
@@ -258,7 +258,7 @@ def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
 
 
-# `train --baseline mlp` at paper shape: 240 train samples hold two whole runs of 97.
+# `train --baseline mlp` at paper shape: 240 train samples, encoded in runs of 97, 97 and 46, and 60 validation samples.
 PAPER_BASELINE = ["--baseline", "mlp", "--synthetic", "89,180,300", "--ridge", "1e-8"]
 
 # Runs `train --baseline mlp` at paper shape in a fresh interpreter through a
@@ -306,7 +306,7 @@ def test_train_fits_the_baseline_on_a_worker_while_the_train_split_is_encoded(tm
     assert run["after"] == 2 and run["threads"] == 1
     assert run["sets"] == [1, 2] * (len(run["sets"]) // 2)  # each block restores its own count
     starts = [(name, thread, count) for name, edge, thread, count in run["calls"] if edge == "start"]
-    assert len([name for name, _, _ in starts if name == "final_states"]) == 4  # 2 whole runs, then 97 and 9
+    assert len([name for name, _, _ in starts if name == "final_states"]) == 4  # 97, 97 and 46, then 60
     assert {count for name, _, count in starts if name in ("final_states", "adam_step")} == {1}
     order = [(name, edge) for name, edge, _, _ in run["calls"]]
     [fit_thread] = {thread for name, thread, _ in starts if name == "train_mlp"}
@@ -321,9 +321,9 @@ def test_without_a_setter_train_fits_the_baseline_first_and_writes_the_same_byte
     MLP, then encodes. At one BLAS thread it writes the bytes of the run that overlaps them, and
     the ESN model of `train` without a baseline, whose one pass has the same runs.
 
-    Runs of 64 put three whole runs in the 240-sample train split. At 300
-    units the final states depend on the runs (100 units hide a shift of
-    the runs by one sample).
+    Runs of 64 encode the 240-sample train split in runs of 64, 64, 64 and
+    48, then the 60 validation samples. At 300 units the final states
+    depend on the runs (100 units hide a shift of the runs by one sample).
     """
     monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 64 * ENCODE_BYTES_16X96)
     shape = ["--synthetic", "16,96,300", "--n-res", "300", "--ridge", "1e-8"]
@@ -347,15 +347,34 @@ def test_without_a_setter_train_fits_the_baseline_first_and_writes_the_same_byte
     assert (tmp_path / "beside" / cli.MODEL_FILE).read_bytes() == (tmp_path / "alone" / cli.MODEL_FILE).read_bytes()
 
 
-def test_train_starts_no_thread_where_the_train_split_holds_no_whole_run(tmp_path, monkeypatch):
-    """At the default budget a run holds 1013 samples of 8x12 fields, more than the 9 train
-    samples: there is nothing to encode beside the fit, so `train --baseline` starts no thread."""
+@pytest.mark.skipif(not PINNED, reason="without a thread-count setter no worker is ever started")
+@pytest.mark.parametrize("baseline", ["mlp", "linreg"])
+def test_train_with_a_baseline_starts_one_worker_thread(tmp_path, monkeypatch, baseline):
+    """However few the train samples (9 here, one run), `train --baseline` fits the baseline on one
+    worker thread while the calling thread encodes them."""
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
-    for baseline in ("mlp", "linreg"):
-        assert run_cli("train", "--baseline", baseline, *SMALL, "--out", str(tmp_path / baseline)) == 0
-    assert started == []
+    assert run_cli("train", "--baseline", baseline, *SMALL, "--out", str(tmp_path)) == 0
+    assert len(started) == 1
+
+
+def test_no_run_holds_samples_of_both_splits(tmp_path, monkeypatch):
+    """At 4 samples a run, `train`, `train --baseline mlp` and `evaluate` encode the 9 train samples
+    in runs of 4, 4 and 1, then the 3 validation samples in a run of their own."""
+    monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 4 * 13 * 8 * 8)
+    sizes = []
+    final_states = reservoir.final_states
+
+    def recorded(model, batch):
+        sizes.append(len(batch))
+        return final_states(model, batch)
+
+    monkeypatch.setattr(reservoir, "final_states", recorded)
+    for argv in (["train"], ["train", "--baseline", "mlp"], ["evaluate"]):
+        sizes.clear()
+        assert run_cli(*argv, *SMALL, "--out", str(tmp_path)) == 0
+        assert sizes == [4, 4, 1, 3], argv
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow, raised on the worker outside any np.errstate
@@ -971,11 +990,15 @@ ENCODE_BYTES_16X96 = 97 * 16 * 8
 
 
 def streamed_peaks(tmp_path, monkeypatch, command, *flags):
-    """Traced peak bytes of `command --synthetic 16,96,N` at N = 200 and 800, in 64-sample batches."""
+    """Traced peak bytes of `command --synthetic 16,96,N` at N = 200 and 800, in 64-sample batches.
+
+    An untraced run at N = 40 comes first (for `evaluate`, the `train` that
+    saves its model), so the process's one-time allocations, such as the
+    first worker thread's, fall inside neither peak whatever ran before.
+    """
     monkeypatch.setattr(cli, "TRAJECTORY_BUDGET_BYTES", 64 * ENCODE_BYTES_16X96)
     model = ["--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
-    if command == "evaluate":
-        assert run_cli("train", "--synthetic", "16,96,40", *model) == 0
+    assert run_cli("train" if command == "evaluate" else command, "--synthetic", "16,96,40", *flags, *model) == 0
     peaks = {}
     for n in (200, 800):
         tracemalloc.start()
@@ -1004,13 +1027,12 @@ def test_train_and_evaluate_memory_does_not_grow_with_the_synthetic_sample_count
 def test_train_with_the_mlp_baseline_holds_no_more_than_the_train_split(tmp_path, monkeypatch):
     """With `--baseline mlp` the peak grows with N by no more than the train split's fields.
 
-    The MLP trains on the train fields, which are held until the pass
-    encodes them; the validation fields are drawn after the MLP is fit,
-    and let go as the pass goes. The train split's whole runs are encoded
-    while the MLP is fit, so their final states (20 units, 160 bytes a
-    sample) are held beside the fields. The 5% on top of the 480 more train
-    fields covers those states, the fields' array headers and the samples'
-    keys, targets and shuffle order (4.2% together when the file runs whole);
+    The MLP trains on the train fields, which are held until the MLP has
+    scored them; the validation fields are drawn after that, and let go as
+    the pass goes. The train split is encoded while the MLP is fit, so its
+    final states (20 units, 160 bytes a sample) are held beside the fields.
+    The 5% on top of the 480 more train fields covers those states, the
+    fields' array headers and the samples' keys, targets and shuffle order;
     holding the 120 more validation fields as well would add 25%.
     """
     peaks = streamed_peaks(tmp_path, monkeypatch, "train", "--baseline", "mlp")
@@ -1238,23 +1260,27 @@ def test_several_models_in_one_pass_give_what_each_gives_alone(monkeypatch):
     keys = list(source.keys.samples)
     everything = range(20)
 
-    def samples(drawn):
-        """A fresh draw of every sample, noting each one's key as it is drawn."""
-        for sample in source.draw():
-            drawn.append(data.SampleKey(sample.index, sample.month_id))
-            yield sample
+    def noting(drawn):
+        """The source, whose every draw notes each sample's key as it is drawn."""
+
+        def draw():
+            for sample in source.draw():
+                drawn.append(data.SampleKey(sample.index, sample.month_id))
+                yield sample
+
+        return replace(source, draw=draw)
 
     alone = {}
     for name, encoder in encoders.items():
         drawn = []
-        [states] = cli.forward_pass([encoder], samples(drawn), source.shape)
+        [states] = cli.forward_pass([encoder], noting(drawn))
         assert drawn == keys
         fitted = replace(encoder, model=encoder.model.with_readout(np.ones((1, 20)), np.zeros(1)))
         alone[name] = states, fitted, [(key, rmap) for _, key, rmap in cli.maps_for([fitted], source, everything)]
 
     for order in (["base", "fast", "permuted"], ["permuted", "base", "fast"], ["base", "permuted", "fast"]):
         drawn = []
-        states = cli.forward_pass([encoders[name] for name in order], samples(drawn), source.shape)
+        states = cli.forward_pass([encoders[name] for name in order], noting(drawn))
         assert drawn == keys
         assert isinstance(states, list) and len(states) == len(order)  # the states alone
         for name, together in zip(order, states):
@@ -1379,8 +1405,9 @@ def test_every_model_of_a_pass_reads_the_same_batch(tmp_path, monkeypatch, comma
     argv = [command, "--synthetic", "8,12,20", "--n-res", "20", "--ridge", "1e-8", "--out", str(tmp_path)]
     assert run_cli(*argv) == 0
     n_models = 2 if command == "permutation" else len(cli.SWEEP_ALPHAS)
-    # 20 samples encoded in runs of 7, 7 and 6, then 16 train samples mapped in runs of 3, 3, 3, 3, 3 and 1
-    assert len(addresses) == 9 * n_models
+    # 16 train samples encoded in runs of 7, 7 and 2, then 4 validation samples in a run of their own,
+    # then the 16 train samples mapped in runs of 3, 3, 3, 3, 3 and 1
+    assert len(addresses) == 10 * n_models
     runs = [addresses[i : i + n_models] for i in range(0, len(addresses), n_models)]
     assert all(len(set(run)) == 1 for run in runs), runs
 
@@ -1431,7 +1458,7 @@ def test_train_streams_to_the_outputs_of_the_whole_set(tmp_path, monkeypatch, ba
         inputs = data.BaselineRows(task.samples)
         x = inputs.read(range(len(inputs)), np.empty((len(inputs), inputs.width)))
         linreg = readout.fit_readout(x[:n_train], y_train, ridge=cfg.ridge)
-        rows += cli.split_rows("linreg", task, baselines.linreg_predict(linreg, x))
+        rows += cli.split_rows("linreg", task, baselines.linreg_predict(linreg, MatrixRows(x)))
         rows.append(f"linreg,train,mse,{linreg.train_mse:.9g}")
     else:
         assert streamed_scores == []
@@ -1498,6 +1525,27 @@ def test_baseline_training_rows(tmp_path):
     rows = read_report(out2 / "train_report.csv")
     assert np.isfinite(float(metric(rows, "mlp", "train", "final_loss")))
     assert (out2 / "baseline_mlp.json").exists()
+
+
+def test_the_linreg_baseline_scores_batch_rows_at_a_time(monkeypatch):
+    """The fitted linear regression scores the samples `baselines.BATCH_ROWS` rows at a time, so it
+    builds no (samples x cells) matrix to score them, and gives the whole matrix's scores."""
+    cfg = cli.ExperimentConfig(command="train", synthetic=(8, 12, 40), baseline="linreg", ridge=1e-8)
+    sample_set = data.synthesize_task(40, 8, 12, seed=0)
+    baseline = cli.fit_baseline(cfg, sample_set.train_samples, None)
+    rows = data.BaselineRows(sample_set.samples)
+    whole = rows.read(range(40), np.empty((40, rows.width)))
+    reads = []
+    read = data.BaselineRows.read
+
+    def recorded(self, indices, out):
+        reads.append(len(indices))
+        return read(self, indices, out)
+
+    monkeypatch.setattr(data.BaselineRows, "read", recorded)
+    scores = baseline.score(sample_set.samples)
+    assert sum(reads) == 40 and max(reads) <= baselines.BATCH_ROWS
+    np.testing.assert_allclose(scores, whole @ baseline.model.w_out[0] + baseline.model.b_out[0], rtol=0, atol=1e-12)
 
 
 def test_the_mlp_baseline_builds_no_input_matrix():
