@@ -31,18 +31,19 @@ of `batches` that end at the train/validation split: the train split's
 runs, then the validation split's (`forward_pass`). Each batch is fed to
 every reservoir of the command (one reservoir at the four leak rates of
 `leak-sweep`, the base and the column-permuted model of `permutation`, the
-one model of the others). In `train`, the --baseline model scores the
-samples that the pass reads (`Baseline.score`, `Baseline.scored`), and the
-train split is encoded while the baseline is fit (`fit_beside_encoding`).
-A sample is let go once all the models are done with it. The studies then
+one model of the others). In `train`, the train split is encoded while
+the --baseline model is fit on it (`fit_beside_encoding`), and each split
+is held as a list while both models read it (`Baseline.score`). A sample
+is let go once all the models are done with it. The studies then
 map the train samples of --class in one more draw, each batch under every
 model in turn (`maps_for`), building no field of the other class. All the models of a
 pass read one batch, reordered in place for each (`in_turn`). Every pass
 draws the samples afresh as it asks for them, from the generator on
 --synthetic and from the container, a month at a time, on --data, so no
-command holds a set of fields: `train` draws the train split first and
-fits the baseline on it before any validation sample exists, and without
-a baseline, like every other command, holds one batch of samples at most.
+command holds a set of fields but `train --baseline`, which holds one split
+at a time: the train split, on which it fits the baseline before any
+validation sample exists, then the validation split. Without a baseline,
+`train`, like every other command, holds one batch of samples at most.
 """
 
 from __future__ import annotations
@@ -306,20 +307,10 @@ class Baseline:
     fit_row: str
 
     def score(self, samples: Sequence[data.LabeledSample]) -> np.ndarray:
-        """One score per sample, from its valid cells (`data.BaselineRows`) read
-        `baselines.BATCH_ROWS` at a time, shape (n,)."""
+        """One score per sample of a split, shape (n,), from its valid cells (`data.BaselineRows`),
+        which `baselines.mlp_predict` or `linreg_predict` reads a mini-batch at a time."""
         predict = baselines.mlp_predict if isinstance(self.model, baselines.MlpModel) else baselines.linreg_predict
         return predict(self.model, data.BaselineRows(samples, self.valid_mask))
-
-    def scored(self, samples: Iterable[data.LabeledSample], into: List[np.ndarray]) -> Iterator[data.LabeledSample]:
-        """The samples, passed on unchanged, and scored `baselines.BATCH_ROWS` at a time, the chunks
-        `score` reads a whole set in: each chunk's scores are appended to `into` once it has been
-        passed on, and the chunk is let go before the next is drawn."""
-        samples = iter(samples)
-        while chunk := list(itertools.islice(samples, baselines.BATCH_ROWS)):
-            yield from chunk
-            into.append(self.score(chunk))
-            del chunk  # before the next chunk is drawn
 
 
 def encoded_runs(
@@ -465,9 +456,9 @@ def fit_beside_encoding(
     threads at the environment's count would oversubscribe the cores;
     there the fit runs first, then the encoding, and no thread is started.
     The worker is joined before any error leaves, and the fit's error comes
-    first. Then the baseline scores the held split, which is let go, and
-    the validation samples are drawn, scored (`Baseline.scored`) and
-    encoded, each let go once both models are done with it.
+    first. Then the baseline scores the held split, which is let go before
+    the validation split is drawn. That split is held in the same way: it
+    is encoded in runs of `batches`, scored, and let go on return.
     """
     samples = source.draw()
     train = list(itertools.islice(samples, source.keys.n_train))
@@ -485,10 +476,11 @@ def fit_beside_encoding(
                 runs = list(encoding)
             finally:
                 baseline = fit.result()  # raises the fit's error, over the encoding's
-    scores = [baseline.score(train)]
+    train_scores = baseline.score(train)
     train.clear()
-    runs += [states for [states] in encoded_runs([encoder], baseline.scored(samples, scores), source.shape)]
-    return np.concatenate(runs), baseline, np.concatenate(scores)
+    val = list(samples)
+    runs += [states for [states] in encoded_runs([encoder], val, source.shape)]
+    return np.concatenate(runs), baseline, np.concatenate([train_scores, baseline.score(val)])
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:

@@ -40,7 +40,7 @@ def _encode(arr: np.ndarray) -> dict:
 def _decode(arrays: dict, key: str) -> np.ndarray:
     obj = arrays[key]
     try:
-        raw = base64.b64decode(obj["data"].encode("ascii"), validate=True)
+        raw = base64.b64decode(obj["data"], validate=True)  # data other than ASCII text is a TypeError or ValueError
         arr = np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).astype(float)
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"array block {key!r} is malformed: {exc}") from exc

@@ -548,6 +548,9 @@ def an_mlp_of_the_readout(doc):
         pytest.param(lambda doc: doc["config"].update(activation="sigmoid"), "activation", id="sigmoid"),
         pytest.param(lambda doc: doc["arrays"].pop("w_res"), "w_res", id="missing-array-block"),
         pytest.param(lambda doc: doc["arrays"]["w_in"]["shape"].reverse(), "w_in", id="transposed-w-in"),
+        pytest.param(
+            lambda doc: doc["arrays"]["w_in"].update(data=5), "array block 'w_in' is malformed", id="non-text-array-data"
+        ),
         pytest.param(two_readout_rows, "w_out", id="two-readout-rows"),
         pytest.param(lambda doc: doc["arrays"]["w_out"]["shape"].pop(0), "w_out", id="one-dimensional-w-out"),
         pytest.param(an_mlp_of_the_readout, "does not hold a trained reservoir model", id="an-mlp"),
@@ -935,16 +938,28 @@ def test_relevance_memory_does_not_grow_with_the_synthetic_sample_count(tmp_path
 
 @pytest.mark.parametrize("baseline", cli.BASELINES)
 def test_train_fits_the_baseline_before_the_validation_split_is_drawn(tmp_path, monkeypatch, baseline):
-    """The baseline is fit on the train split alone, and every sample is let go before the readout fit.
+    """The baseline is fit on the train split alone, each split is let go before the next is
+    drawn, and every sample is let go before the readout fit.
 
     When the baseline's fit starts (`train_mlp`, or the first of the two
     `fit_readout` calls for linreg) the generator has drawn exactly the
-    `train_count(n)` train samples; when the ESN readout is fit (the last
+    `train_count(n)` train samples; when it draws the first validation
+    sample none of them is alive, so the held validation split never adds
+    to the train split's peak; when the ESN readout is fit (the last
     `fit_readout` call) none of the 20 samples is alive.
     """
     refs = track_generated_samples(monkeypatch)
-    drawn_at_baseline_fit, alive_at_readout_fit = [], []
-    train_mlp, fit_readout = baselines.train_mlp, readout.fit_readout
+    n_train = data.train_count(20)
+    drawn_at_baseline_fit, alive_at_readout_fit, train_alive_at_first_val = [], [], []
+    train_mlp, fit_readout, generate = baselines.train_mlp, readout.fit_readout, data.synthetic_samples
+
+    def generate_checked(*args, **kwargs):
+        def check(sample):
+            if len(refs) == n_train + 1:  # `sample` is the first validation sample
+                train_alive_at_first_val.append(sum(alive(refs[:n_train])))
+            return sample
+
+        return map(check, generate(*args, **kwargs))
 
     def train_mlp_checked(*args, **kwargs):
         drawn_at_baseline_fit.append(len(refs))
@@ -958,10 +973,12 @@ def test_train_fits_the_baseline_before_the_validation_split_is_drawn(tmp_path, 
 
     monkeypatch.setattr(baselines, "train_mlp", train_mlp_checked)
     monkeypatch.setattr(readout, "fit_readout", fit_readout_checked)
+    monkeypatch.setattr(data, "synthetic_samples", generate_checked)
     argv = ["train", "--synthetic", "8,12,20", "--n-res", "20", "--ridge", "1e-8", "--baseline", baseline]
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
     assert len(refs) == 20
-    assert drawn_at_baseline_fit == ([] if baseline == "none" else [data.train_count(20)])
+    assert drawn_at_baseline_fit == ([] if baseline == "none" else [n_train])
+    assert train_alive_at_first_val == [0]
     assert alive_at_readout_fit[-1] == [False] * 20
 
 
@@ -1028,12 +1045,14 @@ def test_train_with_the_mlp_baseline_holds_no_more_than_the_train_split(tmp_path
     """With `--baseline mlp` the peak grows with N by no more than the train split's fields.
 
     The MLP trains on the train fields, which are held until the MLP has
-    scored them; the validation fields are drawn after that, and let go as
-    the pass goes. The train split is encoded while the MLP is fit, so its
-    final states (20 units, 160 bytes a sample) are held beside the fields.
-    The 5% on top of the 480 more train fields covers those states, the
-    fields' array headers and the samples' keys, targets and shuffle order;
-    holding the 120 more validation fields as well would add 25%.
+    scored them and are let go before the validation fields are drawn;
+    those are held in turn while the pass encodes them and the MLP scores
+    them, a quarter of the train split's fields. The train split is
+    encoded while the MLP is fit, so its final states (20 units, 160 bytes
+    a sample) are held beside the fields. The 5% on top of the 480 more
+    train fields covers those states, the fields' array headers and the
+    samples' keys, targets and shuffle order; holding the 120 more
+    validation fields beside the train fields would add 25%.
     """
     peaks = streamed_peaks(tmp_path, monkeypatch, "train", "--baseline", "mlp")
     train_growth = (data.train_count(800) - data.train_count(200)) * 16 * 96 * 8
@@ -1412,15 +1431,23 @@ def test_every_model_of_a_pass_reads_the_same_batch(tmp_path, monkeypatch, comma
     assert all(len(set(run)) == 1 for run in runs), runs
 
 
-@pytest.mark.parametrize("baseline", cli.BASELINES)
-def test_train_streams_to_the_outputs_of_the_whole_set(tmp_path, monkeypatch, baseline):
-    """`train --synthetic 16,96,300` writes the samples and report bytes of the whole-set computation.
+@pytest.mark.parametrize(
+    "baseline, n",
+    # the default shape keeps the ids of the bare baseline names
+    [pytest.param(b, n, id=b if n == 300 else f"{b}-{n}") for n in (300, 303) for b in cli.BASELINES],
+)
+def test_train_streams_to_the_outputs_of_the_whole_set(tmp_path, monkeypatch, baseline, n):
+    """`train --synthetic 16,96,n` writes the samples and report bytes of the whole-set computation.
 
     That computation builds the set (`synthesize_task`), encodes it in one
-    batch (`helpers.encode`), scores it with `mlp_predict` or
-    `linreg_predict` over every row, and fits each model as `train` does.
-    The streamed pass's ESN states and MLP scores equal its own bit for
-    bit.
+    batch (`helpers.encode`), scores each split with `mlp_predict` or
+    `linreg_predict`, the train rows and then the validation rows, and
+    fits each model as `train` does. The streamed pass's ESN states equal
+    its own bit for bit, and so do the baseline's scores, one
+    `Baseline.score` call per split. At n = 303 the train split's 242 rows
+    are not a multiple of `baselines.BATCH_ROWS`, so each split is read
+    from its own first row, in chunks that differ from those of one read
+    of every row.
     """
     streamed_states, streamed_scores = [], []
     final_states, score = reservoir.final_states, cli.Baseline.score
@@ -1436,12 +1463,12 @@ def test_train_streams_to_the_outputs_of_the_whole_set(tmp_path, monkeypatch, ba
     monkeypatch.setattr(reservoir, "final_states", final_states_recorded)
     monkeypatch.setattr(cli.Baseline, "score", score_recorded)
     out = tmp_path / "out"
-    argv = ["--synthetic", "16,96,300", "--n-res", "100", "--ridge", "1e-8", "--seed", "4", "--baseline", baseline]
+    argv = ["--synthetic", f"16,96,{n}", "--n-res", "100", "--ridge", "1e-8", "--seed", "4", "--baseline", baseline]
     assert run_cli("train", *argv, "--out", str(out)) == 0
     monkeypatch.undo()
 
     cfg = cli.build_config(cli.build_parser().parse_args(["train", *argv]))
-    task = data.synthesize_task(300, 16, 96, seed=4)
+    task = data.synthesize_task(n, 16, 96, seed=4)
     n_train, y_train = task.n_train, np.array([s.index for s in task.train_samples])
     unfitted = reservoir.init_reservoir(cfg.esn_config(16))
     states = encode(unfitted, task.samples)
@@ -1451,17 +1478,19 @@ def test_train_streams_to_the_outputs_of_the_whole_set(tmp_path, monkeypatch, ba
     rows = cli.split_rows("esn", task, reservoir.model_output(model, states))
     if baseline == "mlp":
         mlp, history = baselines.train_mlp(data.BaselineRows(task.train_samples), y_train, seed=4)
-        scores = baselines.mlp_predict(mlp, data.BaselineRows(task.samples))
-        assert np.concatenate(streamed_scores).tobytes() == scores.tobytes()
-        rows += cli.split_rows("mlp", task, scores) + [f"mlp,train,final_loss,{history[-1]:.9g}"]
+        scores = [baselines.mlp_predict(mlp, data.BaselineRows(split)) for split in (task.train_samples, task.val_samples)]
+        fit_row = f"mlp,train,final_loss,{history[-1]:.9g}"
     elif baseline == "linreg":
         inputs = data.BaselineRows(task.samples)
         x = inputs.read(range(len(inputs)), np.empty((len(inputs), inputs.width)))
         linreg = readout.fit_readout(x[:n_train], y_train, ridge=cfg.ridge)
-        rows += cli.split_rows("linreg", task, baselines.linreg_predict(linreg, MatrixRows(x)))
-        rows.append(f"linreg,train,mse,{linreg.train_mse:.9g}")
+        scores = [baselines.linreg_predict(linreg, MatrixRows(split)) for split in (x[:n_train], x[n_train:])]
+        fit_row = f"linreg,train,mse,{linreg.train_mse:.9g}"
     else:
-        assert streamed_scores == []
+        scores = []
+    assert [a.tobytes() for a in streamed_scores] == [a.tobytes() for a in scores]
+    if scores:
+        rows += cli.split_rows(baseline, task, np.concatenate(scores)) + [fit_row]
 
     cli.write_report(tmp_path / "report.csv", rows)
     data.write_sample_index_csv(tmp_path / "samples.csv", task)

@@ -130,6 +130,7 @@ def test_load_rejects_malformed_documents(tmp_path):
         ("config", lambda c: c.update(weight_range=0.2), "weight_range"),
         ("arrays", lambda a: a.pop("w_res"), "w_res"),
         ("arrays", lambda a: a.pop("b_in"), "b_in"),
+        ("arrays", lambda a: a["w_in"].update(data=None), "array block 'w_in' is malformed"),
         (None, lambda d: d.pop("config"), "config"),
         (None, lambda d: d.pop("arrays"), "arrays"),
     ]:
