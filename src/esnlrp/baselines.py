@@ -178,6 +178,13 @@ def mlp_gradients(
     the whole product. The widths are equal so that no block is a single
     column: numpy sends that to BLAS's matrix-vector routine, which rounds
     differently.
+
+    Measured with `blas.openblas` patched to find no setter, at
+    OPENBLAS_NUM_THREADS=2 on a 2-core Xeon (numpy 2.4.6, OpenBLAS 0.3.31):
+    `train_mlp` on the 832 x 16,020 train split of `--synthetic
+    89,180,1041` took 2.13-2.24 s wall and 2.13-2.19 s CPU with the blocks,
+    and 2.17-3.01 s wall and 4.31-5.08 s CPU with one product per weight
+    gradient (3 alternating runs each, the same weights).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)

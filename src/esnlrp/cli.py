@@ -12,9 +12,10 @@ in the last digits, except in `train --baseline`, which runs every phase at
 one thread and the baseline's fit beside the encoding on a second Python
 thread (`fit_beside_encoding`), so its outputs are the same bytes too.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
-A data error includes a malformed model file and, for `evaluate` and
-`relevance`, fields whose height differs from the saved model's `n_in`;
-both are found before anything is written.
+A data error includes a malformed model file (a non-finite weight, and a
+setting out of its range such as a negative seed, included) and, for
+`evaluate` and `relevance`, fields whose height differs from the saved
+model's `n_in`; both are found before anything is written.
 
 Every command first takes its samples' source (`sample_source`), which
 knows every sample's key (index and month id) and the fields' shape before
@@ -116,16 +117,14 @@ class ExperimentConfig:
             raise ConfigError(f"--class must be one of {CLASS_FILTERS}, got {self.class_filter!r}")
         if self.baseline not in BASELINES:
             raise ConfigError(f"--baseline must be one of {BASELINES}, got {self.baseline!r}")
-        for name in ("seed", "permute_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, got {getattr(self, name)!r}")
+        if self.permute_seed < 0:
+            raise ConfigError(f"permute_seed must be a non-negative integer, got {self.permute_seed!r}")
         if self.synthetic is not None:
             d, t, n = self.synthetic
             data.check_synthetic_shape(n, d, t)
         if self.data is not None and (self.synthetic is not None or self.command == "synthetic"):
             raise ConfigError(f"--data {self.data} names a second source beside the generated samples; pass one")
-        if self.esn_config(n_in=1).recurrent_weight_count == 0:  # no seed can draw one
-            raise ConfigError(f"sparsity {self.sparsity} at n_res {self.n_res} leaves no recurrent weight")
+        self.esn_config(n_in=1)  # the reservoir's rules (`reservoir.EsnConfig`), the seed's included
         readout.check_ridge(self.ridge)
 
     def esn_config(self, n_in: int) -> reservoir.EsnConfig:
@@ -452,9 +451,14 @@ def fit_beside_encoding(
     The train samples are drawn first and held while the baseline is fit
     on them, before any validation sample is drawn. Meanwhile the calling
     thread encodes the whole split, and the fit runs on a worker thread,
-    each at one BLAS thread. Where no thread-count setter is found, two
-    threads at the environment's count would oversubscribe the cores;
-    there the fit runs first, then the encoding, and no thread is started.
+    each at one BLAS thread. Where no thread-count setter is found, both
+    would run at the environment's count, so the fit runs first, then the
+    encoding, and no thread is started. With `blas.openblas` patched to
+    find none, at OPENBLAS_NUM_THREADS=2 on a 2-core Xeon (numpy 2.4.6,
+    OpenBLAS 0.3.31), `train --synthetic 89,180,1041 --baseline mlp` took
+    3.53 s wall and 4.61 s CPU so, and 3.65 s and 6.58 s with the worker
+    started anyway: medians of 5 alternating pairs, the worker slower in 4
+    of 5 pairs and costlier in CPU in 5 of 5.
     The worker is joined before any error leaves, and the fit's error comes
     first. Then the baseline scores the held split, which is let go before
     the validation split is drawn. That split is held in the same way: it

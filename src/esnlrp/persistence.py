@@ -44,6 +44,8 @@ def _decode(arrays: dict, key: str) -> np.ndarray:
         arr = np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).astype(float)
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"array block {key!r} is malformed: {exc}") from exc
+    if not np.isfinite(arr).all():  # a NaN or inf would run through every command unseen
+        raise DataError(f"array block {key!r} holds a non-finite value")
     arr.setflags(write=False)
     return arr
 
@@ -127,7 +129,8 @@ def _build(kind: str, config: dict, arrays: dict) -> _Model:
 def load_model(path: _PathLike) -> _Model:
     """Read a model document back; the kind field picks the constructor.
 
-    A malformed document, a missing or unknown key included, is a DataError.
+    A malformed document, a missing or unknown key, a non-finite weight and
+    a setting out of its range (`EsnConfig`) included, is a DataError.
     """
     path = Path(path)
     try:

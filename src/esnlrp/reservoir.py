@@ -42,7 +42,9 @@ class EsnConfig:
 
     Defaults are the production values used throughout: 300 units, 30%
     connectivity, spectral radius 0.8 and leak rate 0.01. Each field is
-    checked against its type (`errors.setting`), then against its range.
+    checked against its type (`errors.setting`), then against its range (a
+    seed is non-negative), and the sparsity must leave at least one
+    recurrent weight, since no seed can draw one from a count of 0.
     """
 
     n_in: int
@@ -55,6 +57,8 @@ class EsnConfig:
     def __post_init__(self) -> None:
         for name, kind in ESN_FIELD_TYPES.items():
             object.__setattr__(self, name, setting(name, getattr(self, name), kind))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_in < 1:
             raise ConfigError(f"n_in must be positive, got {self.n_in}")
         if self.n_res < 1:
@@ -65,6 +69,8 @@ class EsnConfig:
             raise ConfigError(f"sparsity must lie in (0, 1], got {self.sparsity}")
         if not 0.0 < self.spectral_radius < np.inf:
             raise ConfigError(f"spectral_radius must be positive and finite, got {self.spectral_radius}")
+        if self.recurrent_weight_count == 0:
+            raise ConfigError(f"sparsity {self.sparsity} at n_res {self.n_res} leaves no recurrent weight")
 
     @property
     def recurrent_weight_count(self) -> int:
@@ -146,13 +152,13 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
     """Draw the fixed random weights of a reservoir.
 
     w_in, b_in and b_res are dense uniform in [-WEIGHT_RANGE, +WEIGHT_RANGE].
-    w_res gets exactly `config.recurrent_weight_count` nonzero entries at
-    uniformly chosen positions, values from the same interval, then rescaled to the
-    configured spectral radius; a count of 0 is a ConfigError, since no seed can
-    draw a weight. Five independent substreams (one per weight
-    block) are split off the seed. The draws are the same on any platform,
-    and the eigenvalue solve runs at one BLAS thread, so the model is
-    reproduced bit for bit for one BLAS build under any thread count.
+    w_res gets exactly `config.recurrent_weight_count` nonzero entries (at
+    least one, see `EsnConfig`) at uniformly chosen positions, values from
+    the same interval, then rescaled to the configured spectral radius.
+    Five independent substreams (one per weight block) are split off the
+    seed. The draws are the same on any platform, and the eigenvalue solve
+    runs at one BLAS thread, so the model is reproduced bit for bit for one
+    BLAS build under any thread count.
     """
     n, d, w = config.n_res, config.n_in, WEIGHT_RANGE
     spawned = np.random.SeedSequence(config.seed).spawn(5)
@@ -161,8 +167,6 @@ def init_reservoir(config: EsnConfig) -> EsnModel:
     w_in = rng_w_in.uniform(-w, w, size=(n, d))
     b_in = rng_b_in.uniform(-w, w, size=n)
     n_nonzero = config.recurrent_weight_count
-    if n_nonzero == 0:
-        raise ConfigError(f"sparsity {config.sparsity} at n_res {n} leaves no recurrent weight")
     w_res = np.zeros((n, n))
     w_res.flat[rng_pos.choice(n * n, size=n_nonzero, replace=False)] = rng_val.uniform(-w, w, size=n_nonzero)
     b_res = rng_b_res.uniform(-w, w, size=n)

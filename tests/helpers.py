@@ -1,7 +1,9 @@
 """Shared builders for tests: models from explicit arrays, random draws, a generated SST container,
 a signal-and-distractor task, a row source over an explicit matrix, weak references to the
-generated samples, and the whole-set references that the streamed code is checked against."""
+generated samples, the whole-set references that the streamed code is checked against, and an
+edit of a saved model document."""
 
+import base64
 import gc
 import weakref
 
@@ -12,10 +14,11 @@ from esnlrp.reservoir import EsnConfig, EsnModel, final_states
 
 
 def assemble_model(w_in, b_in, w_res, b_res, alpha, w_out=None, b_out=None):
-    """An EsnModel from explicit arrays, bypassing the random construction."""
+    """An EsnModel from explicit arrays, bypassing the random construction. Its config says
+    sparsity 1, the draw of a dense w_res, which a single unit's reservoir can take."""
     w_in = np.atleast_2d(np.asarray(w_in, dtype=float))
     n, d = w_in.shape
-    config = EsnConfig(n_in=d, n_res=n, leak_rate=alpha)
+    config = EsnConfig(n_in=d, n_res=n, leak_rate=alpha, sparsity=1.0)
     model = EsnModel(
         config=config,
         w_in=w_in,
@@ -164,3 +167,15 @@ def composed_affine(model):
         w = w_next @ w
         b = w_next @ b + b_next
     return w, b
+
+
+def one_weight(key, value):
+    """An edit of a saved model document that sets the first value of array block `key` to `value`."""
+
+    def edit(doc):
+        block = doc["arrays"][key]
+        values = np.frombuffer(base64.b64decode(block["data"]), dtype="<f8").copy()
+        values[0] = value
+        block["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+    return edit

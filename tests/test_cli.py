@@ -17,7 +17,8 @@ import pytest
 from esnlrp import baselines, blas, cli, data, lrp, persistence, readout, reservoir
 from esnlrp.errors import ConfigError
 from helpers import (
-    MatrixRows, alive, encode, enso_sample_set, preprocess_for_baseline, track_generated_samples, write_enso_container,
+    MatrixRows, alive, encode, enso_sample_set, one_weight, preprocess_for_baseline, track_generated_samples,
+    write_enso_container,
 )
 
 SMALL = ["--synthetic", "8,12,12", "--n-res", "20", "--ridge", "1e-8"]
@@ -552,6 +553,9 @@ def an_mlp_of_the_readout(doc):
             lambda doc: doc["arrays"]["w_in"].update(data=5), "array block 'w_in' is malformed", id="non-text-array-data"
         ),
         pytest.param(two_readout_rows, "w_out", id="two-readout-rows"),
+        pytest.param(one_weight("w_out", np.nan), "'w_out' holds a non-finite value", id="nan-readout-weight"),
+        pytest.param(one_weight("w_res", np.inf), "'w_res' holds a non-finite value", id="inf-recurrent-weight"),
+        pytest.param(lambda doc: doc["config"].update(seed=-1), "seed must be a non-negative", id="negative-seed"),
         pytest.param(lambda doc: doc["arrays"]["w_out"]["shape"].pop(0), "w_out", id="one-dimensional-w-out"),
         pytest.param(an_mlp_of_the_readout, "does not hold a trained reservoir model", id="an-mlp"),
         pytest.param(
@@ -712,6 +716,8 @@ def test_python_callers_meet_the_type_check_of_every_setting():
     ]:
         with pytest.raises(ConfigError, match=re.escape(message)):
             cli.ExperimentConfig(command="train", **settings)
+    with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+        cli.ExperimentConfig(command="bogus")
 
 
 # flag, value, and the setting the error message must name
@@ -1196,12 +1202,16 @@ def write_float_n_res_config(directory):
     (directory / "c.json").write_text(json.dumps({"n_res": 20.5}))
 
 
-def train_with_float_n_res(directory):
-    """A model of 6 units whose file then says 6.0."""
-    assert run_cli("train", "--synthetic", "8,12,12", "--n-res", "6", "--ridge", "1e-8", "--out", str(directory / "m6")) == 0
-    doc = json.loads((directory / "m6" / "esn_model.json").read_text())
-    doc["config"]["n_res"] = 6.0
-    (directory / "m6" / "esn_model.json").write_text(json.dumps(doc))
+def train_and_edit(edit):
+    """A set-up that trains a model of 6 units into m6, then applies `edit` to its file."""
+
+    def setup(directory):
+        assert run_cli("train", "--synthetic", "8,12,12", "--n-res", "6", "--ridge", "1e-8", "--out", str(directory / "m6")) == 0
+        doc = json.loads((directory / "m6" / "esn_model.json").read_text())
+        edit(doc)
+        (directory / "m6" / "esn_model.json").write_text(json.dumps(doc))
+
+    return setup
 
 
 def block_the_train_report(directory):
@@ -1224,14 +1234,22 @@ def place_a_container_at_data_sst(directory):
         (None, ["train", "--synthetic", "8,12,12", "--n-res", "1", "--out", "one"], 2, "one"),
         (None, ["train", "--synthetic", "8,12,2", "--out", "one-sample"], 3, "one-sample"),
         (write_float_n_res_config, ["train", "--config", "c.json", "--synthetic", "8,12,12", "--out", "cfg"], 2, "cfg"),
-        (train_with_float_n_res, ["evaluate", "--synthetic", "8,12,12", "--out", "m6"], 3, "m6/eval_report.csv"),
+        (
+            train_and_edit(lambda doc: doc["config"].update(n_res=6.0)),
+            ["evaluate", "--synthetic", "8,12,12", "--out", "m6"], 3, "m6/eval_report.csv",
+        ),
+        (
+            train_and_edit(one_weight("w_out", np.nan)),
+            ["evaluate", "--synthetic", "8,12,12", "--out", "m6"], 3, "m6/eval_report.csv",
+        ),
         (block_the_train_report, [*TRAIN_MM[:-1], "blocked"], 2, None),
         (None, ["train", "--synthetic", "8,12,12", "--data", "nope.sstg", "--out", "two-sources"], 2, "two-sources"),
         (place_a_container_at_data_sst, ["train", "--out", "unnamed"], 3, "unnamed"),
     ],
     ids=[
         "bad-shape", "no-model", "field-height", "out-is-a-file", "one-unit", "one-train-sample",
-        "config-n-res-20.5", "model-n-res-6.0", "blocked-output", "data-beside-synthetic", "unnamed-input",
+        "config-n-res-20.5", "model-n-res-6.0", "model-nan-weight", "blocked-output", "data-beside-synthetic",
+        "unnamed-input",
     ],
 )
 def test_the_installed_entry_point_exits_with_the_documented_codes(tmp_path, setup, argv, code, absent):

@@ -11,7 +11,7 @@ from esnlrp.persistence import load_model, save_model
 from esnlrp.readout import ReadoutSolution
 from esnlrp.reservoir import EsnConfig, EsnModel, init_reservoir
 
-from helpers import assemble_model
+from helpers import assemble_model, one_weight
 
 
 def test_trained_esn_round_trip(tmp_path):
@@ -131,6 +131,7 @@ def test_load_rejects_malformed_documents(tmp_path):
         ("arrays", lambda a: a.pop("w_res"), "w_res"),
         ("arrays", lambda a: a.pop("b_in"), "b_in"),
         ("arrays", lambda a: a["w_in"].update(data=None), "array block 'w_in' is malformed"),
+        (None, one_weight("b_res", np.nan), "array block 'b_res' holds a non-finite value"),
         (None, lambda d: d.pop("config"), "config"),
         (None, lambda d: d.pop("arrays"), "arrays"),
     ]:

@@ -34,6 +34,11 @@ def test_config_validation():
     for radius in (0.0, float("inf"), float("nan")):
         with pytest.raises(ConfigError):
             EsnConfig(n_in=5, spectral_radius=radius)
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        EsnConfig(n_in=2, n_res=4, seed=-1)
+    # round(0.3 * 1 * 1) = 0: the config itself is refused, before any draw
+    with pytest.raises(ConfigError, match="sparsity 0.3 at n_res 1 leaves no recurrent weight"):
+        EsnConfig(n_in=1, n_res=1, sparsity=0.3)
 
 
 @pytest.mark.parametrize(
