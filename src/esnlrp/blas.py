@@ -10,16 +10,21 @@ from its work:
   `reservoir.spectral_radius`, the readout solve (`readout.fit_readout`), and
   the MLP's training and scoring and the linear regression's scoring
   (`baselines`);
-- for the per-step products of a reservoir (its forward pass, and the step
-  back of a relevance pass), the count the environment set where the
-  reservoir has at least THREADED_MIN_UNITS units, else one thread
-  (`for_units`);
+- for the per-step products of the encoding (`reservoir.final_states`),
+  the count the environment set where the reservoir has at least
+  THREADED_MIN_UNITS units, else one thread (`for_units`);
+- one thread for a whole relevance pass (`lrp.relevance_map`), its forward
+  pass included. From THREADED_MIN_UNITS units up, where a setter is found,
+  a helper thread computes the z+ factors of the steps back while the
+  calling thread runs the recurrence, so the second core does the pass's
+  own work instead of spinning as a BLAS worker between its small
+  products;
 - one thread for every phase of `train --baseline`, which fits the
   baseline on a worker thread while the calling thread encodes the train
-  split (`cli.fit_beside_encoding`). One `one_thread` block spans both
-  threads, so the blocks inside it find one thread and leave the count
-  alone.
+  split (`cli.fit_beside_encoding`).
 
+Where a phase runs on two Python threads, one `one_thread` block spans
+both, so the blocks inside it find one thread and leave the count alone.
 A phase at one thread gives the same bits under any thread count. The count
 is set through `openblas_set_num_threads` in the OpenBLAS that numpy loaded,
 found with `ctypes` under one of the names its builds export (threadpoolctl

@@ -7,10 +7,13 @@ count); rerunning with the same inputs at a fixed BLAS thread count produces
 byte-identical outputs, so there are no timestamps anywhere. Each phase sets
 its own BLAS thread count (`blas`): at the 16x96 sweep shape's 100 units every
 phase runs at one thread, so the outputs are the same bytes under any thread
-count; at paper shape the encoding and the maps thread, and fresh fits differ
-in the last digits, except in `train --baseline`, which runs every phase at
-one thread and the baseline's fit beside the encoding on a second Python
-thread (`fit_beside_encoding`), so its outputs are the same bytes too.
+count. A relevance pass runs at one thread at any size (`lrp.relevance_map`,
+its z+ factors on a second Python thread from 150 units up), so the maps of
+one model file are the same bytes too. At paper shape the encoding threads,
+and fresh fits differ in the last digits, except in `train --baseline`,
+which runs every phase at one thread and the baseline's fit beside the
+encoding on a second Python thread (`fit_beside_encoding`), so its outputs
+are the same bytes too.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 A data error includes a malformed model file (a non-finite weight, and a
 setting out of its range such as a negative seed, included) and, for
@@ -74,8 +77,9 @@ MODEL_FILE = "esn_model.json"
 
 # Bytes that one batch of samples may cost its caller: encoding holds the stacked
 # inputs (n_in floats per step), mapping the inputs and the states (n_res floats
-# per step), and neither of them may outgrow the budget. Samples are fed
-# forward, and mapped, in the largest runs that fit.
+# per step) and, from blas.THREADED_MIN_UNITS units up, the slots of the z+
+# factors (`lrp.pass_bytes`), and neither of them may outgrow the budget.
+# Samples are fed forward, and mapped, in the largest runs that fit.
 TRAJECTORY_BUDGET_BYTES = 12 * 2**20
 
 
@@ -257,20 +261,20 @@ class Encoder:
     columns: Optional[np.ndarray] = None
 
 
-def batches(samples: Iterable[data.LabeledSample], shape: Tuple[int, int], step_bytes: int) -> Iterator[np.ndarray]:
+def batches(samples: Iterable[data.LabeledSample], shape: Tuple[int, int], sample_bytes: int) -> Iterator[np.ndarray]:
     """Consecutive runs of the samples, whose fields have `shape`: each run's preprocessed
     fields stacked (B, n_in, T+1), in the order they are drawn.
 
     `samples` may be any iterable, a generator included. Each sample is
     drawn when its run is filled, written into the batch and let go at
     once, so no sample outlives its drawing. One sample costs its caller
-    `step_bytes` per time step, and every run but the last holds as many
-    samples as fit TRAJECTORY_BUDGET_BYTES, and at least one. Runs reuse one
+    `sample_bytes`, and every run but the last holds as many samples as
+    fit TRAJECTORY_BUDGET_BYTES, and at least one. Runs reuse one
     array (a batch is valid until the next is drawn): a new one per run
     would take the heap space a freed trajectory left.
     """
     samples = iter(samples)
-    size = max(1, TRAJECTORY_BUDGET_BYTES // ((shape[1] + 1) * step_bytes))
+    size = max(1, TRAJECTORY_BUDGET_BYTES // sample_bytes)
     buffer = np.empty((size, shape[0], shape[1] + 1))  # `data.preprocess_field` prepends the ones column
 
     def write(i: int, sample: data.LabeledSample) -> None:
@@ -324,7 +328,7 @@ def encoded_runs(
     the same number of inputs. A sample is let go once all the models are
     done with it: a stream's samples are held no longer than one run.
     """
-    for batch in batches(samples, shape, encoders[0].model.config.n_in * 8):
+    for batch in batches(samples, shape, (shape[1] + 1) * encoders[0].model.config.n_in * 8):
         yield [reservoir.final_states(encoder.model, inputs) for encoder, inputs in in_turn(encoders, batch)]
 
 
@@ -372,8 +376,8 @@ def maps_for(
     are drawn.
     """
     keys = iter([source.keys.samples[p] for p in positions])
-    config = encoders[0].model.config  # a batch holds n_in inputs and its trajectory n_res states per step
-    for batch in batches(source.draw(positions), source.shape, max(config.n_in, config.n_res) * 8):
+    sample_bytes = lrp.pass_bytes(encoders[0].model.config, source.shape[1] + 1)
+    for batch in batches(source.draw(positions), source.shape, sample_bytes):
         run = list(itertools.islice(keys, len(batch)))
         for i, (encoder, inputs) in enumerate(in_turn(encoders, batch)):
             maps = lrp.relevance_map(encoder.model, inputs)

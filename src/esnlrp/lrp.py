@@ -3,13 +3,13 @@
 `relevance_map(model, batch)` is one relevance pass: it runs the forward pass
 of a (B, n_in, T) batch (`reservoir.run_reservoir`), takes each scalar model
 output as the total relevance and traces it backwards through time. Every
-layer it crosses is one z+ redistribution (`_redistribute`): shares in
-proportion to the positive contributions w[j,k] v[k] only; biases receive
-nothing. The layers are the readout W_out on x(T), the recurrent step
-[W_in | W_res] on [u(t) | x(t-1)], and W_in on the first column u(1). The
-contributions are never formed one by one: max(w v, 0) = w+ v+ + w- v- turns
-their sums into two matrix products per layer over a whole batch of samples
-(see `sign_split`).
+layer it crosses is one z+ redistribution: shares in proportion to the
+positive contributions w[j,k] v[k] only; biases receive nothing. The layers
+are the readout W_out on x(T), the recurrent step [W_in | W_res] on
+[u(t) | x(t-1)], and W_in on the first column u(1). The contributions are
+never formed one by one: max(w v, 0) = w+ v+ + w- v- turns their sums into
+two matrix products per layer over a whole batch of samples (see
+`sign_split`).
 
 Before each recurrent step, the state relevance splits between two tracks in
 proportion to the positive parts of the transition summands:
@@ -19,34 +19,57 @@ proportion to the positive parts of the transition summands:
   alpha * act(...), which crosses the recurrent step.
 
 Relevance passes through the nonlinearity and the alpha scaling unchanged.
-Every z+ denominator meets the stabilizer `EPSILON`, read at each call, in
-one place, `_zplus`: where it falls below `EPSILON`, the affected relevance
-is booked to the sample's explicit `absorbed` ledger instead of being
-redistributed, so the conservation identity
+Every z+ denominator meets the stabilizer `EPSILON`, read at each call
+(`_zplus` at the readout and the first column, `_factors` at each step):
+where it falls below `EPSILON`, the affected relevance is booked to the
+sample's explicit `absorbed` ledger instead of being redistributed, so the
+conservation identity
 
     total = sum(scores) + sum(dummy_scores) + absorbed
 
 stays auditable. The first column of each sample (a column of ones in the
 standard pipeline) absorbs all residual state relevance; its scores are kept
 separate in `dummy_scores` and omitted from the map proper.
+
+A step back needs the relevance only at its end. All the rest, the step's
+z+ factors (`_factors`: the two tracks' shares, the recurrent denominator,
+the absorbed share and the sign-split inputs), depends on the forward pass
+alone. So in a pass over a reservoir of at least `blas.THREADED_MIN_UNITS`
+units, where `blas.openblas()` finds the thread-count setter, a helper thread
+computes the factors FACTOR_BLOCK steps at a time while the calling thread
+runs the recurrence through the block before (`_step_back`). Elsewhere the
+calling thread computes each step's factors itself, just before the step.
+The whole pass runs at one BLAS thread, so its maps are the same bytes under
+any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import blas, reservoir
 from .errors import ConfigError
-from .reservoir import EsnModel, model_output
+from .reservoir import EsnConfig, EsnModel, model_output
 
 # Stabilizer of the z+ denominators in the backward pass, and the largest conservation
 # error, relative to max(1, |total|), of a map that `RelevanceMap.conserved` passes.
 EPSILON = 1e-12
 CONSERVATION_TOLERANCE = 1e-6
+
+# Time steps whose z+ factors each of the two slots of a threaded pass holds.
+# The slots count against a map batch's bytes (`pass_bytes`), so a longer
+# block means fewer samples per batch: at paper shape (89x181 inputs, 300
+# units) 25 at 2 steps, 24 at 3, 23 at 4. On a 2-core Xeon (numpy 2.4.6,
+# OpenBLAS 0.3.31) `relevance --synthetic 89,180,300 --ridge 1e-8 --class
+# elnino` took 1.18, 1.16 and 1.32 s of wall time at those blocks, and 1.36 s
+# with no helper thread (medians of 3 benchmark runs each).
+FACTOR_BLOCK = 3
 
 
 @dataclass(frozen=True)
@@ -115,6 +138,82 @@ def _redistribute(split: np.ndarray, v: np.ndarray, r_unit: np.ndarray) -> Tuple
     return shares[:, : v.shape[1]] + shares[:, v.shape[1] :], absorbed
 
 
+def _slot(n_steps: int, n_samples: int, n_in: int, n_res: int) -> Tuple[np.ndarray, ...]:
+    """Room for the z+ factors (A, C, E, P) of `n_steps` steps of a batch, each (n_steps, B, ...)."""
+    return (*np.empty((3, n_steps, n_samples, n_res)), np.empty((n_steps, n_samples, 2 * (n_in + n_res))))
+
+
+def pass_bytes(config: EsnConfig, n_steps: int) -> int:
+    """Bytes that one sample of `n_steps` columns costs a relevance pass: its states (n_res floats per
+    step) or its inputs (n_in), whichever are more, and from `blas.THREADED_MIN_UNITS` units up its
+    rows of the two factor slots, FACTOR_BLOCK steps of 3 n_res + 2 (n_in + n_res) floats each."""
+    held = n_steps * max(config.n_in, config.n_res)
+    if config.n_res >= blas.THREADED_MIN_UNITS:
+        held += 2 * FACTOR_BLOCK * (3 * config.n_res + 2 * (config.n_in + config.n_res))
+    return 8 * held
+
+
+def _factors(
+    leak_rate: float,
+    x_prev: np.ndarray,
+    x_now: np.ndarray,
+    u_now: np.ndarray,
+    split: np.ndarray,
+    out: Sequence[np.ndarray],
+) -> None:
+    """Write the z+ factors of k steps back into `out` = (A, C, E, P), from the (k, B, n_res) states
+    x(t-1) and x(t) and the (k, B, n_in) input columns u(t) of those steps.
+
+    With l = (1 - alpha) x(t-1), a = x(t) - l and d = max(l, 0) + max(a, 0),
+    the z+ split between the two tracks; D = P S^T, the recurrent layer's z+
+    denominator over P = [v+ | v-], v = [u(t) | x(t-1)], S = `split`:
+
+    * A = max(l, 0) / d, the leak track's share;
+    * C = (max(a, 0) / d) / D, the activation track's share over D;
+    * E, the share booked as absorbed: 1 where d falls below `EPSILON`,
+      max(a, 0) / d where only D does, else 0;
+
+    and A and C are 0 wherever their denominator falls below `EPSILON`. D
+    is one product over all k B rows. Reads nothing but its arguments and
+    `EPSILON`, so it may run on a thread of its own.
+    """
+    a, c, e, p = out
+    n_in, width = u_now.shape[-1], p.shape[-1] // 2
+    np.maximum(u_now, 0.0, out=p[..., :n_in])
+    np.maximum(x_prev, 0.0, out=p[..., n_in:width])
+    np.minimum(u_now, 0.0, out=p[..., width : width + n_in])
+    np.minimum(x_prev, 0.0, out=p[..., width + n_in :])
+    leak = (1.0 - leak_rate) * x_prev
+    np.maximum(leak, 0.0, out=a)
+    np.maximum(x_now - leak, 0.0, out=c)
+    tracks = a + c
+    tracks_live = tracks >= EPSILON
+    tracks[~tracks_live] = np.inf  # so both shares are 0 there
+    a /= tracks
+    c /= tracks
+    crossing = (p.reshape(-1, 2 * width) @ split.T).reshape(c.shape)
+    crossing_live = crossing >= EPSILON
+    np.multiply(c, ~crossing_live, out=e)
+    e += ~tracks_live
+    crossing[~crossing_live] = np.inf
+    c /= crossing
+
+
+def _step_back(
+    r_state: np.ndarray, factors: Sequence[np.ndarray], split: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Push the (B, n_res) state relevance on x(t) one step back through that step's z+ factors
+    (A, C, E, P), each (B, ...): returns (input relevance for column t, relevance on x(t-1), absorbed)."""
+    a, c, e, p = factors
+    n_in = p.shape[1] // 2 - r_state.shape[1]
+    absorbed = (r_state * e).sum(axis=1)
+    shares = (r_state * c) @ split
+    shares *= p
+    half = shares.shape[1] // 2
+    r_v = shares[:, :half] + shares[:, half:]
+    return r_v[:, :n_in], r_state * a + r_v[:, n_in:], absorbed
+
+
 def relevance_step_back(
     model: EsnModel, x_prev: np.ndarray, x_now: np.ndarray, u_now: np.ndarray, r_state: np.ndarray, split: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,21 +225,17 @@ def relevance_step_back(
     transition summands, (1 - alpha) x(t-1) and x(t) - (1 - alpha) x(t-1);
     the latter is alpha act(t), exactly at alpha = 0 and 1 and within one
     ulp of x(t) otherwise. The activation share then crosses the recurrent
-    layer [W_in | W_res] onto v = [u(t) | x(t-1)] by one `_redistribute`.
+    layer [W_in | W_res] onto v = [u(t) | x(t-1)] by z+ redistribution.
     `split` is `sign_split(model.w_in, model.w_res)`, built once per pass.
+    This is one step of `relevance_map`'s arithmetic: the step's z+ factors
+    (`_factors`), then the relevance through them (`_step_back`).
 
     Returns (input relevance for column t, relevance on x(t-1), absorbed),
     each with one row per sample.
     """
-    n_in = model.config.n_in
-    leak = (1.0 - model.config.leak_rate) * x_prev
-    z_leak = np.maximum(leak, 0.0)
-    z_act = np.maximum(x_now - leak, 0.0)
-    weight, absorbed = _zplus(r_state, z_leak + z_act)
-
-    v = np.hstack([u_now, x_prev])
-    r_v, delta = _redistribute(split, v, z_act * weight)
-    return r_v[:, :n_in], z_leak * weight + r_v[:, n_in:], absorbed + delta
+    factors = _slot(1, *u_now.shape, x_prev.shape[1])
+    _factors(model.config.leak_rate, x_prev[None], x_now[None], u_now[None], split, factors)
+    return _step_back(r_state, [f[0] for f in factors], split)
 
 
 def relevance_first_column(model: EsnModel, u_first: np.ndarray, r_state: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -154,22 +249,96 @@ def relevance_first_column(model: EsnModel, u_first: np.ndarray, r_state: np.nda
     return _redistribute(sign_split(model.w_in), u_first, r_state)
 
 
+def _filled(
+    fill: Callable[[Tuple[int, int], Sequence[np.ndarray]], None],
+    blocks: Sequence[Tuple[int, int]],
+    slots: Sequence[Sequence[np.ndarray]],
+) -> Iterator[Sequence[np.ndarray]]:
+    """Each block's slot, in order, after `fill(block, slot)`.
+
+    With one slot, each block is filled on the calling thread when it is
+    reached. With two, a helper thread fills the next block's slot while
+    the caller reads the current one; a slot goes back to the helper when
+    the caller asks for the next. The helper's error is raised on the
+    calling thread. Closing the generator stops the helper and joins it.
+    """
+    if len(slots) == 1:
+        for block in blocks:
+            fill(block, slots[0])
+            yield slots[0]
+        return
+    import queue  # imported here: only a threaded pass uses it, so no other command loads it
+
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for slot in slots:
+        free.put(slot)
+
+    def work() -> None:
+        try:
+            for block in blocks:
+                slot = free.get()
+                if slot is None:
+                    return
+                fill(block, slot)
+                ready.put(slot)
+        except Exception as error:  # raised on the calling thread, which waits for this block
+            ready.put(error)
+
+    helper = threading.Thread(target=work, name="esnlrp-zplus-factors")
+    helper.start()
+    try:
+        for _ in blocks:
+            slot = ready.get()
+            if isinstance(slot, Exception):
+                raise slot
+            yield slot
+            free.put(slot)
+    finally:
+        free.put(None)
+        helper.join()
+
+
 def relevance_map(model: EsnModel, batch: np.ndarray) -> List[RelevanceMap]:
     """One relevance pass over a (B, n_in, T) batch: the forward pass that records its states, then the
-    backward pass (output layer, every time step, first column) at the BLAS thread count `blas.for_units`
-    gives the reservoir. Returns one map per sample, in batch order; each owns its scores."""
-    states = reservoir.run_reservoir(model, batch)  # looked up at call time, so a wrapper set on it sees the call
-    batch = np.asarray(batch, dtype=float)
-    split = sign_split(model.w_in, model.w_res)
-    n_samples, n_inputs, n_steps = batch.shape
-    with blas.for_units(model.config.n_res):
+    backward pass (output layer, every time step, first column). Returns one map per sample, in batch
+    order; each owns its scores.
+
+    The pass runs inside one `blas.one_thread` block, so its maps are the
+    same bytes under any BLAS thread count. From `blas.THREADED_MIN_UNITS`
+    units up, where `blas.openblas()` finds the thread-count setter, a
+    helper thread computes the z+ factors (`_factors`) of the next
+    FACTOR_BLOCK steps into one of two slots while the calling thread runs
+    the recurrence through the current block; it starts after the forward
+    pass and is joined before the block closes. Otherwise the calling
+    thread computes each step's factors just before the step, and no
+    thread is started. The forward pass, the output layer and the first
+    column run on the calling thread.
+    """
+    with blas.one_thread():
+        states = reservoir.run_reservoir(model, batch)  # looked up at call time, so a wrapper set on it sees the call
+        batch = np.asarray(batch, dtype=float)
+        split = sign_split(model.w_in, model.w_res)
+        n_samples, n_inputs, n_steps = batch.shape
+        threaded = model.config.n_res >= blas.THREADED_MIN_UNITS and blas.openblas() is not None
+        block = FACTOR_BLOCK if threaded else 1
+        # Step s goes back from x(s + 2), states[s + 1], onto u(s + 2) and x(s + 1), states[s];
+        # the blocks run from the last step down.
+        blocks = [(max(hi - block, 0), hi) for hi in range(n_steps - 1, 0, -block)]
+        slots = [_slot(block, n_samples, n_inputs, model.config.n_res) for _ in range(2 if threaded else 1)]
+
+        def fill(bounds: Tuple[int, int], slot: Sequence[np.ndarray]) -> None:
+            lo, hi = bounds
+            u_now = batch[:, :, lo + 1 : hi + 1].transpose(2, 0, 1)
+            factors = [f[: hi - lo] for f in slot]
+            _factors(model.config.leak_rate, states[lo:hi], states[lo + 1 : hi + 1], u_now, split, factors)
+
         r_state, absorbed, total = relevance_output_layer(model, states[-1])
         scores = np.empty((n_steps - 1, n_samples, n_inputs))
-        for t in range(n_steps, 1, -1):
-            scores[t - 2], r_state, delta = relevance_step_back(
-                model, states[t - 2], states[t - 1], batch[:, :, t - 1], r_state, split
-            )
-            absorbed += delta
+        with contextlib.closing(_filled(fill, blocks, slots)) as filled:
+            for (lo, hi), slot in zip(blocks, filled):
+                for s in range(hi - 1, lo - 1, -1):
+                    scores[s], r_state, delta = _step_back(r_state, [f[s - lo] for f in slot], split)
+                    absorbed += delta
         dummy_scores, delta = relevance_first_column(model, batch[:, :, 0], r_state)
     absorbed += delta
     return [

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from esnlrp import baselines, blas, cli, data, lrp, persistence, readout, reservoir
-from esnlrp.errors import ConfigError
+from esnlrp.errors import ConfigError, NumericError
 from helpers import (
     MatrixRows, alive, encode, enso_sample_set, one_weight, preprocess_for_baseline, track_generated_samples,
     write_enso_container,
@@ -439,42 +439,57 @@ def test_leak_sweep_runs_on_one_core_under_two_blas_threads(tmp_path):
 
 
 # Maps 4 samples at paper shape (89x181 inputs, 300 units) in a fresh
-# interpreter and prints every thread count set through the OpenBLAS handle
-# and the count read at each step back.
+# interpreter and prints every thread count set through the OpenBLAS handle,
+# the count read at each call of each function that runs a product of the
+# pass (the z+ factors of a block of steps, on the helper thread; a step
+# back through them; the forward pass; the output layer; the first column),
+# and the block length.
 PAPER_SHAPE_MAP = """
 import json
 import numpy as np
 from esnlrp import blas, lrp, reservoir
 
-handle, counts = blas.openblas(), {"set": [], "step_back": []}
+handle = blas.openblas()
+counts = {"set": [], "_factors": [], "_step_back": [], "run_reservoir": [], "relevance_output_layer": [],
+          "relevance_first_column": []}
 blas.openblas = lambda: blas.Handle(lambda n: (counts["set"].append(n), handle.set(n))[1], handle.get)
-step_back = lrp.relevance_step_back
 
-def counted(*args, **kwargs):
-    counts["step_back"].append(handle.get())
-    return step_back(*args, **kwargs)
+def counted(module, name):
+    fn = getattr(module, name)
 
-lrp.relevance_step_back = counted
+    def call(*args, **kwargs):
+        counts[name].append(handle.get())
+        return fn(*args, **kwargs)
+
+    setattr(module, name, call)
+
+for name in ("_factors", "_step_back", "relevance_output_layer", "relevance_first_column"):
+    counted(lrp, name)
+counted(reservoir, "run_reservoir")
 model = reservoir.init_reservoir(reservoir.EsnConfig(n_in=89, n_res=300, leak_rate=0.01, seed=1))
 rng = np.random.default_rng(0)
 model = model.with_readout(rng.uniform(-1.0, 1.0, (1, 300)), np.zeros(1))
 maps = lrp.relevance_map(model, rng.uniform(-1.0, 1.0, (4, 89, 181)))
-print(json.dumps({"maps": len(maps), **counts}))
+print(json.dumps({"maps": len(maps), "block": lrp.FACTOR_BLOCK, **counts}))
 """
 
 
 @pytest.mark.skipif(not PINNED, reason="no OpenBLAS thread-count setter to read the count with")
 def test_a_paper_shape_relevance_map_never_runs_above_one_blas_thread_under_one():
-    """300 units keep the environment's count for their products, and here that is 1: no phase
-    of the pass, the eigenvalue solve of the reservoir draw included, sets a higher one."""
+    """Under one BLAS thread no phase of a 300-unit pass, the eigenvalue solve of the reservoir draw
+    included, sets a higher count, and every product of the pass reads 1: the helper thread's z+
+    factors, one call per block of steps, each of the 180 steps back, the forward pass, the output
+    layer and the first column."""
     result = subprocess.run(
         [sys.executable, "-c", PAPER_SHAPE_MAP],
         env=subprocess_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, check=True, timeout=300,
     )
     run = json.loads(result.stdout.splitlines()[-1])
     assert run["maps"] == 4
-    assert len(run["step_back"]) == 180
-    assert set(run["step_back"]) == {1}
+    assert len(run["_step_back"]) == 180
+    assert len(run["_factors"]) == -(-180 // run["block"])  # one call per block of steps
+    for name in ("_factors", "_step_back", "run_reservoir", "relevance_output_layer", "relevance_first_column"):
+        assert set(run[name]) == {1}, name
     assert all(n <= 1 for n in run["set"]), run["set"]
 
 
@@ -484,8 +499,9 @@ def test_without_a_setter_every_phase_runs_at_the_environments_count(tmp_path, m
     product runs at the count the environment set, as before the phases had their own.
 
     The count is raised to 2 in-process first, so that a phase pinned to 1
-    would show. The eigenvalue and readout solves, the MLP's products and
-    each step back read the count as they run.
+    would show. The eigenvalue and readout solves, the MLP's products and,
+    in each relevance pass, the z+ factors of each step and each step back
+    through them read the count as they run.
     """
     handle = blas.openblas()
     seen = []
@@ -496,7 +512,7 @@ def test_without_a_setter_every_phase_runs_at_the_environments_count(tmp_path, m
             return fn(*args, **kwargs)
         return call
 
-    for module, name in ((np.linalg, "eigvals"), (np.linalg, "svd"), (lrp, "relevance_step_back"),
+    for module, name in ((np.linalg, "eigvals"), (np.linalg, "svd"), (lrp, "_factors"), (lrp, "_step_back"),
                          (baselines, "mlp_forward")):
         monkeypatch.setattr(module, name, watched(getattr(module, name)))
     monkeypatch.setattr(blas, "openblas", lambda: None)
@@ -507,8 +523,84 @@ def test_without_a_setter_every_phase_runs_at_the_environments_count(tmp_path, m
         assert run_cli("leak-sweep", "--out", str(tmp_path / "out"), *SMALL) == 0
     finally:
         handle.set(before)
-    assert {name for name, _ in seen} == {"eigvals", "svd", "relevance_step_back", "mlp_forward"}
+    assert {name for name, _ in seen} == {"eigvals", "svd", "_factors", "_step_back", "mlp_forward"}
     assert {count for _, count in seen} == {2}
+
+
+# `relevance --class elnino` at paper shape: 120 maps of 89x181 inputs under a 300-unit reservoir.
+PAPER_RELEVANCE = ["--synthetic", "89,180,300", "--ridge", "1e-8"]
+
+
+@pytest.mark.skipif(not PINNED, reason="without a thread-count setter the pass threads as the environment sets")
+def test_paper_shape_relevance_writes_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
+    """From one saved model, `relevance --class elnino` at paper shape writes the same tree under 1 and
+    2 BLAS threads: the whole pass, the helper thread's z+ factors included, runs at one thread."""
+    model_dir = tmp_path / "model"
+    assert run_cli("train", *PAPER_RELEVANCE, "--out", str(model_dir)) == 0
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        shutil.copytree(model_dir, out)
+        subprocess.run(
+            [sys.executable, "-m", "esnlrp.cli", "relevance", *PAPER_RELEVANCE, "--class", "elnino", "--out", str(out)],
+            env=subprocess_env(OPENBLAS_NUM_THREADS=threads), check=True, timeout=300,
+        )
+        files[threads] = tree_bytes(out)
+    assert len([name for name in files["1"] if name.startswith("relevance/sample_")]) == 120
+    assert files["1"] == files["2"]
+
+
+# 150 units, the fewest whose relevance pass computes its z+ factors on a helper
+# thread; the 24 El Nino train samples of 60 form one map batch.
+THREADED_SHAPE = ["--synthetic", "16,96,60", "--n-res", str(blas.THREADED_MIN_UNITS), "--ridge", "1e-8"]
+
+
+@pytest.mark.skipif(not PINNED, reason="without a thread-count setter no helper thread is started")
+@pytest.mark.parametrize("name, failing_call", [("_factors", 1), ("_factors", 3), ("_step_back", 5)])
+def test_a_failed_relevance_pass_exits_four_after_its_helper_is_joined(tmp_path, monkeypatch, capsys, name, failing_call):
+    """A NumericError in the z+ factors of a block, on the helper thread, or in a step back through
+    them, on the calling thread, leaves `relevance` with exit code 4 and its message, and the helper
+    thread is joined by then."""
+    assert run_cli("train", *THREADED_SHAPE, "--out", str(tmp_path)) == 0
+    fn, threads = getattr(lrp, name), []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        if len(threads) == failing_call:
+            raise NumericError(f"{name} failed")
+        return fn(*args)
+
+    monkeypatch.setattr(lrp, name, failing)
+    assert run_cli("relevance", *THREADED_SHAPE, "--class", "elnino", "--out", str(tmp_path)) == 4
+    assert f"numeric failure: {name} failed" in capsys.readouterr().err
+    assert threading.active_count() == 1
+    assert (threads[-1] is threading.main_thread()) == (name == "_step_back")
+
+
+@pytest.mark.skipif(not PINNED, reason="without a thread-count setter no helper thread is started")
+def test_without_a_setter_relevance_starts_no_thread_and_maps_alike(tmp_path, monkeypatch):
+    """Where no thread-count setter is found, `relevance` at 150 units computes each step's z+ factors
+    on the calling thread and starts no thread. Its maps agree with those of the run that starts
+    one helper per map batch within 1e-12 of their peak."""
+    model_dir = tmp_path / "model"
+    assert run_cli("train", *THREADED_SHAPE, "--out", str(model_dir)) == 0
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
+    maps = {}
+    for run in ("helper", "inline"):
+        out = tmp_path / run
+        shutil.copytree(model_dir, out)
+        if run == "inline":
+            monkeypatch.setattr(blas, "openblas", lambda: None)
+        started.clear()
+        assert run_cli("relevance", *THREADED_SHAPE, "--class", "elnino", "--out", str(out)) == 0
+        assert len(started) == (1 if run == "helper" else 0)
+        assert threading.active_count() == 1
+        maps[run] = [np.loadtxt(p, delimiter=",", ndmin=2) for p in sorted((out / "relevance").glob("sample_*.csv"))]
+    assert len(maps["helper"]) == len(maps["inline"]) == 24
+    for a, b in zip(maps["helper"], maps["inline"]):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 def test_the_lookup_finds_no_setter_in_a_numpy_that_bundles_none(tmp_path, monkeypatch):

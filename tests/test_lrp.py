@@ -1,5 +1,8 @@
 import gc
 import io
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from esnlrp import lrp
+from esnlrp import blas, lrp
 from esnlrp.errors import ConfigError
 from esnlrp.lrp import (
     RelevanceMap,
@@ -367,6 +370,44 @@ def test_maps_match_the_reference_at_paper_shape(paper_shape_batch, epsilon, mon
         assert abs(rmap.absorbed - absorbed) <= tol
         assert abs(rmap.total - total) <= tol
         assert rmap.conserved()
+
+
+@pytest.mark.skipif(blas.openblas() is None, reason="without a thread-count setter no helper thread is started")
+@pytest.mark.parametrize("slowed", [None, "_factors", "_step_back"])
+def test_helper_thread_maps_do_not_depend_on_how_the_threads_interleave(monkeypatch, slowed):
+    """A 150-unit pass computes its z+ factors on a helper thread. Its maps are the same bits however
+    the two threads interleave: at a switch interval of 1 us, which hands the interpreter between
+    them as often as it can, and with one side slowed by a 1 ms sleep in each of its calls, so that
+    the helper runs as far ahead as its two slots let it, or the calling thread waits for each
+    block. They agree with the maps of one-step factors on the calling thread within 1e-12 of their
+    peak."""
+    rng = np.random.default_rng(5)
+    model = random_model(rng, blas.THREADED_MIN_UNITS, 6, alpha=0.3, scale=0.1)
+    samples = np.stack([random_sample(rng, 6, 40) for _ in range(8)])
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
+    reference = relevance_map(model, samples)
+    if slowed is not None:
+        fn = getattr(lrp, slowed)
+        monkeypatch.setattr(lrp, slowed, lambda *args: (time.sleep(1e-3), fn(*args))[1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        interleaved = relevance_map(model, samples)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(blas, "openblas", lambda: None)
+    inline = relevance_map(model, samples)
+    assert len(started) == 2
+    for a, b, c in zip(reference, interleaved, inline):
+        assert a.scores.tobytes() == b.scores.tobytes()
+        assert (a.dummy_scores.tobytes(), a.absorbed, a.total) == (b.dummy_scores.tobytes(), b.absorbed, b.total)
+        peak = np.max(np.abs(a.scores))
+        assert peak > 0.0
+        assert np.max(np.abs(a.scores - c.scores)) <= 1e-12 * peak
+        assert abs(a.absorbed - c.absorbed) <= 1e-12 * max(1.0, abs(a.total))
+        assert a.conserved()
 
 
 def test_map_sign_follows_output():
