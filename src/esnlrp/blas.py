@@ -14,17 +14,18 @@ from its work:
   the count the environment set where the reservoir has at least
   THREADED_MIN_UNITS units, else one thread (`for_units`);
 - one thread for a whole relevance pass (`lrp.relevance_map`), its forward
-  pass included. From THREADED_MIN_UNITS units up, where a setter is found,
-  a helper thread computes the z+ factors of the steps back while the
-  calling thread runs the recurrence, so the second core does the pass's
-  own work instead of spinning as a BLAS worker between its small
-  products;
-- one thread for every phase of `train --baseline`, which fits the
-  baseline on a worker thread while the calling thread encodes the train
-  split (`cli.fit_beside_encoding`).
+  pass included. From THREADED_MIN_UNITS units up a `worker` computes the
+  z+ factors of the steps back while the calling thread runs the
+  recurrence, so the second core does the pass's own work instead of
+  spinning as a BLAS worker between its small products;
+- one thread for every phase of `train --baseline`, whose `worker` fits
+  the baseline while the calling thread encodes the train split
+  (`cli.fit_beside_encoding`).
 
-Where a phase runs on two Python threads, one `one_thread` block spans
-both, so the blocks inside it find one thread and leave the count alone.
+`worker` is the one place that runs work on a second Python thread, and
+only where the count can be pinned: its block runs at one thread, so the
+blocks inside it find one thread and leave the count alone. Elsewhere
+each call runs on the calling thread when its result is asked for.
 A phase at one thread gives the same bits under any thread count. The count
 is set through `openblas_set_num_threads` in the OpenBLAS that numpy loaded,
 found with `ctypes` under one of the names its builds export (threadpoolctl
@@ -39,8 +40,9 @@ import ctypes
 import functools
 import itertools
 import os
+import threading
 from pathlib import Path
-from typing import Callable, ContextManager, Iterator, NamedTuple, Optional
+from typing import Any, Callable, ContextManager, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -117,3 +119,50 @@ def for_units(n_res: int) -> ContextManager[None]:
     """The thread count of a reservoir's per-step products: the environment's from
     THREADED_MIN_UNITS units up, else one thread."""
     return contextlib.nullcontext() if n_res >= THREADED_MIN_UNITS else one_thread()
+
+
+@contextlib.contextmanager
+def worker(wanted: bool) -> Iterator[Callable[..., Callable[[], Any]]]:
+    """A `submit(fn, *args)` that returns the call giving fn(*args), each call's result asked for once.
+
+    Where `wanted` is true and a setter is found, the block runs at one
+    BLAS thread (`one_thread`) and one worker thread runs the calls in the
+    order they were submitted; a call's error is raised by its result call,
+    and the end of the block joins the worker. Elsewhere no thread starts:
+    `submit` is `functools.partial`, so each call runs on the calling thread
+    only when its result is asked for.
+    """
+    if not wanted or openblas() is None:
+        yield functools.partial
+        return
+    import queue  # imported here: only a block that starts a thread uses it, so no other command loads it
+
+    calls = queue.SimpleQueue()
+
+    def work() -> None:
+        for fn, args, done in iter(calls.get, None):
+            try:
+                done.put((fn(*args), None))
+            except BaseException as error:  # raised by the result call, which waits for this one
+                done.put((None, error))
+
+    def submit(fn: Callable[..., Any], *args: Any) -> Callable[[], Any]:
+        done = queue.SimpleQueue()
+        calls.put((fn, args, done))
+
+        def result() -> Any:
+            value, error = done.get()
+            if error is not None:
+                raise error
+            return value
+
+        return result
+
+    with one_thread():
+        thread = threading.Thread(target=work, name="esnlrp-worker")
+        thread.start()
+        try:
+            yield submit
+        finally:
+            calls.put(None)
+            thread.join()

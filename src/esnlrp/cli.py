@@ -453,37 +453,30 @@ def fit_beside_encoding(
     calls it inside `blas.one_thread`.
 
     The train samples are drawn first and held while the baseline is fit
-    on them, before any validation sample is drawn. Meanwhile the calling
-    thread encodes the whole split, and the fit runs on a worker thread,
-    each at one BLAS thread. Where no thread-count setter is found, both
-    would run at the environment's count, so the fit runs first, then the
-    encoding, and no thread is started. With `blas.openblas` patched to
-    find none, at OPENBLAS_NUM_THREADS=2 on a 2-core Xeon (numpy 2.4.6,
-    OpenBLAS 0.3.31), `train --synthetic 89,180,1041 --baseline mlp` took
-    3.53 s wall and 4.61 s CPU so, and 3.65 s and 6.58 s with the worker
-    started anyway: medians of 5 alternating pairs, the worker slower in 4
-    of 5 pairs and costlier in CPU in 5 of 5.
-    The worker is joined before any error leaves, and the fit's error comes
+    on them, before any validation sample is drawn. The fit goes to a
+    `blas.worker`: where a thread-count setter is found, it runs on the
+    worker's thread while the calling thread encodes the whole split, each
+    at one BLAS thread. Elsewhere both would run at the environment's
+    count, so no thread is started: the calling thread encodes the split,
+    then fits. With `blas.openblas` patched to find none, at
+    OPENBLAS_NUM_THREADS=2 on a 2-core Xeon (numpy 2.4.6, OpenBLAS 0.3.31),
+    `train --synthetic 89,180,1041 --baseline mlp` took 3.53 s wall and
+    4.61 s CPU so, and 3.65 s and 6.58 s with a worker thread started
+    anyway: medians of 5 alternating pairs, the thread slower in 4 of 5
+    pairs and costlier in CPU in 5 of 5.
+    The fit is done before any error leaves, and the fit's error comes
     first. Then the baseline scores the held split, which is let go before
     the validation split is drawn. That split is held in the same way: it
     is encoded in runs of `batches`, scored, and let go on return.
     """
     samples = source.draw()
     train = list(itertools.islice(samples, source.keys.n_train))
-    encoding = (states for [states] in encoded_runs([encoder], train, source.shape))
-    if blas.openblas() is None:
-        baseline = fit_baseline(cfg, train, source.valid_mask)
-        runs = list(encoding)
-    else:
-        # imported here: it loads `logging`, which would cost every other command 10 ms
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            fit = worker.submit(fit_baseline, cfg, train, source.valid_mask)
-            try:
-                runs = list(encoding)
-            finally:
-                baseline = fit.result()  # raises the fit's error, over the encoding's
+    with blas.worker(True) as submit:
+        fit = submit(fit_baseline, cfg, train, source.valid_mask)
+        try:
+            runs = [states for [states] in encoded_runs([encoder], train, source.shape)]
+        finally:
+            baseline = fit()  # raises the fit's error, over the encoding's
     train_scores = baseline.score(train)
     train.clear()
     val = list(samples)

@@ -35,21 +35,19 @@ A step back needs the relevance only at its end. All the rest, the step's
 z+ factors (`_factors`: the two tracks' shares, the recurrent denominator,
 the absorbed share and the sign-split inputs), depends on the forward pass
 alone. So in a pass over a reservoir of at least `blas.THREADED_MIN_UNITS`
-units, where `blas.openblas()` finds the thread-count setter, a helper thread
-computes the factors FACTOR_BLOCK steps at a time while the calling thread
-runs the recurrence through the block before (`_step_back`). Elsewhere the
-calling thread computes each step's factors itself, just before the step.
-The whole pass runs at one BLAS thread, so its maps are the same bytes under
-any BLAS thread count.
+units, the factors are computed FACTOR_BLOCK steps at a time by a
+`blas.worker`, which, where it can pin the BLAS thread count, fills the next
+block on a thread of its own while the calling thread runs the recurrence
+through the block before (`_step_back`). Below that, each step's factors
+are computed just before the step. The whole pass runs at one BLAS thread,
+so its maps are the same bytes under any BLAS thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +60,8 @@ from .reservoir import EsnConfig, EsnModel, model_output
 EPSILON = 1e-12
 CONSERVATION_TOLERANCE = 1e-6
 
-# Time steps whose z+ factors each of the two slots of a threaded pass holds.
+# Time steps whose z+ factors each of the two slots of a pass holds from
+# blas.THREADED_MIN_UNITS units up.
 # The slots count against a map batch's bytes (`pass_bytes`), so a longer
 # block means fewer samples per batch: at paper shape (89x181 inputs, 300
 # units) 25 at 2 steps, 24 at 3, 23 at 4. On a 2-core Xeon (numpy 2.4.6,
@@ -249,55 +248,6 @@ def relevance_first_column(model: EsnModel, u_first: np.ndarray, r_state: np.nda
     return _redistribute(sign_split(model.w_in), u_first, r_state)
 
 
-def _filled(
-    fill: Callable[[Tuple[int, int], Sequence[np.ndarray]], None],
-    blocks: Sequence[Tuple[int, int]],
-    slots: Sequence[Sequence[np.ndarray]],
-) -> Iterator[Sequence[np.ndarray]]:
-    """Each block's slot, in order, after `fill(block, slot)`.
-
-    With one slot, each block is filled on the calling thread when it is
-    reached. With two, a helper thread fills the next block's slot while
-    the caller reads the current one; a slot goes back to the helper when
-    the caller asks for the next. The helper's error is raised on the
-    calling thread. Closing the generator stops the helper and joins it.
-    """
-    if len(slots) == 1:
-        for block in blocks:
-            fill(block, slots[0])
-            yield slots[0]
-        return
-    import queue  # imported here: only a threaded pass uses it, so no other command loads it
-
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for slot in slots:
-        free.put(slot)
-
-    def work() -> None:
-        try:
-            for block in blocks:
-                slot = free.get()
-                if slot is None:
-                    return
-                fill(block, slot)
-                ready.put(slot)
-        except Exception as error:  # raised on the calling thread, which waits for this block
-            ready.put(error)
-
-    helper = threading.Thread(target=work, name="esnlrp-zplus-factors")
-    helper.start()
-    try:
-        for _ in blocks:
-            slot = ready.get()
-            if isinstance(slot, Exception):
-                raise slot
-            yield slot
-            free.put(slot)
-    finally:
-        free.put(None)
-        helper.join()
-
-
 def relevance_map(model: EsnModel, batch: np.ndarray) -> List[RelevanceMap]:
     """One relevance pass over a (B, n_in, T) batch: the forward pass that records its states, then the
     backward pass (output layer, every time step, first column). Returns one map per sample, in batch
@@ -305,39 +255,46 @@ def relevance_map(model: EsnModel, batch: np.ndarray) -> List[RelevanceMap]:
 
     The pass runs inside one `blas.one_thread` block, so its maps are the
     same bytes under any BLAS thread count. From `blas.THREADED_MIN_UNITS`
-    units up, where `blas.openblas()` finds the thread-count setter, a
-    helper thread computes the z+ factors (`_factors`) of the next
-    FACTOR_BLOCK steps into one of two slots while the calling thread runs
-    the recurrence through the current block; it starts after the forward
-    pass and is joined before the block closes. Otherwise the calling
-    thread computes each step's factors just before the step, and no
-    thread is started. The forward pass, the output layer and the first
-    column run on the calling thread.
+    units up, the z+ factors (`_factors`) are computed FACTOR_BLOCK steps
+    at a time into two slots, each block submitted to a `blas.worker`
+    before the calling thread waits for the block before it: where the
+    worker has a thread, it fills the next block's slot while the calling
+    thread runs the recurrence through the current one; elsewhere the
+    calling thread fills each block just before it. Below that, each step's
+    factors fill one one-step slot just before the step. The forward pass,
+    the output layer and the first column run on the calling thread.
     """
     with blas.one_thread():
         states = reservoir.run_reservoir(model, batch)  # looked up at call time, so a wrapper set on it sees the call
         batch = np.asarray(batch, dtype=float)
         split = sign_split(model.w_in, model.w_res)
         n_samples, n_inputs, n_steps = batch.shape
-        threaded = model.config.n_res >= blas.THREADED_MIN_UNITS and blas.openblas() is not None
+        threaded = model.config.n_res >= blas.THREADED_MIN_UNITS
         block = FACTOR_BLOCK if threaded else 1
-        # Step s goes back from x(s + 2), states[s + 1], onto u(s + 2) and x(s + 1), states[s];
-        # the blocks run from the last step down.
-        blocks = [(max(hi - block, 0), hi) for hi in range(n_steps - 1, 0, -block)]
         slots = [_slot(block, n_samples, n_inputs, model.config.n_res) for _ in range(2 if threaded else 1)]
+        # Step s goes back from x(s + 2), states[s + 1], onto u(s + 2) and x(s + 1), states[s];
+        # the blocks run from the last step down, block k in slot k mod len(slots).
+        blocks = [
+            ((max(hi - block, 0), hi), slots[k % len(slots)]) for k, hi in enumerate(range(n_steps - 1, 0, -block))
+        ]
 
-        def fill(bounds: Tuple[int, int], slot: Sequence[np.ndarray]) -> None:
+        def fill(bounds: Tuple[int, int], slot: Sequence[np.ndarray]) -> List[np.ndarray]:
             lo, hi = bounds
             u_now = batch[:, :, lo + 1 : hi + 1].transpose(2, 0, 1)
             factors = [f[: hi - lo] for f in slot]
             _factors(model.config.leak_rate, states[lo:hi], states[lo + 1 : hi + 1], u_now, split, factors)
+            return factors
 
         r_state, absorbed, total = relevance_output_layer(model, states[-1])
         scores = np.empty((n_steps - 1, n_samples, n_inputs))
-        with contextlib.closing(_filled(fill, blocks, slots)) as filled:
-            for (lo, hi), slot in zip(blocks, filled):
+        with blas.worker(threaded) as submit:
+            filled = [submit(fill, *job) for job in blocks[:1]]
+            for k, ((lo, hi), _) in enumerate(blocks):
+                # block k + 1 goes into the slot that block k - 1 left free, before block k is waited for
+                filled += [submit(fill, *job) for job in blocks[k + 1 : k + 2]]
+                factors = filled[k]()
                 for s in range(hi - 1, lo - 1, -1):
-                    scores[s], r_state, delta = _step_back(r_state, [f[s - lo] for f in slot], split)
+                    scores[s], r_state, delta = _step_back(r_state, [f[s - lo] for f in factors], split)
                     absorbed += delta
         dummy_scores, delta = relevance_first_column(model, batch[:, :, 0], r_state)
     absorbed += delta

@@ -214,11 +214,13 @@ def test_paper_shape_fits_agree_across_blas_thread_counts(tmp_path):
     """train and relevance from scratch at paper shape under 1 and 2 BLAS threads, and
     `train --baseline mlp`.
 
-    With 89x180 inputs and 300 units the encoding products and the 28-map
-    batch thread, so only agreement is promised, not bits: the train report
-    is byte-identical, w_res is bit for bit the same (its eigenvalue solve
-    runs at one thread; without a thread-count setter, within 1e-12 of its
-    peak), and w_out and every map agree within 1e-9 of theirs. `train
+    With 89x180 inputs and 300 units the encoding products thread, so only
+    agreement is promised, not bits: the train report is byte-identical,
+    w_res is bit for bit the same (its eigenvalue solve runs at one thread;
+    without a thread-count setter, within 1e-12 of its peak), and w_out and
+    every map agree within 1e-9 of theirs. The maps of one model run at one
+    BLAS thread, so they differ between the thread counts only through the
+    fitted readout. `train
     --baseline` runs every phase at one thread, its fit beside the encoding
     of the train split (240 samples, in runs of 97, 97 and 46), so its
     outputs are the same bytes where a thread-count setter is found.
@@ -317,10 +319,10 @@ def test_train_fits_the_baseline_on_a_worker_while_the_train_split_is_encoded(tm
 
 
 @pytest.mark.skipif(not PINNED, reason="without a thread-count setter no worker is ever started")
-def test_without_a_setter_train_fits_the_baseline_first_and_writes_the_same_bytes(tmp_path, monkeypatch):
-    """Where no thread-count setter is found, `train --baseline mlp` starts no thread: it fits the
-    MLP, then encodes. At one BLAS thread it writes the bytes of the run that overlaps them, and
-    the ESN model of `train` without a baseline, whose one pass has the same runs.
+def test_without_a_setter_train_encodes_then_fits_the_baseline_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    """Where no thread-count setter is found, `train --baseline mlp` starts no thread: it encodes the
+    train split, then fits the MLP. At one BLAS thread it writes the bytes of the run that overlaps
+    them, and the ESN model of `train` without a baseline, whose one pass has the same runs.
 
     Runs of 64 encode the 240-sample train split in runs of 64, 64, 64 and
     48, then the 60 validation samples. At 300 units the final states
@@ -579,28 +581,31 @@ def test_a_failed_relevance_pass_exits_four_after_its_helper_is_joined(tmp_path,
 
 @pytest.mark.skipif(not PINNED, reason="without a thread-count setter no helper thread is started")
 def test_without_a_setter_relevance_starts_no_thread_and_maps_alike(tmp_path, monkeypatch):
-    """Where no thread-count setter is found, `relevance` at 150 units computes each step's z+ factors
-    on the calling thread and starts no thread. Its maps agree with those of the run that starts
-    one helper per map batch within 1e-12 of their peak."""
+    """Where no thread-count setter is found, `relevance` at 150 units computes the same FACTOR_BLOCK-step
+    z+ factors on the calling thread and starts no thread. At one BLAS thread its maps are the bytes of
+    the run that starts one helper per map batch."""
     model_dir = tmp_path / "model"
     assert run_cli("train", *THREADED_SHAPE, "--out", str(model_dir)) == 0
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
-    maps = {}
-    for run in ("helper", "inline"):
-        out = tmp_path / run
-        shutil.copytree(model_dir, out)
-        if run == "inline":
-            monkeypatch.setattr(blas, "openblas", lambda: None)
-        started.clear()
-        assert run_cli("relevance", *THREADED_SHAPE, "--class", "elnino", "--out", str(out)) == 0
-        assert len(started) == (1 if run == "helper" else 0)
-        assert threading.active_count() == 1
-        maps[run] = [np.loadtxt(p, delimiter=",", ndmin=2) for p in sorted((out / "relevance").glob("sample_*.csv"))]
-    assert len(maps["helper"]) == len(maps["inline"]) == 24
-    for a, b in zip(maps["helper"], maps["inline"]):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+    handle = blas.openblas()
+    before = handle.get()
+    handle.set(1)
+    try:
+        for run in ("helper", "inline"):
+            out = tmp_path / run
+            shutil.copytree(model_dir, out)
+            if run == "inline":
+                monkeypatch.setattr(blas, "openblas", lambda: None)
+            started.clear()
+            assert run_cli("relevance", *THREADED_SHAPE, "--class", "elnino", "--out", str(out)) == 0
+            assert len(started) == (1 if run == "helper" else 0)
+            assert threading.active_count() == 1
+    finally:
+        handle.set(before)
+    assert len(list((tmp_path / "helper" / "relevance").glob("sample_*.csv"))) == 24
+    assert tree_bytes(tmp_path / "helper") == tree_bytes(tmp_path / "inline")
 
 
 def test_the_lookup_finds_no_setter_in_a_numpy_that_bundles_none(tmp_path, monkeypatch):
@@ -616,6 +621,82 @@ def test_the_lookup_finds_no_setter_in_a_numpy_that_bundles_none(tmp_path, monke
     (libs / "libopenblas-libm.so").symlink_to(libm)
     monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
     assert blas.openblas.__wrapped__() is None
+
+
+@pytest.mark.parametrize("wanted, setter", [(False, True), (True, False)], ids=["unwanted", "no-setter"])
+def test_a_worker_without_a_thread_runs_each_call_when_its_result_is_asked_for(monkeypatch, wanted, setter):
+    """`blas.worker` with `wanted` false, or without a thread-count setter, starts no thread: each call
+    runs on the calling thread, and only once its result is asked for, so a call submitted before the
+    previous result is read has not run yet (the one-slot relevance pass reuses its slot on that)."""
+    if not setter:
+        monkeypatch.setattr(blas, "openblas", lambda: None)
+    started, ran = [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
+
+    def call(name):
+        ran.append((name, threading.current_thread()))
+        return name
+
+    with blas.worker(wanted) as submit:
+        first, second = submit(call, "first"), submit(call, "second")
+        assert ran == []
+        assert first() == "first"
+        assert ran == [("first", threading.current_thread())]
+        assert second() == "second"
+    assert ran == [("first", threading.current_thread()), ("second", threading.current_thread())]
+    assert started == []
+
+
+@pytest.mark.skipif(not PINNED, reason="without a thread-count setter no worker thread is started")
+def test_a_worker_runs_the_calls_in_order_on_one_thread_at_one_blas_thread():
+    """With a setter, `blas.worker(True)` runs the calls in the order they were submitted on one thread
+    that is not the caller's, at one BLAS thread, and restores the count it found after the block."""
+    handle = blas.openblas()
+    before = handle.get()
+    handle.set(2)
+    seen = []
+
+    def call(k):
+        seen.append((k, threading.get_ident(), handle.get()))
+        return k
+
+    try:
+        with blas.worker(True) as submit:
+            results = [submit(call, k) for k in range(5)]
+            assert [result() for result in reversed(results)] == [4, 3, 2, 1, 0]
+        assert handle.get() == 2
+    finally:
+        handle.set(before)
+    assert [k for k, _, _ in seen] == [0, 1, 2, 3, 4]
+    [thread] = {thread for _, thread, _ in seen}
+    assert thread != threading.get_ident()
+    assert {count for _, _, count in seen} == {1}
+
+
+@pytest.mark.skipif(not PINNED, reason="without a thread-count setter no worker thread is started")
+def test_a_worker_raises_a_calls_error_by_its_result_call_and_is_joined_however_the_block_ends():
+    """A call's error is raised on the caller by its result call, and the worker runs on. A block
+    that ends by an error joins the worker too, after the call it is running."""
+    threads = threading.active_count()
+
+    def failing():
+        raise NumericError("the call failed")
+
+    with blas.worker(True) as submit:
+        failed, after = submit(failing), submit(str, "after")
+        with pytest.raises(NumericError, match="the call failed"):
+            failed()
+        assert after() == "after"
+        assert threading.active_count() == threads + 1
+    assert threading.active_count() == threads
+    waited = []
+    with pytest.raises(ConfigError, match="the block failed"):
+        with blas.worker(True) as submit:
+            submit(lambda: waited.append(threading.Event().wait(0.05)))
+            raise ConfigError("the block failed")
+    assert waited == [False]
+    assert threading.active_count() == threads
 
 
 def two_readout_rows(doc):

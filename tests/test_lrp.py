@@ -379,8 +379,8 @@ def test_helper_thread_maps_do_not_depend_on_how_the_threads_interleave(monkeypa
     the two threads interleave: at a switch interval of 1 us, which hands the interpreter between
     them as often as it can, and with one side slowed by a 1 ms sleep in each of its calls, so that
     the helper runs as far ahead as its two slots let it, or the calling thread waits for each
-    block. They agree with the maps of one-step factors on the calling thread within 1e-12 of their
-    peak."""
+    block. They agree with the maps of the same blocks on the calling thread, where no setter is
+    found and the pass runs at the environment's thread count, within 1e-12 of their peak."""
     rng = np.random.default_rng(5)
     model = random_model(rng, blas.THREADED_MIN_UNITS, 6, alpha=0.3, scale=0.1)
     samples = np.stack([random_sample(rng, 6, 40) for _ in range(8)])
